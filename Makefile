@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet samoa-vet test race race-contend socket-tests node-demo bench bench-core eval eval-quick eval-json fuzz fuzz-smoke explore explore-deep chaos chaos-deep chaos-swap chaos-swap-deep chaos-net chaos-net-deep examples clean
+.PHONY: all build vet samoa-vet test race race-contend socket-tests node-demo bench bench-core bench-gate bench-pair eval eval-quick eval-json fuzz fuzz-smoke explore explore-deep chaos chaos-deep chaos-swap chaos-swap-deep chaos-net chaos-net-deep examples clean
 
 all: build vet samoa-vet test
 
@@ -58,6 +58,18 @@ bench:
 bench-core:
 	$(GO) test -run '^$$' -bench 'TriggerSealed|SpawnComplete|ContentionDisjoint' -count=10 -benchmem .
 
+# The performance gate (BENCHMARK.json, benchmark/README.md): all six
+# workloads, untraced end-to-end metrics plus the traced per-layer ledger.
+# The benchmark is a nested module outside ./...; test it with
+# `go test -C benchmark ./...`.
+bench-gate:
+	bash benchmark/run.sh
+
+# Paired parent/change runs of one workload (choosing-metrics §8):
+#   make bench-pair W=kv_write_udp [PAIRS=10] [BASE=HEAD~1]
+bench-pair:
+	bash scripts/bench-pair.sh $(W) $(PAIRS)
+
 # The evaluation tables of EXPERIMENTS.md.
 eval:
 	$(GO) run ./cmd/samoa-bench
@@ -81,6 +93,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzRoundTrip -fuzztime 30s
 	$(GO) test ./internal/gc -run '^$$' -fuzz FuzzDecodeMessages -fuzztime 30s
 	$(GO) test ./internal/gc -run '^$$' -fuzz FuzzSiteSurvivesGarbageDatagrams -fuzztime 30s
+	$(GO) test ./internal/gc -run '^$$' -fuzz FuzzDatagramFrames -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzChecker -fuzztime 30s
 	$(GO) test ./internal/transport/udpnet -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s
 

@@ -76,10 +76,10 @@ func decodeVC(r *wire.Reader) map[transport.NodeID]uint64 {
 
 // bcast stamps the payload with the sender's vector clock, with its own
 // entry taken from a separate send counter: the vc tracks *deliveries*,
-// and a sender may issue several broadcasts before its own loopbacks
-// return, each of which must still get a distinct, increasing stamp. The
-// local delivery happens when the loopback copy arrives, like every other
-// broadcast kind.
+// and a sender may issue several broadcasts before its own copies come
+// back, each of which must still get a distinct, increasing stamp. The
+// local delivery happens when the self-delivered copy arrives, like every
+// other broadcast kind.
 func (c *Causal) bcast(ctx *core.Context, msg core.Message) error {
 	data := msg.([]byte)
 	stamp := make(map[transport.NodeID]uint64, len(c.vc)+1)

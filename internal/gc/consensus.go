@@ -66,8 +66,8 @@ type consInst struct {
 //     proposers re-forward their proposal to the new coordinator.
 //
 // All messages travel over RelComm (reliable), including self-addressed
-// ones — the coordinator's own promise/accept arrives as a loopback, which
-// keeps every path uniform.
+// ones — the coordinator's own promise/accept arrives as a self-delivered
+// frame, which keeps every path uniform.
 type Consensus struct {
 	mp   *core.Microprotocol
 	self transport.NodeID

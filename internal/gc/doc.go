@@ -6,10 +6,10 @@
 //	Consensus  ── rotating-coordinator, majority-quorum consensus
 //	Fifo       ── FIFO-order broadcast (per-origin sequence numbers)
 //	Causal     ── causal-order broadcast (vector clocks)
-//	RelCast    ── reliable broadcast (rebroadcast on first receipt)
+//	RelCast    ── reliable broadcast (relay on first receipt)
 //	RelComm    ── reliable point-to-point (seq/ack/retransmit/window)
 //	FD         ── heartbeat failure detector
-//	NetOut     ── datagram egress to the simulated network
+//	NetOut     ── egress buffer: one datagram per peer per computation
 //	App        ── delivery upcalls to the embedding application
 //
 // The four broadcast flavours — unordered (RBcast), FIFO (FBcast), causal
@@ -25,14 +25,21 @@
 // Isolated with a declared spec, and the configured concurrency controller
 // enforces the isolation property across the computations.
 //
-// Consequently, microprotocol state carries no locks: handlers mutate
-// plain maps and slices, and correctness under concurrency is exactly the
-// isolation guarantee under test. The one exception is the group view
-// held by RelComm and RelCast, stored through atomic pointers: under the
-// deliberately unsafe None (Cactus-model) controller used by experiment
-// E6, view reads and view installation race *logically* — the paper's §3
-// "Problem" — and the atomic pointer keeps that a stale-read bug rather
-// than an undefined data race.
+// A datagram is a sequence of self-delimiting frames (msg.go). NetOut
+// buffers the frames a computation sends and Site.run flushes them when
+// the computation ends — one datagram per destination, no timer — and
+// feeds a site's frames to itself straight back into the stack, past the
+// transport and the ARQ (DESIGN.md §12.1).
+//
+// Microprotocol state carries no locks: handlers mutate plain maps and
+// slices, and correctness under concurrency is exactly the isolation
+// guarantee under test. Two exceptions. NetOut's buffer is shared with
+// the flush, which runs outside any computation, and has its own lock.
+// And the group view held by RelComm and RelCast is stored through atomic
+// pointers: under the deliberately unsafe None (Cactus-model) controller
+// used by experiment E6, view reads and view installation race
+// *logically* — the paper's §3 "Problem" — and the atomic pointer keeps
+// that a stale-read bug rather than an undefined data race.
 //
 // Handlers never block on the network: every protocol is an event-driven
 // state machine, so computations always terminate — the liveness

@@ -8,7 +8,7 @@ import "repro/internal/core"
 // ViewChange : Event)").
 type events struct {
 	FromNet    *core.EventType // transport.Datagram → relcomm.recv
-	NetSend    *core.EventType // outDatagram → netout.send
+	NetSend    *core.EventType // outFrame → netout.send
 	SendOut    *core.EventType // rcSendReq → relcomm.send
 	FromRComm  *core.EventType // rcRecvd → relcast.recv + consensus.recv
 	Bcast      *core.EventType // *CastMsg → relcast.bcast

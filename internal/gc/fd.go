@@ -54,12 +54,11 @@ func newFD(self transport.NodeID, initial *View, suspectAfter time.Duration, ev 
 // tick beats every peer and raises suspicions for silent ones.
 func (f *FD) tick(ctx *core.Context, _ core.Message) error {
 	now := time.Now()
-	beat := encodeBeat()
 	for _, m := range f.view.Members() {
 		if m == f.self {
 			continue
 		}
-		if err := ctx.Trigger(f.ev.NetSend, outDatagram{to: m, data: beat}); err != nil {
+		if err := ctx.Trigger(f.ev.NetSend, outFrame{to: m, kind: dgBeat}); err != nil {
 			return err
 		}
 		if !f.suspected[m] && now.Sub(f.lastHeard[m]) > f.suspectAfter {

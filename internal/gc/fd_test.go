@@ -16,7 +16,7 @@ type fdHarness struct {
 	f          *FD
 	ev         *events
 	spec       *core.Spec
-	beats      []outDatagram
+	beats      []outFrame
 	suspicions []simnet.NodeID
 }
 
@@ -27,7 +27,7 @@ func newFDHarness(t *testing.T, self simnet.NodeID, view *View, timeout time.Dur
 	h.f = newFD(self, view, timeout, h.ev)
 	capture := core.NewMicroprotocol("capture")
 	hSend := capture.AddHandler("send", func(_ *core.Context, msg core.Message) error {
-		h.beats = append(h.beats, msg.(outDatagram))
+		h.beats = append(h.beats, msg.(outFrame))
 		return nil
 	})
 	hSusp := capture.AddHandler("suspect", func(_ *core.Context, msg core.Message) error {
@@ -53,7 +53,7 @@ func (h *fdHarness) tick(t *testing.T) {
 
 func (h *fdHarness) beat(t *testing.T, from simnet.NodeID) {
 	t.Helper()
-	d := simnet.Datagram{From: from, To: 0, Payload: encodeBeat()}
+	d := simnet.Datagram{From: from, To: 0, Payload: []byte{dgBeat}}
 	if err := h.s.External(h.spec, h.ev.FDBeat, d); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFDBeatsEveryPeerNotSelf(t *testing.T) {
 	tos := map[simnet.NodeID]bool{}
 	for _, b := range h.beats {
 		tos[b.to] = true
-		if b.data[0] != dgBeat {
+		if b.kind != dgBeat {
 			t.Fatal("not a heartbeat datagram")
 		}
 	}

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/simnet"
@@ -15,8 +16,8 @@ func FuzzDecodeMessages(f *testing.F) {
 	f.Add(encodeConsFrame(&consMsg{Type: cAccept, Inst: 1, Round: 2, HasValue: true,
 		Value: []CastMsg{{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 3}}}))
 	f.Add(encodeSyncFrame(7, []byte("snap")))
-	f.Add(encodeData(4, 9, []byte("inner")))
-	f.Add(encodeAck(4, 9))
+	f.Add(appendData(nil, 4, 9, []byte("inner")))
+	f.Add(appendAck(nil, 4, 9))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = decodeCastMsg(wire.NewReader(data))
 		_ = decodeConsMsg(wire.NewReader(data))
@@ -31,7 +32,9 @@ func FuzzSiteSurvivesGarbageDatagrams(f *testing.F) {
 	f.Add([]byte{dgData})
 	f.Add([]byte{dgAck, 1, 2})
 	f.Add([]byte{dgBeat})
-	f.Add(encodeData(0, 1, encodeCastFrame(&CastMsg{ID: MsgID{Origin: 0, Seq: 1}, Kind: castRApp, Data: []byte("ok")})))
+	cast := encodeCastFrame(&CastMsg{ID: MsgID{Origin: 0, Seq: 1}, Kind: castRApp, Data: []byte("ok")})
+	f.Add(appendData(nil, 0, 1, cast))
+	f.Add(appendAck(appendData(appendAck(nil, 7, 3), 0, 1, cast), 7, 4))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		net := simnet.New(simnet.Config{Nodes: 2, Seed: 1})
 		defer net.Close()
@@ -42,5 +45,82 @@ func FuzzSiteSurvivesGarbageDatagrams(f *testing.F) {
 		s.Start()
 		defer s.Stop()
 		_ = s.InjectDatagram(simnet.Datagram{From: 0, To: 1, Payload: payload})
+	})
+}
+
+// walkFrames decodes a datagram the way RelComm.recv does, returning the
+// frames before the first malformed one and the offset each ends at.
+func walkFrames(p []byte) (frames []frame, ends []int, err error) {
+	total := len(p)
+	for len(p) > 0 {
+		f, rest, derr := decodeFrame(p)
+		if derr != nil {
+			return frames, ends, derr
+		}
+		frames, ends, p = append(frames, f), append(ends, total-len(rest)), rest
+	}
+	return frames, ends, nil
+}
+
+// FuzzDatagramFrames feeds arbitrary bytes to the datagram decoder: it
+// never panics, every frame it accepts survives re-encoding, and cutting a
+// datagram short loses exactly the frames the cut reaches — the
+// well-formed frames before a malformed tail are kept.
+func FuzzDatagramFrames(f *testing.F) {
+	ack := appendAck(nil, 7, 3)
+	data := appendData(nil, 7, 4, []byte("inner"))
+	f.Add([]byte{}, uint16(0))
+	f.Add(ack, uint16(5))
+	f.Add(data, uint16(15))
+	f.Add(bytes.Join([][]byte{ack, data, ack, data}, nil), uint16(30))
+	f.Add([]byte{dgBeat}, uint16(0))
+	f.Add(append(append([]byte(nil), ack...), 99), uint16(13))
+	f.Fuzz(func(t *testing.T, p []byte, cut uint16) {
+		if len(p) > 0 {
+			classify(p)
+		}
+		frames, ends, _ := walkFrames(p)
+		for _, fr := range frames {
+			var enc []byte
+			switch fr.kind {
+			case dgData:
+				enc = appendData(nil, fr.epoch, fr.seq, fr.inner)
+				if len(enc) != dataLen(fr.inner) {
+					t.Fatalf("dataLen says %d, frame encodes to %d bytes", dataLen(fr.inner), len(enc))
+				}
+			case dgAck:
+				enc = appendAck(nil, fr.epoch, fr.seq)
+			case dgBeat:
+				enc = []byte{dgBeat}
+			default:
+				t.Fatalf("decoder accepted kind %d", fr.kind)
+			}
+			back, rest, err := decodeFrame(enc)
+			if err != nil || len(rest) != 0 || back.kind != fr.kind || back.epoch != fr.epoch ||
+				back.seq != fr.seq || !bytes.Equal(back.inner, fr.inner) {
+				t.Fatalf("frame %+v re-decoded as %+v (rest %d, err %v)", fr, back, len(rest), err)
+			}
+		}
+
+		c := 0
+		if len(p) > 0 {
+			c = int(cut) % (len(p) + 1)
+		}
+		keep := 0
+		for keep < len(ends) && ends[keep] <= c {
+			keep++
+		}
+		short, _, err := walkFrames(p[:c])
+		if len(short) != keep {
+			t.Fatalf("cut at %d of %d: %d frames decoded, %d end before the cut", c, len(p), len(short), keep)
+		}
+		if onBoundary := c == 0 || (keep > 0 && ends[keep-1] == c); onBoundary != (err == nil) {
+			t.Fatalf("cut at %d of %d: error %v, cut on a frame boundary: %v", c, len(p), err, onBoundary)
+		}
+		for i, fr := range short {
+			if fr.kind != frames[i].kind || fr.seq != frames[i].seq || fr.epoch != frames[i].epoch || !bytes.Equal(fr.inner, frames[i].inner) {
+				t.Fatalf("cut at %d: frame %d decoded as %+v, was %+v", c, i, fr, frames[i])
+			}
+		}
 	})
 }

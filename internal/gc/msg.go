@@ -1,18 +1,34 @@
 package gc
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Datagram kinds (outermost byte on the wire).
+// Frame kinds (first byte of every frame). A datagram is a sequence of
+// self-delimiting frames: RelComm data and acks addressed to one peer
+// share datagrams (NetOut coalesces them per computation); a heartbeat
+// always travels alone.
 const (
-	dgData uint8 = 1 // RelComm data: seq + inner payload
-	dgAck  uint8 = 2 // RelComm ack: seq
-	dgBeat uint8 = 3 // failure-detector heartbeat
+	dgData uint8 = 1 // RelComm data: epoch + seq + length-prefixed inner payload
+	dgAck  uint8 = 2 // RelComm ack: epoch + seq
+	dgBeat uint8 = 3 // failure-detector heartbeat: the kind byte only
 )
+
+// ackLen is the encoded size of an ack frame, and of a data frame's
+// fixed header: kind, epoch, seq.
+const ackLen = 1 + 4 + 8
+
+// maxDatagram is where NetOut splits one destination's frames into a
+// further datagram. It stays below the smallest payload limit among the
+// transport backends (udpnet.MaxPayload, 63 KiB; the simulator has
+// none), so coalescing never turns deliverable frames into an oversize
+// drop.
+const maxDatagram = 60 << 10
 
 // Inner payload layers carried by RelComm (demultiplexed by the handlers
 // bound to FromRComm, each of which ignores the other's layer).
@@ -146,15 +162,19 @@ func encodeCastFrame(m *CastMsg) []byte {
 	w := wire.NewWriter(32 + len(m.Data))
 	w.U8(layerRelCast)
 	m.encode(w)
-	return append([]byte(nil), w.Bytes()...)
+	return w.Bytes()
 }
 
 // encodeConsFrame wraps a consMsg as a layerConsensus inner payload.
 func encodeConsFrame(m *consMsg) []byte {
-	w := wire.NewWriter(64)
+	n := 32
+	for i := range m.Value {
+		n += 24 + len(m.Value[i].Data)
+	}
+	w := wire.NewWriter(n)
 	w.U8(layerConsensus)
 	m.encode(w)
-	return append([]byte(nil), w.Bytes()...)
+	return w.Bytes()
 }
 
 // encodeSyncFrame wraps the join-time state transfer as a layerSync inner
@@ -168,32 +188,102 @@ func encodeSyncFrame(nextInst uint64, snap []byte) []byte {
 	w.U8(layerSync)
 	w.U64(nextInst)
 	w.BytesPrefixed(snap)
-	return append([]byte(nil), w.Bytes()...)
+	return w.Bytes()
 }
 
-// encodeData builds a RelComm data datagram. The epoch identifies the
-// sender's RelComm incarnation: a crash-restarted process starts a fresh
-// epoch, telling receivers to discard the dead incarnation's dedup state
-// instead of silently swallowing the newcomer's restarted sequence space.
-func encodeData(epoch uint32, seq uint64, inner []byte) []byte {
-	w := wire.NewWriter(20 + len(inner))
-	w.U8(dgData)
-	w.U32(epoch)
-	w.U64(seq)
-	w.BytesPrefixed(inner)
-	return append([]byte(nil), w.Bytes()...)
+// frame is one decoded datagram frame. inner aliases the datagram.
+type frame struct {
+	kind  uint8
+	epoch uint32 // dgData: the sender's incarnation; dgAck: the echoed one
+	seq   uint64
+	inner []byte // dgData only
 }
 
-// encodeAck builds a RelComm ack datagram, echoing the epoch of the data
-// datagram it acknowledges (so a sender ignores acks addressed to a
+var errBadFrame = errors.New("gc: malformed datagram frame")
+
+// appendData appends a RelComm data frame to dst. The epoch identifies
+// the sender's RelComm incarnation: a crash-restarted process starts a
+// fresh epoch, telling receivers to discard the dead incarnation's dedup
+// state instead of silently swallowing the newcomer's restarted sequence
+// space.
+func appendData(dst []byte, epoch uint32, seq uint64, inner []byte) []byte {
+	dst = appendHeader(dst, dgData, epoch, seq)
+	dst = binary.AppendUvarint(dst, uint64(len(inner)))
+	return append(dst, inner...)
+}
+
+// appendAck appends a RelComm ack frame to dst, echoing the epoch of the
+// data frame it acknowledges (so a sender ignores acks addressed to a
 // previous incarnation of itself).
-func encodeAck(epoch uint32, seq uint64) []byte {
-	w := wire.NewWriter(13)
-	w.U8(dgAck)
-	w.U32(epoch)
-	w.U64(seq)
-	return append([]byte(nil), w.Bytes()...)
+func appendAck(dst []byte, epoch uint32, seq uint64) []byte {
+	return appendHeader(dst, dgAck, epoch, seq)
 }
 
-// encodeBeat builds a failure-detector heartbeat datagram.
-func encodeBeat() []byte { return []byte{dgBeat} }
+func appendHeader(dst []byte, kind uint8, epoch uint32, seq uint64) []byte {
+	dst = append(dst, kind)
+	dst = binary.LittleEndian.AppendUint32(dst, epoch)
+	return binary.LittleEndian.AppendUint64(dst, seq)
+}
+
+// dataLen is the encoded size of a data frame carrying inner.
+func dataLen(inner []byte) int {
+	var v [binary.MaxVarintLen64]byte
+	return ackLen + binary.PutUvarint(v[:], uint64(len(inner))) + len(inner)
+}
+
+// decodeFrame splits the first frame off a non-empty datagram — the one
+// datagram decoder: RelComm's receive loop, the pump's classification and
+// the tests all walk a datagram with it. An unknown kind or a truncated
+// frame is an error; the frames before it were already returned, so a
+// malformed tail costs only itself.
+func decodeFrame(p []byte) (f frame, rest []byte, err error) {
+	switch f.kind = p[0]; f.kind {
+	case dgBeat:
+		return f, p[1:], nil
+	case dgData, dgAck:
+		if len(p) < ackLen {
+			return f, nil, fmt.Errorf("%w: kind %d header truncated at %d bytes", errBadFrame, f.kind, len(p))
+		}
+		f.epoch = binary.LittleEndian.Uint32(p[1:])
+		f.seq = binary.LittleEndian.Uint64(p[5:])
+		rest = p[ackLen:]
+		if f.kind == dgAck {
+			return f, rest, nil
+		}
+		n, k := binary.Uvarint(rest)
+		if k <= 0 || n > uint64(len(rest)-k) {
+			return f, nil, fmt.Errorf("%w: data seq %d payload truncated", errBadFrame, f.seq)
+		}
+		f.inner = rest[k : k+int(n)]
+		return f, rest[k+int(n):], nil
+	default:
+		return f, nil, fmt.Errorf("%w: unknown kind %d", errBadFrame, f.kind)
+	}
+}
+
+// Datagram classes, for the pump's choice of spec.
+const (
+	classMixed uint8 = iota // at least one data frame (or garbage): may cascade through the stack
+	classAck                // acks only: touches RelComm and NetOut
+	classBeat               // a heartbeat
+)
+
+// classify reads frame headers up to the first frame that is not an ack.
+// A datagram whose well-formed frames are all acks is ack-only even if
+// its tail is cut short: the receive loop reports the tail.
+func classify(p []byte) uint8 {
+	if p[0] == dgBeat {
+		return classBeat
+	}
+	for len(p) > 0 {
+		f, rest, err := decodeFrame(p)
+		if f.kind != dgAck {
+			return classMixed
+		}
+		if err != nil {
+			break
+		}
+		p = rest
+	}
+	return classAck
+}

@@ -88,19 +88,46 @@ func TestSyncFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDatagramEncodings(t *testing.T) {
-	d := encodeData(77, 9, []byte("inner"))
-	r := wire.NewReader(d)
-	if r.U8() != dgData || r.U32() != 77 || r.U64() != 9 || string(r.BytesPrefixed()) != "inner" || r.Err() != nil {
-		t.Fatal("data datagram round trip")
+func TestFrameEncodings(t *testing.T) {
+	p := appendData(nil, 77, 9, []byte("inner"))
+	if len(p) != dataLen([]byte("inner")) {
+		t.Fatalf("dataLen = %d, encoded %d", dataLen([]byte("inner")), len(p))
 	}
-	a := encodeAck(77, 9)
-	r = wire.NewReader(a)
-	if r.U8() != dgAck || r.U32() != 77 || r.U64() != 9 || r.Err() != nil {
-		t.Fatal("ack datagram round trip")
+	p = appendAck(p, 78, 10)
+	f, rest, err := decodeFrame(p)
+	if err != nil || f.kind != dgData || f.epoch != 77 || f.seq != 9 || string(f.inner) != "inner" {
+		t.Fatalf("data frame round trip: %+v, %v", f, err)
 	}
-	if b := encodeBeat(); len(b) != 1 || b[0] != dgBeat {
-		t.Fatal("beat datagram")
+	f, rest, err = decodeFrame(rest)
+	if err != nil || f.kind != dgAck || f.epoch != 78 || f.seq != 10 || len(rest) != 0 {
+		t.Fatalf("ack frame round trip: %+v, %v", f, err)
+	}
+}
+
+// TestClassify: a datagram gets the ack spec only if every well-formed
+// frame in it is an ack; a heartbeat is a datagram of its own.
+func TestClassify(t *testing.T) {
+	ack := appendAck(nil, 1, 1)
+	data := appendData(nil, 1, 1, []byte("x"))
+	join := func(ps ...[]byte) []byte { return bytes.Join(ps, nil) }
+	for _, c := range []struct {
+		name string
+		p    []byte
+		want uint8
+	}{
+		{"beat", []byte{dgBeat}, classBeat},
+		{"one ack", ack, classAck},
+		{"three acks", join(ack, ack, ack), classAck},
+		{"acks with a cut tail", join(ack, ack[:5]), classAck},
+		{"data", data, classMixed},
+		{"ack then data", join(ack, data), classMixed},
+		{"data then ack", join(data, ack), classMixed},
+		{"unknown kind", []byte{99}, classMixed},
+		{"ack then unknown kind", join(ack, []byte{99}), classMixed},
+	} {
+		if got := classify(c.p); got != c.want {
+			t.Errorf("%s: class %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

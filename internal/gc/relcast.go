@@ -11,13 +11,20 @@ import (
 
 // RelCast is the reliable broadcast microprotocol of paper §3: to
 // broadcast, send to every site in the view; on first receipt of a
-// message, rebroadcast it (so delivery survives a mid-broadcast sender
-// crash) and deliver it locally via DeliverOut.
+// message, relay it (so delivery survives a mid-broadcast sender crash)
+// and deliver it locally via DeliverOut.
 //
-// The broadcast loop sends to every view member including the sender
-// itself; the origin's own copy comes back through the network and is the
-// local delivery. The rebroadcast wave terminates because every site
-// rebroadcasts a given message at most once (the seen set).
+// The broadcast loop sends to every view member including the origin
+// itself; the origin's own copy comes back as a self-delivered frame and
+// is the local delivery. A first receiver relays to every view member
+// except itself, the message's origin and the site the frame came from:
+// all three already hold m, and the origin does not re-relay its own
+// cast. The invariant that keeps the broadcast reliable is unchanged —
+// every site that may lack m is still sent m by each correct
+// first-receiver — so one correct receiver suffices for all correct
+// members to get it, whatever the origin managed to send before
+// crashing. The wave terminates because every site relays a given
+// message at most once (the seen set).
 type RelCast struct {
 	mp   *core.Microprotocol
 	self transport.NodeID
@@ -62,9 +69,19 @@ func (rb *RelCast) bcast(ctx *core.Context, msg core.Message) error {
 	return rb.sendAll(ctx, m)
 }
 
-func (rb *RelCast) sendAll(ctx *core.Context, m *CastMsg) error {
-	frame := encodeCastFrame(m)
+// sendAll sends m to every view member not listed in except.
+func (rb *RelCast) sendAll(ctx *core.Context, m *CastMsg, except ...transport.NodeID) error {
+	var frame []byte // encoded for the first recipient: a relay often has none
+members:
 	for _, site := range rb.view.Load().Members() {
+		for _, x := range except {
+			if site == x {
+				continue members
+			}
+		}
+		if frame == nil {
+			frame = encodeCastFrame(m)
+		}
 		if err := ctx.Trigger(rb.ev.SendOut, rcSendReq{to: site, inner: frame}); err != nil {
 			return err
 		}
@@ -72,9 +89,12 @@ func (rb *RelCast) sendAll(ctx *core.Context, m *CastMsg) error {
 	return nil
 }
 
-// recv implements "if (new message m) then { bcast m; asyncTriggerAll
-// DeliverOut m; }". Non-RelCast payloads on FromRComm belong to other
-// microprotocols and are ignored.
+// recv implements "if (new message m) then { bcast m; triggerAll
+// DeliverOut m; }", with the relay narrowed to the sites that may lack m
+// (see RelCast). The paper's DeliverOut is asynchronous; here it is
+// synchronous for the reason RelComm.recv gives — the datagram's next
+// frame must find this one's delivery finished. Non-RelCast payloads on
+// FromRComm belong to other microprotocols and are ignored.
 func (rb *RelCast) recv(ctx *core.Context, msg core.Message) error {
 	in := msg.(rcRecvd)
 	r := wire.NewReader(in.inner)
@@ -93,10 +113,10 @@ func (rb *RelCast) recv(ctx *core.Context, msg core.Message) error {
 	if !d.Mark(m.ID.Seq) {
 		return nil
 	}
-	if err := rb.sendAll(ctx, &m); err != nil {
+	if err := rb.sendAll(ctx, &m, rb.self, m.ID.Origin, in.sender); err != nil {
 		return err
 	}
-	return ctx.AsyncTriggerAll(rb.ev.DeliverOut, m)
+	return ctx.TriggerAll(rb.ev.DeliverOut, m)
 }
 
 // viewChange installs a new view.

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"errors"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dedupe"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // rcSendReq asks RelComm to reliably send an inner payload to a site
@@ -19,7 +19,8 @@ type rcSendReq struct {
 }
 
 // rcRecvd is a reliably-delivered inner payload (the paper's FromRComm
-// event message).
+// event message). inner aliases the received datagram: the handlers bound
+// to FromRComm run synchronously and copy what they keep.
 type rcRecvd struct {
 	sender transport.NodeID
 	inner  []byte
@@ -48,6 +49,10 @@ type peerIn struct {
 // receipt, delivered upward only "if the sender is in the current group
 // view"). That filter is the heart of experiment E6: a stale view here
 // silently loses messages.
+//
+// A site's frames to itself are exempt from the ARQ: NetOut hands them
+// back in-process (Site.flush), where nothing can lose them, so they are
+// neither buffered for retransmission nor acknowledged.
 //
 // All state except the view is plain — isolation is its synchronisation.
 // The view is an atomic pointer so that the deliberately unsafe None
@@ -115,18 +120,20 @@ func (rc *RelComm) send(ctx *core.Context, msg core.Message) error {
 	return rc.transmit(ctx, req.to, req.inner)
 }
 
-// transmit assigns a sequence number, buffers for retransmission, and
-// hands the datagram to NetOut.
+// transmit assigns a sequence number, buffers for retransmission (unless
+// the frame is this site's own), and hands the frame to NetOut.
 func (rc *RelComm) transmit(ctx *core.Context, to transport.NodeID, inner []byte) error {
 	rc.nextSeq[to]++
 	seq := rc.nextSeq[to]
-	p := rc.pending[to]
-	if p == nil {
-		p = make(map[uint64]*pendingSend)
-		rc.pending[to] = p
+	if to != rc.self {
+		p := rc.pending[to]
+		if p == nil {
+			p = make(map[uint64]*pendingSend)
+			rc.pending[to] = p
+		}
+		p[seq] = &pendingSend{inner: inner, sentAt: time.Now()}
 	}
-	p[seq] = &pendingSend{inner: inner, sentAt: time.Now()}
-	return ctx.Trigger(rc.ev.NetSend, outDatagram{to: to, data: encodeData(rc.epoch, seq, inner)})
+	return ctx.Trigger(rc.ev.NetSend, outFrame{to: to, kind: dgData, epoch: rc.epoch, seq: seq, inner: inner})
 }
 
 // drainQueue sends queued messages while the peer's window has space.
@@ -148,63 +155,84 @@ func (rc *RelComm) drainQueue(ctx *core.Context, to transport.NodeID) error {
 	return nil
 }
 
-// recv handles an incoming datagram: data messages are acknowledged,
-// deduplicated and — if the sender is in the current view — handed upward
-// via FromRComm; acks clear the retransmission buffer.
+// recv handles an incoming datagram, frame by frame: data frames are
+// acknowledged, deduplicated and — if the sender is in the current view —
+// handed upward via FromRComm; acks clear the retransmission buffer. The
+// acks it emits and whatever the frames' cascades send back share the
+// computation's egress flush, so they return to the peer in one datagram.
+//
+// FromRComm is triggered synchronously: the frames of one datagram are
+// one computation, isolation orders computations and not the threads
+// within one, so each frame's cascade has to finish before the next
+// frame's starts (an ACCEPT must not race the cast it rode in with).
+//
+// A frame is independent of the ones before it: a failed cascade is
+// reported and the loop goes on. A malformed frame ends it — nothing
+// after it can be delimited — with the frames before it handled.
 func (rc *RelComm) recv(ctx *core.Context, msg core.Message) error {
 	d := msg.(transport.Datagram)
-	r := wire.NewReader(d.Payload)
-	switch kind := r.U8(); kind {
-	case dgData:
-		epoch := r.U32()
-		seq := r.U64()
-		inner := r.BytesPrefixed()
-		if err := r.Err(); err != nil {
-			return err
+	var errs []error
+	for p := d.Payload; len(p) > 0; {
+		f, rest, err := decodeFrame(p)
+		if err != nil {
+			errs = append(errs, err)
+			break
 		}
-		// Ack unconditionally (duplicates mean the ack was lost), echoing
-		// the sender's epoch so it can reject acks meant for a previous
-		// incarnation of itself.
-		if err := ctx.Trigger(rc.ev.NetSend, outDatagram{to: d.From, data: encodeAck(epoch, seq)}); err != nil {
-			return err
+		p = rest
+		switch f.kind {
+		case dgData:
+			err = rc.recvData(ctx, d.From, f)
+		case dgAck:
+			err = rc.recvAck(ctx, d.From, f)
 		}
-		p := rc.peers[d.From]
-		if p == nil {
-			p = &peerIn{epoch: epoch}
-			rc.peers[d.From] = p
-		} else if p.epoch != epoch {
-			// The peer restarted into a new incarnation: its sequence
-			// space starts over, so the old dedup window would swallow
-			// everything it now sends.
-			*p = peerIn{epoch: epoch}
+		if err != nil {
+			errs = append(errs, err)
 		}
-		if !p.seen.Mark(seq) {
-			return nil
-		}
-		if !rc.view.Load().Contains(d.From) {
-			return nil
-		}
-		return ctx.AsyncTriggerAll(rc.ev.FromRComm, rcRecvd{sender: d.From, inner: append([]byte(nil), inner...)})
-	case dgAck:
-		epoch := r.U32()
-		seq := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if epoch != rc.epoch {
-			return nil // ack for a previous incarnation of this site
-		}
-		if p := rc.pending[d.From]; p != nil {
-			delete(p, seq)
-		}
-		return rc.drainQueue(ctx, d.From)
-	default:
-		return nil // unknown kind: drop
 	}
+	return errors.Join(errs...)
+}
+
+func (rc *RelComm) recvData(ctx *core.Context, from transport.NodeID, f frame) error {
+	// Ack unconditionally (duplicates mean the ack was lost), echoing
+	// the sender's epoch so it can reject acks meant for a previous
+	// incarnation of itself.
+	if from != rc.self {
+		if err := ctx.Trigger(rc.ev.NetSend, outFrame{to: from, kind: dgAck, epoch: f.epoch, seq: f.seq}); err != nil {
+			return err
+		}
+	}
+	p := rc.peers[from]
+	if p == nil {
+		p = &peerIn{epoch: f.epoch}
+		rc.peers[from] = p
+	} else if p.epoch != f.epoch {
+		// The peer restarted into a new incarnation: its sequence
+		// space starts over, so the old dedup window would swallow
+		// everything it now sends.
+		*p = peerIn{epoch: f.epoch}
+	}
+	if !p.seen.Mark(f.seq) {
+		return nil
+	}
+	if !rc.view.Load().Contains(from) {
+		return nil
+	}
+	return ctx.TriggerAll(rc.ev.FromRComm, rcRecvd{sender: from, inner: f.inner})
+}
+
+func (rc *RelComm) recvAck(ctx *core.Context, from transport.NodeID, f frame) error {
+	if f.epoch != rc.epoch {
+		return nil // ack for a previous incarnation of this site
+	}
+	if p := rc.pending[from]; p != nil {
+		delete(p, f.seq)
+	}
+	return rc.drainQueue(ctx, from)
 }
 
 // retransmit re-sends every unacknowledged message older than the RTO.
-// It runs as its own timer-driven computation.
+// It runs as its own timer-driven computation, so what it re-sends to one
+// peer leaves coalesced like any other computation's frames.
 func (rc *RelComm) retransmit(ctx *core.Context, _ core.Message) error {
 	now := time.Now()
 	for to, msgs := range rc.pending {
@@ -213,7 +241,7 @@ func (rc *RelComm) retransmit(ctx *core.Context, _ core.Message) error {
 				continue
 			}
 			p.sentAt = now
-			if err := ctx.Trigger(rc.ev.NetSend, outDatagram{to: to, data: encodeData(rc.epoch, seq, p.inner)}); err != nil {
+			if err := ctx.Trigger(rc.ev.NetSend, outFrame{to: to, kind: dgData, epoch: rc.epoch, seq: seq, inner: p.inner}); err != nil {
 				return err
 			}
 		}

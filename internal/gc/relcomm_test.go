@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/simnet"
-	"repro/internal/wire"
 )
 
 // rcHarness wires a bare NetOut + RelComm stack on node 0 of a 2-node
@@ -16,6 +16,7 @@ import (
 type rcHarness struct {
 	net   *simnet.Network
 	stack *core.Stack
+	no    *NetOut
 	rc    *RelComm
 	ev    *events
 	spec  *core.Spec
@@ -33,6 +34,7 @@ func newRCHarness(t *testing.T, window int) *rcHarness {
 	t.Cleanup(h.net.Close)
 	h.stack = core.NewStack(cc.NewVCABasic())
 	no := newNetOut(h.net.Node(0))
+	h.no = no
 	h.rc = newRelComm(0, NewView(0, 1), 50*time.Millisecond, window, h.ev)
 	sink := core.NewMicroprotocol("rcSink")
 	hSink := sink.AddHandler("capture", func(_ *core.Context, msg core.Message) error {
@@ -71,14 +73,23 @@ func (h *rcHarness) delivered(t *testing.T, want int) []string {
 	}
 }
 
-func (h *rcHarness) sendTo1(t *testing.T, payload string) {
+// external runs one computation and then, as Site.run does, flushes the
+// egress buffer.
+func (h *rcHarness) external(t *testing.T, et *core.EventType, msg core.Message) {
 	t.Helper()
-	if err := h.stack.External(h.spec, h.ev.SendOut, rcSendReq{to: 1, inner: []byte(payload)}); err != nil {
+	err := h.stack.External(h.spec, et, msg)
+	h.no.flush()
+	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// recvData drains node 1's inbox, returning the seqs of data datagrams.
+func (h *rcHarness) sendTo1(t *testing.T, payload string) {
+	t.Helper()
+	h.external(t, h.ev.SendOut, rcSendReq{to: 1, inner: []byte(payload)})
+}
+
+// recvData drains node 1's inbox, returning the seqs of the data frames.
 func (h *rcHarness) recvData(t *testing.T) []uint64 {
 	t.Helper()
 	var seqs []uint64
@@ -87,10 +98,14 @@ func (h *rcHarness) recvData(t *testing.T) []uint64 {
 		if !ok {
 			return seqs
 		}
-		r := wire.NewReader(d.Payload)
-		if r.U8() == dgData {
-			r.U32() // epoch
-			seqs = append(seqs, r.U64())
+		for p := d.Payload; len(p) > 0; {
+			f, rest, err := decodeFrame(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p = rest; f.kind == dgData {
+				seqs = append(seqs, f.seq)
+			}
 		}
 	}
 }
@@ -99,10 +114,7 @@ func (h *rcHarness) recvData(t *testing.T) []uint64 {
 // own epoch (as a real peer would).
 func (h *rcHarness) ackFrom1(t *testing.T, seq uint64) {
 	t.Helper()
-	d := simnet.Datagram{From: 1, To: 0, Payload: encodeAck(h.rc.epoch, seq)}
-	if err := h.stack.External(h.spec, h.ev.FromNet, d); err != nil {
-		t.Fatal(err)
-	}
+	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: appendAck(nil, h.rc.epoch, seq)})
 }
 
 func TestFlowControlWindowLimitsInFlight(t *testing.T) {
@@ -153,9 +165,7 @@ func TestFlowControlQueueDroppedOnViewRemoval(t *testing.T) {
 		t.Fatalf("queued = %d", h.rc.Queued(1))
 	}
 	before := h.rc.DroppedStale()
-	if err := h.stack.External(h.spec, h.ev.ViewChange, NewView(0)); err != nil {
-		t.Fatal(err)
-	}
+	h.external(t, h.ev.ViewChange, NewView(0))
 	if h.rc.Queued(1) != 0 {
 		t.Fatal("queue must be dropped when the peer leaves the view")
 	}
@@ -171,18 +181,14 @@ func TestRetransmitResendsUnacked(t *testing.T) {
 		t.Fatalf("initial send missing: %v", got)
 	}
 	time.Sleep(60 * time.Millisecond) // past RTO
-	if err := h.stack.External(h.spec, h.ev.RetrTick, nil); err != nil {
-		t.Fatal(err)
-	}
+	h.external(t, h.ev.RetrTick, nil)
 	if got := h.recvData(t); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("retransmission = %v, want seq 1 again", got)
 	}
 	// Acked messages are not retransmitted.
 	h.ackFrom1(t, 1)
 	time.Sleep(60 * time.Millisecond)
-	if err := h.stack.External(h.spec, h.ev.RetrTick, nil); err != nil {
-		t.Fatal(err)
-	}
+	h.external(t, h.ev.RetrTick, nil)
 	if got := h.recvData(t); len(got) != 0 {
 		t.Fatalf("acked message retransmitted: %v", got)
 	}
@@ -191,10 +197,7 @@ func TestRetransmitResendsUnacked(t *testing.T) {
 // dataFrom1 injects a data datagram from peer 1 with an explicit epoch.
 func (h *rcHarness) dataFrom1(t *testing.T, epoch uint32, seq uint64, payload string) {
 	t.Helper()
-	d := simnet.Datagram{From: 1, To: 0, Payload: encodeData(epoch, seq, []byte(payload))}
-	if err := h.stack.External(h.spec, h.ev.FromNet, d); err != nil {
-		t.Fatal(err)
-	}
+	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: appendData(nil, epoch, seq, []byte(payload))})
 }
 
 // TestEpochChangeResetsDedup is the crash-restart regression: a peer that
@@ -232,10 +235,7 @@ func TestAckFromStaleEpochIgnored(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", len(h.rc.pending[1]))
 	}
 	// Ack carrying a different epoch — as if meant for a prior incarnation.
-	stale := simnet.Datagram{From: 1, To: 0, Payload: encodeAck(h.rc.epoch+1, 1)}
-	if err := h.stack.External(h.spec, h.ev.FromNet, stale); err != nil {
-		t.Fatal(err)
-	}
+	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: appendAck(nil, h.rc.epoch+1, 1)})
 	if len(h.rc.pending[1]) != 1 {
 		t.Fatal("stale-epoch ack cleared the retransmission buffer")
 	}
@@ -247,17 +247,35 @@ func TestAckFromStaleEpochIgnored(t *testing.T) {
 
 func TestSendToNonMemberDropped(t *testing.T) {
 	h := newRCHarness(t, 4)
-	if err := h.stack.External(h.spec, h.ev.SendOut, rcSendReq{to: 1, inner: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.stack.External(h.spec, h.ev.ViewChange, NewView(0)); err != nil {
-		t.Fatal(err)
-	}
+	h.sendTo1(t, "x")
+	h.external(t, h.ev.ViewChange, NewView(0))
 	before := h.rc.DroppedStale()
-	if err := h.stack.External(h.spec, h.ev.SendOut, rcSendReq{to: 1, inner: []byte("y")}); err != nil {
-		t.Fatal(err)
-	}
+	h.sendTo1(t, "y")
 	if h.rc.DroppedStale() != before+1 {
 		t.Fatal("send to a non-member must be dropped and counted")
+	}
+}
+
+// TestMalformedTailKeepsPrefix: a datagram whose last frame is cut short
+// is reported, but the well-formed frames before it are acknowledged and
+// delivered.
+func TestMalformedTailKeepsPrefix(t *testing.T) {
+	h := newRCHarness(t, -1)
+	p := appendData(nil, 10, 1, []byte("a"))
+	p = appendData(p, 10, 2, []byte("b"))
+	tail := appendData(nil, 10, 3, []byte("lost"))
+	p = append(p, tail[:len(tail)-2]...)
+	err := h.stack.External(h.spec, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: p})
+	h.no.flush()
+	if !errors.Is(err, errBadFrame) {
+		t.Fatalf("error = %v, want the malformed tail reported", err)
+	}
+	if got := h.delivered(t, 2); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("delivered %v, want [a b]", got)
+	}
+	// Both were acknowledged, in one datagram.
+	d, ok := h.net.Node(1).TryRecv()
+	if !ok || classify(d.Payload) != classAck || len(d.Payload) != 2*ackLen {
+		t.Fatalf("acks came back as %d bytes (ok=%v), want one datagram of two acks", len(d.Payload), ok)
 	}
 }

@@ -3,7 +3,6 @@ package gc
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,11 +92,29 @@ type Config struct {
 	Passive bool
 }
 
-// specSet holds one pre-built Spec per external-event entry point.
+// entry names an external-event entry point of the stack.
+type entry int
+
+const (
+	entFromNet entry = iota // a datagram with data frames (or a self-delivered batch)
+	entAck                  // an ack-only datagram
+	entBeat
+	entFDTick
+	entRetrans
+	entABcast
+	entRBcast
+	entFBcast
+	entCBcast
+	entJoinLeave
+	entInject
+	numEntries
+)
+
+// specSet holds one pre-built Spec per entry point, for one configuration
+// epoch of the stack: the specs name that epoch's microprotocols.
 type specSet struct {
-	fromnet, ack, beat, fdtick, retrans *core.Spec
-	abcast, rbcast, joinleave, inject   *core.Spec
-	fbcast, cbcast                      *core.Spec
+	epoch uint64
+	specs [numEntries]*core.Spec
 }
 
 // Site is one member of the group: a full SAMOA stack (NetOut, RelComm,
@@ -122,11 +139,12 @@ type Site struct {
 	app     *App
 
 	// specs is the per-entry-point spec set for the stack's current
-	// configuration epoch. A live upgrade republishes it (buildSpecs)
-	// right after the swap; readers load it per spawn and retry through
-	// spawnRetry when they raced the window.
+	// configuration epoch. A live upgrade installs the epoch and
+	// republishes the set as one step under upMu; a computation that
+	// landed on the new epoch with the older set runs nothing and passes
+	// through upMu to get the new one (spawn).
 	specs  atomic.Pointer[specSet]
-	upMu   sync.Mutex    // serializes maybeUpgrade
+	upMu   sync.Mutex    // held across an upgrade's epoch install and spec publication
 	appVer atomic.Uint32 // current app protocol version (starts at 1)
 
 	quit     chan struct{}
@@ -297,46 +315,105 @@ func (s *Site) buildSpecs() {
 			return b.Basic(roots...)
 		}
 	}
-	sp := &specSet{
-		fromnet:   build(s.relcomm.hRecv),
-		ack:       build(s.relcomm.hRecv), // see pump: acks never cascade
-		beat:      build(s.fd.hBeat),
-		fdtick:    build(s.fd.hTick),
-		retrans:   build(s.relcomm.hRetransmit),
-		abcast:    build(s.ab.hABcast),
-		rbcast:    build(s.relcast.hBcast),
-		fbcast:    build(s.fifo.hBcast),
-		cbcast:    build(s.causal.hBcast),
-		joinleave: build(s.memb.hJoinLeave),
-		inject:    build(s.memb.hDeliverView, s.app.hDeliver),
+	sp := &specSet{epoch: s.stack.CurrentEpoch()}
+	if sp.epoch == 0 {
+		sp.epoch = 1 // not sealed yet: the first computation seals the stack as epoch 1
 	}
-	// Acks only touch RelComm state: declare exactly that.
+	sp.specs = [numEntries]*core.Spec{
+		entFromNet:   build(s.relcomm.hRecv),
+		entBeat:      build(s.fd.hBeat),
+		entFDTick:    build(s.fd.hTick),
+		entRetrans:   build(s.relcomm.hRetransmit),
+		entABcast:    build(s.ab.hABcast),
+		entRBcast:    build(s.relcast.hBcast),
+		entFBcast:    build(s.fifo.hBcast),
+		entCBcast:    build(s.causal.hBcast),
+		entJoinLeave: build(s.memb.hJoinLeave),
+		entInject:    build(s.memb.hDeliverView, s.app.hDeliver),
+	}
+	// Acks never cascade: they touch RelComm state, and NetOut when an
+	// ack opens the flow-control window for queued sends. Declare exactly
+	// that, with the same visit bound as every other bound spec — one
+	// datagram may carry many acks.
 	switch s.cfg.SpecKind {
 	case SpecRoute:
-		sp.ack = core.Route(core.NewRouteGraph().
+		sp.specs[entAck] = core.Route(core.NewRouteGraph().
 			Root(s.relcomm.hRecv).Edge(s.relcomm.hRecv, s.netout.send))
 	case SpecBound:
-		sp.ack = core.AccessBound(map[*core.Microprotocol]int{
-			s.relcomm.mp: 2, s.netout.mp: 2,
+		sp.specs[entAck] = core.AccessBound(map[*core.Microprotocol]int{
+			s.relcomm.mp: s.cfg.Bound, s.netout.mp: s.cfg.Bound,
 		})
 	default:
-		sp.ack = core.Access(s.relcomm.mp, s.netout.mp)
+		sp.specs[entAck] = core.Access(s.relcomm.mp, s.netout.mp)
 	}
 	s.specs.Store(sp)
 }
 
-// spawnRetry runs one external computation against the current spec set,
-// retrying when its spec raced a live upgrade: ReconfiguredError means
-// the set was republished for a new configuration epoch between the load
-// and the spawn, so the retry simply picks up the rebuilt specs.
-func (s *Site) spawnRetry(run func(*specSet) error) error {
-	for tries := 0; ; tries++ {
-		err := run(s.specs.Load())
+// run is the one way a site-driven computation enters the stack: it
+// triggers et as an isolated computation under the entry point's spec
+// and, once that has ended — normally, by error or by contained panic —
+// flushes the egress buffer.
+func (s *Site) run(e entry, et *core.EventType, msg core.Message) error {
+	defer s.flush()
+	return s.spawn(e, et, msg)
+}
+
+// errStaleSpecs ends, before it ran anything, a computation that landed
+// on another configuration epoch than its spec set was built for.
+var errStaleSpecs = errors.New("gc: spec set is of another configuration epoch")
+
+// spawn runs one computation under the current spec set. A spec set
+// belongs to one configuration epoch: a computation that finds itself
+// pinned to another one (a live upgrade installed between the load and
+// the pin) triggers nothing, and one the controller already refused at
+// Spawn with a ReconfiguredError ran nothing either. maybeUpgrade holds
+// upMu from before the install until the rebuilt set is published, so
+// passing through upMu is the wait for that set; the error stands only if
+// no newer set exists.
+func (s *Site) spawn(e entry, et *core.EventType, msg core.Message) error {
+	for {
+		sp := s.specs.Load()
+		err := s.stack.Isolated(sp.specs[e], func(ctx *core.Context) error {
+			if ctx.Computation().Epoch() != sp.epoch {
+				return errStaleSpecs
+			}
+			return ctx.TriggerAll(et, msg)
+		})
 		var re *core.ReconfiguredError
-		if !errors.As(err, &re) || tries >= 8 {
+		if !errors.Is(err, errStaleSpecs) && !errors.As(err, &re) {
 			return err
 		}
-		runtime.Gosched()
+		s.upMu.Lock()
+		s.upMu.Unlock()
+		if s.specs.Load() == sp {
+			return err
+		}
+	}
+}
+
+// flush puts what the site's computations have queued on the wire — one
+// datagram per destination — and feeds the frames the site addressed to
+// itself back into the stack, each batch as one FromNet computation on
+// this goroutine. Those run after the computation that produced them has
+// completed, never nested inside it, and may queue more; the loop ends
+// when nothing is left. A stopping site drops what remains.
+func (s *Site) flush() {
+	for {
+		self := s.netout.flush()
+		if len(self) == 0 {
+			return
+		}
+		for _, payload := range self {
+			select {
+			case <-s.quit:
+				return
+			default:
+			}
+			d := transport.Datagram{From: s.cfg.ID, To: s.cfg.ID, Payload: payload}
+			if err := s.spawn(entFromNet, s.ev.FromNet, d); !errors.Is(err, core.ErrClosed) {
+				s.record(err)
+			}
+		}
 	}
 }
 
@@ -346,9 +423,13 @@ func (s *Site) spawnRetry(run func(*specSet) error) error {
 // Reconfigure. Replace keeps the app's isolation identity (its version
 // slot continues under the new microprotocol), so in-flight computations
 // of the superseded epoch serialize against the new version's, and the
-// spec set is rebuilt against the new identity for subsequent spawns. A
-// bump at or below the running version is a no-op (duplicate or stale
-// '^' deliveries).
+// spec set is rebuilt against the new identity for subsequent spawns.
+// upMu is held from before the install until the rebuilt set is
+// published: to every spawn the two are one step (spawn). The new set
+// cannot be published first — a spec naming the new app before its
+// install would be given a fresh version slot instead of the old app's
+// chain. A bump at or below the running version is a no-op (duplicate or
+// stale '^' deliveries).
 func (s *Site) maybeUpgrade(proto uint16) {
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
@@ -380,9 +461,9 @@ func (s *Site) Start() {
 	s.wg.Add(1)
 	go s.pump()
 	if s.cfg.FDInterval > 0 {
-		s.startTicker(s.cfg.FDInterval, func(sp *specSet) *core.Spec { return sp.fdtick }, s.ev.FDTick)
+		s.startTicker(s.cfg.FDInterval, entFDTick, s.ev.FDTick)
 	}
-	s.startTicker(s.cfg.RTO/2, func(sp *specSet) *core.Spec { return sp.retrans }, s.ev.RetrTick)
+	s.startTicker(s.cfg.RTO/2, entRetrans, s.ev.RetrTick)
 }
 
 // Stop shuts the site down: it crashes the node (unblocking the pump),
@@ -399,7 +480,8 @@ func (s *Site) Stop() {
 }
 
 // pump turns every incoming datagram into one isolated computation,
-// classifying by kind so that heartbeats and acks get their narrow specs.
+// classifying it (beat, ack-only, or anything with a data frame) so that
+// heartbeats and acks get their narrow specs.
 func (s *Site) pump() {
 	defer s.wg.Done()
 	const maxBackoff = 250 * time.Millisecond
@@ -430,15 +512,12 @@ func (s *Site) pump() {
 		if len(d.Payload) == 0 {
 			continue
 		}
-		var pick func(*specSet) *core.Spec
-		var et *core.EventType
-		switch d.Payload[0] {
-		case dgBeat:
-			pick, et = func(sp *specSet) *core.Spec { return sp.beat }, s.ev.FDBeat
-		case dgAck:
-			pick, et = func(sp *specSet) *core.Spec { return sp.ack }, s.ev.FromNet
-		default:
-			pick, et = func(sp *specSet) *core.Spec { return sp.fromnet }, s.ev.FromNet
+		e, et := entFromNet, s.ev.FromNet
+		switch classify(d.Payload) {
+		case classBeat:
+			e, et = entBeat, s.ev.FDBeat
+		case classAck:
+			e = entAck
 		}
 		select {
 		case s.sem <- struct{}{}:
@@ -449,15 +528,13 @@ func (s *Site) pump() {
 		go func(d transport.Datagram) {
 			defer s.wg.Done()
 			defer func() { <-s.sem }()
-			s.record(s.spawnRetry(func(sp *specSet) error {
-				return s.stack.External(pick(sp), et, d)
-			}))
+			s.record(s.run(e, et, d))
 		}(d)
 	}
 }
 
 // startTicker runs a skip-if-busy periodic computation.
-func (s *Site) startTicker(period time.Duration, pick func(*specSet) *core.Spec, et *core.EventType) {
+func (s *Site) startTicker(period time.Duration, e entry, et *core.EventType) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -479,9 +556,7 @@ func (s *Site) startTicker(period time.Duration, pick func(*specSet) *core.Spec,
 			go func() {
 				defer s.wg.Done()
 				defer func() { <-busy }()
-				s.record(s.spawnRetry(func(sp *specSet) error {
-					return s.stack.External(pick(sp), et, nil)
-				}))
+				s.record(s.run(e, et, nil))
 			}()
 		}
 	}()
@@ -522,48 +597,36 @@ func (s *Site) PumpRetries() uint64 { return s.pumpRetries.Load() }
 // ABcast atomically (totally-ordered) broadcasts an application payload:
 // one isolated computation triggering the ABcast event, per paper §4.
 func (s *Site) ABcast(data []byte) error {
-	return s.spawnRetry(func(sp *specSet) error {
-		return s.stack.External(sp.abcast, s.ev.ABcastEv, abcastReq{kind: castApp, data: data})
-	})
+	return s.run(entABcast, s.ev.ABcastEv, abcastReq{kind: castApp, data: data})
 }
 
 // RBcast reliably broadcasts an application payload with no ordering
 // guarantee beyond RelCast's.
 func (s *Site) RBcast(data []byte) error {
-	return s.spawnRetry(func(sp *specSet) error {
-		return s.stack.External(sp.rbcast, s.ev.Bcast, &CastMsg{Kind: castRApp, Data: data})
-	})
+	return s.run(entRBcast, s.ev.Bcast, &CastMsg{Kind: castRApp, Data: data})
 }
 
 // FBcast reliably broadcasts with FIFO order: every site delivers this
 // site's FBcasts in send order.
 func (s *Site) FBcast(data []byte) error {
-	return s.spawnRetry(func(sp *specSet) error {
-		return s.stack.External(sp.fbcast, s.ev.FifoEv, append([]byte(nil), data...))
-	})
+	return s.run(entFBcast, s.ev.FifoEv, append([]byte(nil), data...))
 }
 
 // CBcast reliably broadcasts with causal order: a message is delivered
 // only after everything that causally precedes it.
 func (s *Site) CBcast(data []byte) error {
-	return s.spawnRetry(func(sp *specSet) error {
-		return s.stack.External(sp.cbcast, s.ev.CausalEv, append([]byte(nil), data...))
-	})
+	return s.run(entCBcast, s.ev.CausalEv, append([]byte(nil), data...))
 }
 
 // Join proposes adding a site to the view (totally ordered, so every
 // member installs the same view sequence).
 func (s *Site) Join(id transport.NodeID) error {
-	return s.spawnRetry(func(sp *specSet) error {
-		return s.stack.External(sp.joinleave, s.ev.JoinLeave, joinLeaveReq{op: '+', site: id})
-	})
+	return s.run(entJoinLeave, s.ev.JoinLeave, joinLeaveReq{op: '+', site: id})
 }
 
 // Leave proposes removing a site from the view.
 func (s *Site) Leave(id transport.NodeID) error {
-	return s.spawnRetry(func(sp *specSet) error {
-		return s.stack.External(sp.joinleave, s.ev.JoinLeave, joinLeaveReq{op: '-', site: id})
-	})
+	return s.run(entJoinLeave, s.ev.JoinLeave, joinLeaveReq{op: '-', site: id})
 }
 
 // ProposeUpgrade proposes a protocol-version bump: a '^' membership
@@ -572,9 +635,7 @@ func (s *Site) Leave(id transport.NodeID) error {
 // site — at the same delivery point. A proposal at or below the running
 // version is delivered and ignored.
 func (s *Site) ProposeUpgrade(proto uint16) error {
-	return s.spawnRetry(func(sp *specSet) error {
-		return s.stack.External(sp.joinleave, s.ev.JoinLeave, joinLeaveReq{op: '^', site: transport.NodeID(proto)})
-	})
+	return s.run(entJoinLeave, s.ev.JoinLeave, joinLeaveReq{op: '^', site: transport.NodeID(proto)})
 }
 
 // AppVersion reports the protocol version the site's app microprotocol
@@ -590,17 +651,14 @@ func (s *Site) Epoch() uint64 { return s.stack.CurrentEpoch() }
 // reproducing the §3 race without the full join choreography.
 func (s *Site) InjectViewChange(op byte, site transport.NodeID) error {
 	m := CastMsg{ID: MsgID{Origin: s.cfg.ID, Seq: ^uint64(0)}, Kind: castViewChg, Op: op, Site: site}
-	return s.spawnRetry(func(sp *specSet) error {
-		return s.stack.ExternalAll(sp.inject, s.ev.ADeliver, m)
-	})
+	return s.run(entInject, s.ev.ADeliver, m)
 }
 
-// InjectDatagram feeds a raw datagram into the stack as if it had arrived
-// from the network, running it as a FromNet computation (test helper).
+// InjectDatagram feeds a raw datagram — one frame or several — into the
+// stack as if it had arrived from the network, running it as a FromNet
+// computation (test helper).
 func (s *Site) InjectDatagram(d transport.Datagram) error {
-	return s.spawnRetry(func(sp *specSet) error {
-		return s.stack.External(sp.fromnet, s.ev.FromNet, d)
-	})
+	return s.run(entFromNet, s.ev.FromNet, d)
 }
 
 // BuildCastDatagram builds the raw datagram a RelComm at `from` would have
@@ -610,5 +668,5 @@ func BuildCastDatagram(from transport.NodeID, rcSeq uint64, id MsgID, data []byt
 	frame := encodeCastFrame(&CastMsg{ID: id, Kind: castRApp, Data: data})
 	// Epoch 0 stands in for the crashed origin's incarnation; the
 	// receiver adopts whatever epoch a peer's first datagram carries.
-	return transport.Datagram{From: from, Payload: encodeData(0, rcSeq, frame)}
+	return transport.Datagram{From: from, Payload: appendData(nil, 0, rcSeq, frame)}
 }
