@@ -29,10 +29,11 @@ race:
 	$(GO) test -race ./...
 
 # Short-form contention suite (DESIGN.md §11) under the race detector:
-# the sharded-admission race/differential tests plus one timed pass of
+# the sharded-admission race/differential tests and the cancellable-wait
+# (Deadline/Cancel) tests, ten times each, plus one timed pass of
 # each Contention* benchmark shape. CI runs this on every push.
 race-contend:
-	$(GO) test -race -run 'Sharded|Differential|ExploreReachesFastPath' ./internal/cc -count=1
+	$(GO) test -race -run 'Sharded|Differential|ExploreReachesFastPath|Deadline|Cancel' ./internal/cc -count=10
 	$(GO) test -race -run '^$$' -bench 'Contention' -benchtime 200x .
 
 # Real-socket substrate (DESIGN.md §12) under the race detector: the

@@ -95,6 +95,60 @@ func TestSpawnCompleteAllocBudget(t *testing.T) {
 	}
 }
 
+// TestKernelOverrideAllocBudgets pins the controller lifecycle (Spawn +
+// RootReturned + Complete) of the version-counting kernel's other users:
+// VCABound adds the visit-budget slice to VCABasic's token and claim
+// nodes (3), and VCARoute its rule-4(b) bookkeeping — one flag array
+// backing the released/removed/seen slices, and the activity counts (4)
+// — which is the per-spawn cost of every local_route_pipe computation.
+// Both loops are sequential, hence quiescent, hence on the CAS fast path,
+// like the VCABasic budget above.
+func TestKernelOverrideAllocBudgets(t *testing.T) {
+	mps := make([]*core.Microprotocol, 4)
+	hs := make([]*core.Handler, len(mps))
+	bounds := map[*core.Microprotocol]int{}
+	g := core.NewRouteGraph()
+	for i := range mps {
+		mps[i] = core.NewMicroprotocol(string(rune('a' + i)))
+		hs[i] = mps[i].AddHandler("h", func(*core.Context, core.Message) error { return nil })
+		bounds[mps[i]] = i + 1
+		if i == 0 {
+			g.Root(hs[0])
+		} else {
+			g.Edge(hs[i-1], hs[i])
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		ctrl interface {
+			core.Controller
+			SpawnStats() (fast, slow uint64)
+		}
+		spec   *core.Spec
+		budget float64
+	}{
+		{"vca-bound", cc.NewVCABound(), core.AccessBound(bounds), 3},
+		{"vca-route", cc.NewVCARoute(), core.Route(g), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			avg := testing.AllocsPerRun(200, func() {
+				tok, err := tc.ctrl.Spawn(context.Background(), tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.ctrl.RootReturned(tok)
+				tc.ctrl.Complete(tok)
+			})
+			if avg > tc.budget {
+				t.Errorf("Spawn+Complete: %.2f allocs/op, budget %.0f", avg, tc.budget)
+			}
+			if fast, slow := tc.ctrl.SpawnStats(); slow != 0 || fast == 0 {
+				t.Errorf("budget loop took the slow path (%d fast, %d slow)", fast, slow)
+			}
+		})
+	}
+}
+
 // TestBatchedReleaseAllocBudget guards the batched deferred-release path:
 // three single-slot computations completed out of spawn order force the
 // later releases through the pending queue (deferred until due, then

@@ -118,13 +118,19 @@ type ctrlMethod struct {
 
 // controllerMethods finds the methods of every package-level type that
 // implements core.Controller — the per-stack schedulers whose blocking
-// must route through sched.Blocker to stay explorable.
+// must route through sched.Blocker to stay explorable. Methods promoted
+// from embedded types count: a controller family's shared kernel
+// implements most of each controller without being one itself. A method
+// declaration reached from several controllers is listed once, labelled
+// with the first and naming the rest, so it is reported once.
 func controllerMethods(m *Model) []ctrlMethod {
 	iface := controllerInterface(m.Pkg.Types)
 	if iface == nil {
 		return nil
 	}
 	var out []ctrlMethod
+	at := map[*ast.FuncDecl]int{} // declaration → its entry in out
+	shared := map[int][]string{}  // entry → the other controllers reaching it
 	scope := m.Pkg.Types.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -138,14 +144,26 @@ func controllerMethods(m *Model) []ctrlMethod {
 		if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
 			continue
 		}
-		for i := 0; i < named.NumMethods(); i++ {
-			if decl := m.funcDecls[named.Method(i)]; decl != nil && decl.Body != nil {
-				out = append(out, ctrlMethod{
-					fn:    &FuncNode{Decl: decl},
-					label: "controller " + name + "." + named.Method(i).Name(),
-				})
+		mset := types.NewMethodSet(types.NewPointer(named))
+		for i := 0; i < mset.Len(); i++ {
+			fn := mset.At(i).Obj().(*types.Func)
+			decl := m.funcDecls[fn]
+			if decl == nil || decl.Body == nil {
+				continue
 			}
+			if j, ok := at[decl]; ok {
+				shared[j] = append(shared[j], name)
+				continue
+			}
+			at[decl] = len(out)
+			out = append(out, ctrlMethod{
+				fn:    &FuncNode{Decl: decl},
+				label: "controller " + name + "." + fn.Name(),
+			})
 		}
+	}
+	for j, names := range shared {
+		out[j].label += " (shared with " + strings.Join(names, ", ") + ")"
 	}
 	return out
 }

@@ -139,3 +139,33 @@ func (c *shardedCtrl) Complete(t core.Token) {
 	defer c.slots[0].relMu.Unlock()
 	<-c.done // want `raw channel receive inside controller shardedCtrl\.Complete`
 }
+
+// kernel models a controller family's shared kernel: an unexported type
+// that is not a controller itself (it has no Name) and whose methods
+// reach the controllers embedding it only by promotion. Its raw
+// blocking is still flagged — once, under the first embedding
+// controller's name and naming the others, not once per embedder.
+type kernel struct{ wake chan struct{} }
+
+func (k *kernel) Spawn(ctx context.Context, spec *core.Spec) (core.Token, error) { return nil, nil }
+
+func (k *kernel) Request(t core.Token, caller, h *core.Handler) error { return nil }
+
+func (k *kernel) Enter(ctx context.Context, t core.Token, caller, h *core.Handler) error {
+	<-k.wake // want `raw channel receive inside controller kernelCtrl\.Enter \(shared with kernelCtrl2\) is`
+	return nil
+}
+
+func (k *kernel) Exit(t core.Token, h *core.Handler) {}
+
+func (k *kernel) RootReturned(t core.Token) {}
+
+func (k *kernel) Complete(t core.Token) {}
+
+type kernelCtrl struct{ kernel }
+
+func (c *kernelCtrl) Name() string { return "kernel" }
+
+type kernelCtrl2 struct{ kernel }
+
+func (c *kernelCtrl2) Name() string { return "kernel2" }

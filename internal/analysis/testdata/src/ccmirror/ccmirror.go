@@ -1,8 +1,10 @@
 // Package ccmirror mirrors the locking structure of internal/cc's
 // version table in a self-contained fixture: per-slot mu and spawnMu,
 // an atomic lv guarded by mu, a plain applied counter written under mu
-// and read atomically, gv published by CAS, and the compiled-lockOrder
-// slow path. It is clean under every analyzer at head; seeded_test.go
+// and read atomically, gv published by CAS, and the slow path's
+// lockSlots/unlockSlots helpers over the compiled lockOrder. publish and
+// admit nest spawnMu→mu, the canonical order any such nesting in cc must
+// follow. It is clean under every analyzer at head; seeded_test.go
 // mutates copies of it — swapping the canonical spawnMu→mu order,
 // dropping a //samoa:guard, planting a stale //samoa:ignore — and
 // checks the matching analyzer catches each seed.
@@ -34,18 +36,28 @@ type fprint struct {
 	lockOrder []int
 }
 
-// claimSlow takes every slot's spawnMu in compiled order — the
-// canonical ordered-by-construction idiom.
-func claimSlow(fp *fprint) {
+// lockSlots takes every slot's spawnMu in compiled order — the
+// canonical ordered-by-construction idiom every slow-path claim shares.
+func (fp *fprint) lockSlots() {
 	for _, p := range fp.lockOrder {
 		fp.states[p].spawnMu.Lock()
 	}
-	for _, st := range fp.states {
-		st.gv.Add(1)
-	}
+}
+
+func (fp *fprint) unlockSlots() {
 	for _, p := range fp.lockOrder {
 		fp.states[p].spawnMu.Unlock()
 	}
+}
+
+// claimSlow advances every gv with all of the footprint's slot locks
+// held.
+func claimSlow(fp *fprint) {
+	fp.lockSlots()
+	for _, st := range fp.states {
+		st.gv.Add(1)
+	}
+	fp.unlockSlots()
 }
 
 // claimFast is the quiescent-slot CAS admission: loads the compare

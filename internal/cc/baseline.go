@@ -46,7 +46,7 @@ func (c *Serial) Spawn(ctx context.Context, _ *core.Spec) (core.Token, error) {
 		c.mu.Unlock()
 		return nil, nil
 	}
-	if err := c.note.waitLockedCtx(&c.mu, ctx); err != nil {
+	if err := c.note.waitLocked(ctx, &c.mu); err != nil {
 		c.mu.Unlock()
 		return nil, deadline("spawn", nil, err)
 	}

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -21,16 +22,17 @@ import (
 // the sharded protocol, not scheduling noise.
 
 // shardedVersions reads (gv, lv) of mp from a sharded controller's table
-// — the differential observation point mirroring RefVCABasic.versions.
-func shardedVersions(c *VCABasic, mp *core.Microprotocol) (gv, lv uint64) {
-	c.vt.mu.Lock()
-	defer c.vt.mu.Unlock()
-	i, ok := c.vt.index[mp]
+// — the differential observation point mirroring RefVCABasic.versions —
+// plus the versions phantom releases consumed on mp's slot.
+func shardedVersions(c *VCABasic, mp *core.Microprotocol) (gv, lv, phantoms uint64) {
+	c.versionTable.mu.Lock()
+	defer c.versionTable.mu.Unlock()
+	i, ok := c.versionTable.index[mp]
 	if !ok {
-		return 0, 0
+		return 0, 0, 0
 	}
-	st := c.vt.states[i]
-	return st.gv.Load(), st.lv.Load()
+	st := c.versionTable.states[i]
+	return st.gv.Load(), st.lv.Load(), st.phantoms.Load()
 }
 
 func TestDifferentialShardedVsReference(t *testing.T) {
@@ -69,7 +71,7 @@ func TestDifferentialShardedVsReference(t *testing.T) {
 			ref := NewRefVCABasic()
 			type liveComp struct {
 				spec *core.Spec
-				sTok *basicToken
+				sTok *vcaToken
 				rTok *refToken
 			}
 			var live []liveComp
@@ -77,7 +79,7 @@ func TestDifferentialShardedVsReference(t *testing.T) {
 			check := func(when string) {
 				t.Helper()
 				for i, mp := range mps {
-					sgv, slv := shardedVersions(sh, mp)
+					sgv, slv, _ := shardedVersions(sh, mp)
 					rgv, rlv := ref.versions(mp)
 					if sgv != rgv || slv != rlv {
 						t.Fatalf("%s: mp%d diverged: sharded (gv=%d, lv=%d), reference (gv=%d, lv=%d)",
@@ -98,7 +100,7 @@ func TestDifferentialShardedVsReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("reference spawn: %v", err)
 					}
-					st, rt := sTok.(*basicToken), rTok.(*refToken)
+					st, rt := sTok.(*vcaToken), rTok.(*refToken)
 					for i, mp := range spec.MPs() {
 						if got, want := st.nodes[i].target, rt.pv[mp]; got != want {
 							t.Fatalf("spawn %d: pv of %s diverged: sharded %d, reference %d",
@@ -133,7 +135,7 @@ func TestDifferentialShardedVsReference(t *testing.T) {
 			// Everything completed: every slot must be quiescent (lv == gv)
 			// on both sides.
 			for i, mp := range mps {
-				sgv, slv := shardedVersions(sh, mp)
+				sgv, slv, _ := shardedVersions(sh, mp)
 				if sgv != slv {
 					t.Fatalf("mp%d not quiescent after drain: gv=%d, lv=%d", i, sgv, slv)
 				}
@@ -156,71 +158,79 @@ func TestDifferentialShardedVsReference(t *testing.T) {
 
 // TestDifferentialConcurrent runs the same randomized concurrent workload
 // through both implementations (separately — each owns its state) and
-// compares the terminal version vectors: with every computation
-// completed, gv and lv per microprotocol depend only on the multiset of
-// footprints spawned, so they must agree across implementations even
-// though interleavings differ.
+// compares the terminal version vectors. With every computation
+// completed, the reference's gv and lv per microprotocol depend only on
+// the multiset of footprints spawned. The sharded side additionally
+// spends versions on phantoms — fast-path claims that lost their prefix
+// race and were retired in place (versionTable.unclaim) — so its
+// terminal gv net of phantoms must equal the reference's, and every slot
+// must be quiescent (gv == lv). A single worker never races itself: its
+// run has no phantoms and must match the reference exactly.
 func TestDifferentialConcurrent(t *testing.T) {
 	const (
-		workers  = 8
 		perWkr   = 50
 		mpsCount = 4
 	)
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		mps := make([]*core.Microprotocol, mpsCount)
-		for i := range mps {
-			mps[i] = core.NewMicroprotocol(fmt.Sprintf("mp%d", i))
-		}
-		specs := make([]*core.Spec, 6)
-		for i := range specs {
-			var sub []*core.Microprotocol
-			for _, mp := range mps {
-				if rng.Intn(2) == 0 {
-					sub = append(sub, mp)
+	for _, workers := range []int{1, 8} {
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			mps := make([]*core.Microprotocol, mpsCount)
+			for i := range mps {
+				mps[i] = core.NewMicroprotocol(fmt.Sprintf("mp%d", i))
+			}
+			specs := make([]*core.Spec, 6)
+			for i := range specs {
+				var sub []*core.Microprotocol
+				for _, mp := range mps {
+					if rng.Intn(2) == 0 {
+						sub = append(sub, mp)
+					}
+				}
+				if len(sub) == 0 {
+					sub = append(sub, mps[rng.Intn(len(mps))])
+				}
+				specs[i] = core.Access(sub...)
+			}
+			// Pre-draw each worker's spec sequence so both controllers see
+			// the same multiset of footprints.
+			plans := make([][]*core.Spec, workers)
+			for w := range plans {
+				plans[w] = make([]*core.Spec, perWkr)
+				for j := range plans[w] {
+					plans[w][j] = specs[rng.Intn(len(specs))]
 				}
 			}
-			if len(sub) == 0 {
-				sub = append(sub, mps[rng.Intn(len(mps))])
-			}
-			specs[i] = core.Access(sub...)
-		}
-		// Pre-draw each worker's spec sequence so both controllers see the
-		// same multiset of footprints.
-		plans := make([][]*core.Spec, workers)
-		for w := range plans {
-			plans[w] = make([]*core.Spec, perWkr)
-			for j := range plans[w] {
-				plans[w][j] = specs[rng.Intn(len(specs))]
-			}
-		}
-		run := func(ctrl core.Controller) {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(plan []*core.Spec) {
-					defer wg.Done()
-					for _, spec := range plan {
-						tok, err := ctrl.Spawn(nil, spec)
-						if err != nil {
-							panic(err)
+			run := func(ctrl core.Controller) {
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(plan []*core.Spec) {
+						defer wg.Done()
+						for _, spec := range plan {
+							tok, err := ctrl.Spawn(nil, spec)
+							if err != nil {
+								panic(err)
+							}
+							ctrl.Complete(tok)
 						}
-						ctrl.Complete(tok)
-					}
-				}(plans[w])
+					}(plans[w])
+				}
+				wg.Wait()
 			}
-			wg.Wait()
-		}
-		sh := NewVCABasic()
-		ref := NewRefVCABasic()
-		run(sh)
-		run(ref)
-		for i, mp := range mps {
-			sgv, slv := shardedVersions(sh, mp)
-			rgv, rlv := ref.versions(mp)
-			if sgv != rgv || slv != rlv || sgv != slv {
-				t.Fatalf("seed %d: mp%d terminal state diverged: sharded (gv=%d, lv=%d), reference (gv=%d, lv=%d)",
-					seed, i, sgv, slv, rgv, rlv)
+			sh := NewVCABasic()
+			ref := NewRefVCABasic()
+			run(sh)
+			run(ref)
+			for i, mp := range mps {
+				sgv, slv, ph := shardedVersions(sh, mp)
+				rgv, rlv := ref.versions(mp)
+				if sgv != slv || rgv != rlv || sgv-ph != rgv {
+					t.Fatalf("workers %d, seed %d: mp%d terminal state diverged: sharded (gv=%d, lv=%d, phantoms=%d), reference (gv=%d, lv=%d)",
+						workers, seed, i, sgv, slv, ph, rgv, rlv)
+				}
+				if workers == 1 && ph != 0 {
+					t.Fatalf("seed %d: mp%d: a single worker produced %d phantom versions", seed, i, ph)
+				}
 			}
 		}
 	}
@@ -287,15 +297,17 @@ func TestShardedDisjointRace(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				st := tok.(*basicToken)
-				st.fp.states[0].waitAtLeast(st.nodes[0].minLv)
+				st := tok.(*vcaToken)
+				if err := st.fp.states[0].waitAtLeast(context.Background(), st.nodes[0].minLv); err != nil {
+					panic(err)
+				}
 				c.Complete(tok)
 			}
 		}(i)
 	}
 	wg.Wait()
 	for i, mp := range mps {
-		gv, lv := shardedVersions(c, mp)
+		gv, lv, _ := shardedVersions(c, mp)
 		if gv != per || lv != per {
 			t.Fatalf("lane %d: gv=%d, lv=%d, want %d/%d", i, gv, lv, per, per)
 		}
@@ -355,15 +367,15 @@ func TestShardedOverlapRace(t *testing.T) {
 	// goroutines — but all goroutines have joined, and a drainer only runs
 	// on a goroutine that pushed, so the queues are fully drained here.
 	for _, mp := range []*core.Microprotocol{a, b, d} {
-		gv, lv := shardedVersions(c, mp)
+		gv, lv, ph := shardedVersions(c, mp)
 		// Phantom releases from abandoned fast-path claims advance gv and
-		// lv together beyond the spawn count, so exact claim totals are a
-		// lower bound; quiescence must be exact.
+		// lv together beyond the spawn count; net of them, the count is
+		// exact, and quiescence must be exact too.
 		if gv != lv {
 			t.Fatalf("%s not quiescent: gv=%d, lv=%d", mp.Name(), gv, lv)
 		}
-		if gv < counts[mp] {
-			t.Fatalf("%s: gv=%d below spawn count %d", mp.Name(), gv, counts[mp])
+		if gv-ph != counts[mp] {
+			t.Fatalf("%s: gv=%d with %d phantom versions, want %d claimed by spawns", mp.Name(), gv, ph, counts[mp])
 		}
 	}
 }

@@ -36,8 +36,25 @@
 //     remark, it admits only serial-equivalent schedules at roughly
 //     Serial's concurrency for conflicting computations.
 //
-// Every controller is deadlock-free: spawns are totally ordered by a
-// registration lock, so waits only ever point from later-spawned to
-// earlier-spawned computations and the wait-for graph is acyclic.
-// Controllers hold per-stack state; do not share one across stacks.
+// The four VCA* controllers are one version-counting kernel (the
+// unexported vca: rule 1 at Spawn, the declared-set check, rule 2 at
+// Enter, rule 3 at Complete, plus SetBlocker, SpawnStats and the
+// core.Reconfigurer seam) that each embeds. VCABasic overrides nothing;
+// VCABound overrides Spawn (bound validation), Request (the visit
+// budget) and Exit (rule 4's bump); VCARoute overrides Request (the
+// route check) and Exit, RootReturned and Complete (the rule-4(b)
+// scan); VCARW overrides Spawn (reader groups), Request (the read-only
+// check) and Complete (the last member releases).
+//
+// Every version-counting controller is deadlock-free: a computation
+// only ever waits for computations holding lower versions, so the
+// wait-for graph is acyclic as long as any two conflicting spawns get
+// their versions in the same relative order on every slot they share.
+// The lock-free fast path claims only quiescent slots (lv == gv — no
+// conflicting computation in flight to order against), and the slow
+// path holds every declared slot's spawnMu, taken in the footprint's
+// compiled ascending-slot order, across all of its increments, which
+// totally orders conflicting slow-path claims without lock-order
+// deadlocks. Controllers hold per-stack state; do not share one across
+// stacks.
 package cc

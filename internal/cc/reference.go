@@ -91,7 +91,7 @@ func (c *RefVCABasic) Enter(ctx context.Context, t core.Token, _, h *core.Handle
 	min := tok.pv[mp] - 1
 	c.mu.Lock()
 	for c.lv[mp] < min {
-		if err := c.n.waitLockedCtx(&c.mu, ctx); err != nil {
+		if err := c.n.waitLocked(ctx, &c.mu); err != nil {
 			c.mu.Unlock()
 			return deadline("enter", h, err)
 		}

@@ -91,7 +91,7 @@ func (c *TSO) Spawn(ctx context.Context, spec *core.Spec) (core.Token, error) {
 	tok := &tsoToken{ts: c.nextTS, mps: spec.MPs()}
 	c.waiting = append(c.waiting, tok)
 	for !c.admissibleLocked(tok) {
-		if err := c.note.waitLockedCtx(&c.mu, ctx); err != nil {
+		if err := c.note.waitLocked(ctx, &c.mu); err != nil {
 			c.removeWaitingLocked(tok)
 			c.note.broadcastLocked()
 			return nil, deadline("spawn", nil, err)

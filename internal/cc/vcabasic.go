@@ -1,14 +1,8 @@
 package cc
 
-import (
-	"context"
-
-	"repro/internal/core"
-	"repro/internal/sched"
-)
-
 // VCABasic is the Basic Version-Counting Algorithm of paper §5.1,
-// implementing the plain "isolated M e" construct.
+// implementing the plain "isolated M e" construct. It is the
+// version-counting kernel with no rule overridden.
 //
 // Rule 1: spawning a computation k atomically increments the global
 // version counter gv of every declared microprotocol and snapshots the
@@ -20,94 +14,11 @@ import (
 //
 // Rule 3: when k completes, each declared p's local version is upgraded to
 // pv[p] — in spawn order, via the deferred-release queue.
-type VCABasic struct {
-	vt *versionTable
-}
+type VCABasic struct{ vca }
 
 // NewVCABasic creates a controller enforcing the basic version-counting
 // algorithm. The controller holds per-stack state; do not share it.
-func NewVCABasic() *VCABasic { return &VCABasic{vt: newVersionTable()} }
+func NewVCABasic() *VCABasic { return &VCABasic{vca{newVersionTable()}} }
 
 // Name implements core.Controller.
 func (c *VCABasic) Name() string { return "vca-basic" }
-
-// SetBlocker implements sched.Schedulable.
-func (c *VCABasic) SetBlocker(b sched.Blocker) { c.vt.setBlocker(b) }
-
-// SpawnStats reports how many spawns took the lock-free fast path and
-// the ordered-lock slow path (see DESIGN.md §11).
-func (c *VCABasic) SpawnStats() (fast, slow uint64) { return c.vt.spawnStats() }
-
-// InstallEpoch implements core.Reconfigurer: removed microprotocols stop
-// admitting claims, added ones start quiescent, and cached footprints
-// touching removed slots are re-derived against the new epoch.
-func (c *VCABasic) InstallEpoch(ec core.EpochChange) { c.vt.installEpoch(ec) }
-
-// RetireEpoch implements core.Reconfigurer: removed slots drain to
-// quiescence (lv == gv) before the superseded epoch retires.
-func (c *VCABasic) RetireEpoch(ec core.EpochChange) error { return c.vt.retireEpoch(ec) }
-
-// basicToken carries the computation's claims — one release node per
-// footprint position; nodes[i].target is the private version pv[i].
-type basicToken struct {
-	fp    *footprint
-	nodes []relNode
-}
-
-// Spawn implements rule 1: an array walk over the compiled footprint —
-// two allocations, no map churn, and no lock at all when the footprint's
-// slots are quiescent (versionTable.claim). Spawn never blocks, so the
-// context is not consulted.
-func (c *VCABasic) Spawn(_ context.Context, spec *core.Spec) (core.Token, error) {
-	fp, err := c.vt.footprint(spec)
-	if err != nil {
-		return nil, err
-	}
-	t := &basicToken{fp: fp, nodes: make([]relNode, len(fp.slots))}
-	if err := c.vt.claim(fp, t.nodes); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// Request rejects calls to microprotocols outside the declared set M
-// (paper §4: an error is raised in the thread that issued the call).
-func (c *VCABasic) Request(t core.Token, _, h *core.Handler) error {
-	if t.(*basicToken).fp.pos(h.MP()) < 0 {
-		return undeclared(h, t.(*basicToken).fp.mps)
-	}
-	return nil
-}
-
-// Enter implements rule 2: block until the private version matches, or
-// the computation's context expires (the versions stay claimed either
-// way; Complete releases them). The threshold pv[i]−1 is the claim's
-// recorded minLv.
-func (c *VCABasic) Enter(ctx context.Context, t core.Token, _, h *core.Handler) error {
-	tok := t.(*basicToken)
-	i := tok.fp.pos(h.MP())
-	if i < 0 {
-		return undeclared(h, tok.fp.mps)
-	}
-	if err := tok.fp.states[i].waitAtLeastCtx(ctx, tok.nodes[i].minLv); err != nil {
-		return deadline("enter", h, err)
-	}
-	return nil
-}
-
-// Exit implements core.Controller; the basic algorithm releases nothing
-// before completion.
-func (c *VCABasic) Exit(core.Token, *core.Handler) {}
-
-// RootReturned implements core.Controller (no-op for VCABasic).
-func (c *VCABasic) RootReturned(core.Token) {}
-
-// Complete implements rule 3: upgrade every declared microprotocol's local
-// version to the private version, in spawn order — by pushing the token's
-// embedded nodes onto the slots' group-commit stacks (no allocation).
-func (c *VCABasic) Complete(t core.Token) {
-	tok := t.(*basicToken)
-	for i, st := range tok.fp.states {
-		st.requestNode(&tok.nodes[i])
-	}
-}

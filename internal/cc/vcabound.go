@@ -5,18 +5,23 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 )
 
 // VCABound is the Version-Counting with Least-Upper-Bound Algorithm of
-// paper §5.2, implementing "isolated bound M e".
+// paper §5.2, implementing "isolated bound M e". It is the kernel with
+// three overrides: Spawn validates the bounds, Request spends the visit
+// budget, and Exit applies rule 4.
 //
 // Rule 1: gv advances by bound[p], the declared least upper bound of
 // visits, and pv snapshots the result.
 //
 // Rule 2: a call is admitted while pv[p]−bound[p] ≤ lv[p] < pv[p]; a
 // computation that tries to exceed its own declared bound gets a
-// BoundExhaustedError in the thread that issued the call.
+// BoundExhaustedError in the thread that issued the call. Waiting for lv
+// to reach the window's lower edge (the claim's recorded minLv) suffices:
+// lv < pv is invariant while the computation still holds unconsumed
+// budget, because lv only passes pv−1 through this computation's own
+// rule-4 increments or its rule-3 completion.
 //
 // Rule 4: every completed handler execution increments lv[p] by one, so a
 // computation that used up its bound on p hands p to its successor before
@@ -24,40 +29,27 @@ import (
 //
 // Rule 3: completion upgrades any lv[p] still below pv[p] (the computation
 // visited p fewer times than declared), never downgrading.
-type VCABound struct {
-	vt *versionTable
+type VCABound struct{ vca }
+
+// boundToken is a VCABound computation's token: the kernel's claims plus
+// the visit budget.
+type boundToken struct {
+	vcaToken
+	mu        sync.Mutex
+	requested []uint64 //samoa:guard mu — visits consumed so far, by footprint position
 }
 
 // NewVCABound creates a controller enforcing the least-upper-bound
 // version-counting algorithm. Specs must be built with core.AccessBound.
 // Its version table claims with the spec's bounds as rule-1 deltas.
-func NewVCABound() *VCABound { return &VCABound{vt: newBoundVersionTable()} }
+func NewVCABound() *VCABound {
+	vt := newVersionTable()
+	vt.useBounds = true
+	return &VCABound{vca{vt}}
+}
 
 // Name implements core.Controller.
 func (c *VCABound) Name() string { return "vca-bound" }
-
-// SetBlocker implements sched.Schedulable.
-func (c *VCABound) SetBlocker(b sched.Blocker) { c.vt.setBlocker(b) }
-
-// SpawnStats reports how many spawns took the lock-free fast path and
-// the ordered-lock slow path (see DESIGN.md §11).
-func (c *VCABound) SpawnStats() (fast, slow uint64) { return c.vt.spawnStats() }
-
-// InstallEpoch implements core.Reconfigurer (see versionTable.installEpoch).
-func (c *VCABound) InstallEpoch(ec core.EpochChange) { c.vt.installEpoch(ec) }
-
-// RetireEpoch implements core.Reconfigurer (see versionTable.retireEpoch).
-func (c *VCABound) RetireEpoch(ec core.EpochChange) error { return c.vt.retireEpoch(ec) }
-
-// boundToken carries the computation's claims and consumed visit counts,
-// parallel to the spec's compiled footprint. nodes[i].target is pv[i];
-// nodes[i].minLv is pv[i]−bound[i], the admission window's lower edge.
-type boundToken struct {
-	mu        sync.Mutex
-	fp        *footprint
-	nodes     []relNode
-	requested []uint64 //samoa:guard mu — visits consumed so far
-}
 
 // Spawn implements rule 1. The footprint is validated in full before any
 // counter moves, so an invalid spec cannot leave gv advanced with no
@@ -66,7 +58,7 @@ func (c *VCABound) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 	if !spec.HasBounds() {
 		return nil, &core.SpecError{Controller: c.Name(), Reason: "spec carries no visit bounds; build it with core.AccessBound"}
 	}
-	fp, err := c.vt.footprint(spec)
+	fp, err := c.footprint(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -76,11 +68,10 @@ func (c *VCABound) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 		}
 	}
 	t := &boundToken{
-		fp:        fp,
-		nodes:     make([]relNode, len(fp.slots)),
+		vcaToken:  vcaToken{fp: fp, nodes: make([]relNode, len(fp.slots))},
 		requested: make([]uint64, len(fp.slots)),
 	}
-	if err := c.vt.claim(fp, t.nodes); err != nil {
+	if err := c.claim(fp, t.nodes); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -91,9 +82,9 @@ func (c *VCABound) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 // will be thrown if the number is exhausted").
 func (c *VCABound) Request(t core.Token, _, h *core.Handler) error {
 	tok := t.(*boundToken)
-	i := tok.fp.pos(h.MP())
-	if i < 0 {
-		return undeclared(h, tok.fp.mps)
+	i, err := tok.pos(h)
+	if err != nil {
+		return err
 	}
 	tok.mu.Lock()
 	defer tok.mu.Unlock()
@@ -104,40 +95,11 @@ func (c *VCABound) Request(t core.Token, _, h *core.Handler) error {
 	return nil
 }
 
-// Enter implements rule 2. Waiting for lv to reach the window's lower edge
-// (the claim's recorded minLv = pv−bound) suffices: lv < pv is invariant
-// while the computation still holds unconsumed budget, because lv only
-// passes pv−1 through this computation's own rule-4 increments or its
-// rule-3 completion.
-func (c *VCABound) Enter(ctx context.Context, t core.Token, _, h *core.Handler) error {
-	tok := t.(*boundToken)
-	i := tok.fp.pos(h.MP())
-	if i < 0 {
-		return undeclared(h, tok.fp.mps)
-	}
-	if err := tok.fp.states[i].waitAtLeastCtx(ctx, tok.nodes[i].minLv); err != nil {
-		return deadline("enter", h, err)
-	}
-	return nil
-}
-
 // Exit implements rule 4: a completed handler execution bumps the local
 // version by one.
 func (c *VCABound) Exit(t core.Token, h *core.Handler) {
 	tok := t.(*boundToken)
 	if i := tok.fp.pos(h.MP()); i >= 0 {
 		tok.fp.states[i].bump()
-	}
-}
-
-// RootReturned implements core.Controller (no-op for VCABound).
-func (c *VCABound) RootReturned(core.Token) {}
-
-// Complete implements rule 3, pushing the token's embedded release nodes
-// (upgrade lv to pv once lv ≥ pv−bound; never downgrading).
-func (c *VCABound) Complete(t core.Token) {
-	tok := t.(*boundToken)
-	for i, st := range tok.fp.states {
-		st.requestNode(&tok.nodes[i])
 	}
 }

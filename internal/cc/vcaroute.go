@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 )
 
 // VCARoute is the Version-Counting with Routing Pattern Algorithm of paper
@@ -13,14 +12,15 @@ import (
 //
 // The spec's routing graph declares, per computation, which handlers may
 // be called and by whom (an edge h1→h2 means the body of h1 may call h2;
-// rule 2 admits a call when a route — a path — exists). Versioning works
-// as in VCAbasic (one version per microprotocol), but rule 4(b) releases a
+// rule 2 admits a call when a route — a path — exists). Versioning is the
+// kernel's (one version per microprotocol), but rule 4(b) releases a
 // microprotocol early: as soon as all its handlers are inactive and
 // unreachable from any active handler, its vertices leave the graph and
 // its local version is upgraded, letting the next computation in before
-// this one completes.
+// this one completes. The overrides are the route check in Request and
+// the rule-4(b) scan in Exit, RootReturned and Complete.
 //
-// Two details the paper leaves implicit are made concrete here:
+// Three details the paper leaves implicit are made concrete here:
 //
 //   - A handler requested asynchronously but not yet started counts as
 //     active for reachability, from the moment the event is issued;
@@ -28,6 +28,9 @@ import (
 //   - Early upgrades go through the same version-ordered release queue as
 //     completions, so a release by computation k never overtakes an
 //     older computation still using the microprotocol.
+//   - A cancelled Enter leaves the Request-time activity count in place —
+//     conservative for rule 4(b), and Complete force-releases every
+//     unreleased microprotocol regardless.
 //
 // A virtual ROOT vertex (edges to the graph's declared roots) models
 // "handlers to be called directly by expression e"; it stays active until
@@ -36,41 +39,28 @@ import (
 // The routing graph is compiled once per spec into dense vertex indices
 // (footprint.route); per-token state — presence, activity counts, BFS
 // scratch — is then plain slices over those indices.
-type VCARoute struct {
-	vt *versionTable
-}
+type VCARoute struct{ vca }
 
 // NewVCARoute creates a controller enforcing the routing-pattern
 // version-counting algorithm. Specs must be built with core.Route.
-func NewVCARoute() *VCARoute { return &VCARoute{vt: newVersionTable()} }
+func NewVCARoute() *VCARoute { return &VCARoute{vca{newVersionTable()}} }
 
 // Name implements core.Controller.
 func (c *VCARoute) Name() string { return "vca-route" }
 
-// SetBlocker implements sched.Schedulable.
-func (c *VCARoute) SetBlocker(b sched.Blocker) { c.vt.setBlocker(b) }
-
-// SpawnStats reports how many spawns took the lock-free fast path and
-// the ordered-lock slow path (see DESIGN.md §11).
-func (c *VCARoute) SpawnStats() (fast, slow uint64) { return c.vt.spawnStats() }
-
-// InstallEpoch implements core.Reconfigurer (see versionTable.installEpoch).
-func (c *VCARoute) InstallEpoch(ec core.EpochChange) { c.vt.installEpoch(ec) }
-
-// RetireEpoch implements core.Reconfigurer (see versionTable.retireEpoch).
-func (c *VCARoute) RetireEpoch(ec core.EpochChange) error { return c.vt.retireEpoch(ec) }
-
+// routeToken is a VCARoute computation's token: the kernel's claims plus
+// the rule-4(b) bookkeeping, guarded by mu. The bookkeeping starts zeroed
+// but for rootActive: nothing released, every vertex in the graph,
+// nothing active.
 type routeToken struct {
+	vcaToken
 	mu         sync.Mutex
-	fp         *footprint
-	nodes      []relNode // claims; nodes[i].target is pv[i]
-	released   []bool    // by footprint position
-	present    []bool    // by vertex index: still in the graph
-	counts     []int32   // by vertex index: pending + active executions
+	released   []bool  // by footprint position
+	removed    []bool  // by vertex index: left the graph under rule 4(b)
+	counts     []int32 // by vertex index: pending + active executions
 	rootActive bool
 
-	// BFS scratch, reused across routeExists/scanRelease calls; guarded
-	// by mu like everything else here.
+	// reachLocked's scratch, reused across calls.
 	seen  []bool
 	queue []int
 }
@@ -81,24 +71,21 @@ func (c *VCARoute) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 	if spec.Graph() == nil {
 		return nil, &core.SpecError{Controller: c.Name(), Reason: "spec carries no routing graph; build it with core.Route"}
 	}
-	fp, err := c.vt.footprint(spec)
+	fp, err := c.footprint(spec)
 	if err != nil {
 		return nil, err
 	}
-	nv := len(fp.route.handlers)
+	np, nv := len(fp.slots), len(fp.route.succs)
+	flags := make([]bool, np+2*nv) // one backing array for released, removed and seen
 	t := &routeToken{
-		fp:         fp,
-		nodes:      make([]relNode, len(fp.slots)),
-		released:   make([]bool, len(fp.slots)),
-		present:    make([]bool, nv),
+		vcaToken:   vcaToken{fp: fp, nodes: make([]relNode, np)},
+		released:   flags[:np:np],
+		removed:    flags[np : np+nv : np+nv],
+		seen:       flags[np+nv:],
 		counts:     make([]int32, nv),
 		rootActive: true,
-		seen:       make([]bool, nv),
 	}
-	for v := range t.present {
-		t.present[v] = true
-	}
-	if err := c.vt.claim(fp, t.nodes); err != nil {
+	if err := c.claim(fp, t.nodes); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -110,14 +97,14 @@ func (c *VCARoute) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 // as active for rule 4(b) from this moment.
 func (c *VCARoute) Request(t core.Token, caller, h *core.Handler) error {
 	tok := t.(*routeToken)
-	r := tok.fp.route
-	if tok.fp.pos(h.MP()) < 0 {
-		return undeclared(h, tok.fp.mps)
+	if _, err := tok.pos(h); err != nil {
+		return err
 	}
+	r := tok.fp.route
 	v, inGraph := r.hpos[h]
 	tok.mu.Lock()
 	defer tok.mu.Unlock()
-	if !inGraph || !tok.present[v] {
+	if !inGraph || tok.removed[v] {
 		// The vertex was never declared, or already removed by rule
 		// 4(b); a call now would break the release the algorithm
 		// performed.
@@ -138,48 +125,30 @@ func (c *VCARoute) Request(t core.Token, caller, h *core.Handler) error {
 }
 
 // routeExistsLocked reports whether a path from src to dst (length ≥ 1)
-// exists over the still-present vertices. Callers hold tok.mu.
+// exists over the vertices still in the graph. Callers hold tok.mu.
 func (tok *routeToken) routeExistsLocked(src, dst int) bool {
-	if !tok.present[src] {
+	if tok.removed[src] {
 		return false
 	}
+	clear(tok.seen)
+	return tok.reachLocked(append(tok.queue[:0], src))[dst]
+}
+
+// reachLocked adds to the marked set tok.seen every vertex still in the
+// graph that a path of length ≥ 1 leads to from a vertex in queue, and
+// returns the set. Callers hold tok.mu.
+func (tok *routeToken) reachLocked(queue []int) []bool {
 	r := tok.fp.route
-	seen := tok.seen
-	for i := range seen {
-		seen[i] = false
-	}
-	queue := append(tok.queue[:0], src)
 	for head := 0; head < len(queue); head++ {
 		for _, succ := range r.succs[queue[head]] {
-			if !tok.present[succ] || seen[succ] {
-				continue
+			if !tok.removed[succ] && !tok.seen[succ] {
+				tok.seen[succ] = true
+				queue = append(queue, succ)
 			}
-			if succ == dst {
-				tok.queue = queue[:0]
-				return true
-			}
-			seen[succ] = true
-			queue = append(queue, succ)
 		}
 	}
 	tok.queue = queue[:0]
-	return false
-}
-
-// Enter implements the versioning part of rule 2 (condition (1) of
-// VCAbasic). A cancelled wait leaves the Request-time activity count in
-// place — conservative for rule 4(b), and Complete force-releases every
-// unreleased microprotocol regardless.
-func (c *VCARoute) Enter(ctx context.Context, t core.Token, _, h *core.Handler) error {
-	tok := t.(*routeToken)
-	i := tok.fp.pos(h.MP())
-	if i < 0 {
-		return undeclared(h, tok.fp.mps)
-	}
-	if err := tok.fp.states[i].waitAtLeastCtx(ctx, tok.nodes[i].minLv); err != nil {
-		return deadline("enter", h, err)
-	}
-	return nil
+	return tok.seen
 }
 
 // Exit implements rule 4: the handler becomes inactive, and any
@@ -212,8 +181,8 @@ func (c *VCARoute) RootReturned(t core.Token) {
 func (c *VCARoute) Complete(t core.Token) {
 	tok := t.(*routeToken)
 	tok.mu.Lock()
-	for i := range tok.released {
-		if !tok.released[i] {
+	for i, done := range tok.released {
+		if !done {
 			tok.released[i] = true
 			tok.fp.states[i].requestNode(&tok.nodes[i])
 		}
@@ -223,54 +192,32 @@ func (c *VCARoute) Complete(t core.Token) {
 
 // scanReleaseLocked is rule 4(b): compute the set of handlers that are
 // active or reachable from an active handler (including the virtual ROOT)
-// over present vertices, then release every unreleased microprotocol none
-// of whose present vertices is in that set. Callers hold tok.mu.
+// over the vertices still in the graph, then release every unreleased
+// microprotocol none of whose vertices is in that set. Callers hold
+// tok.mu.
 func (tok *routeToken) scanReleaseLocked() {
 	r := tok.fp.route
-	busy := tok.seen
-	for i := range busy {
-		busy[i] = false
-	}
+	clear(tok.seen)
 	queue := tok.queue[:0]
-	for v := range tok.counts {
-		if tok.counts[v] > 0 && tok.present[v] {
-			busy[v] = true
+	for v, n := range tok.counts {
+		if !tok.removed[v] && (n > 0 || tok.rootActive && r.isRoot[v]) {
+			tok.seen[v] = true
 			queue = append(queue, v)
 		}
 	}
-	if tok.rootActive {
-		for v := range r.isRoot {
-			if r.isRoot[v] && tok.present[v] && !busy[v] {
-				busy[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		for _, succ := range r.succs[queue[head]] {
-			if tok.present[succ] && !busy[succ] {
-				busy[succ] = true
-				queue = append(queue, succ)
-			}
-		}
-	}
-	tok.queue = queue[:0]
-	for p := range tok.released {
-		if tok.released[p] {
-			continue
-		}
-		inUse := false
-		for _, v := range r.mpVerts[p] {
-			if tok.present[v] && busy[v] {
-				inUse = true
-				break
-			}
-		}
-		if inUse {
+	busy := tok.reachLocked(queue)
+next:
+	for p, done := range tok.released {
+		if done {
 			continue
 		}
 		for _, v := range r.mpVerts[p] {
-			tok.present[v] = false
+			if busy[v] {
+				continue next
+			}
+		}
+		for _, v := range r.mpVerts[p] {
+			tok.removed[v] = true
 		}
 		tok.released[p] = true
 		tok.fp.states[p].requestNode(&tok.nodes[p])

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 )
 
 // VCARW implements the paper's §7 future-work extension: "introduce
@@ -14,7 +13,7 @@ import (
 // declared handlers on a microprotocol are all read-only is admitted as a
 // *reader* of it.
 //
-// Versioning works as in VCAbasic, with one twist in rule 1: consecutive
+// Versioning is the kernel's, with one twist in rule 1: consecutive
 // reader spawns with no intervening writer share one version of the
 // microprotocol — they hold it concurrently, because read-only executions
 // commute, and the shared version keeps the equivalent serial order
@@ -23,7 +22,9 @@ import (
 // member completes. Writers take fresh versions and serialize exactly as
 // in VCAbasic.
 //
-// A reader computation that calls a non-read-only handler gets a
+// The overrides are the reader-group rule 1 in Spawn, the read-only
+// check in Request, and the last-member release in Complete. A reader
+// computation that calls a non-read-only handler gets a
 // ReadOnlyViolationError in the calling thread — the annotation is
 // enforced, not trusted. Whether a spec reads or writes each
 // microprotocol is spec-static, so it is computed once at footprint
@@ -35,9 +36,7 @@ import (
 // increment — joining or closing a reader group mutates lastVer/lastRO/
 // refs, which a CAS on gv cannot publish atomically. Disjoint spawns
 // still scale, because they touch disjoint spawnMu locks.
-type VCARW struct {
-	vt *versionTable
-}
+type VCARW struct{ vca }
 
 // rwState is one slot's reader-group bookkeeping, hanging off the slot's
 // mpState and guarded by its spawnMu.
@@ -48,33 +47,10 @@ type rwState struct {
 }
 
 // NewVCARW creates the read/write-aware versioning controller.
-func NewVCARW() *VCARW {
-	return &VCARW{vt: newVersionTable()}
-}
+func NewVCARW() *VCARW { return &VCARW{vca{newVersionTable()}} }
 
 // Name implements core.Controller.
 func (c *VCARW) Name() string { return "vca-rw" }
-
-// SetBlocker implements sched.Schedulable.
-func (c *VCARW) SetBlocker(b sched.Blocker) { c.vt.setBlocker(b) }
-
-// SpawnStats reports spawn admission-path counts; every VCARW spawn is a
-// slow-path (ordered-lock) spawn by design, so fast is always 0.
-func (c *VCARW) SpawnStats() (fast, slow uint64) { return c.vt.spawnStats() }
-
-// InstallEpoch implements core.Reconfigurer (see versionTable.installEpoch).
-func (c *VCARW) InstallEpoch(ec core.EpochChange) { c.vt.installEpoch(ec) }
-
-// RetireEpoch implements core.Reconfigurer (see versionTable.retireEpoch).
-func (c *VCARW) RetireEpoch(ec core.EpochChange) error { return c.vt.retireEpoch(ec) }
-
-// rwToken carries the computation's claims parallel to the spec's
-// compiled footprint (nodes[i].target is pv[i]); reader-ness comes from
-// the footprint itself.
-type rwToken struct {
-	fp    *footprint
-	nodes []relNode
-}
 
 // readerOf reports whether a computation with this spec can only read mp:
 // every handler of mp it may call is declared read-only. Route specs are
@@ -105,59 +81,56 @@ func readerOf(spec *core.Spec, mp *core.Microprotocol) bool {
 }
 
 // Spawn implements rule 1 with reader-group sharing: hold every declared
-// slot's spawnMu (in the footprint's compiled ascending-slot order, the
-// same discipline as versionTable.claimSlow), then per slot either join
-// the open reader group or take a fresh version. It never blocks on
-// admission, so the context is not consulted.
+// slot's spawnMu (footprint.lockSlots, the same discipline as
+// versionTable.claimSlow), then per slot either join the open reader
+// group or take a fresh version. It never blocks on admission, so the
+// context is not consulted.
 func (c *VCARW) Spawn(_ context.Context, spec *core.Spec) (core.Token, error) {
-	fp, err := c.vt.footprint(spec)
+	fp, err := c.footprint(spec)
 	if err != nil {
 		return nil, err
 	}
-	t := &rwToken{fp: fp, nodes: make([]relNode, len(fp.slots))}
-	for _, p := range fp.lockOrder {
-		fp.states[p].spawnMu.Lock()
-	}
-	for _, st := range fp.states {
-		if err := st.gone.Load(); err != nil {
-			for _, p := range fp.lockOrder {
-				fp.states[p].spawnMu.Unlock()
-			}
-			return nil, err
-		}
+	t := &vcaToken{fp: fp, nodes: make([]relNode, len(fp.slots))}
+	if err := fp.lockSlots(); err != nil {
+		return nil, err
 	}
 	for i, st := range fp.states {
-		rw := st.rw
-		if rw == nil {
-			rw = &rwState{refs: make(map[uint64]int)}
-			st.rw = rw
-		}
-		ro := fp.reader[i]
-		var pv uint64
-		if ro && rw.lastRO && rw.refs[rw.lastVer] > 0 {
-			pv = rw.lastVer // join the open reader group
-			rw.refs[pv]++
-		} else {
-			pv = st.gv.Add(1)
-			rw.lastVer = pv
-			rw.lastRO = ro
-			rw.refs[pv] = 1
-		}
+		pv := st.rwClaimLocked(fp.reader[i])
 		t.nodes[i] = relNode{minLv: pv - 1, target: pv}
 	}
-	for _, p := range fp.lockOrder {
-		fp.states[p].spawnMu.Unlock()
-	}
-	c.vt.slowSpawns.Add(1)
+	fp.unlockSlots()
+	c.slowSpawns.Add(1)
 	return t, nil
 }
 
+// rwClaimLocked is rule 1 on one slot: a reader joins the open reader
+// group, if any; everyone else takes a fresh version. It returns the
+// private version. Callers hold st.spawnMu.
+func (st *mpState) rwClaimLocked(reader bool) uint64 {
+	rw := st.rw
+	if rw == nil {
+		rw = &rwState{refs: make(map[uint64]int)}
+		st.rw = rw
+	}
+	if reader && rw.lastRO && rw.refs[rw.lastVer] > 0 {
+		rw.refs[rw.lastVer]++
+		return rw.lastVer
+	}
+	pv := st.gv.Add(1)
+	rw.lastVer, rw.lastRO = pv, reader
+	rw.refs[pv] = 1
+	return pv
+}
+
 // Request validates declaration and enforces the read-only annotation.
+// Rule 2 is the kernel's Enter: every member of a reader group satisfies
+// it simultaneously, since they share the private version (and hence
+// the claim's recorded minLv threshold).
 func (c *VCARW) Request(t core.Token, _, h *core.Handler) error {
-	tok := t.(*rwToken)
-	i := tok.fp.pos(h.MP())
-	if i < 0 {
-		return undeclared(h, tok.fp.mps)
+	tok := t.(*vcaToken)
+	i, err := tok.pos(h)
+	if err != nil {
+		return err
 	}
 	if tok.fp.reader[i] && !h.IsReadOnly() {
 		return &core.ReadOnlyViolationError{MP: h.MP().Name(), Handler: h.Name()}
@@ -165,33 +138,12 @@ func (c *VCARW) Request(t core.Token, _, h *core.Handler) error {
 	return nil
 }
 
-// Enter implements rule 2; every member of a reader group satisfies it
-// simultaneously, since they share the private version (and hence the
-// claim's recorded minLv threshold).
-func (c *VCARW) Enter(ctx context.Context, t core.Token, _, h *core.Handler) error {
-	tok := t.(*rwToken)
-	i := tok.fp.pos(h.MP())
-	if i < 0 {
-		return undeclared(h, tok.fp.mps)
-	}
-	if err := tok.fp.states[i].waitAtLeastCtx(ctx, tok.nodes[i].minLv); err != nil {
-		return deadline("enter", h, err)
-	}
-	return nil
-}
-
-// Exit implements core.Controller (no early release in this variant).
-func (c *VCARW) Exit(core.Token, *core.Handler) {}
-
-// RootReturned implements core.Controller (no-op).
-func (c *VCARW) RootReturned(core.Token) {}
-
 // Complete implements rule 3; a reader group's upgrade fires when its
 // last member completes, pushing that member's embedded node. Group
 // members share (minLv, target), so which member's node carries the
 // release is immaterial.
 func (c *VCARW) Complete(t core.Token) {
-	tok := t.(*rwToken)
+	tok := t.(*vcaToken)
 	for i, st := range tok.fp.states {
 		pv := tok.nodes[i].target
 		st.spawnMu.Lock()

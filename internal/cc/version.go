@@ -62,7 +62,7 @@ type mpState struct {
 
 	// fastSpawns counts spawns whose lock-free claim started at this
 	// slot; kept per-slot (not on the table) so the hot path never
-	// touches a shared cache line. versionTable.spawnStats sums them.
+	// touches a shared cache line. versionTable.SpawnStats sums them.
 	fastSpawns atomic.Uint64
 
 	// relq is the group-commit stack: completed computations push their
@@ -74,14 +74,20 @@ type mpState struct {
 	// gone is non-nil once a live reconfiguration removed this slot's
 	// microprotocol: new claims are rejected with the stored error (one
 	// preallocated per removal, so the rejection path allocates nothing).
-	// Claims already holding the slot release normally — retireEpoch's
+	// Claims already holding the slot release normally — RetireEpoch's
 	// drain waits for exactly that. A later epoch re-adding the same
 	// microprotocol clears the marker; the slot resumes where it left off.
 	gone atomic.Pointer[core.ReconfiguredError]
 
 	// rw is VCARW's reader-group bookkeeping for this slot, created
 	// lazily. Nil for every other controller.
-	rw *rwState //samoa:guard spawnMu — created and mutated only under the slot's spawnMu
+	rw *rwState //samoa:guard spawnMu — created and mutated only under the slot's spawnMu (rwClaimLocked, VCARW.Complete)
+
+	// phantoms counts the versions consumed by abandoned fast-path claims
+	// retired as phantom releases (versionTable.unclaim). Once every
+	// computation has completed, gv == lv == versions claimed by spawns +
+	// phantoms. Only tests read it.
+	phantoms atomic.Uint64
 }
 
 // release asks for lv to be raised to target once lv >= minLv. Targets
@@ -103,64 +109,20 @@ type relNode struct {
 	next   *relNode
 }
 
-// waitEntry is one parked computation thread: the lv threshold it needs
-// and the one-shot waiter it parked on. The waiter comes from the
-// state's Blocker — pooled channels in production, virtual scheduler
-// park points under deterministic exploration. c is non-nil only for
-// cancellable waits (waitAtLeastCtx).
-type waitEntry struct {
-	min uint64
-	w   sched.Waiter
-	c   *waitCancel
-}
-
-// waitCancel coordinates a parked waiter with its cancellation watchdog.
-// All fields are guarded by the owning mpState's mu.
-type waitCancel struct {
-	done     bool // the entry left the queue (woken or cancelled)
-	canceled bool // it left because the context expired
-}
-
 func newMPState(blk sched.Blocker) *mpState { return &mpState{blk: blk} }
 
 // waitAtLeast blocks until lv >= min. The fast path is a single atomic
-// load; the slow path parks the caller on the ordered wait queue.
-func (st *mpState) waitAtLeast(min uint64) {
-	if st.lv.Load() >= min {
-		return
-	}
-	st.mu.Lock()
-	if st.lv.Load() >= min {
-		st.mu.Unlock()
-		return
-	}
-	w := st.blk.NewWaiter()
-	i := sort.Search(len(st.waiters), func(i int) bool { return st.waiters[i].min > min })
-	st.waiters = append(st.waiters, waitEntry{})
-	copy(st.waiters[i+1:], st.waiters[i:])
-	st.waiters[i] = waitEntry{min: min, w: w}
-	st.mu.Unlock()
-	w.Park()
-}
-
-// waitAtLeastCtx is waitAtLeast bounded by a context: it returns nil once
-// lv >= min, or the context's error if ctx expires first — the caller's
-// admission wait becomes a clean abort instead of a permanent block.
-//
-// Unbounded contexts (Done() == nil, e.g. context.Background) take the
-// exact waitAtLeast path: no watchdog goroutine, no extra allocation, and
-// — critically for the deterministic explorer — no scheduling nondeterminism.
-// A cancellable wait parks on the same ordered queue; a watchdog goroutine
-// removes the entry and wakes the parked thread when ctx fires first.
-func (st *mpState) waitAtLeastCtx(ctx context.Context, min uint64) error {
-	if ctx == nil || ctx.Done() == nil {
-		st.waitAtLeast(min)
-		return nil
-	}
+// load; the slow path parks the caller on the ordered wait queue. A
+// bounded ctx makes the wait abortable: it returns ctx's error if ctx
+// expires first, so the caller's admission wait becomes a clean abort
+// instead of a permanent block. An unbounded ctx parks with no watchdog
+// (see cancelFor).
+func (st *mpState) waitAtLeast(ctx context.Context, min uint64) error {
 	if st.lv.Load() >= min {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
+	c, err := cancelFor(ctx)
+	if err != nil {
 		return err
 	}
 	st.mu.Lock()
@@ -168,46 +130,12 @@ func (st *mpState) waitAtLeastCtx(ctx context.Context, min uint64) error {
 		st.mu.Unlock()
 		return nil
 	}
-	w := st.blk.NewWaiter()
-	c := &waitCancel{}
+	e := waitEntry{min: min, w: st.blk.NewWaiter(), c: c}
 	i := sort.Search(len(st.waiters), func(i int) bool { return st.waiters[i].min > min })
 	st.waiters = append(st.waiters, waitEntry{})
 	copy(st.waiters[i+1:], st.waiters[i:])
-	st.waiters[i] = waitEntry{min: min, w: w, c: c}
-	st.mu.Unlock()
-
-	stop := make(chan struct{})
-	//samoa:ignore blocking — cancellation watchdog; the admission park below stays on the Blocker seam, and unbounded contexts never reach this path
-	go func() {
-		select { //samoa:ignore blocking — watchdog body: waits on ctx expiry, a seam the Blocker cannot express; unbounded contexts never start it
-		case <-ctx.Done():
-			st.mu.Lock()
-			if !c.done {
-				for j := range st.waiters {
-					if st.waiters[j].c == c {
-						copy(st.waiters[j:], st.waiters[j+1:])
-						st.waiters[len(st.waiters)-1] = waitEntry{}
-						st.waiters = st.waiters[:len(st.waiters)-1]
-						break
-					}
-				}
-				c.done = true
-				c.canceled = true
-				w.Wake()
-			}
-			st.mu.Unlock()
-		case <-stop: //samoa:ignore blocking — watchdog shutdown signal from the waking thread
-		}
-	}()
-	w.Park()
-	close(stop)
-	st.mu.Lock()
-	canceled := c.canceled
-	st.mu.Unlock()
-	if canceled {
-		return ctx.Err()
-	}
-	return nil
+	st.waiters[i] = e
+	return park(ctx, &st.mu, &st.waiters, e)
 }
 
 // bump increments lv by one (rule 4 of VCAbound: a handler execution
@@ -304,26 +232,15 @@ func (st *mpState) advanceLocked(newLv uint64) {
 	st.lv.Store(lv)
 	n := 0
 	for n < len(st.waiters) && st.waiters[n].min <= lv {
-		if c := st.waiters[n].c; c != nil {
-			c.done = true // beat the cancellation watchdog to the entry
-		}
-		st.waiters[n].w.Wake()
+		wake(st.waiters[n])
 		n++
 	}
 	if n > 0 {
 		m := copy(st.waiters, st.waiters[n:])
-		for i := m; i < len(st.waiters); i++ {
-			st.waiters[i] = waitEntry{}
-		}
+		clear(st.waiters[m:])
 		st.waiters = st.waiters[:m]
 	}
 }
-
-// localVersion reports lv (for tests and introspection).
-func (st *mpState) localVersion() uint64 { return st.lv.Load() }
-
-// globalVersion reports gv (for tests and introspection).
-func (st *mpState) globalVersion() uint64 { return st.gv.Load() }
 
 // versionTable owns the dense microprotocol index and the mpState of
 // every microprotocol a controller has seen. Each state is a fully
@@ -364,17 +281,10 @@ func newVersionTable() *versionTable {
 	}
 }
 
-// newBoundVersionTable creates a table whose rule-1 claims advance gv by
-// the spec's declared visit bounds instead of 1 (VCAbound's rule 1).
-func newBoundVersionTable() *versionTable {
-	vt := newVersionTable()
-	vt.useBounds = true
-	return vt
-}
-
-// setBlocker routes every park/wake point through blk. Must be called
-// before the controller admits its first computation.
-func (vt *versionTable) setBlocker(blk sched.Blocker) {
+// SetBlocker implements sched.Schedulable for every VCA* controller:
+// every park/wake point goes through blk. Must be called before the
+// controller admits its first computation.
+func (vt *versionTable) SetBlocker(blk sched.Blocker) {
 	vt.mu.Lock()
 	vt.blk = blk
 	for _, st := range vt.states {
@@ -383,10 +293,11 @@ func (vt *versionTable) setBlocker(blk sched.Blocker) {
 	vt.mu.Unlock()
 }
 
-// spawnStats reports how many spawns were admitted by the lock-free fast
-// path and by the ordered-lock slow path (for tests, benchmarks, and the
-// E11 tables).
-func (vt *versionTable) spawnStats() (fast, slow uint64) {
+// SpawnStats reports how many spawns were admitted by the lock-free fast
+// path and by the ordered-lock slow path (DESIGN.md §11; for tests,
+// benchmarks, and the E11 tables). VCARW spawns always take the slow
+// path.
+func (vt *versionTable) SpawnStats() (fast, slow uint64) {
 	vt.mu.Lock()
 	fast = vt.fastEmpty.Load()
 	for _, st := range vt.states {
@@ -474,46 +385,60 @@ func (vt *versionTable) unclaim(fp *footprint, nodes []relNode, n int) {
 	for j := 0; j < n; j++ {
 		st := fp.states[j]
 		if !st.gv.CompareAndSwap(nodes[j].target, nodes[j].minLv) {
+			st.phantoms.Add(nodes[j].target - nodes[j].minLv)
 			st.request(nodes[j].minLv, nodes[j].target)
 		}
 	}
 }
 
 // claimSlow is the ordered-lock admission path for overlapping
-// footprints: acquire the spawnMu of every declared slot in ascending
-// slot order (deadlock freedom), advance all the gv counters while
-// holding all the locks (two-phase — conflicting spawns' critical
-// sections cannot overlap, so cross-slot version orders cannot cycle),
-// then release. Disjoint spawns that both fall here still proceed in
+// footprints: advance all the gv counters while holding every declared
+// slot's spawnMu (two-phase — conflicting spawns' critical sections
+// cannot overlap, so cross-slot version orders cannot cycle), then
+// release. Disjoint spawns that both fall here still proceed in
 // parallel: they share no slot, hence no lock.
 func (vt *versionTable) claimSlow(fp *footprint, nodes []relNode) error {
-	for _, p := range fp.lockOrder {
-		fp.states[p].spawnMu.Lock()
-	}
-	for _, st := range fp.states {
-		if err := st.gone.Load(); err != nil {
-			for _, p := range fp.lockOrder {
-				fp.states[p].spawnMu.Unlock()
-			}
-			return err
-		}
+	if err := fp.lockSlots(); err != nil {
+		return err
 	}
 	for i, st := range fp.states {
 		g := st.gv.Add(fp.deltas[i])
 		nodes[i] = relNode{minLv: g - fp.deltas[i], target: g}
 	}
-	for _, p := range fp.lockOrder {
-		fp.states[p].spawnMu.Unlock()
-	}
+	fp.unlockSlots()
 	vt.slowSpawns.Add(1)
 	return nil
 }
 
-// installEpoch is the synchronous half of the table's core.Reconfigurer
-// support, run inside Reconfigure right after the new epoch is published.
-// Removed microprotocols stop admitting: their slots get the removal's
-// preallocated rejection error, and the retired map catches specs naming
-// them that the table has never compiled. A replacement continues its
+// lockSlots acquires the spawnMu of every declared slot in ascending
+// slot order (the compiled lockOrder — deadlock freedom), then re-checks
+// the removal markers under the locks, so a claim that loses the race
+// with InstallEpoch cannot slip a new version onto a retiring slot. On a
+// removed slot it releases the locks and returns the removal's error.
+func (fp *footprint) lockSlots() error {
+	for _, p := range fp.lockOrder {
+		fp.states[p].spawnMu.Lock()
+	}
+	for _, st := range fp.states {
+		if err := st.gone.Load(); err != nil {
+			fp.unlockSlots()
+			return err
+		}
+	}
+	return nil
+}
+
+func (fp *footprint) unlockSlots() {
+	for _, p := range fp.lockOrder {
+		fp.states[p].spawnMu.Unlock()
+	}
+}
+
+// InstallEpoch is the synchronous half of core.Reconfigurer for every
+// VCA* controller, run inside Reconfigure right after the new epoch is
+// published. Removed microprotocols stop admitting: their slots get the
+// removal's preallocated rejection error, and the retired map catches
+// specs naming them that the table has never compiled. A replacement continues its
 // predecessor's slot — both microprotocols index the same mpState, so
 // old-epoch computations still holding the old version serialize against
 // new-epoch claims and the two versions may share state across the swap —
@@ -523,7 +448,7 @@ func (vt *versionTable) claimSlow(fp *footprint, nodes []relNode) error {
 // dropped from the cache, so the footprints and lock orders live specs
 // see are always re-derived against the new epoch (a plain addition gets
 // a fresh slot, which starts quiescent: lv == gv == 0).
-func (vt *versionTable) installEpoch(ec core.EpochChange) {
+func (vt *versionTable) InstallEpoch(ec core.EpochChange) {
 	stale := make(map[*core.Microprotocol]bool, len(ec.Removed)+len(ec.Replaced))
 	vt.mu.Lock()
 	if vt.retired == nil && len(ec.Removed)+len(ec.Replaced) > 0 {
@@ -567,7 +492,7 @@ func (vt *versionTable) installEpoch(ec core.EpochChange) {
 	})
 }
 
-// retireEpoch is the asynchronous half, run once the superseded epoch's
+// RetireEpoch is the asynchronous half, run once the superseded epoch's
 // last computation has exited: every removed slot is drained to
 // quiescence (lv == gv — each claim that beat the removal's install has
 // released) before the epoch retires. The stabilization loop re-reads gv
@@ -575,7 +500,7 @@ func (vt *versionTable) installEpoch(ec core.EpochChange) {
 // be missed; gone stops new admissions, so the loop terminates. In
 // practice the wait is already satisfied when retirement fires — the old
 // epoch's computations completed, and completion pushed their releases.
-func (vt *versionTable) retireEpoch(ec core.EpochChange) error {
+func (vt *versionTable) RetireEpoch(ec core.EpochChange) error {
 	for _, mp := range ec.Removed {
 		vt.mu.Lock()
 		var st *mpState
@@ -588,7 +513,7 @@ func (vt *versionTable) retireEpoch(ec core.EpochChange) error {
 		}
 		for st.gone.Load() != nil { // a later epoch re-adding mp ends the drain
 			g := st.gv.Load()
-			st.waitAtLeast(g)
+			st.waitAtLeast(context.TODO(), g) // unbounded: cannot fail
 			if st.gv.Load() == g && st.lv.Load() == g {
 				break
 			}
@@ -630,16 +555,14 @@ func (fp *footprint) pos(mp *core.Microprotocol) int {
 }
 
 // routeInfo is the dense compilation of a RouteGraph: vertices are
-// numbered, edges become index adjacency lists, and each vertex knows the
-// footprint position of its microprotocol. hpos is read-only after
+// numbered, edges become index adjacency lists, and each footprint
+// position knows its microprotocol's vertices. hpos is read-only after
 // compilation, so concurrent lookups need no lock.
 type routeInfo struct {
-	handlers []*core.Handler
-	hpos     map[*core.Handler]int
-	succs    [][]int
-	isRoot   []bool
-	mpOf     []int   // vertex → footprint position of its microprotocol
-	mpVerts  [][]int // footprint position → vertex indices
+	hpos    map[*core.Handler]int
+	succs   [][]int
+	isRoot  []bool
+	mpVerts [][]int // footprint position → vertex indices
 }
 
 // footprint returns (compiling on first use) spec's footprint. A spec
@@ -702,21 +625,17 @@ func (vt *versionTable) compile(spec *core.Spec) (*footprint, error) {
 func compileRoute(g *core.RouteGraph, fp *footprint) *routeInfo {
 	vs := g.Vertices()
 	r := &routeInfo{
-		handlers: vs,
-		hpos:     make(map[*core.Handler]int, len(vs)),
-		succs:    make([][]int, len(vs)),
-		isRoot:   make([]bool, len(vs)),
-		mpOf:     make([]int, len(vs)),
-		mpVerts:  make([][]int, len(fp.mps)),
+		hpos:    make(map[*core.Handler]int, len(vs)),
+		succs:   make([][]int, len(vs)),
+		isRoot:  make([]bool, len(vs)),
+		mpVerts: make([][]int, len(fp.mps)),
 	}
 	for i, h := range vs {
 		r.hpos[h] = i
 	}
 	for i, h := range vs {
 		r.isRoot[i] = g.IsRoot(h)
-		p := fp.pos(h.MP())
-		r.mpOf[i] = p
-		if p >= 0 {
+		if p := fp.pos(h.MP()); p >= 0 {
 			r.mpVerts[p] = append(r.mpVerts[p], i)
 		}
 		for _, succ := range g.Succs(h) {

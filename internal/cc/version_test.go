@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -15,22 +16,22 @@ import (
 
 func TestMPStateBumpAndWait(t *testing.T) {
 	st := newMPState(sched.DefaultBlocker())
-	if st.localVersion() != 0 {
+	if st.lv.Load() != 0 {
 		t.Fatal("initial lv must be 0")
 	}
 	st.bump()
 	st.bump()
-	if st.localVersion() != 2 {
-		t.Fatalf("lv = %d", st.localVersion())
+	if st.lv.Load() != 2 {
+		t.Fatalf("lv = %d", st.lv.Load())
 	}
 	// waitAtLeast returns immediately once the threshold is reached.
-	st.waitAtLeast(2)
+	st.waitAtLeast(context.Background(), 2)
 }
 
 func TestMPStateReleaseImmediate(t *testing.T) {
 	st := newMPState(sched.DefaultBlocker())
 	st.request(0, 3) // lv(0) >= minLv(0): apply now
-	if got := st.localVersion(); got != 3 {
+	if got := st.lv.Load(); got != 3 {
 		t.Fatalf("lv = %d, want 3", got)
 	}
 }
@@ -38,15 +39,15 @@ func TestMPStateReleaseImmediate(t *testing.T) {
 func TestMPStateReleaseDeferredUntilDue(t *testing.T) {
 	st := newMPState(sched.DefaultBlocker())
 	st.request(2, 5) // not due: lv=0 < 2
-	if got := st.localVersion(); got != 0 {
+	if got := st.lv.Load(); got != 0 {
 		t.Fatalf("lv = %d, want 0 (release deferred)", got)
 	}
 	st.bump() // lv=1
-	if got := st.localVersion(); got != 1 {
+	if got := st.lv.Load(); got != 1 {
 		t.Fatalf("lv = %d, want 1", got)
 	}
 	st.bump() // lv=2: the pending release fires, lv jumps to 5
-	if got := st.localVersion(); got != 5 {
+	if got := st.lv.Load(); got != 5 {
 		t.Fatalf("lv = %d, want 5", got)
 	}
 }
@@ -57,11 +58,11 @@ func TestMPStateReleasesApplyInVersionOrder(t *testing.T) {
 	// chain them 0→1→2→3 regardless of request order.
 	st.request(2, 3) // k3
 	st.request(1, 2) // k2
-	if st.localVersion() != 0 {
+	if st.lv.Load() != 0 {
 		t.Fatal("nothing due yet")
 	}
 	st.request(0, 1) // k1: fires and cascades through k2 and k3
-	if got := st.localVersion(); got != 3 {
+	if got := st.lv.Load(); got != 3 {
 		t.Fatalf("lv = %d, want 3 after cascade", got)
 	}
 }
@@ -70,7 +71,7 @@ func TestMPStateNeverDowngrades(t *testing.T) {
 	st := newMPState(sched.DefaultBlocker())
 	st.request(0, 5)
 	st.request(0, 2) // stale target below current lv: must be dropped
-	if got := st.localVersion(); got != 5 {
+	if got := st.lv.Load(); got != 5 {
 		t.Fatalf("lv = %d, want 5 (no downgrade)", got)
 	}
 }
@@ -79,7 +80,7 @@ func TestMPStateWaitWakesOnRelease(t *testing.T) {
 	st := newMPState(sched.DefaultBlocker())
 	done := make(chan struct{})
 	go func() {
-		st.waitAtLeast(4)
+		st.waitAtLeast(context.Background(), 4)
 		close(done)
 	}()
 	st.request(0, 4)
@@ -93,11 +94,11 @@ func TestMPStateTargetedWakeup(t *testing.T) {
 	low := make(chan struct{})
 	high := make(chan struct{})
 	go func() {
-		st.waitAtLeast(1)
+		st.waitAtLeast(context.Background(), 1)
 		close(low)
 	}()
 	go func() {
-		st.waitAtLeast(10)
+		st.waitAtLeast(context.Background(), 10)
 		close(high)
 	}()
 	// Wait until both goroutines are actually parked.
@@ -129,7 +130,7 @@ func TestMPStateNoChangeNoSignal(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		close(parked)
-		st.waitAtLeast(5)
+		st.waitAtLeast(context.Background(), 5)
 		close(done)
 	}()
 	<-parked
@@ -172,7 +173,7 @@ func TestMPStateCascadeProperty(t *testing.T) {
 		for _, i := range order {
 			st.request(uint64(i), uint64(i+1))
 		}
-		return st.localVersion() == uint64(n)
+		return st.lv.Load() == uint64(n)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -199,7 +200,7 @@ func TestMPStateConcurrentBumpers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := st.localVersion(); got != 800 {
+	if got := st.lv.Load(); got != 800 {
 		t.Fatalf("lv = %d, want 800", got)
 	}
 }
@@ -287,7 +288,7 @@ func TestClaimFastOnQuiescentSlots(t *testing.T) {
 			t.Fatalf("slot %d gv = %d, want 1", i, got)
 		}
 	}
-	if fast, slow := vt.spawnStats(); fast != 1 || slow != 0 {
+	if fast, slow := vt.SpawnStats(); fast != 1 || slow != 0 {
 		t.Fatalf("stats fast=%d slow=%d, want 1/0", fast, slow)
 	}
 }
@@ -306,7 +307,7 @@ func TestClaimFallsBackWhenInFlight(t *testing.T) {
 			t.Fatalf("n2[%d] = %+v, want {1 2} (ordered after n1)", i, n2[i])
 		}
 	}
-	if fast, slow := vt.spawnStats(); fast != 1 || slow != 1 {
+	if fast, slow := vt.SpawnStats(); fast != 1 || slow != 1 {
 		t.Fatalf("stats fast=%d slow=%d, want 1/1", fast, slow)
 	}
 	// Releasing both restores quiescence; the next claim is fast again.
@@ -318,7 +319,7 @@ func TestClaimFallsBackWhenInFlight(t *testing.T) {
 	}
 	n3 := make([]relNode, 2)
 	mustClaim(t, vt, fp, n3)
-	if fast, slow := vt.spawnStats(); fast != 2 || slow != 1 {
+	if fast, slow := vt.SpawnStats(); fast != 2 || slow != 1 {
 		t.Fatalf("stats fast=%d slow=%d, want 2/1", fast, slow)
 	}
 	if n3[0].target != 3 {
@@ -363,6 +364,9 @@ func TestUnclaimPhantomWhenBuiltUpon(t *testing.T) {
 	if gv, lv := st.gv.Load(), st.lv.Load(); gv != 2 || lv != 1 {
 		t.Fatalf("after phantom: gv=%d lv=%d, want 2/1", gv, lv)
 	}
+	if ph := st.phantoms.Load(); ph != 1 {
+		t.Fatalf("phantom versions = %d, want 1", ph)
+	}
 	// The stacked claim's own release then quiesces the slot.
 	st.request(1, 2)
 	if gv, lv := st.gv.Load(), st.lv.Load(); gv != 2 || lv != 2 {
@@ -386,7 +390,7 @@ func TestInstallEpochStopsAdmission(t *testing.T) {
 	held := make([]relNode, 2)
 	mustClaim(t, vt, fp, held) // in flight across the removal
 
-	vt.installEpoch(core.EpochChange{Epoch: 2, Removed: []*core.Microprotocol{q}})
+	vt.InstallEpoch(core.EpochChange{Epoch: 2, Removed: []*core.Microprotocol{q}})
 
 	var re *core.ReconfiguredError
 	nodes := make([]relNode, 2)
@@ -413,7 +417,7 @@ func TestInstallEpochStopsAdmission(t *testing.T) {
 	for i := range held {
 		fp.states[i].requestNode(&held[i])
 	}
-	if err := vt.retireEpoch(core.EpochChange{Epoch: 2, Removed: []*core.Microprotocol{q}}); err != nil {
+	if err := vt.RetireEpoch(core.EpochChange{Epoch: 2, Removed: []*core.Microprotocol{q}}); err != nil {
 		t.Fatalf("retireEpoch: %v", err)
 	}
 	st := fp.states[1]
@@ -436,11 +440,11 @@ func TestInstallEpochReAddResumes(t *testing.T) {
 	mustClaim(t, vt, fp, n1)
 	fp.states[0].requestNode(&n1[0])
 
-	vt.installEpoch(core.EpochChange{Epoch: 2, Removed: []*core.Microprotocol{p}})
+	vt.InstallEpoch(core.EpochChange{Epoch: 2, Removed: []*core.Microprotocol{p}})
 	if err := vt.claim(fp, n1); err == nil {
 		t.Fatal("claim on removed slot must fail")
 	}
-	vt.installEpoch(core.EpochChange{Epoch: 3, Added: []*core.Microprotocol{p}})
+	vt.InstallEpoch(core.EpochChange{Epoch: 3, Added: []*core.Microprotocol{p}})
 
 	fp2 := mustFootprint(t, vt, core.Access(p))
 	n2 := make([]relNode, 1)
@@ -465,7 +469,7 @@ func TestInstallEpochReplaceContinuesSlot(t *testing.T) {
 
 	p2 := core.NewMicroprotocol("p2")
 	ec := core.EpochChange{Epoch: 2, Replaced: []core.ReplacedMP{{Old: p, New: p2}}}
-	vt.installEpoch(ec)
+	vt.InstallEpoch(ec)
 
 	// Specs naming the old identity are rejected at (re)compile: the
 	// swap invalidated the cached footprint, and the retired map catches
@@ -492,12 +496,12 @@ func TestInstallEpochReplaceContinuesSlot(t *testing.T) {
 	}
 	// No drain owed: the slot lives on under the new identity even while
 	// both claims are still outstanding.
-	if err := vt.retireEpoch(ec); err != nil {
+	if err := vt.RetireEpoch(ec); err != nil {
 		t.Fatalf("retireEpoch: %v", err)
 	}
 	fp.states[0].requestNode(&n1[0])
 	fp2.states[0].requestNode(&n2[0])
-	if lv, gv := fp2.states[0].localVersion(), fp2.states[0].gv.Load(); lv != 2 || gv != 2 {
+	if lv, gv := fp2.states[0].lv.Load(), fp2.states[0].gv.Load(); lv != 2 || gv != 2 {
 		t.Fatalf("slot lv/gv = %d/%d after releases, want 2/2", lv, gv)
 	}
 }
@@ -514,12 +518,12 @@ func TestDrainBatchesGroupCommit(t *testing.T) {
 	st.request(2, 3)
 	st.request(0, 1)
 	st.request(1, 2)
-	if got := st.localVersion(); got != 0 {
+	if got := st.lv.Load(); got != 0 {
 		t.Fatalf("lv = %d while drain flag held elsewhere, want 0", got)
 	}
 	st.draining.Store(0)
 	st.drain() // the whole batch folds in one group commit
-	if got := st.localVersion(); got != 3 {
+	if got := st.lv.Load(); got != 3 {
 		t.Fatalf("lv = %d after batch drain, want 3", got)
 	}
 	if st.relq.Load() != nil {

@@ -188,7 +188,7 @@ func (c *WaitDie) Enter(ctx context.Context, t core.Token, _, h *core.Handler) e
 				c.waiters[mp] = w
 			}
 			w[tok] = true
-			if err := c.note.waitLockedCtx(&c.mu, ctx); err != nil {
+			if err := c.note.waitLocked(ctx, &c.mu); err != nil {
 				if c.locks[mp] == tok {
 					// A release granted us the lock while we were parked;
 					// hand it on rather than strand it.
@@ -286,7 +286,7 @@ func (c *WaitDie) PrepareRetry(t core.Token) (core.Token, bool) {
 			if h == nil || h.ts >= tok.ts {
 				break
 			}
-			c.note.waitLocked(&c.mu)
+			c.note.waitLocked(context.TODO(), &c.mu) // unbounded: cannot fail
 		}
 	}
 	c.mu.Unlock()
