@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet samoa-vet test race race-contend socket-tests node-demo bench bench-core bench-gate bench-pair eval eval-quick eval-json fuzz fuzz-smoke explore explore-deep chaos chaos-deep chaos-swap chaos-swap-deep chaos-net chaos-net-deep examples clean
+.PHONY: all build vet samoa-vet test race race-contend socket-tests node-demo bench bench-core bench-gate bench-pair bench-ledger eval eval-quick eval-json fuzz fuzz-smoke explore explore-deep chaos chaos-deep chaos-swap chaos-swap-deep chaos-net chaos-net-deep examples clean
 
 all: build vet samoa-vet test
 
@@ -24,9 +24,11 @@ samoa-vet:
 test:
 	$(GO) test ./...
 
-# Full suite under the race detector (slower; what CI should run).
+# Full suite under the race detector (slower; what CI should run), then
+# the site pump's worker-reuse and stop-while-blocked tests five times.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 -run 'TestPumpReusesWorkers|TestStopWithHandOffBlocked' ./internal/gc
 
 # Short-form contention suite (DESIGN.md §11) under the race detector:
 # the sharded-admission race/differential tests and the cancellable-wait
@@ -39,11 +41,13 @@ race-contend:
 # Real-socket substrate (DESIGN.md §12) under the race detector: the
 # backend-agnostic transport conformance suite against simnet AND udpnet,
 # the udpnet framing/crash/restart tests, the kvstore cluster over real
-# loopback sockets, and the 3-process samoa-node integration test.
+# loopback sockets, the 3-process samoa-node integration test, and the
+# site pump's worker-reuse and stop-while-blocked tests (five runs each).
 # Tests skip (with a reason) where loopback UDP is unavailable.
 socket-tests:
 	$(GO) test -race -count=1 ./internal/transport/... ./cmd/samoa-node
 	$(GO) test -race -count=1 -run UDPCluster ./internal/kvstore
+	$(GO) test -race -count=5 -run 'TestPumpReusesWorkers|TestStopWithHandOffBlocked' ./internal/gc
 
 # 3-process replicated-KV demo on loopback: boots three samoa-node
 # processes on fixed ports and drives them with the built-in client.
@@ -70,6 +74,12 @@ bench-gate:
 #   make bench-pair W=kv_write_udp [PAIRS=10] [BASE=HEAD~1]
 bench-pair:
 	bash scripts/bench-pair.sh $(W) $(PAIRS)
+
+# The per-layer ledger of one workload, parent beside change: one traced
+# run per side, every per-layer metric as parent / change / Δ %:
+#   make bench-ledger W=kv_write_sim [BASE=HEAD~1] [SEED=1]
+bench-ledger:
+	bash scripts/bench-ledger.sh $(W)
 
 # The evaluation tables of EXPERIMENTS.md.
 eval:

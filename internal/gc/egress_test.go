@@ -49,14 +49,10 @@ func (e tapEndpoint) Recv() (transport.Datagram, bool) {
 
 // specTracer counts the computations spawned under each spec.
 type specTracer struct {
+	nopTracer
 	mu     sync.Mutex
 	spawns map[*core.Spec]int
 }
-
-func (*specTracer) HandlerStart(uint64, uint64, *core.EventType, *core.Handler) {}
-func (*specTracer) HandlerEnd(uint64, uint64, *core.Handler)                    {}
-func (*specTracer) Completed(uint64)                                            {}
-func (*specTracer) Aborted(uint64)                                              {}
 
 func (tr *specTracer) Spawned(_ uint64, spec *core.Spec) {
 	tr.mu.Lock()

@@ -76,8 +76,8 @@ type Config struct {
 	// (default 6×FDInterval).
 	FDInterval   time.Duration
 	SuspectAfter time.Duration
-	// PumpWorkers caps concurrently processed incoming datagrams
-	// (default 32).
+	// PumpWorkers is how many long-lived workers Start launches to run
+	// incoming datagrams' computations: the cap on them at once (default 32).
 	PumpWorkers int
 	// Tracer, if set, observes the site's stack.
 	Tracer core.Tracer
@@ -109,6 +109,13 @@ const (
 	entInject
 	numEntries
 )
+
+// inbound is one classified datagram on its way from the pump to a worker.
+type inbound struct {
+	e  entry
+	et *core.EventType
+	d  transport.Datagram
+}
 
 // specSet holds one pre-built Spec per entry point, for one configuration
 // epoch of the stack: the specs name that epoch's microprotocols.
@@ -149,7 +156,7 @@ type Site struct {
 
 	quit     chan struct{}
 	stopOnce sync.Once
-	sem      chan struct{}
+	in       chan inbound // pump → workers; unbuffered, closed by the pump
 	wg       sync.WaitGroup
 
 	pumpRetries atomic.Uint64 // Recv-not-ok wakeups while the transport is down
@@ -196,7 +203,7 @@ func NewSite(cfg Config) *Site {
 		ev:   newEvents(),
 		node: cfg.Net.Endpoint(cfg.ID),
 		quit: make(chan struct{}),
-		sem:  make(chan struct{}, cfg.PumpWorkers),
+		in:   make(chan inbound),
 	}
 	opts := []core.StackOption{core.WithName("site")}
 	if cfg.Tracer != nil {
@@ -452,14 +459,17 @@ func (s *Site) maybeUpgrade(proto uint16) {
 	s.appVer.Store(uint32(proto))
 }
 
-// Start launches the receive pump and the timer loops (none in Passive
-// mode).
+// Start launches the receive pump, its PumpWorkers workers and the timer
+// loops (none in Passive mode).
 func (s *Site) Start() {
 	if s.cfg.Passive {
 		return
 	}
-	s.wg.Add(1)
+	s.wg.Add(1 + s.cfg.PumpWorkers)
 	go s.pump()
+	for i := 0; i < s.cfg.PumpWorkers; i++ {
+		go s.work()
+	}
 	if s.cfg.FDInterval > 0 {
 		s.startTicker(s.cfg.FDInterval, entFDTick, s.ev.FDTick)
 	}
@@ -479,33 +489,29 @@ func (s *Site) Stop() {
 	s.record(s.stack.Close())
 }
 
-// pump turns every incoming datagram into one isolated computation,
-// classifying it (beat, ack-only, or anything with a data frame) so that
-// heartbeats and acks get their narrow specs.
+// pump classifies every incoming datagram (beat, ack-only, or anything
+// with a data frame, so heartbeats and acks get their narrow specs) and
+// hands it to a worker, blocking while all are busy; returning closes s.in.
 func (s *Site) pump() {
 	defer s.wg.Done()
-	const maxBackoff = 250 * time.Millisecond
+	defer close(s.in)
 	backoff := time.Millisecond
 	for {
 		d, ok := s.node.Recv()
 		if !ok {
-			// The node's current incarnation crashed or the transport
-			// closed. A transport-level Restart installs a fresh
-			// incarnation that the same Endpoint reads from, so keep
-			// the pump alive until the site itself stops — the stack
-			// survives the network blinking (crash-recovery model) and
-			// RelComm's retransmission refills what the outage lost.
-			// Retries back off exponentially (capped) so a long outage
-			// idles instead of burning CPU on a 1ms poll.
+			// The node's incarnation crashed or the transport closed. A
+			// transport Restart installs a fresh incarnation behind the
+			// same Endpoint, so the pump lives until the site stops
+			// (crash-recovery; RelComm's retransmission refills what the
+			// outage lost), backing off exponentially, capped, so a long
+			// outage idles instead of burning CPU on a 1ms poll.
 			s.pumpRetries.Add(1)
 			select {
 			case <-s.quit:
 				return
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
+			backoff = min(2*backoff, 250*time.Millisecond)
 			continue
 		}
 		backoff = time.Millisecond
@@ -520,44 +526,38 @@ func (s *Site) pump() {
 			e = entAck
 		}
 		select {
-		case s.sem <- struct{}{}:
+		case s.in <- inbound{e, et, d}:
 		case <-s.quit:
 			return
 		}
-		s.wg.Add(1)
-		go func(d transport.Datagram) {
-			defer s.wg.Done()
-			defer func() { <-s.sem }()
-			s.record(s.run(e, et, d))
-		}(d)
 	}
 }
 
-// startTicker runs a skip-if-busy periodic computation.
+// work runs the computations of the datagrams the pump hands it until s.in
+// closes, its only stop signal. Living as long as the site, it runs each
+// deep synchronous cascade on an already-grown stack (DESIGN.md §12.1).
+func (s *Site) work() {
+	defer s.wg.Done()
+	for in := range s.in {
+		s.record(s.run(in.e, in.et, in.d))
+	}
+}
+
+// startTicker runs a periodic computation on the ticker goroutine itself;
+// time.Ticker holds at most one tick during a run and drops the rest.
 func (s *Site) startTicker(period time.Duration, e entry, et *core.EventType) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		t := time.NewTicker(period)
 		defer t.Stop()
-		busy := make(chan struct{}, 1)
 		for {
 			select {
 			case <-s.quit:
 				return
 			case <-t.C:
 			}
-			select {
-			case busy <- struct{}{}:
-			default:
-				continue // previous tick still running
-			}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer func() { <-busy }()
-				s.record(s.run(e, et, nil))
-			}()
+			s.record(s.run(e, et, nil))
 		}
 	}()
 }

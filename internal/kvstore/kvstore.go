@@ -211,10 +211,14 @@ func (s *Store) submit(kind uint8, key, val, old string) (bool, error) {
 		s.wmu.Unlock()
 		return false, err
 	}
+	// A stopped timer leaves the runtime's heap at once; time.After's
+	// would stay there for the whole timeout after every acked op.
+	t := time.NewTimer(s.timeout)
+	defer t.Stop()
 	select {
 	case ok := <-ch:
 		return ok, nil
-	case <-time.After(s.timeout):
+	case <-t.C:
 		s.wmu.Lock()
 		delete(s.waiters, seq)
 		s.wmu.Unlock()
