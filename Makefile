@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet samoa-vet test race race-contend socket-tests node-demo bench bench-core bench-gate bench-pair bench-ledger eval eval-quick eval-json fuzz fuzz-smoke explore explore-deep chaos chaos-deep chaos-swap chaos-swap-deep chaos-net chaos-net-deep examples clean
+.PHONY: all build vet samoa-vet test race race-contend socket-tests node-demo bench bench-core bench-gate bench-pair bench-ledger eval eval-quick eval-json fuzz fuzz-smoke explore chaos chaos-swap chaos-net examples clean
 
 all: build vet samoa-vet test
 
@@ -108,26 +108,29 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzChecker -fuzztime 30s
 	$(GO) test ./internal/transport/udpnet -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s
 
+# DEEP=1 turns explore and the chaos targets into their nightly sweeps:
+# CHAOS_DEEP/EXPLORE_DEEP raise the seed count and search budget, the
+# sweep gets 30 minutes, and the swap and network storms run under -race.
+ifeq ($(DEEP),1)
+DEEP_ENV := CHAOS_DEEP=1 EXPLORE_DEEP=1
+DEEP_FLAGS := -timeout 30m
+DEEP_RACE := -race
+endif
+
 # Deterministic schedule exploration (internal/sched). `explore` is the
 # quick pass: random walk + PCT + shallow DFS over every isolating
-# controller, plus the None negative control. `explore-deep` is the
+# controller, plus the None negative control. With DEEP=1 it adds the
 # nightly-CI search: bounded DFS with a much larger depth and run budget.
 explore:
-	$(GO) test ./internal/cctest -run 'TestExplore' -v
-
-explore-deep:
-	EXPLORE_DEEP=1 $(GO) test ./internal/cctest -run TestExploreDeep -v -timeout 30m
+	$(DEEP_ENV) $(GO) test ./internal/cctest -run 'TestExplore' -v $(DEEP_FLAGS)
 
 # Chaos-injection harness (internal/chaos, DESIGN.md §10): randomized
 # panics, delays and deadlines against every isolating controller, then
 # probe for wedges, leaked version slots and isolation violations.
-# `chaos` is the per-push smoke run; `chaos-deep` sweeps many more seeds.
+# `chaos` is the per-push smoke run; DEEP=1 sweeps many more seeds.
 # Reproduce one failure with CHAOS_SEED=<n> make chaos.
 chaos:
-	$(GO) test ./internal/chaos -run TestChaos -count=1 -v
-
-chaos-deep:
-	CHAOS_DEEP=1 $(GO) test ./internal/chaos -run TestChaos -count=1 -v -timeout 30m
+	$(DEEP_ENV) $(GO) test ./internal/chaos -run TestChaos -count=1 -v $(DEEP_FLAGS)
 
 # Swap storms (internal/chaos swap.go, DESIGN.md §15): live
 # reconfigurations raced against in-flight computations, injected faults
@@ -135,13 +138,10 @@ chaos-deep:
 # epoch-drain ledger (every swap commits, superseded epochs retire with
 # balanced lifecycles, no dispatch into dead epochs, zero acked-write
 # loss across the version-chain handoff). `chaos-swap` is the per-push
-# 10-seed battery; `chaos-swap-deep` sweeps 40 seeds under -race.
+# 10-seed battery; DEEP=1 sweeps 40 seeds under -race.
 # Reproduce one failure with CHAOS_SEED=<n> make chaos-swap.
 chaos-swap:
-	$(GO) test ./internal/chaos -run TestSwapStorm -count=1 -v
-
-chaos-swap-deep:
-	CHAOS_DEEP=1 $(GO) test -race ./internal/chaos -run TestSwapStorm -count=1 -v -timeout 30m
+	$(DEEP_ENV) $(GO) test $(DEEP_RACE) ./internal/chaos -run TestSwapStorm -count=1 -v $(DEEP_FLAGS)
 
 # Distributed chaos (internal/chaos dchaos, DESIGN.md §13): seeded storms
 # of transport crash/restarts, majority-preserving partitions and message
@@ -149,13 +149,10 @@ chaos-swap-deep:
 # AND real UDP sockets, checked against distributed invariants (post-heal
 # convergence, no acked-write loss, no split-brain, wedge probes, clean
 # drain). `chaos-net` is the per-push smoke run (3 seeds per backend);
-# `chaos-net-deep` sweeps the 20-seed acceptance battery under -race.
+# DEEP=1 sweeps the 20-seed acceptance battery under -race.
 # Reproduce one failure with CHAOS_SEED=<n> make chaos-net.
 chaos-net:
-	$(GO) test ./internal/chaos -run TestDistributedStorm -count=1 -v
-
-chaos-net-deep:
-	CHAOS_DEEP=1 $(GO) test -race ./internal/chaos -run TestDistributedStorm -count=1 -v -timeout 30m
+	$(DEEP_ENV) $(GO) test $(DEEP_RACE) ./internal/chaos -run TestDistributedStorm -count=1 -v $(DEEP_FLAGS)
 
 examples:
 	$(GO) run ./examples/quickstart

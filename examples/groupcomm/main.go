@@ -12,15 +12,17 @@ import (
 
 	"repro/internal/gc"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
 func main() {
-	net := simnet.New(simnet.Config{
-		Nodes:    4,
-		MinDelay: 200 * time.Microsecond,
-		MaxDelay: 2 * time.Millisecond,
-		LossProb: 0.05, // retransmission earns its keep
-		Seed:     2026,
+	net := faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: 4}),
+		Seed:  2026,
+		Rates: faultnet.Rates{
+			Drop:  0.05, // retransmission earns its keep
+			Delay: 1, DelayMin: 200 * time.Microsecond, DelayMax: 2 * time.Millisecond,
+		},
 	})
 	defer net.Close()
 

@@ -17,15 +17,14 @@ import (
 	"repro/internal/gc"
 	"repro/internal/kvstore"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
 func main() {
-	net := simnet.New(simnet.Config{
-		Nodes:    3,
-		MinDelay: 100 * time.Microsecond,
-		MaxDelay: 1500 * time.Microsecond,
-		LossProb: 0.03,
-		Seed:     2026,
+	net := faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: 3}),
+		Seed:  2026,
+		Rates: faultnet.Rates{Drop: 0.03, Delay: 1, DelayMin: 100 * time.Microsecond, DelayMax: 1500 * time.Microsecond},
 	})
 	defer net.Close()
 

@@ -18,18 +18,19 @@ import (
 
 	"repro/internal/ctp"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
 const msgs = 40
 
 func run(name string, reliable, ordered, checksummed bool) {
-	net := simnet.New(simnet.Config{
-		Nodes:       2,
-		MinDelay:    100 * time.Microsecond,
-		MaxDelay:    3 * time.Millisecond, // heavy reordering
-		LossProb:    0.20,
-		CorruptProb: 0.10,
-		Seed:        2026,
+	net := faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: 2}),
+		Seed:  2026,
+		Rates: faultnet.Rates{
+			Drop: 0.20, Corrupt: 0.10,
+			Delay: 1, DelayMin: 100 * time.Microsecond, DelayMax: 3 * time.Millisecond, // heavy reordering
+		},
 	})
 	defer net.Close()
 

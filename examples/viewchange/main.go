@@ -25,7 +25,7 @@ import (
 )
 
 func run(name string, ctrl core.Controller) {
-	net := simnet.New(simnet.Config{Nodes: 3, Seed: 7})
+	net := simnet.New(simnet.Config{Nodes: 3})
 	defer net.Close()
 
 	inWindow := make(chan struct{}, 1)
@@ -99,7 +99,7 @@ func run(name string, ctrl core.Controller) {
 // epoch per site, in-flight computations finishing on the old one — and
 // not a single delivery is lost or reordered.
 func runUpgrade() {
-	net := simnet.New(simnet.Config{Nodes: 3, Seed: 7})
+	net := simnet.New(simnet.Config{Nodes: 3})
 	defer net.Close()
 
 	view := gc.NewView(0, 1, 2)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gc"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
 // Cluster is the E4 fixture: an n-site group-communication stack on a
@@ -16,7 +17,7 @@ import (
 // Broadcast protocol ... and executed it on distributed machines ... with
 // a different grain of concurrent execution among computations".
 type Cluster struct {
-	Net    *simnet.Network
+	Net    *faultnet.Net
 	Sites  []*gc.Site
 	nDeliv atomic.Int64
 }
@@ -36,11 +37,10 @@ func kindOf(kind string) gc.SpecKind {
 // NewCluster starts n sites under the variant's controller.
 func NewCluster(v Variant, n int, seed int64) *Cluster {
 	c := &Cluster{}
-	c.Net = simnet.New(simnet.Config{
-		Nodes:    n,
-		MinDelay: 20 * time.Microsecond,
-		MaxDelay: 200 * time.Microsecond,
-		Seed:     seed,
+	c.Net = faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: n}),
+		Seed:  seed,
+		Rates: faultnet.Rates{Delay: 1, DelayMin: 20 * time.Microsecond, DelayMax: 200 * time.Microsecond},
 	})
 	ids := make([]simnet.NodeID, n)
 	for i := range ids {

@@ -20,7 +20,7 @@ type E6Result struct {
 // hook — in the window where RelCast has the new view and RelComm still
 // has the old one. Returns whether C eventually received the message.
 func RunE6Race(v Variant) E6Result {
-	net := simnet.New(simnet.Config{Nodes: 3, Seed: 61})
+	net := simnet.New(simnet.Config{Nodes: 3})
 	defer net.Close()
 
 	inWindow := make(chan struct{}, 1)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ctp"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
 // Transport is the E9 fixture: one ctp connection under a chosen layer
@@ -16,7 +17,7 @@ import (
 // protocol system — the configurable transport in the Cactus/CTP
 // tradition the paper builds on.
 type Transport struct {
-	net      *simnet.Network
+	net      *faultnet.Net
 	a, b     *ctp.Endpoint
 	reliable bool
 	got      atomic.Int64
@@ -45,13 +46,13 @@ func TransportShapes() []TransportShape {
 // NewTransport builds the fixture.
 func NewTransport(v Variant, shape TransportShape, seed int64) (*Transport, error) {
 	tr := &Transport{reliable: shape.Reliable}
-	tr.net = simnet.New(simnet.Config{
-		Nodes:       2,
-		MinDelay:    20 * time.Microsecond,
-		MaxDelay:    200 * time.Microsecond,
-		LossProb:    shape.Loss,
-		CorruptProb: shape.Corrupt,
-		Seed:        seed,
+	tr.net = faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: 2}),
+		Seed:  seed,
+		Rates: faultnet.Rates{
+			Drop: shape.Loss, Corrupt: shape.Corrupt,
+			Delay: 1, DelayMin: 20 * time.Microsecond, DelayMax: 200 * time.Microsecond,
+		},
 	})
 	kind := ctp.SpecBasic
 	switch v.Kind {

@@ -151,11 +151,11 @@ func TestExploreNoneFindsViolation(t *testing.T) {
 
 // TestExploreDeep is the long-exploration job: bounded DFS with a much
 // larger branching depth and run budget over every isolating controller.
-// Gated behind EXPLORE_DEEP=1 (make explore-deep, and the scheduled CI
+// Gated behind EXPLORE_DEEP=1 (make explore DEEP=1, and the scheduled CI
 // job) — it is minutes of work, not unit-test time.
 func TestExploreDeep(t *testing.T) {
 	if os.Getenv("EXPLORE_DEEP") == "" {
-		t.Skip("set EXPLORE_DEEP=1 (or run make explore-deep) for the long DFS exploration")
+		t.Skip("set EXPLORE_DEEP=1 (or run make explore DEEP=1) for the long DFS exploration")
 	}
 	for _, tgt := range exploreTargets() {
 		tgt := tgt

@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/gc"
@@ -150,11 +150,7 @@ type fabric struct {
 func newFabric(backend string, sites int, seed int64) (*fabric, error) {
 	switch backend {
 	case "", "simnet":
-		inner := simnet.New(simnet.Config{
-			Nodes: sites, Seed: seed,
-			MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-		})
-		fn := faultnet.New(faultnet.Config{Inner: inner, Seed: seed})
+		fn := faultnet.New(faultnet.Config{Inner: simnet.New(simnet.Config{Nodes: sites}), Seed: seed})
 		return &fabric{
 			site:     func(transport.NodeID) transport.Transport { return fn },
 			wrappers: []*faultnet.Net{fn},
@@ -452,8 +448,8 @@ func DRun(cfg DConfig) (*DReport, error) {
 			}
 		}
 	}
-	sort.Strings(rep.LostWrites)
-	rep.LostWrites = dedupStrings(rep.LostWrites)
+	slices.Sort(rep.LostWrites)
+	rep.LostWrites = slices.Compact(rep.LostWrites)
 	for _, s := range stores {
 		rep.FinalViews = append(rep.FinalViews, s.Site().View().String())
 	}
@@ -489,19 +485,6 @@ func DRun(cfg DConfig) (*DReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-func dedupStrings(xs []string) []string {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // Backends lists the substrates DRun accepts, for battery tests.

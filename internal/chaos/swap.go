@@ -22,7 +22,10 @@
 // Computations caught compiling a footprint against a just-replaced
 // microprotocol see *core.ReconfiguredError; the harness retries them
 // against the current identity table, mirroring how a protocol stack
-// re-resolves its specs after an upgrade (gc.Site.spawnRetry).
+// re-resolves its specs after an upgrade: gc.Site keeps one spec set per
+// configuration epoch, and a computation refused with a
+// ReconfiguredError (or pinned to another epoch than its set) runs again
+// under the set the upgrade republished (gc.Site.spawn).
 package chaos
 
 import (

@@ -14,22 +14,23 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctp"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
-// pair builds two connected endpoints over one simnet with mirrored
-// configs, recording B's deliveries.
+// pair builds two connected endpoints over one faultnet-wrapped simnet
+// with mirrored configs, recording B's deliveries.
 type pair struct {
 	t     *testing.T
-	net   *simnet.Network
+	net   *faultnet.Net
 	a, b  *ctp.Endpoint
 	mu    sync.Mutex
 	deliv [][]byte
 }
 
-func newPair(t *testing.T, netCfg simnet.Config, mutate func(*ctp.Config)) *pair {
+// newPair links the endpoints with faults r, seeded by seed.
+func newPair(t *testing.T, seed int64, r faultnet.Rates, mutate func(*ctp.Config)) *pair {
 	t.Helper()
-	netCfg.Nodes = 2
-	p := &pair{t: t, net: simnet.New(netCfg)}
+	p := &pair{t: t, net: faultnet.New(faultnet.Config{Inner: simnet.New(simnet.Config{Nodes: 2}), Seed: seed, Rates: r})}
 	mk := func(id, peer simnet.NodeID, deliver func([]byte)) *ctp.Endpoint {
 		cfg := ctp.Config{
 			Net: p.net, ID: id, Peer: peer,
@@ -88,7 +89,7 @@ func (p *pair) waitDelivered(n int) {
 }
 
 func TestCleanLinkSmallMessages(t *testing.T) {
-	p := newPair(t, simnet.Config{Seed: 1}, nil)
+	p := newPair(t, 1, faultnet.Rates{}, nil)
 	for i := 0; i < 5; i++ {
 		if err := p.a.Send([]byte(fmt.Sprintf("msg-%d", i))); err != nil {
 			t.Fatal(err)
@@ -103,7 +104,7 @@ func TestCleanLinkSmallMessages(t *testing.T) {
 }
 
 func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
-	p := newPair(t, simnet.Config{Seed: 2}, nil)
+	p := newPair(t, 2, faultnet.Rates{}, nil)
 	big := make([]byte, 10_000) // 157 fragments at MSS 64
 	for i := range big {
 		big[i] = byte(i * 31)
@@ -118,7 +119,7 @@ func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
 }
 
 func TestEmptyMessage(t *testing.T) {
-	p := newPair(t, simnet.Config{Seed: 3}, nil)
+	p := newPair(t, 3, faultnet.Rates{}, nil)
 	if err := p.a.Send(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +130,8 @@ func TestEmptyMessage(t *testing.T) {
 }
 
 func TestLossyLinkReliableOrdered(t *testing.T) {
-	p := newPair(t, simnet.Config{
-		Seed: 4, LossProb: 0.25,
-		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
+	p := newPair(t, 4, faultnet.Rates{
+		Drop: 0.25, Delay: 1, DelayMin: 50 * time.Microsecond, DelayMax: 500 * time.Microsecond,
 	}, nil)
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -151,9 +151,8 @@ func TestLossyLinkReliableOrdered(t *testing.T) {
 }
 
 func TestCorruptedLinkChecksumRepairs(t *testing.T) {
-	p := newPair(t, simnet.Config{
-		Seed: 5, CorruptProb: 0.25,
-		MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond,
+	p := newPair(t, 5, faultnet.Rates{
+		Corrupt: 0.25, Delay: 1, DelayMin: 50 * time.Microsecond, DelayMax: 300 * time.Microsecond,
 	}, nil)
 	const n = 15
 	want := make([][]byte, n)
@@ -175,7 +174,7 @@ func TestCorruptedLinkChecksumRepairs(t *testing.T) {
 }
 
 func TestUnreliableCompositionDropsAreSilent(t *testing.T) {
-	p := newPair(t, simnet.Config{Seed: 6, LossProb: 0.5}, func(cfg *ctp.Config) {
+	p := newPair(t, 6, faultnet.Rates{Drop: 0.5}, func(cfg *ctp.Config) {
 		cfg.Reliable = false
 		cfg.Ordered = false
 		cfg.Checksummed = false
@@ -200,7 +199,7 @@ func TestUnreliableCompositionDropsAreSilent(t *testing.T) {
 // peer that never acks are eventually abandoned with a typed connection
 // failure instead of retransmitting forever.
 func TestDeadPeerSurfacesConnFailure(t *testing.T) {
-	net := simnet.New(simnet.Config{Nodes: 2, Seed: 10})
+	net := simnet.New(simnet.Config{Nodes: 2})
 	defer net.Close()
 	e, err := ctp.NewEndpoint(ctp.Config{
 		Net: net, ID: 0, Peer: 1,
@@ -246,7 +245,7 @@ func TestDeadPeerSurfacesConnFailure(t *testing.T) {
 }
 
 func TestOrderedRequiresReliable(t *testing.T) {
-	net := simnet.New(simnet.Config{Nodes: 2, Seed: 7})
+	net := simnet.New(simnet.Config{Nodes: 2})
 	defer net.Close()
 	_, err := ctp.NewEndpoint(ctp.Config{Net: net, ID: 0, Peer: 1, Ordered: true})
 	if err == nil {
@@ -257,7 +256,7 @@ func TestOrderedRequiresReliable(t *testing.T) {
 func TestBidirectionalTraffic(t *testing.T) {
 	var mu sync.Mutex
 	var aGot [][]byte
-	net := simnet.New(simnet.Config{Nodes: 2, Seed: 8, LossProb: 0.1})
+	net := faultnet.New(faultnet.Config{Inner: simnet.New(simnet.Config{Nodes: 2}), Seed: 8, Rates: faultnet.Rates{Drop: 0.1}})
 	defer net.Close()
 	mk := func(id, peer simnet.NodeID, deliver func([]byte)) *ctp.Endpoint {
 		e, err := ctp.NewEndpoint(ctp.Config{
@@ -317,7 +316,7 @@ func TestAllControllerSpecCombos(t *testing.T) {
 	for _, combo := range combos {
 		combo := combo
 		t.Run(combo.name, func(t *testing.T) {
-			p := newPair(t, simnet.Config{Seed: 9, LossProb: 0.15}, func(cfg *ctp.Config) {
+			p := newPair(t, 9, faultnet.Rates{Drop: 0.15}, func(cfg *ctp.Config) {
 				cfg.Controller = combo.mk()
 				cfg.SpecKind = combo.kind
 			})
@@ -341,10 +340,9 @@ func TestAllControllerSpecCombos(t *testing.T) {
 func TestStreamIntegrityProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := newPair(t, simnet.Config{
-			Seed:     seed,
-			LossProb: 0.15, CorruptProb: 0.1,
-			MinDelay: 20 * time.Microsecond, MaxDelay: 2 * time.Millisecond,
+		p := newPair(t, seed, faultnet.Rates{
+			Drop: 0.15, Corrupt: 0.1,
+			Delay: 1, DelayMin: 20 * time.Microsecond, DelayMax: 2 * time.Millisecond,
 		}, nil)
 		n := 3 + rng.Intn(6)
 		want := make([][]byte, n)

@@ -7,15 +7,14 @@ import (
 
 	"repro/internal/gc"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
 // TestMembershipChurn runs a sequence of joins and leaves interleaved
 // with broadcasts: all established sites must install the same view
 // sequence (views ride the total order) and keep delivering throughout.
 func TestMembershipChurn(t *testing.T) {
-	c := newCluster(t, simnet.Config{
-		Nodes: 5, MinDelay: 50 * time.Microsecond, MaxDelay: 400 * time.Microsecond, Seed: 101,
-	})
+	c := newCluster(t, 5, 101, latency(50*time.Microsecond, 400*time.Microsecond))
 	established := gc.NewView(0, 1)
 	c.addSite(0, established, nil)
 	c.addSite(1, established, nil)
@@ -119,9 +118,8 @@ func TestSoakManyMessages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	c := newCluster(t, simnet.Config{
-		Nodes: 3, MinDelay: 10 * time.Microsecond, MaxDelay: 150 * time.Microsecond,
-		LossProb: 0.05, Seed: 103,
+	c := newCluster(t, 3, 103, faultnet.Rates{
+		Drop: 0.05, Delay: 1, DelayMin: 10 * time.Microsecond, DelayMax: 150 * time.Microsecond,
 	})
 	view := gc.NewView(0, 1, 2)
 	for id := simnet.NodeID(0); id < 3; id++ {

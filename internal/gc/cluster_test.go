@@ -10,13 +10,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/gc"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
-// cluster is a test harness owning a simnet and a set of sites, recording
-// every delivery and view installation per site.
+// cluster is a test harness owning a faultnet-wrapped simnet and a set of
+// sites, recording every delivery and view installation per site.
 type cluster struct {
 	t     *testing.T
-	net   *simnet.Network
+	net   *faultnet.Net
 	sites map[simnet.NodeID]*gc.Site
 
 	mu     sync.Mutex
@@ -25,11 +26,19 @@ type cluster struct {
 	views  map[simnet.NodeID][]string
 }
 
-func newCluster(t *testing.T, netCfg simnet.Config) *cluster {
+// latency is the link model most cluster tests run on: every datagram
+// held for a uniform [lo, hi], so later traffic overtakes it.
+func latency(lo, hi time.Duration) faultnet.Rates {
+	return faultnet.Rates{Delay: 1, DelayMin: lo, DelayMax: hi}
+}
+
+// newCluster builds a cluster of nodes whose traffic suffers r, seeded by
+// seed.
+func newCluster(t *testing.T, nodes int, seed int64, r faultnet.Rates) *cluster {
 	t.Helper()
 	c := &cluster{
 		t:      t,
-		net:    simnet.New(netCfg),
+		net:    faultnet.New(faultnet.Config{Inner: simnet.New(simnet.Config{Nodes: nodes}), Seed: seed, Rates: r}),
 		sites:  make(map[simnet.NodeID]*gc.Site),
 		adeliv: make(map[simnet.NodeID][]string),
 		rdeliv: make(map[simnet.NodeID][]string),
@@ -117,7 +126,7 @@ func (c *cluster) waitDeliveredAt(id simnet.NodeID, n int) {
 }
 
 func TestSingleSiteABcast(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 1})
+	c := newCluster(t, 1, 0, faultnet.Rates{})
 	s := c.addSite(0, gc.NewView(0), nil)
 	for i := 0; i < 5; i++ {
 		if err := s.ABcast([]byte(fmt.Sprintf("m%d", i))); err != nil {
@@ -143,7 +152,7 @@ func TestSingleSiteABcast(t *testing.T) {
 }
 
 func TestThreeSitesTotalOrder(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond, Seed: 11})
+	c := newCluster(t, 3, 11, latency(50*time.Microsecond, 500*time.Microsecond))
 	view := gc.NewView(0, 1, 2)
 	for id := simnet.NodeID(0); id < 3; id++ {
 		c.addSite(id, view, nil)
@@ -192,7 +201,7 @@ func TestThreeSitesTotalOrder(t *testing.T) {
 }
 
 func TestRBcastReachesAll(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 5})
+	c := newCluster(t, 3, 5, latency(50*time.Microsecond, 300*time.Microsecond))
 	view := gc.NewView(0, 1, 2)
 	for id := simnet.NodeID(0); id < 3; id++ {
 		c.addSite(id, view, nil)
@@ -208,9 +217,8 @@ func TestRBcastReachesAll(t *testing.T) {
 }
 
 func TestLossyNetworkStillDelivers(t *testing.T) {
-	c := newCluster(t, simnet.Config{
-		Nodes: 3, MinDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond,
-		LossProb: 0.2, Seed: 99,
+	c := newCluster(t, 3, 99, faultnet.Rates{
+		Drop: 0.2, Delay: 1, DelayMin: 100 * time.Microsecond, DelayMax: 2 * time.Millisecond,
 	})
 	view := gc.NewView(0, 1, 2)
 	for id := simnet.NodeID(0); id < 3; id++ {
@@ -238,7 +246,7 @@ func TestLossyNetworkStillDelivers(t *testing.T) {
 }
 
 func TestJoinAddsSiteAndSyncs(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 21})
+	c := newCluster(t, 3, 21, latency(50*time.Microsecond, 300*time.Microsecond))
 	established := gc.NewView(0, 1)
 	c.addSite(0, established, nil)
 	c.addSite(1, established, nil)
@@ -280,7 +288,7 @@ func TestJoinAddsSiteAndSyncs(t *testing.T) {
 }
 
 func TestLeaveShrinksView(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 31})
+	c := newCluster(t, 3, 31, latency(50*time.Microsecond, 300*time.Microsecond))
 	view := gc.NewView(0, 1, 2)
 	for id := simnet.NodeID(0); id < 3; id++ {
 		c.addSite(id, view, nil)
@@ -312,7 +320,7 @@ func contains(xs []string, want string) bool {
 // TestCrashedCoordinatorRoundAdvance: instance 0's round-0 coordinator is
 // site 0; crashing it forces the failure detector + round advance path.
 func TestCrashedCoordinatorRoundAdvance(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 41})
+	c := newCluster(t, 3, 41, latency(50*time.Microsecond, 300*time.Microsecond))
 	view := gc.NewView(0, 1, 2)
 	for id := simnet.NodeID(0); id < 3; id++ {
 		c.addSite(id, view, func(cfg *gc.Config) {
@@ -350,7 +358,7 @@ func TestAllControllerSpecCombos(t *testing.T) {
 	for _, combo := range combos {
 		combo := combo
 		t.Run(combo.name, func(t *testing.T) {
-			c := newCluster(t, simnet.Config{Nodes: 2, MinDelay: 50 * time.Microsecond, MaxDelay: 200 * time.Microsecond, Seed: 51})
+			c := newCluster(t, 2, 51, latency(50*time.Microsecond, 200*time.Microsecond))
 			view := gc.NewView(0, 1)
 			for id := simnet.NodeID(0); id < 2; id++ {
 				c.addSite(id, view, func(cfg *gc.Config) {

@@ -34,7 +34,7 @@ func TestE6ViewChangeRace(t *testing.T) {
 	}
 	run := func(t *testing.T, ctrl core.Controller, kind gc.SpecKind) result {
 		t.Helper()
-		net := simnet.New(simnet.Config{Nodes: 3, Seed: 61})
+		net := simnet.New(simnet.Config{Nodes: 3})
 		defer net.Close()
 
 		inWindow := make(chan struct{}, 1)

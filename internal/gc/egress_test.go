@@ -116,7 +116,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // datagrams (46 before frames shared datagrams), none of them from a site
 // to itself, and every ack-only datagram runs under the ack spec.
 func TestDatagramsPerABcast(t *testing.T) {
-	sim := simnet.New(simnet.Config{Nodes: 3, Seed: 13})
+	sim := simnet.New(simnet.Config{Nodes: 3})
 	defer sim.Close()
 	var selfSends, ackOnly atomic.Int64
 	net := tapNet{
@@ -184,7 +184,7 @@ func TestDatagramsPerABcast(t *testing.T) {
 // reach the transport or the ARQ, so a lone site keeps ordering and
 // delivering its own broadcasts while its network endpoint is down.
 func TestSelfDeliveryBypassesTransport(t *testing.T) {
-	sim := simnet.New(simnet.Config{Nodes: 1, Seed: 14})
+	sim := simnet.New(simnet.Config{Nodes: 1})
 	defer sim.Close()
 	sites, delivered := startSites(t, sim, 1, nil)
 	s := sites[0]
@@ -291,7 +291,7 @@ func TestEgressSplitsAtMaxDatagram(t *testing.T) {
 // flow-control window three times, so its computation visits NetOut
 // three times — more than the 2 the spec used to hard-code.
 func TestManyAcksInOneDatagramUnderVCABound(t *testing.T) {
-	sim := simnet.New(simnet.Config{Nodes: 2, Seed: 15})
+	sim := simnet.New(simnet.Config{Nodes: 2})
 	defer sim.Close()
 	// Site 0 is real; the test plays peer 1 on the raw endpoint.
 	s := NewSite(Config{

@@ -36,7 +36,7 @@ func FuzzSiteSurvivesGarbageDatagrams(f *testing.F) {
 	f.Add(appendData(nil, 0, 1, cast))
 	f.Add(appendAck(appendData(appendAck(nil, 7, 3), 0, 1, cast), 7, 4))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		net := simnet.New(simnet.Config{Nodes: 2, Seed: 1})
+		net := simnet.New(simnet.Config{Nodes: 2})
 		defer net.Close()
 		s := NewSite(Config{
 			Net: net, ID: 1, InitialView: NewView(0, 1),

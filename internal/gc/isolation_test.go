@@ -11,6 +11,7 @@ import (
 	"repro/internal/gc"
 	"repro/internal/simnet"
 	"repro/internal/trace"
+	"repro/internal/transport/faultnet"
 )
 
 // TestStackExecutionSatisfiesIsolation is the repository's strongest
@@ -32,8 +33,9 @@ func TestStackExecutionSatisfiesIsolation(t *testing.T) {
 	for _, combo := range combos {
 		combo := combo
 		t.Run(combo.name, func(t *testing.T) {
-			net := simnet.New(simnet.Config{
-				Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 400 * time.Microsecond, Seed: 90,
+			net := faultnet.New(faultnet.Config{
+				Inner: simnet.New(simnet.Config{Nodes: 3}), Seed: 90,
+				Rates: latency(50*time.Microsecond, 400*time.Microsecond),
 			})
 			defer net.Close()
 			view := gc.NewView(0, 1, 2)

@@ -9,14 +9,16 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 	"repro/internal/wire"
 )
 
 // TestFifoPerOriginOrder: with heavy reordering delays, each origin's
 // FBcast stream is delivered in send order at every site.
 func TestFifoPerOriginOrder(t *testing.T) {
-	net := simnet.New(simnet.Config{
-		Nodes: 3, MinDelay: 10 * time.Microsecond, MaxDelay: 2 * time.Millisecond, Seed: 110,
+	net := faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: 3}), Seed: 110,
+		Rates: faultnet.Rates{Delay: 1, DelayMin: 10 * time.Microsecond, DelayMax: 2 * time.Millisecond},
 	})
 	defer net.Close()
 	view := NewView(0, 1, 2)
@@ -201,8 +203,9 @@ func TestCausalSenderFIFOGap(t *testing.T) {
 // TestCausalEndToEnd: B replies to A's message; C must never see the
 // reply first, across many reordering trials on a real network.
 func TestCausalEndToEnd(t *testing.T) {
-	net := simnet.New(simnet.Config{
-		Nodes: 3, MinDelay: 10 * time.Microsecond, MaxDelay: 2 * time.Millisecond, Seed: 111,
+	net := faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: 3}), Seed: 111,
+		Rates: faultnet.Rates{Delay: 1, DelayMin: 10 * time.Microsecond, DelayMax: 2 * time.Millisecond},
 	})
 	defer net.Close()
 	view := NewView(0, 1, 2)

@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/gc"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
 // TestRelCommRetransmission: a message sent across a partition is lost,
 // then delivered after the partition heals, by the retransmission timer.
 func TestRelCommRetransmission(t *testing.T) {
-	net := simnet.New(simnet.Config{Nodes: 2, Seed: 71})
+	net := faultnet.New(faultnet.Config{Inner: simnet.New(simnet.Config{Nodes: 2}), Seed: 71})
 	defer net.Close()
 	var got atomic.Int32
 	view := gc.NewView(0, 1)
@@ -50,7 +51,7 @@ func TestRelCommRetransmission(t *testing.T) {
 
 // TestRelCommExactlyOnce: duplicated datagrams deliver upward once.
 func TestRelCommExactlyOnce(t *testing.T) {
-	net := simnet.New(simnet.Config{Nodes: 2, Seed: 72})
+	net := simnet.New(simnet.Config{Nodes: 2})
 	defer net.Close()
 	var got atomic.Int32
 	b := gc.NewSite(gc.Config{
@@ -75,7 +76,7 @@ func TestRelCommExactlyOnce(t *testing.T) {
 // TestRelCastDistinctMessagesBothDeliver: dedupe is per message ID, not
 // per sender.
 func TestRelCastDistinctMessages(t *testing.T) {
-	net := simnet.New(simnet.Config{Nodes: 2, Seed: 73})
+	net := simnet.New(simnet.Config{Nodes: 2})
 	defer net.Close()
 	var got atomic.Int32
 	b := gc.NewSite(gc.Config{
@@ -99,7 +100,7 @@ func TestRelCastDistinctMessages(t *testing.T) {
 // TestCrashNonCoordinator: losing a non-coordinator member keeps the
 // quorum and does not need round advancement.
 func TestCrashNonCoordinator(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 74})
+	c := newCluster(t, 3, 74, latency(50*time.Microsecond, 300*time.Microsecond))
 	view := gc.NewView(0, 1, 2)
 	for id := simnet.NodeID(0); id < 3; id++ {
 		c.addSite(id, view, func(cfg *gc.Config) {
@@ -117,7 +118,7 @@ func TestCrashNonCoordinator(t *testing.T) {
 
 // TestViewAccessorsAndStats exercises the Site introspection surface.
 func TestViewAccessorsAndStats(t *testing.T) {
-	net := simnet.New(simnet.Config{Nodes: 1, Seed: 75})
+	net := simnet.New(simnet.Config{Nodes: 1})
 	defer net.Close()
 	s := gc.NewSite(gc.Config{Net: net, ID: 0, InitialView: gc.NewView(0), FDInterval: -1})
 	s.Start()
@@ -138,7 +139,7 @@ func TestViewAccessorsAndStats(t *testing.T) {
 
 // TestSiteConfigValidation: construction-time misuse panics.
 func TestSiteConfigValidation(t *testing.T) {
-	net := simnet.New(simnet.Config{Nodes: 1, Seed: 76})
+	net := simnet.New(simnet.Config{Nodes: 1})
 	defer net.Close()
 	mustPanicGC(t, "nil net", func() {
 		gc.NewSite(gc.Config{ID: 0, InitialView: gc.NewView(0)})
@@ -161,7 +162,7 @@ func mustPanicGC(t *testing.T, what string, fn func()) {
 // TestTwoGroupsShareNetwork: independent stacks on one network do not
 // interfere (different views, no cross-talk deliveries).
 func TestTwoGroupsShareNetwork(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 4, Seed: 78})
+	c := newCluster(t, 4, 78, faultnet.Rates{})
 	g1 := gc.NewView(0, 1)
 	g2 := gc.NewView(2, 3)
 	for _, id := range []simnet.NodeID{0, 1} {

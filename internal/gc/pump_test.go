@@ -59,7 +59,7 @@ func (tr *spawnerTracer) Spawned(uint64, *core.Spec) {
 // spawns on thousands.
 func TestPumpReusesWorkers(t *testing.T) {
 	const sites, workers, tickers, callers, perCaller = 3, 4, 2, 3, 170
-	sim := simnet.New(simnet.Config{Nodes: sites, Seed: 24})
+	sim := simnet.New(simnet.Config{Nodes: sites})
 	defer sim.Close()
 	tr := &spawnerTracer{on: map[uint64]bool{}}
 	ss, delivered := startSites(t, sim, sites, func(_ transport.NodeID, cfg *Config) {

@@ -28,7 +28,7 @@ type rcHarness struct {
 func newRCHarness(t *testing.T, window int) *rcHarness {
 	t.Helper()
 	h := &rcHarness{
-		net: simnet.New(simnet.Config{Nodes: 2, Seed: 80}),
+		net: simnet.New(simnet.Config{Nodes: 2}),
 		ev:  newEvents(),
 	}
 	t.Cleanup(h.net.Close)

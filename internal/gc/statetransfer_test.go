@@ -57,7 +57,7 @@ func (a *appState) installs() int {
 // full state — including history it never delivered — then applies
 // post-join deliveries on top.
 func TestJoinStateTransfer(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Seed: 61})
+	c := newCluster(t, 3, 61, latency(50*time.Microsecond, 300*time.Microsecond))
 	apps := map[simnet.NodeID]*appState{0: {}, 1: {}, 2: {}}
 	withApp := func(id simnet.NodeID) func(*gc.Config) {
 		return func(cfg *gc.Config) {
@@ -136,7 +136,7 @@ func TestJoinStateTransfer(t *testing.T) {
 // costs O(log) retries with exponential backoff, versus ~400 with the
 // old fixed 1ms sleep.
 func TestPumpBackoffDuringOutage(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 2, MinDelay: 50 * time.Microsecond, MaxDelay: 200 * time.Microsecond, Seed: 71})
+	c := newCluster(t, 2, 71, latency(50*time.Microsecond, 200*time.Microsecond))
 	view := gc.NewView(0, 1)
 	c.addSite(0, view, nil)
 	c.addSite(1, view, nil)

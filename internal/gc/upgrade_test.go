@@ -17,7 +17,7 @@ import (
 // reordering a single delivery, and the group converges on the new
 // version. A second, stale proposal must be delivered and ignored.
 func TestLiveUpgradeMidTraffic(t *testing.T) {
-	c := newCluster(t, simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond, Seed: 23})
+	c := newCluster(t, 3, 23, latency(50*time.Microsecond, 500*time.Microsecond))
 	view := gc.NewView(0, 1, 2)
 	for id := simnet.NodeID(0); id < 3; id++ {
 		c.addSite(id, view, nil)

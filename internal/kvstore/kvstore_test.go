@@ -12,13 +12,20 @@ import (
 	"repro/internal/gc"
 	"repro/internal/kvstore"
 	"repro/internal/simnet"
+	"repro/internal/transport/faultnet"
 )
 
-// replicas builds and starts n replicas on one simnet.
-func replicas(t *testing.T, n int, netCfg simnet.Config) []*kvstore.Store {
+// latency is the link model of the multi-replica tests: every datagram
+// held for a uniform [lo, hi].
+func latency(lo, hi time.Duration) faultnet.Rates {
+	return faultnet.Rates{Delay: 1, DelayMin: lo, DelayMax: hi}
+}
+
+// replicas builds and starts n replicas on one simnet wrapped in
+// faultnet, its traffic suffering r (seeded by seed).
+func replicas(t *testing.T, n int, seed int64, r faultnet.Rates) []*kvstore.Store {
 	t.Helper()
-	netCfg.Nodes = n
-	net := simnet.New(netCfg)
+	net := faultnet.New(faultnet.Config{Inner: simnet.New(simnet.Config{Nodes: n}), Seed: seed, Rates: r})
 	ids := make([]simnet.NodeID, n)
 	for i := range ids {
 		ids[i] = simnet.NodeID(i)
@@ -69,7 +76,7 @@ func waitConverged(t *testing.T, stores []*kvstore.Store, want uint64) {
 }
 
 func TestReadYourWrites(t *testing.T) {
-	stores := replicas(t, 1, simnet.Config{Seed: 1})
+	stores := replicas(t, 1, 1, faultnet.Rates{})
 	if err := stores[0].Put("k", "v1"); err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +93,7 @@ func TestReadYourWrites(t *testing.T) {
 }
 
 func TestReplicasConverge(t *testing.T) {
-	stores := replicas(t, 3, simnet.Config{
-		Seed: 2, MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-	})
+	stores := replicas(t, 3, 2, latency(50*time.Microsecond, 500*time.Microsecond))
 	var wg sync.WaitGroup
 	const perReplica = 6
 	for i, s := range stores {
@@ -119,9 +124,7 @@ func TestReplicasConverge(t *testing.T) {
 // the total order guarantees exactly one succeeds, and all replicas agree
 // on the final value.
 func TestCASExactlyOneWinner(t *testing.T) {
-	stores := replicas(t, 3, simnet.Config{
-		Seed: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-	})
+	stores := replicas(t, 3, 3, latency(50*time.Microsecond, 500*time.Microsecond))
 	if err := stores[0].Put("lock", "free"); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +167,7 @@ func TestCASExactlyOneWinner(t *testing.T) {
 }
 
 func TestCASFailsOnWrongOld(t *testing.T) {
-	stores := replicas(t, 1, simnet.Config{Seed: 4})
+	stores := replicas(t, 1, 4, faultnet.Rates{})
 	if err := stores[0].Put("k", "a"); err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +188,10 @@ func TestCASFailsOnWrongOld(t *testing.T) {
 }
 
 func TestSurvivesReplicaCrash(t *testing.T) {
-	netCfg := simnet.Config{Seed: 5, MinDelay: 50 * time.Microsecond, MaxDelay: 300 * time.Microsecond}
-	netCfg.Nodes = 3
-	net := simnet.New(netCfg)
+	net := faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: 3}), Seed: 5,
+		Rates: latency(50*time.Microsecond, 300*time.Microsecond),
+	})
 	view := gc.NewView(0, 1, 2)
 	stores := make([]*kvstore.Store, 3)
 	for i := 0; i < 3; i++ {
@@ -231,9 +235,7 @@ func TestSurvivesReplicaCrash(t *testing.T) {
 func TestConvergenceProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		stores := replicas(t, 3, simnet.Config{
-			Seed: seed, MinDelay: 20 * time.Microsecond, MaxDelay: 300 * time.Microsecond,
-		})
+		stores := replicas(t, 3, seed, latency(20*time.Microsecond, 300*time.Microsecond))
 		keys := []string{"a", "b", "c"}
 		total := uint64(0)
 		var wg sync.WaitGroup

@@ -42,7 +42,10 @@ func waitStore(t *testing.T, what string, cond func() bool) {
 // while it was down — state it can only have received via snapshot
 // transfer, since its map starts empty.
 func TestCrashRejoinStateTransfer(t *testing.T) {
-	net := simnet.New(simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 400 * time.Microsecond, Seed: 7})
+	net := faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: 3}), Seed: 7,
+		Rates: latency(50*time.Microsecond, 400*time.Microsecond),
+	})
 	defer net.Close()
 	view := gc.NewView(0, 1, 2)
 	stores := make([]*kvstore.Store, 3)
@@ -126,8 +129,10 @@ func TestChurnUnderMessageLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn storm")
 	}
-	inner := simnet.New(simnet.Config{Nodes: 3, MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond, Seed: 19})
-	fn := faultnet.New(faultnet.Config{Inner: inner, Seed: 19, Rates: faultnet.Rates{Drop: 0.2}})
+	fn := faultnet.New(faultnet.Config{
+		Inner: simnet.New(simnet.Config{Nodes: 3}), Seed: 19,
+		Rates: faultnet.Rates{Drop: 0.2, Delay: 1, DelayMin: 50 * time.Microsecond, DelayMax: 500 * time.Microsecond},
+	})
 	defer fn.Close()
 	view := gc.NewView(0, 1, 2)
 	stores := make([]*kvstore.Store, 3)

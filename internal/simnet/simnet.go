@@ -2,26 +2,25 @@
 // substrate for the group-communication experiments.
 //
 // The paper evaluated J-SAMOA "on distributed machines" (§7); this package
-// substitutes them with N in-process nodes connected by unreliable,
-// delaying links. The properties the protocols under test care about —
-// loss (to exercise retransmission), delay (to exercise timeouts and
-// suspicion), crashes, restarts and partitions (to exercise membership
-// and recovery) — are all configurable, and the random choices come from
-// a seeded generator so runs are reproducible.
+// substitutes them with N in-process nodes whose datagrams are delivered
+// in-line: a datagram is in its destination's inbox, in send order, before
+// Send returns. simnet models only what happens to a node — crashes,
+// restarts with an empty inbox, and drops at a full inbox. Loss,
+// corruption, latency and partitions — the faults that exercise
+// retransmission, checksums, timeouts and membership — are injected by
+// wrapping the network in internal/transport/faultnet, the one fault layer
+// over every backend.
 //
 // simnet is the deterministic-test backend of the transport seam: it
-// implements transport.Transport (every node hosted in-process) and
-// transport.Partitioner, and is held to the shared behavioral contract
-// by internal/transport/conformance. The production backend over real
-// sockets is internal/transport/udpnet.
+// implements transport.Transport (every node hosted in-process) and is held
+// to the shared behavioral contract by internal/transport/conformance. The
+// production backend over real sockets is internal/transport/udpnet.
 package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/transport"
 )
@@ -33,16 +32,9 @@ type NodeID = transport.NodeID
 type Config struct {
 	// Nodes is the number of nodes.
 	Nodes int
-	// MinDelay and MaxDelay bound the per-message one-way latency; a
-	// message's delay is uniform in [MinDelay, MaxDelay]. Both zero
-	// means immediate in-line delivery.
-	MinDelay, MaxDelay time.Duration
-	// LossProb is the probability a message is silently dropped.
-	LossProb float64
-	// CorruptProb is the probability a delivered message has one byte
-	// flipped (exercises checksum layers).
-	CorruptProb float64
-	// Seed seeds the deterministic random generator.
+	// Seed is ignored: simnet makes no random choices.
+	//
+	// Deprecated: seed injected faults with faultnet.Config.Seed.
 	Seed int64
 	// InboxSize bounds each node's receive queue (default 4096);
 	// overflowing messages are dropped, like a full UDP socket buffer.
@@ -60,19 +52,14 @@ type Network struct {
 	cfg   Config
 	nodes []*Node
 
-	mu     sync.Mutex // guards rng, groups, closed
-	rng    *rand.Rand
-	group  map[NodeID]int // partition group per node; nil when healed
-	closed bool
+	mu     sync.Mutex // serializes Crash, Restart and Close
+	closed atomic.Bool
 
-	sent             atomic.Uint64
-	delivered        atomic.Uint64
-	corrupted        atomic.Uint64
-	droppedLoss      atomic.Uint64
-	droppedPartition atomic.Uint64
-	droppedCrashed   atomic.Uint64
-	droppedOverflow  atomic.Uint64
-	recovered        atomic.Uint64
+	sent            atomic.Uint64
+	delivered       atomic.Uint64
+	droppedCrashed  atomic.Uint64
+	droppedOverflow atomic.Uint64
+	recovered       atomic.Uint64
 }
 
 // nodeGen is one incarnation of a node: a crash closes its quit channel
@@ -101,13 +88,7 @@ func New(cfg Config) *Network {
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = 4096
 	}
-	if cfg.MaxDelay < cfg.MinDelay {
-		cfg.MaxDelay = cfg.MinDelay
-	}
-	n := &Network{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-	}
+	n := &Network{cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
 		nd := &Node{id: NodeID(i), net: n}
 		nd.gen.Store(&nodeGen{
@@ -137,14 +118,14 @@ func (n *Network) Endpoint(id NodeID) transport.Endpoint { return n.Node(id) }
 
 // Compile-time checks: simnet is a full transport backend.
 var (
-	_ transport.Transport   = (*Network)(nil)
-	_ transport.Partitioner = (*Network)(nil)
-	_ transport.Endpoint    = (*Node)(nil)
+	_ transport.Transport = (*Network)(nil)
+	_ transport.Endpoint  = (*Node)(nil)
 )
 
-// Send transmits payload from one node to another, subject to loss, delay,
-// partitions and crashes. Payload bytes are copied, so the caller may
-// reuse its buffer. Send never blocks.
+// Send delivers payload from one node into another's inbox, in-line. It
+// drops the datagram when either end is crashed, the network is closed or
+// the inbox is full. Payload bytes are copied, so the caller may reuse its
+// buffer. Send never blocks and takes no lock.
 func (n *Network) Send(from, to NodeID, payload []byte) {
 	n.sent.Add(1)
 	dst := n.Node(to)
@@ -152,54 +133,14 @@ func (n *Network) Send(from, to NodeID, payload []byte) {
 		n.droppedCrashed.Add(1)
 		return
 	}
-
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	if n.group != nil && n.group[from] != n.group[to] {
-		n.mu.Unlock()
-		n.droppedPartition.Add(1)
-		return
-	}
-	if n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb {
-		n.mu.Unlock()
-		n.droppedLoss.Add(1)
-		return
-	}
-	corruptAt := -1
-	if n.cfg.CorruptProb > 0 && len(payload) > 0 && n.rng.Float64() < n.cfg.CorruptProb {
-		corruptAt = n.rng.Intn(len(payload))
-	}
-	delay := n.cfg.MinDelay
-	if span := n.cfg.MaxDelay - n.cfg.MinDelay; span > 0 {
-		delay += time.Duration(n.rng.Int63n(int64(span) + 1))
-	}
-	n.mu.Unlock()
-
-	d := Datagram{From: from, To: to, Payload: append([]byte(nil), payload...)}
-	if corruptAt >= 0 {
-		d.Payload[corruptAt] ^= 0x55
-		n.corrupted.Add(1)
-	}
-	if delay == 0 {
-		n.deliver(dst, d)
-		return
-	}
-	time.AfterFunc(delay, func() { n.deliver(dst, d) })
-}
-
-func (n *Network) deliver(dst *Node, d Datagram) {
-	if dst.crashed.Load() {
-		n.droppedCrashed.Add(1)
+	if n.closed.Load() {
 		return
 	}
 	g := dst.gen.Load()
-	select { //samoa:ignore blocking — delivery pump below the sched seam; the default arm makes this non-blocking
-	case g.inbox <- d: //samoa:ignore blocking — inbox enqueue never blocks (default arm drops on overflow)
+	select {
+	case g.inbox <- Datagram{From: from, To: to, Payload: append([]byte(nil), payload...)}:
 		n.delivered.Add(1)
-	case <-g.quit: //samoa:ignore blocking — crash drain: a quit generation drops instead of wedging the timer goroutine
+	case <-g.quit: // crashed since the check above
 		n.droppedCrashed.Add(1)
 	default:
 		n.droppedOverflow.Add(1)
@@ -213,7 +154,7 @@ func (n *Network) Crash(id NodeID) {
 	nd := n.Node(id)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed || nd.crashed.Load() {
+	if n.closed.Load() || nd.crashed.Load() {
 		return
 	}
 	nd.crashed.Store(true)
@@ -229,7 +170,7 @@ func (n *Network) Restart(id NodeID) bool {
 	nd := n.Node(id)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed || !nd.crashed.Load() {
+	if n.closed.Load() || !nd.crashed.Load() {
 		return false
 	}
 	nd.gen.Store(&nodeGen{
@@ -244,37 +185,16 @@ func (n *Network) Restart(id NodeID) bool {
 // Crashed reports whether the node has crashed.
 func (n *Network) Crashed(id NodeID) bool { return n.Node(id).crashed.Load() }
 
-// Partition splits the network: messages flow only within a group. Nodes
-// not listed in any group land in an implicit extra group together.
-func (n *Network) Partition(groups ...[]NodeID) {
-	g := make(map[NodeID]int, len(n.nodes))
-	for i, grp := range groups {
-		for _, id := range grp {
-			g[id] = i + 1
-		}
-	}
-	n.mu.Lock()
-	n.group = g // unlisted nodes default to group 0
-	n.mu.Unlock()
-}
-
-// Heal removes any partition.
-func (n *Network) Heal() {
-	n.mu.Lock()
-	n.group = nil
-	n.mu.Unlock()
-}
-
 // Close shuts the network down: subsequent sends are dropped, all
 // receivers unblock, and crashed nodes can no longer be restarted. Close
 // is idempotent.
 func (n *Network) Close() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Load() {
 		return
 	}
-	n.closed = true
+	n.closed.Store(true)
 	for _, nd := range n.nodes {
 		if !nd.crashed.Load() {
 			close(nd.gen.Load().quit)
@@ -285,14 +205,11 @@ func (n *Network) Close() {
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() Stats {
 	return Stats{
-		Sent:             n.sent.Load(),
-		Delivered:        n.delivered.Load(),
-		Corrupted:        n.corrupted.Load(),
-		DroppedLoss:      n.droppedLoss.Load(),
-		DroppedPartition: n.droppedPartition.Load(),
-		DroppedCrashed:   n.droppedCrashed.Load(),
-		DroppedOverflow:  n.droppedOverflow.Load(),
-		Recovered:        n.recovered.Load(),
+		Sent:            n.sent.Load(),
+		Delivered:       n.delivered.Load(),
+		DroppedCrashed:  n.droppedCrashed.Load(),
+		DroppedOverflow: n.droppedOverflow.Load(),
+		Recovered:       n.recovered.Load(),
 	}
 }
 

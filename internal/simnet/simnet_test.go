@@ -44,88 +44,30 @@ func TestSelfSend(t *testing.T) {
 	}
 }
 
-func TestDelayDelaysDelivery(t *testing.T) {
-	n := simnet.New(simnet.Config{Nodes: 2, MinDelay: 20 * time.Millisecond, MaxDelay: 30 * time.Millisecond, Seed: 1})
-	defer n.Close()
-	start := time.Now()
-	n.Send(0, 1, []byte("x"))
-	if _, ok := n.Node(1).TryRecv(); ok {
-		t.Fatal("message arrived instantly despite delay")
-	}
-	if _, ok := n.Node(1).Recv(); !ok {
-		t.Fatal("no delivery")
-	}
-	if e := time.Since(start); e < 15*time.Millisecond {
-		t.Fatalf("delivered after %v, want ≥ ~20ms", e)
-	}
-}
-
-func TestLossDropsRoughlyAtRate(t *testing.T) {
-	n := simnet.New(simnet.Config{Nodes: 2, LossProb: 0.5, Seed: 42})
-	defer n.Close()
-	const total = 2000
-	for i := 0; i < total; i++ {
-		n.Send(0, 1, []byte{byte(i)})
-	}
-	st := n.Stats()
-	if st.DroppedLoss == 0 || st.Delivered == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.DroppedLoss+st.Delivered != total {
-		t.Fatalf("accounting: %+v", st)
-	}
-	rate := float64(st.DroppedLoss) / total
-	if rate < 0.4 || rate > 0.6 {
-		t.Fatalf("loss rate = %.2f, want ≈ 0.5", rate)
-	}
-}
-
-func TestCorruptionFlipsOneByte(t *testing.T) {
-	n := simnet.New(simnet.Config{Nodes: 2, CorruptProb: 1.0, Seed: 9})
-	defer n.Close()
-	orig := []byte{1, 2, 3, 4}
-	n.Send(0, 1, orig)
-	d, ok := n.Node(1).Recv()
-	if !ok {
-		t.Fatal("no delivery")
-	}
-	diff := 0
-	for i := range orig {
-		if d.Payload[i] != orig[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("%d bytes differ, want exactly 1", diff)
-	}
-	if n.Stats().Corrupted != 1 {
-		t.Fatalf("stats = %+v", n.Stats())
-	}
-}
-
 func TestNoCorruptionByDefault(t *testing.T) {
-	n := simnet.New(simnet.Config{Nodes: 2, Seed: 9})
+	n := simnet.New(simnet.Config{Nodes: 2})
 	defer n.Close()
 	for i := 0; i < 50; i++ {
 		n.Send(0, 1, []byte{0xAA})
 		d, _ := n.Node(1).Recv()
 		if d.Payload[0] != 0xAA {
-			t.Fatal("corruption without CorruptProb")
+			t.Fatal("simnet altered a payload; corruption belongs to faultnet")
 		}
 	}
 }
 
-func TestDeterministicWithSeed(t *testing.T) {
-	run := func() uint64 {
-		n := simnet.New(simnet.Config{Nodes: 2, LossProb: 0.3, Seed: 7})
-		defer n.Close()
-		for i := 0; i < 500; i++ {
-			n.Send(0, 1, []byte{1})
-		}
-		return n.Stats().DroppedLoss
+// TestInlineOrderedDelivery: every datagram is in its destination's inbox
+// before Send returns, in send order.
+func TestInlineOrderedDelivery(t *testing.T) {
+	n := simnet.New(simnet.Config{Nodes: 2})
+	defer n.Close()
+	for i := 0; i < 10; i++ {
+		n.Send(0, 1, []byte{byte(i)})
 	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("same seed, different drops: %d vs %d", a, b)
+	for i := 0; i < 10; i++ {
+		if d, ok := n.Node(1).TryRecv(); !ok || d.Payload[0] != byte(i) {
+			t.Fatalf("datagram %d: got %+v ok=%v", i, d, ok)
+		}
 	}
 }
 
@@ -218,42 +160,6 @@ func TestRestartRefusals(t *testing.T) {
 	}
 }
 
-func TestPartitionAndHeal(t *testing.T) {
-	n := simnet.New(simnet.Config{Nodes: 4})
-	defer n.Close()
-	n.Partition([]simnet.NodeID{0, 1}, []simnet.NodeID{2, 3})
-	n.Send(0, 2, []byte("x")) // across partition: dropped
-	n.Send(0, 1, []byte("y")) // within group: delivered
-	if d, ok := n.Node(1).Recv(); !ok || string(d.Payload) != "y" {
-		t.Fatal("intra-group delivery failed")
-	}
-	if _, ok := n.Node(2).TryRecv(); ok {
-		t.Fatal("cross-partition delivery")
-	}
-	if st := n.Stats(); st.DroppedPartition != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	n.Heal()
-	n.Send(0, 2, []byte("z"))
-	if d, ok := n.Node(2).Recv(); !ok || string(d.Payload) != "z" {
-		t.Fatal("post-heal delivery failed")
-	}
-}
-
-func TestUnlistedNodesShareImplicitGroup(t *testing.T) {
-	n := simnet.New(simnet.Config{Nodes: 4})
-	defer n.Close()
-	n.Partition([]simnet.NodeID{0}) // 1,2,3 in implicit group 0
-	n.Send(1, 2, []byte("x"))
-	if _, ok := n.Node(2).Recv(); !ok {
-		t.Fatal("unlisted nodes must still talk to each other")
-	}
-	n.Send(0, 1, []byte("y"))
-	if _, ok := n.Node(1).TryRecv(); ok {
-		t.Fatal("isolated node leaked a message")
-	}
-}
-
 func TestInboxOverflow(t *testing.T) {
 	n := simnet.New(simnet.Config{Nodes: 2, InboxSize: 4})
 	defer n.Close()
@@ -286,7 +192,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 }
 
 func TestConcurrentSendersAndReceivers(t *testing.T) {
-	n := simnet.New(simnet.Config{Nodes: 4, MinDelay: time.Microsecond, MaxDelay: 100 * time.Microsecond, Seed: 3})
+	n := simnet.New(simnet.Config{Nodes: 4})
 	defer n.Close()
 	const perPair = 100
 	var wg sync.WaitGroup

@@ -7,15 +7,15 @@
 //
 // The battery covers datagram delivery, payload ownership, crash and
 // restart semantics (a restarted node starts with an empty inbox;
-// outage traffic stays lost), loss tolerance through ctp's ARQ, stats
-// monotonicity, close/drain behavior, and — where the backend supports
-// injecting one — partitions.
+// outage traffic stays lost), stats monotonicity and close/drain
+// behavior. Loss tolerance through ctp's ARQ and partitions run over the
+// backend wrapped in internal/transport/faultnet, the one fault injector,
+// so every backend gets them from the same place.
 //
 // Usage, from a backend's test file:
 //
 //	conformance.Run(t, conformance.Backend{
-//		Name: "mynet",
-//		New:  func(t *testing.T, opt conformance.Options) transport.Transport { ... },
+//		New: func(t *testing.T, opt conformance.Options) transport.Transport { ... },
 //	})
 //
 // All tests synchronize on deadlines and channel receives, never bare
@@ -31,24 +31,21 @@ import (
 
 	"repro/internal/ctp"
 	"repro/internal/transport"
+	"repro/internal/transport/faultnet"
 )
 
 // Options parameterizes one transport under test.
 type Options struct {
 	// Nodes is the cluster size (every node hosted in-process).
 	Nodes int
-	// LossProb asks the backend to drop roughly this fraction of
-	// datagrams (seeded/injected — the ARQ battery needs real loss).
-	LossProb float64
 }
 
-// Backend names a transport implementation and how to build one. New
-// must return a started transport hosting all opt.Nodes nodes locally;
-// the harness closes it. Backends register cleanup via t.Cleanup for
-// anything beyond Close.
+// Backend says how to build the transport under test. New must return a
+// started transport hosting all opt.Nodes nodes locally; the harness
+// closes it. Backends register cleanup via t.Cleanup for anything beyond
+// Close.
 type Backend struct {
-	Name string
-	New  func(t *testing.T, opt Options) transport.Transport
+	New func(t *testing.T, opt Options) transport.Transport
 }
 
 // waitFor polls cond until it holds or the deadline passes — the
@@ -309,13 +306,13 @@ func testCloseUnblocksAndDrains(t *testing.T, b Backend) {
 	}
 }
 
-// testARQLossRecovery: the transport is lossy, yet a reliable ctp
-// composition (ARQ + checksum + ordering) on top of the seam delivers
-// everything, in order — the transport contract ctp's retransmission
-// actually needs.
+// testARQLossRecovery: faultnet drops a quarter of the backend's
+// datagrams, yet a reliable ctp composition (ARQ + checksum + ordering)
+// on top of the seam delivers everything, in order — the transport
+// contract ctp's retransmission actually needs.
 func testARQLossRecovery(t *testing.T, b Backend) {
 	const msgs = 40
-	n := b.New(t, Options{Nodes: 2, LossProb: 0.25})
+	n := faultnet.New(faultnet.Config{Inner: b.New(t, Options{Nodes: 2}), Seed: 42, Rates: faultnet.Rates{Drop: 0.25}})
 	defer n.Close()
 
 	got := make(chan []byte, msgs)
@@ -363,15 +360,17 @@ func testARQLossRecovery(t *testing.T, b Backend) {
 	}
 }
 
-// testPartition: where the backend can inject partitions, datagrams do
-// not cross groups and flow again after Heal.
+// testPartition: datagrams do not cross groups and flow again after
+// Heal. A backend that is not itself a transport.Partitioner is wrapped
+// in faultnet, where partitions come from.
 func testPartition(t *testing.T, b Backend) {
 	n := b.New(t, Options{Nodes: 3})
-	defer n.Close()
 	p, ok := n.(transport.Partitioner)
 	if !ok {
-		t.Skipf("%s does not support partition injection", b.Name)
+		fn := faultnet.New(faultnet.Config{Inner: n})
+		n, p = fn, fn
 	}
+	defer n.Close()
 	p.Partition([]transport.NodeID{0}, []transport.NodeID{1, 2})
 	n.Endpoint(0).Send(1, []byte("across"))
 	n.Endpoint(2).Send(1, []byte("within"))

@@ -27,13 +27,8 @@ func requireLoopbackUDP(t *testing.T) {
 // battery unmodified.
 func TestSimnetConformance(t *testing.T) {
 	conformance.Run(t, conformance.Backend{
-		Name: "simnet",
 		New: func(t *testing.T, opt conformance.Options) transport.Transport {
-			return simnet.New(simnet.Config{
-				Nodes:    opt.Nodes,
-				LossProb: opt.LossProb,
-				Seed:     42,
-			})
+			return simnet.New(simnet.Config{Nodes: opt.Nodes})
 		},
 	})
 }
@@ -43,17 +38,12 @@ func TestSimnetConformance(t *testing.T) {
 func TestUDPNetConformance(t *testing.T) {
 	requireLoopbackUDP(t)
 	conformance.Run(t, conformance.Backend{
-		Name: "udpnet",
 		New: func(t *testing.T, opt conformance.Options) transport.Transport {
 			addrs := make([]string, opt.Nodes)
 			for i := range addrs {
 				addrs[i] = "127.0.0.1:0"
 			}
-			n, err := udpnet.New(udpnet.Config{
-				Addrs:    addrs,
-				LossProb: opt.LossProb,
-				Seed:     42,
-			})
+			n, err := udpnet.New(udpnet.Config{Addrs: addrs})
 			if err != nil {
 				t.Fatalf("udpnet.New: %v", err)
 			}
@@ -64,45 +54,34 @@ func TestUDPNetConformance(t *testing.T) {
 
 // TestFaultnetSimnetConformance holds the fault-injecting wrapper to the
 // same contract over the simulator: with zero rates it must be
-// behaviorally invisible, and the battery's loss option routes through
-// faultnet's own drop pipeline instead of simnet's.
+// behaviorally invisible.
 func TestFaultnetSimnetConformance(t *testing.T) {
 	conformance.Run(t, conformance.Backend{
-		Name: "faultnet(simnet)",
 		New: func(t *testing.T, opt conformance.Options) transport.Transport {
 			return faultnet.New(faultnet.Config{
-				Inner: simnet.New(simnet.Config{Nodes: opt.Nodes, Seed: 42}),
+				Inner: simnet.New(simnet.Config{Nodes: opt.Nodes}),
 				Seed:  42,
-				Rates: faultnet.Rates{Drop: opt.LossProb},
 			})
 		},
 	})
 }
 
 // TestFaultnetUDPNetConformance runs the battery against real sockets
-// wrapped in faultnet. This is the composition the distributed chaos
-// harness ships, and it closes a hole in the plain udpnet run: udpnet
-// cannot inject partitions itself (it skips the Partition test), but the
-// wrapper is a transport.Partitioner, so here the partition battery
-// executes against real UDP.
+// wrapped in faultnet — the composition the distributed chaos harness
+// ships, with zero rates as behaviorally invisible as over simnet.
 func TestFaultnetUDPNetConformance(t *testing.T) {
 	requireLoopbackUDP(t)
 	conformance.Run(t, conformance.Backend{
-		Name: "udpnet+faultnet",
 		New: func(t *testing.T, opt conformance.Options) transport.Transport {
 			addrs := make([]string, opt.Nodes)
 			for i := range addrs {
 				addrs[i] = "127.0.0.1:0"
 			}
-			n, err := udpnet.New(udpnet.Config{Addrs: addrs, Seed: 42})
+			n, err := udpnet.New(udpnet.Config{Addrs: addrs})
 			if err != nil {
 				t.Fatalf("udpnet.New: %v", err)
 			}
-			return faultnet.New(faultnet.Config{
-				Inner: n,
-				Seed:  42,
-				Rates: faultnet.Rates{Drop: opt.LossProb},
-			})
+			return faultnet.New(faultnet.Config{Inner: n, Seed: 42})
 		},
 	})
 }

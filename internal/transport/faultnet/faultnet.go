@@ -5,11 +5,11 @@
 // and payload corruption, plus symmetric and asymmetric partitions.
 //
 // Wrapping happens below the protocol stacks and above the wire, so the
-// same storm definition runs unchanged against simnet and udpnet; in
-// particular it is what gives real-socket clusters partition injection
-// (transport.Partitioner), which a process cannot otherwise do to a real
-// network. All fault decisions come from one RNG per directed link,
-// seeded from Config.Seed and the link's endpoints — so a given seed
+// same storm definition runs unchanged against simnet and udpnet. It is
+// the only place faults come from: the backends just carry datagrams and
+// crash/restart nodes, and partition injection (transport.Partitioner)
+// exists only here. All fault decisions come from one RNG per directed
+// link, seeded from Config.Seed and the link's endpoints — so a given seed
 // produces the same fault pattern on a link regardless of how traffic on
 // other links interleaves.
 //
@@ -45,7 +45,9 @@ type Rates struct {
 	Reorder float64
 	// Delay is the probability a datagram is forwarded after a uniform
 	// hold in [DelayMin, DelayMax] instead of inline — later traffic
-	// overtakes it.
+	// overtakes it. Delay 1 is a per-link latency/jitter model. The held
+	// datagram goes through the inner Send after the hold, so it is lost
+	// if its sender crashed meanwhile.
 	Delay float64
 	// DelayMin and DelayMax bound the injected hold (defaults 1ms–5ms
 	// when Delay > 0 and both are zero).
@@ -129,7 +131,7 @@ func (n *Net) Rates() Rates {
 
 // Partition splits the cluster: datagrams flow only within a group;
 // nodes not listed in any group land in an implicit extra group together
-// (same semantics as simnet's Partitioner).
+// (the transport.Partitioner contract).
 func (n *Net) Partition(groups ...[]transport.NodeID) {
 	g := make(map[transport.NodeID]int)
 	for i, grp := range groups {

@@ -12,7 +12,7 @@ import (
 
 func wrap(t *testing.T, nodes int, cfg faultnet.Config) *faultnet.Net {
 	t.Helper()
-	cfg.Inner = simnet.New(simnet.Config{Nodes: nodes, Seed: 1})
+	cfg.Inner = simnet.New(simnet.Config{Nodes: nodes})
 	n := faultnet.New(cfg)
 	t.Cleanup(n.Close)
 	return n
@@ -153,21 +153,28 @@ func TestReorderBackstopFlushesQuietLink(t *testing.T) {
 	}
 }
 
+// TestDelayHoldsBack: Delay 1 is the latency model callers build over
+// simnet — every datagram arrives, none before DelayMin.
 func TestDelayHoldsBack(t *testing.T) {
-	n := wrap(t, 2, faultnet.Config{Seed: 4, Rates: faultnet.Rates{
-		Delay: 1, DelayMin: 20 * time.Millisecond, DelayMax: 30 * time.Millisecond,
-	}})
+	const lo, hi, total = 20 * time.Millisecond, 30 * time.Millisecond, 20
+	n := wrap(t, 2, faultnet.Config{Seed: 4, Rates: faultnet.Rates{Delay: 1, DelayMin: lo, DelayMax: hi}})
 	start := time.Now()
-	n.Endpoint(0).Send(1, []byte("late"))
+	for i := 0; i < total; i++ {
+		n.Endpoint(0).Send(1, []byte{byte(i)})
+	}
 	if _, ok := n.Endpoint(1).TryRecv(); ok {
 		t.Fatal("datagram arrived inline despite Delay=1")
 	}
-	d := recvN(t, n.Endpoint(1), 1)[0]
-	if string(d.Payload) != "late" {
-		t.Fatalf("payload %q", d.Payload)
+	got := recvN(t, n.Endpoint(1), 1)
+	if e := time.Since(start); e < lo {
+		t.Fatalf("first datagram arrived after %v, want >= %v", e, lo)
 	}
-	if time.Since(start) < 15*time.Millisecond {
-		t.Fatalf("arrived after %v, want >= ~20ms", time.Since(start))
+	seen := make(map[byte]bool)
+	for _, d := range append(got, recvN(t, n.Endpoint(1), total-1)...) {
+		seen[d.Payload[0]] = true
+	}
+	if len(seen) != total {
+		t.Fatalf("%d distinct datagrams arrived, want %d", len(seen), total)
 	}
 }
 
@@ -191,6 +198,17 @@ func TestSymmetricPartitionAndHeal(t *testing.T) {
 	n.Endpoint(0).Send(2, []byte("healed"))
 	if d := recvN(t, n.Endpoint(2), 1)[0]; string(d.Payload) != "healed" {
 		t.Fatalf("payload %q", d.Payload)
+	}
+
+	// Nodes listed in no group share the implicit one.
+	n.Partition([]transport.NodeID{0})
+	n.Endpoint(1).Send(2, []byte("unlisted"))
+	if d := recvN(t, n.Endpoint(2), 1)[0]; string(d.Payload) != "unlisted" {
+		t.Fatalf("payload %q", d.Payload)
+	}
+	n.Endpoint(0).Send(1, []byte("isolated"))
+	if _, ok := n.Endpoint(1).TryRecv(); ok {
+		t.Fatal("isolated node leaked a datagram")
 	}
 }
 

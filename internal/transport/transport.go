@@ -6,16 +6,20 @@
 //
 // Two backends implement it:
 //
-//   - internal/simnet — the deterministic in-process simulator: seeded
-//     loss, delay, corruption and partitions. The test substrate.
+//   - internal/simnet — the deterministic in-process simulator: in-line
+//     delivery, crash and restart. The test substrate.
 //   - internal/transport/udpnet — real UDP sockets on loopback or a
 //     LAN, with wire-framed, CRC-checked datagrams. The production
 //     substrate behind cmd/samoa-node.
 //
-// Both are held to the same behavioral contract by the battery in
-// internal/transport/conformance; consumers (ctp.Endpoint, gc.Site and
-// everything above them) compile against this package only and cannot
-// tell the backends apart.
+// Faults are not a backend's business: internal/transport/faultnet wraps
+// either one and is the only source of injected loss, corruption,
+// duplication, reordering, delay and partitions.
+//
+// Both backends, bare and wrapped, are held to the same behavioral
+// contract by the battery in internal/transport/conformance; consumers
+// (ctp.Endpoint, gc.Site and everything above them) compile against this
+// package only and cannot tell the backends apart.
 package transport
 
 // NodeID identifies a node; IDs are 0..Size-1 across the cluster.
@@ -37,7 +41,7 @@ type Stats struct {
 	Sent uint64
 	// Delivered counts datagrams enqueued into a receiver's inbox.
 	Delivered uint64
-	// Corrupted counts corrupted datagrams: injected by the simulator,
+	// Corrupted counts corrupted datagrams: injected by faultnet,
 	// detected (and rejected) by checksum on real backends.
 	Corrupted uint64
 	// DroppedLoss counts datagrams dropped by injected loss.
@@ -116,8 +120,8 @@ type Transport interface {
 	Close()
 }
 
-// Partitioner is the optional partition-injection capability. The
-// simulator implements it; real backends generally cannot (a real
+// Partitioner is the optional partition-injection capability. faultnet
+// implements it over any backend; the backends themselves do not (a real
 // partition is the network's doing, not the process's).
 type Partitioner interface {
 	// Partition splits the cluster: datagrams flow only within a group.

@@ -14,21 +14,22 @@
 //
 // What simnet guarantees that udpnet does not:
 //
-//   - determinism — simnet's loss/delay/corruption come from a seeded
-//     generator; the kernel's scheduling and buffers do not.
+//   - in-line delivery — a simnet datagram is in its destination's inbox
+//     before Send returns; a udpnet datagram crosses the kernel, whose
+//     scheduling and buffers are not deterministic.
 //   - omniscient stats — simnet counts why every datagram died; udpnet
-//     sees only its own end of the socket (Config.LossProb exists to
-//     inject loss for tests, since real loopback loss is too rare to
-//     exercise retransmission).
-//   - partitions — transport.Partitioner is simnet-only.
+//     sees only its own end of the socket.
 //   - remote liveness — Crash/Restart/Crashed act on hosted nodes; a
 //     remote process's crash is just silence, as on a real network.
+//
+// Neither backend injects faults: loss, corruption, delay and partitions
+// come from wrapping either one in internal/transport/faultnet (real
+// loopback loss is too rare to exercise retransmission on its own).
 package udpnet
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -54,11 +55,6 @@ type Config struct {
 	// InboxSize bounds each hosted node's receive queue (default 4096);
 	// overflowing datagrams are dropped, like a full socket buffer.
 	InboxSize int
-	// LossProb injects seeded egress loss (test-only: real loopback
-	// almost never drops, so retransmission paths would go unexercised).
-	LossProb float64
-	// Seed seeds the loss generator.
-	Seed int64
 }
 
 // Net is a real-UDP transport. Safe for concurrent use.
@@ -66,14 +62,12 @@ type Net struct {
 	cfg   Config
 	nodes []*node
 
-	mu     sync.Mutex
-	rng    *rand.Rand //samoa:guard mu
-	closed bool       //samoa:guard mu
+	mu     sync.Mutex // serializes Crash, Restart and Close
+	closed atomic.Bool
 
 	sent            atomic.Uint64
 	delivered       atomic.Uint64
 	corrupted       atomic.Uint64
-	droppedLoss     atomic.Uint64
 	droppedCrashed  atomic.Uint64
 	droppedOverflow atomic.Uint64
 	droppedOversize atomic.Uint64
@@ -126,7 +120,7 @@ func New(cfg Config) (*Net, error) {
 		}
 	}
 
-	n := &Net{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	n := &Net{cfg: cfg}
 	fail := func(err error) (*Net, error) {
 		n.Close()
 		return nil, err
@@ -201,7 +195,6 @@ func NewCluster(n int) ([]*Net, error) {
 			Addrs: addrs,
 			Local: []transport.NodeID{transport.NodeID(i)},
 			Conns: cs,
-			Seed:  int64(i),
 		})
 		if err != nil {
 			for _, t := range nets[:i] {
@@ -286,15 +279,7 @@ func (n *Net) send(from *node, to transport.NodeID, payload []byte) {
 		n.droppedOversize.Add(1)
 		return
 	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	drop := n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb
-	n.mu.Unlock()
-	if drop {
-		n.droppedLoss.Add(1)
+	if n.closed.Load() {
 		return
 	}
 	frame := encodeFrame(from.id, to, payload)
@@ -312,7 +297,7 @@ func (n *Net) Crash(id transport.NodeID) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed || nd.crashed.Load() {
+	if n.closed.Load() || nd.crashed.Load() {
 		return
 	}
 	nd.crashed.Store(true)
@@ -333,7 +318,7 @@ func (n *Net) Restart(id transport.NodeID) bool {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed || !nd.crashed.Load() {
+	if n.closed.Load() || !nd.crashed.Load() {
 		return false
 	}
 	addr := nd.addr.Load().String()
@@ -376,10 +361,10 @@ func (n *Net) Crashed(id transport.NodeID) bool {
 func (n *Net) Close() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Load() {
 		return
 	}
-	n.closed = true
+	n.closed.Store(true)
 	for _, nd := range n.nodes {
 		// gen is nil only for nodes a failed New never finished binding.
 		if g := nd.gen.Load(); nd.hosted && !nd.crashed.Load() && g != nil {
@@ -397,7 +382,6 @@ func (n *Net) Stats() transport.Stats {
 		Sent:            n.sent.Load(),
 		Delivered:       n.delivered.Load(),
 		Corrupted:       n.corrupted.Load(),
-		DroppedLoss:     n.droppedLoss.Load(),
 		DroppedCrashed:  n.droppedCrashed.Load(),
 		DroppedOverflow: n.droppedOverflow.Load(),
 		DroppedOversize: n.droppedOversize.Load(),
