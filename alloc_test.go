@@ -183,3 +183,31 @@ func TestBatchedReleaseAllocBudget(t *testing.T) {
 		t.Errorf("3× Spawn + out-of-order Complete: %.2f allocs/op, budget 6 (releases must be allocation-free)", avg)
 	}
 }
+
+// TestDeriveIsolatedAllocBudget asserts that a Derive request costs a
+// warm epoch nothing: once the epoch has resolved it, a computation
+// through Stack.Isolated allocates exactly what the same computation
+// under the equivalent hand-written Access spec does.
+func TestDeriveIsolatedAllocBudget(t *testing.T) {
+	st := core.NewStack(cc.NewVCABasic())
+	mp, next := core.NewMicroprotocol("mp"), core.NewMicroprotocol("next")
+	e0, e1 := core.NewEventType("e0"), core.NewEventType("e1")
+	st.Register(mp, next)
+	st.Bind(e0, mp.AddHandler("h", func(*core.Context, core.Message) error { return nil }).Emits(e1))
+	st.Bind(e1, next.AddHandler("h", func(*core.Context, core.Message) error { return nil }).Emits())
+	root := func(*core.Context) error { return nil }
+	allocs := func(spec *core.Spec) float64 {
+		if err := st.Isolated(spec, root); err != nil { // warm: seal, resolve, compile
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			if err := st.Isolated(spec, root); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	access := allocs(core.Access(mp, next))
+	if derived := allocs(core.Derive(core.SpecBasic, 0, e0)); derived > access {
+		t.Errorf("Derive computation: %.2f allocs/op, Access: %.2f; a warm epoch must resolve for free", derived, access)
+	}
+}

@@ -91,8 +91,8 @@ func main() {
 					resolvedSpecs++
 				}
 			}
-			fmt.Fprintf(os.Stderr, "samoa-vet: %-40s handlers=%-3d bindings=%-3d isosites=%-3d resolved-specs=%d\n",
-				pkg.ImportPath, len(model.Handlers), len(model.Bindings), len(model.IsoSites), resolvedSpecs)
+			fmt.Fprintf(os.Stderr, "samoa-vet: %-40s handlers=%-3d bindings=%-3d isosites=%-3d resolved-specs=%-3d emits-checked=%d\n",
+				pkg.ImportPath, len(model.Handlers), len(model.Bindings), len(model.IsoSites), resolvedSpecs, len(model.EmitsChecked()))
 		}
 	}
 	if *stats {

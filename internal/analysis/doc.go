@@ -21,7 +21,8 @@
 // typed ASTs directly):
 //
 //	footprint   Isolated/External roots that transitively reach a
-//	            handler of a microprotocol absent from the declared Spec
+//	            handler of a microprotocol absent from the declared Spec,
+//	            and handlers triggering an event their Emits omits
 //	readonly    ReadOnly() handlers whose bodies write captured state
 //	nestediso   synchronous Isolated/External inside a computation
 //	            (the documented deadlock; use IsolatedAsync)

@@ -6,22 +6,30 @@ import (
 	"sort"
 )
 
-// FootprintAnalyzer checks footprint soundness: a computation spawned
-// with a literal Spec must not statically reach a handler of a
-// microprotocol absent from the declared set M. Reachability follows
-// the binding graph through Trigger/TriggerAll/AsyncTrigger/
-// AsyncTriggerAll and Fork chains, descending into same-package helper
-// functions with caller-argument bindings so events passed as
-// parameters still resolve. Unresolvable specs, events or handler
-// bodies make the traversal incomplete — never a finding.
+// FootprintAnalyzer checks footprint soundness, in two halves:
+//
+//   - a computation spawned with a literal Spec must not statically reach
+//     a handler of a microprotocol absent from the declared set M;
+//   - a handler that declares Handler.Emits must declare every event its
+//     body triggers, since core.Derive follows only the declared ones —
+//     a local check of each handler against its own body.
+//
+// Reachability follows the binding graph through Trigger/TriggerAll/
+// AsyncTrigger/AsyncTriggerAll and Fork chains, descending into
+// same-package helper functions with caller-argument bindings so events
+// passed as parameters still resolve. Unresolvable specs, events or
+// handler bodies make the traversal incomplete — never a finding.
 var FootprintAnalyzer = &Analyzer{
 	Name: "footprint",
-	Doc:  "isolated computations must declare every microprotocol they can reach",
+	Doc:  "isolated computations must declare every microprotocol they can reach, and handlers every event they emit",
 	Run:  runFootprint,
 }
 
 func runFootprint(pass *Pass) {
 	m := pass.Model
+	for _, h := range m.EmitsChecked() {
+		checkEmits(pass, h)
+	}
 	for _, site := range m.IsoSites {
 		if site.Spec == nil || !site.Spec.SpecComplete {
 			continue
@@ -58,12 +66,78 @@ func runFootprint(pass *Pass) {
 	}
 }
 
-// footprintWalk computes the handler closure of one computation root.
+// EmitsChecked returns the handlers the Emits half of the footprint
+// check covers: those with a body and a statically known Emits set.
+func (m *Model) EmitsChecked() []*Val {
+	var out []*Val
+	for _, h := range m.Handlers {
+		if h.EmitsSeen && !h.EmitsOpen && h.Body != nil {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// checkEmits reports each trigger in h's body of an event its Emits does
+// not declare. Events are matched by abstract value where they resolve
+// and by the variable or field they are read from otherwise; a trigger
+// that cannot be matched either way is a finding only when nothing is
+// left to match it — every declared event resolved, or none declared.
+func checkEmits(pass *Pass, h *Val) {
+	m := pass.Model
+	declared := map[any]bool{}
+	allResolved := true
+	for _, arg := range h.Emits {
+		k := m.eventKey(arg, nil)
+		if _, ok := k.(*Val); !ok {
+			allResolved = false
+		}
+		declared[k] = true
+	}
+	tr := &footprintWalk{m: m, visited: map[ast.Node]bool{}}
+	tr.onTrigger = func(call *ast.CallExpr, overlay map[types.Object]*Val) {
+		k := m.eventKey(call.Args[0], overlay)
+		if k == nil || declared[k] {
+			return
+		}
+		ev, resolved := k.(*Val)
+		if !(resolved && allResolved) && len(h.Emits) > 0 {
+			return
+		}
+		name := types.ExprString(call.Args[0])
+		if resolved && ev.Name != "" {
+			name = ev.Name
+		}
+		pass.Reportf(call.Pos(), "handler %s triggers %s, which its Emits does not declare — derived specs will not cover the handlers bound to it", h, name)
+	}
+	tr.walkFunc(h.Body, nil)
+}
+
+// eventKey identifies the event an expression denotes: its abstract
+// value where it resolves, else the variable or field it is read from
+// (nil when it is neither).
+func (m *Model) eventKey(e ast.Expr, overlay map[types.Object]*Val) any {
+	if v := m.chase(e, overlay); v != nil {
+		if v.Kind == KEvent {
+			return v
+		}
+		return nil
+	}
+	if obj := m.objOf(e); obj != nil {
+		return obj
+	}
+	return nil
+}
+
+// footprintWalk computes the handler closure of one computation root or,
+// with onTrigger set, reports the trigger calls of one body instead of
+// following them.
 type footprintWalk struct {
-	m        *Model
-	stack    *Val
-	handlers map[*Val]bool
-	visited  map[ast.Node]bool
+	m         *Model
+	stack     *Val
+	handlers  map[*Val]bool
+	visited   map[ast.Node]bool
+	onTrigger func(call *ast.CallExpr, overlay map[types.Object]*Val)
 }
 
 // triggerEvent adds every handler bound to ev (on a compatible stack)
@@ -104,10 +178,13 @@ func (t *footprintWalk) walkFunc(fn *FuncNode, overlay map[types.Object]*Val) {
 		if isCore && recv == "Context" {
 			switch name {
 			case "Trigger", "TriggerAll", "AsyncTrigger", "AsyncTriggerAll":
-				if len(call.Args) > 0 {
-					if ev := t.m.chase(call.Args[0], overlay); ev != nil && ev.Kind == KEvent {
-						t.triggerEvent(ev)
-					}
+				if len(call.Args) == 0 {
+					break
+				}
+				if t.onTrigger != nil {
+					t.onTrigger(call, overlay)
+				} else if ev := t.m.chase(call.Args[0], overlay); ev != nil && ev.Kind == KEvent {
+					t.triggerEvent(ev)
 				}
 			case "Fork":
 				if len(call.Args) > 0 {

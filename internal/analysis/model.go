@@ -19,8 +19,7 @@ const (
 	KLookup                  // (*Microprotocol).Handler("name") site
 	KStack                   // core.NewStack site
 	KGraph                   // core.NewRouteGraph site
-	KBuilder                 // core.NewSpecBuilder site
-	KSpec                    // core.Access / AccessBound / Route / builder-derived
+	KSpec                    // core.Access / AccessBound / Route
 )
 
 // Val is one abstract protocol value, identified by its creation call
@@ -40,6 +39,12 @@ type Val struct {
 	MP       *Val // owning microprotocol (nil if unresolved)
 	ReadOnly bool
 	Body     *FuncNode // handler function body (nil if unresolved)
+	// Emits collects the arguments of every Handler.Emits call on the
+	// handler; EmitsOpen is set when one passed a slice (ts...), so the
+	// declared set is not statically known.
+	Emits     []ast.Expr
+	EmitsSeen bool
+	EmitsOpen bool
 
 	// KLookup: the handler the name lookup resolves to.
 	Resolved *Val
@@ -53,10 +58,6 @@ type Val struct {
 	Roots         []*Val
 	Edges         map[*Val][]*Val
 	GraphComplete bool
-
-	// KBuilder
-	BEdges    [][2]*Val
-	BComplete bool
 }
 
 // FuncNode is a function with a body the analyzers can walk: a function
@@ -158,10 +159,10 @@ func ExtractModel(pkg *Package) *Model {
 }
 
 // propagate runs the flow-insensitive value-propagation fixpoint:
-// creation sites are materialized and copied through assignments until
-// the environment is stable. A storage location assigned two distinct
-// values becomes ambiguous and resolves to nothing — the checks skip
-// rather than guess.
+// creation sites are materialized and copied through assignments and
+// keyed struct literals until the environment is stable. A storage
+// location assigned two distinct values becomes ambiguous and resolves
+// to nothing — the checks skip rather than guess.
 func (m *Model) propagate() {
 	for range 20 {
 		changed := false
@@ -185,6 +186,11 @@ func (m *Model) propagate() {
 								changed = true
 							}
 						}
+					}
+				case *ast.KeyValueExpr:
+					// A keyed struct literal stores into the named field.
+					if f, ok := m.objOf(n.Key).(*types.Var); ok && f.IsField() && m.bind(n.Key, m.chase(n.Value, nil)) {
+						changed = true
 					}
 				}
 				return true
@@ -305,7 +311,7 @@ func recvExpr(call *ast.CallExpr) ast.Expr {
 
 // siteVal materializes (and memoizes) the abstract value created by a
 // call site, or nil for calls that create none. Chaining methods
-// (RouteGraph.Root/Edge, SpecBuilder.Edge) resolve to their receiver's
+// (RouteGraph.Root/Edge, Handler.Emits) resolve to their receiver's
 // value so fluent construction works.
 func (m *Model) siteVal(call *ast.CallExpr) *Val {
 	if v, ok := m.sites[call]; ok {
@@ -324,9 +330,6 @@ func (m *Model) siteVal(call *ast.CallExpr) *Val {
 			v.Edges = map[*Val][]*Val{}
 			v.GraphComplete = true
 		}
-		if k == KBuilder {
-			v.BComplete = true
-		}
 		if k == KEvent || k == KMP {
 			if len(call.Args) > 0 {
 				v.Name, _ = m.strConst(call.Args[0])
@@ -344,18 +347,14 @@ func (m *Model) siteVal(call *ast.CallExpr) *Val {
 		return mk(KStack)
 	case recv == "" && name == "NewRouteGraph":
 		return mk(KGraph)
-	case recv == "" && name == "NewSpecBuilder":
-		return mk(KBuilder)
 	case recv == "" && (name == "Access" || name == "AccessBound" || name == "Route"):
 		return mk(KSpec)
 	case recv == "Microprotocol" && name == "AddHandler":
 		return mk(KHandler)
 	case recv == "Microprotocol" && name == "Handler":
 		return mk(KLookup)
-	case recv == "SpecBuilder" && (name == "Basic" || name == "Bound" || name == "Route"):
-		return mk(KSpec)
 	case (recv == "RouteGraph" && (name == "Root" || name == "Edge")) ||
-		(recv == "SpecBuilder" && name == "Edge"):
+		(recv == "Handler" && name == "Emits"):
 		v := m.chase(recvExpr(call), nil)
 		if v != nil {
 			m.sites[call] = v
@@ -389,13 +388,13 @@ func (m *Model) funcNodeOf(e ast.Expr) *FuncNode {
 	return nil
 }
 
-// finalize decorates the materialized values — handler registration,
-// name lookups, graph and builder edges, spec footprints — and collects
+// finalize decorates the materialized values — handler registration and
+// emits, name lookups, graph edges, spec footprints — and collects
 // the binding graph and computation-spawning sites. It runs after the
 // environment is stable so argument expressions resolve as well as they
 // ever will.
 func (m *Model) finalize() {
-	var lookups, graphOps, builderOps, specs []*ast.CallExpr
+	var lookups, graphOps, emits, specs []*ast.CallExpr
 	var binds, isos []*ast.CallExpr
 	for _, f := range m.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -414,10 +413,9 @@ func (m *Model) finalize() {
 				lookups = append(lookups, call)
 			case recv == "RouteGraph" && (name == "Root" || name == "Edge"):
 				graphOps = append(graphOps, call)
-			case recv == "SpecBuilder" && name == "Edge":
-				builderOps = append(builderOps, call)
-			case recv == "" && (name == "Access" || name == "AccessBound" || name == "Route"),
-				recv == "SpecBuilder" && (name == "Basic" || name == "Bound" || name == "Route"):
+			case recv == "Handler" && name == "Emits":
+				emits = append(emits, call)
+			case recv == "" && (name == "Access" || name == "AccessBound" || name == "Route"):
 				specs = append(specs, call)
 			case recv == "Stack" && (name == "Bind" || name == "Rebind"):
 				binds = append(binds, call)
@@ -461,17 +459,12 @@ func (m *Model) finalize() {
 			g.Edges[hs[0]] = append(g.Edges[hs[0]], hs[1])
 		}
 	}
-	for _, call := range builderOps {
-		b := m.sites[call]
-		if b == nil || b.Kind != KBuilder {
-			continue
+	for _, call := range emits {
+		if h := m.chase(recvExpr(call), nil); h != nil && h.Kind == KHandler {
+			h.EmitsSeen = true
+			h.Emits = append(h.Emits, call.Args...)
+			h.EmitsOpen = h.EmitsOpen || call.Ellipsis.IsValid()
 		}
-		from, to := m.argHandler(call, 0), m.argHandler(call, 1)
-		if from == nil || to == nil {
-			b.BComplete = false
-			continue
-		}
-		b.BEdges = append(b.BEdges, [2]*Val{from, to})
 	}
 	for _, call := range specs {
 		m.decorateSpec(call)
@@ -490,16 +483,6 @@ func (m *Model) finalize() {
 	sort.Slice(m.Graphs, func(i, j int) bool { return m.Graphs[i].Call.Pos() < m.Graphs[j].Call.Pos() })
 	sort.Slice(m.Handlers, func(i, j int) bool { return m.Handlers[i].Call.Pos() < m.Handlers[j].Call.Pos() })
 	sort.Slice(m.IsoSites, func(i, j int) bool { return m.IsoSites[i].Call.Pos() < m.IsoSites[j].Call.Pos() })
-}
-
-func (m *Model) argHandler(call *ast.CallExpr, i int) *Val {
-	if i >= len(call.Args) {
-		return nil
-	}
-	if h := m.chase(call.Args[i], nil); h != nil && h.Kind == KHandler {
-		return h
-	}
-	return nil
 }
 
 func (m *Model) decorateHandler(call *ast.CallExpr) {
@@ -533,7 +516,7 @@ func (m *Model) decorateSpec(call *ast.CallExpr) {
 	if v == nil || v.Kind != KSpec {
 		return
 	}
-	recv, name, _ := coreFunc(m.calleeFunc(call))
+	_, name, _ := coreFunc(m.calleeFunc(call))
 	addMP := func(mp *Val) {
 		if mp != nil {
 			for _, have := range v.SpecMPs {
@@ -552,8 +535,8 @@ func (m *Model) decorateSpec(call *ast.CallExpr) {
 		addMP(h.MP)
 	}
 	v.SpecComplete = true
-	switch {
-	case recv == "" && name == "Access":
+	switch name {
+	case "Access":
 		if call.Ellipsis.IsValid() {
 			v.SpecComplete = false
 			break
@@ -565,7 +548,7 @@ func (m *Model) decorateSpec(call *ast.CallExpr) {
 				v.SpecComplete = false
 			}
 		}
-	case recv == "" && name == "AccessBound":
+	case "AccessBound":
 		lit, ok := ast.Unparen(call.Args[0]).(*ast.CompositeLit)
 		if !ok {
 			v.SpecComplete = false
@@ -583,7 +566,7 @@ func (m *Model) decorateSpec(call *ast.CallExpr) {
 				v.SpecComplete = false
 			}
 		}
-	case recv == "" && name == "Route":
+	case "Route":
 		g := m.chase(call.Args[0], nil)
 		if g == nil || g.Kind != KGraph {
 			v.SpecComplete = false
@@ -601,42 +584,6 @@ func (m *Model) decorateSpec(call *ast.CallExpr) {
 			for _, to := range tos {
 				addHandlerMP(to)
 			}
-		}
-	case recv == "SpecBuilder":
-		b := m.chase(recvExpr(call), nil)
-		if b == nil || b.Kind != KBuilder || !b.BComplete || call.Ellipsis.IsValid() {
-			v.SpecComplete = false
-			break
-		}
-		args := call.Args
-		if name == "Bound" {
-			args = args[1:]
-		}
-		reach := map[*Val]bool{}
-		var queue []*Val
-		for _, a := range args {
-			h := m.chase(a, nil)
-			if h == nil || h.Kind != KHandler {
-				v.SpecComplete = false
-				continue
-			}
-			if !reach[h] {
-				reach[h] = true
-				queue = append(queue, h)
-			}
-		}
-		for len(queue) > 0 {
-			h := queue[0]
-			queue = queue[1:]
-			for _, e := range b.BEdges {
-				if e[0] == h && !reach[e[1]] {
-					reach[e[1]] = true
-					queue = append(queue, e[1])
-				}
-			}
-		}
-		for h := range reach {
-			addHandlerMP(h)
 		}
 	}
 }

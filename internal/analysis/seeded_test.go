@@ -10,38 +10,56 @@ import (
 	"repro/internal/analysis"
 )
 
-// seedCCMirror copies the ccmirror fixture with one mutation applied
-// and runs the given analyzer over the copy, returning its findings.
-// The copy lives under the module root so imports resolve, mirroring
-// TestSeededRegressionCaught.
-func seedCCMirror(t *testing.T, orig, mutated string, a *analysis.Analyzer) []analysis.Diagnostic {
+// seedPackage copies the non-test Go files of the module-relative
+// package dir with one mutation applied and runs the given analyzer over
+// the copy, returning its findings. The copy lives under the module root
+// so imports resolve.
+func seedPackage(t *testing.T, dir, orig, mutated string, a *analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	src, err := os.ReadFile(filepath.Join(loader.ModuleRoot, "internal", "analysis", "testdata", "src", "ccmirror", "ccmirror.go"))
+	files, err := filepath.Glob(filepath.Join(loader.ModuleRoot, dir, "*.go"))
 	if err != nil {
-		t.Fatalf("read ccmirror: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(src), orig) {
-		t.Fatalf("ccmirror no longer contains %q; update this test's seed", orig)
-	}
-	seeded := strings.Replace(string(src), orig, mutated, 1)
-
-	dir, err := os.MkdirTemp("testdata", "seeded-")
+	out, err := os.MkdirTemp("testdata", "seeded-")
 	if err != nil {
 		t.Fatalf("mkdir: %v", err)
 	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
-	if err := os.WriteFile(filepath.Join(dir, "ccmirror.go"), []byte(seeded), 0o644); err != nil {
-		t.Fatalf("write seeded copy: %v", err)
+	t.Cleanup(func() { os.RemoveAll(out) })
+	seeded := false
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := string(src)
+		if !seeded && strings.Contains(code, orig) {
+			code, seeded = strings.Replace(code, orig, mutated, 1), true
+		}
+		if err := os.WriteFile(filepath.Join(out, filepath.Base(f)), []byte(code), 0o644); err != nil {
+			t.Fatalf("write seeded copy: %v", err)
+		}
 	}
-	pkg, err := loader.Load(dir)
+	if !seeded {
+		t.Fatalf("%s no longer contains %q; update this test's seed", dir, orig)
+	}
+	pkg, err := loader.Load(out)
 	if err != nil {
 		t.Fatalf("load seeded copy: %v", err)
 	}
 	return analysis.RunChecks(pkg, []*analysis.Analyzer{a})
+}
+
+// seedCCMirror is seedPackage over the ccmirror fixture.
+func seedCCMirror(t *testing.T, orig, mutated string, a *analysis.Analyzer) []analysis.Diagnostic {
+	t.Helper()
+	return seedPackage(t, filepath.Join("internal", "analysis", "testdata", "src", "ccmirror"), orig, mutated, a)
 }
 
 // expectOnly asserts every diagnostic matches want and at least one was

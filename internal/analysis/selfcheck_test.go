@@ -1,10 +1,8 @@
 package analysis_test
 
 import (
-	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -41,46 +39,18 @@ func TestRepoCleanAtHead(t *testing.T) {
 // quickstart example's spec and checks the footprint analyzer reports
 // the now-unreachable handler — the acceptance probe from the issue.
 func TestSeededRegressionCaught(t *testing.T) {
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	src, err := os.ReadFile(filepath.Join(loader.ModuleRoot, "examples", "quickstart", "main.go"))
-	if err != nil {
-		t.Fatalf("read quickstart: %v", err)
-	}
-	const orig = "core.Access(f.mpP, f.mpR, f.mpS)"
-	if !strings.Contains(string(src), orig) {
-		t.Fatalf("quickstart no longer contains %q; update this test's seed", orig)
-	}
-	seeded := strings.Replace(string(src), orig, "core.Access(f.mpP, f.mpR)", 1)
+	diags := seedPackage(t, filepath.Join("examples", "quickstart"),
+		"core.Access(f.mpP, f.mpR, f.mpS)", "core.Access(f.mpP, f.mpR)", analysis.FootprintAnalyzer)
+	expectOnly(t, diags, regexp.MustCompile(`reaches handler S\.S but microprotocol S is not in its declared spec \[P R\]`))
+}
 
-	// The seeded copy must live under the module root so its
-	// repro/... imports resolve.
-	dir, err := os.MkdirTemp("testdata", "seeded-")
-	if err != nil {
-		t.Fatalf("mkdir: %v", err)
-	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(seeded), 0o644); err != nil {
-		t.Fatalf("write seeded copy: %v", err)
-	}
-
-	pkg, err := loader.Load(dir)
-	if err != nil {
-		t.Fatalf("load seeded copy: %v", err)
-	}
-	diags := analysis.RunChecks(pkg, []*analysis.Analyzer{analysis.FootprintAnalyzer})
-	want := regexp.MustCompile(`reaches handler S\.S but microprotocol S is not in its declared spec \[P R\]`)
-	found := false
-	for _, d := range diags {
-		if want.MatchString(d.Message) {
-			found = true
-		} else {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	if !found {
-		t.Errorf("footprint missed the seeded regression; got %d diagnostics", len(diags))
-	}
+// TestSeededEmitsRegressionCaught drops one event from a gc handler's
+// Emits and checks the footprint analyzer reports the trigger the
+// declaration no longer covers: the local check that keeps derived specs
+// honest.
+func TestSeededEmitsRegressionCaught(t *testing.T) {
+	diags := seedPackage(t, filepath.Join("internal", "gc"),
+		`rc.mp.AddHandler("recv", rc.recv).Emits(ev.NetSend, ev.FromRComm)`,
+		`rc.mp.AddHandler("recv", rc.recv).Emits(ev.NetSend)`, analysis.FootprintAnalyzer)
+	expectOnly(t, diags, regexp.MustCompile(`handler relcomm\.recv triggers FromRComm, which its Emits does not declare`))
 }

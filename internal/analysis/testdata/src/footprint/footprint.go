@@ -1,6 +1,7 @@
 // Package footprint is golden testdata for the footprint check: a
 // three-stage trigger chain e0 → A.head → e1 → B.mid → e2 → C.sink,
-// spawned under specs that do and do not cover the chain.
+// spawned under specs that do and do not cover the chain, and handlers
+// whose Emits do and do not declare what their bodies trigger.
 package footprint
 
 import "repro/internal/core"
@@ -41,7 +42,7 @@ func build(ctrl core.Controller) *proto {
 }
 
 func emit(ctx *core.Context, ev *core.EventType, msg core.Message) error {
-	return ctx.Trigger(ev, msg)
+	return ctx.Trigger(ev, msg) // want `handler E\.third triggers f1, which its Emits does not declare`
 }
 
 // runShort under-declares: the chain reaches C.sink but the spec stops
@@ -67,4 +68,41 @@ func (p *proto) runIso() error {
 // the check leaves enforcement to the controller.
 func (p *proto) runDynamic(mps []*core.Microprotocol) error {
 	return p.stack.External(core.Access(mps...), p.e0, "m")
+}
+
+// declared is the Emits half: each handler declaring Emits must declare
+// every event its body triggers, directly or through a helper.
+func declared() {
+	d, e := core.NewMicroprotocol("D"), core.NewMicroprotocol("E")
+	f1, f2 := core.NewEventType("f1"), core.NewEventType("f2")
+	d.AddHandler("first", func(ctx *core.Context, msg core.Message) error {
+		if err := ctx.Trigger(f1, msg); err != nil {
+			return err
+		}
+		return ctx.TriggerAll(f2, msg) // want `handler D\.first triggers f2, which its Emits does not declare`
+	}).Emits(f1)
+	e.AddHandler("second", func(ctx *core.Context, msg core.Message) error {
+		return emit(ctx, f2, msg) // declared through the helper's parameter: clean
+	}).Emits(f2)
+	e.AddHandler("third", func(ctx *core.Context, msg core.Message) error {
+		return emit(ctx, f1, msg)
+	}).Emits()
+}
+
+// layer reads its events from fields set by its constructor's caller: the
+// values do not resolve, so events match by the field they are read from.
+type layer struct {
+	mp       *core.Microprotocol
+	down, up *core.EventType
+}
+
+func newLayer(down, up *core.EventType) *layer {
+	l := &layer{mp: core.NewMicroprotocol("L"), down: down, up: up}
+	l.mp.AddHandler("send", func(ctx *core.Context, msg core.Message) error {
+		return ctx.Trigger(l.down, msg)
+	}).Emits(l.down)
+	l.mp.AddHandler("recv", func(ctx *core.Context, msg core.Message) error {
+		return ctx.Trigger(l.up, msg) // want `handler L\.recv triggers l\.up, which its Emits does not declare`
+	}).Emits()
+	return l
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -29,33 +28,25 @@ func SwapSafe() []Variant {
 }
 
 // swapLatWorkload keeps `workers` goroutines spawning computations over
-// one hot microprotocol while the measuring loop Replaces it. The
-// identity table is RWMutex-guarded exactly like a live deployment's
-// would be: spawns racing a swap compile against the retired identity,
-// fail with ReconfiguredError, and respawn against the successor.
+// one hot microprotocol while the measuring loop Replaces it. The spec is
+// derived from the hot event's binding, so every spawn resolves it
+// against the epoch it pins and none has to respawn across a swap.
 type swapLatWorkload struct {
 	stack *core.Stack
-	kind  string
+	spec  *core.Spec
 	ev    *core.EventType
 	work  time.Duration
-
-	mu   sync.RWMutex
-	name string
-	mp   *core.Microprotocol
-	h    *core.Handler
-
-	respawns atomic.Int64
-	stop     atomic.Bool
+	stop  atomic.Bool
 }
 
 func newSwapLatWorkload(v Variant, work time.Duration) *swapLatWorkload {
-	w := &swapLatWorkload{kind: v.Kind, work: work, name: "hot"}
+	w := &swapLatWorkload{work: work}
 	w.stack = core.NewStack(v.New())
 	w.ev = core.NewEventType("hot-ev")
-	w.mp = core.NewMicroprotocol(w.name)
-	w.h = w.mp.AddHandler("visit", w.visit)
-	w.stack.Register(w.mp)
-	w.stack.Bind(w.ev, w.h)
+	w.spec = core.Derive(kindOf(v.Kind), 1, w.ev)
+	mp := core.NewMicroprotocol("hot@v0")
+	w.stack.Register(mp)
+	w.stack.Bind(w.ev, mp.AddHandler("visit", w.visit).Emits())
 	return w
 }
 
@@ -64,34 +55,12 @@ func (w *swapLatWorkload) visit(ctx *core.Context, msg core.Message) error {
 	return nil
 }
 
-// spec builds the variant's spec flavour against the current identity.
-func (w *swapLatWorkload) spec() *core.Spec {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	switch w.kind {
-	case "bound":
-		return core.AccessBound(map[*core.Microprotocol]int{w.mp: 1})
-	case "route":
-		return core.Route(core.NewRouteGraph().Root(w.h))
-	default:
-		return core.Access(w.mp)
-	}
-}
-
-// worker spawns computations back to back until stopped, respawning
-// whenever a swap retires the identity it compiled against.
+// worker spawns computations back to back until stopped.
 func (w *swapLatWorkload) worker() error {
 	for !w.stop.Load() {
-		err := w.stack.External(w.spec(), w.ev, nil)
-		if err == nil {
-			continue
+		if err := w.stack.External(w.spec, w.ev, nil); err != nil {
+			return err
 		}
-		var re *core.ReconfiguredError
-		if errors.As(err, &re) {
-			w.respawns.Add(1)
-			continue
-		}
-		return err
 	}
 	return nil
 }
@@ -101,25 +70,16 @@ func (w *swapLatWorkload) worker() error {
 // additionally waits for the superseded epoch to drain its in-flight
 // computations.
 func (w *swapLatWorkload) swap(ver int) (install, settle time.Duration, err error) {
-	w.mu.RLock()
-	oldName := w.name
-	w.mu.RUnlock()
-	nextName := fmt.Sprintf("hot@v%d", ver)
-	next := core.NewMicroprotocol(nextName)
-	h := next.AddHandler("visit", w.visit)
+	next := core.NewMicroprotocol(fmt.Sprintf("hot@v%d", ver))
+	next.AddHandler("visit", w.visit).Emits()
 
-	superseded := w.stack.CurrentEpoch()
 	start := time.Now()
-	if err := w.stack.Reconfigure(func(e *core.Epoch) { e.Replace(oldName, next) }); err != nil {
+	if err := w.stack.Reconfigure(func(e *core.Epoch) { e.Replace(fmt.Sprintf("hot@v%d", ver-1), next) }); err != nil {
 		return 0, 0, err
 	}
 	install = time.Since(start)
-
-	w.mu.Lock()
-	w.name, w.mp, w.h = nextName, next, h
-	w.mu.Unlock()
-
-	<-w.stack.EpochDrained(superseded)
+	// Read after the install: the first swap may be what seals the stack.
+	<-w.stack.EpochDrained(w.stack.CurrentEpoch() - 1)
 	settle = time.Since(start)
 	return install, settle, nil
 }
@@ -140,20 +100,15 @@ func pctile(ds []time.Duration, q float64) time.Duration {
 // back. Two latencies per swap:
 //
 //   - install: Reconfigure returns — the successor epoch is published and
-//     new spawns land on it. This is the window during which spawns can
-//     lose the compile-vs-install race and must respawn.
+//     new spawns land on it.
 //   - settle: the superseded epoch has drained — every computation
 //     admitted before the swap has finished on the old identity. Bounded
 //     below by the handler work still in flight at swap time.
-//
-// Respawns counts spawns that raced a swap and retried; with `swaps`
-// swaps against `workers` workers it stays O(workers·swaps) — respawn
-// storms would indicate admission livelock.
 func E13SwapLatency(workers, swaps int, work time.Duration) *Table {
 	t := &Table{
 		ID:     "E13",
 		Title:  fmt.Sprintf("live-reconfiguration latency (%d workers, %d swaps, %v handler work)", workers, swaps, work),
-		Header: []string{"controller", "install p50 µs", "install p99 µs", "settle p50 µs", "settle p99 µs", "respawns"},
+		Header: []string{"controller", "install p50 µs", "install p99 µs", "settle p50 µs", "settle p99 µs"},
 	}
 	for _, v := range SwapSafe() {
 		w := newSwapLatWorkload(v, work)
@@ -203,7 +158,6 @@ func E13SwapLatency(workers, swaps int, work time.Duration) *Table {
 			fmt.Sprintf("%.0f", float64(pctile(installs, 0.99).Nanoseconds())/1e3),
 			fmt.Sprintf("%.0f", float64(pctile(settles, 0.50).Nanoseconds())/1e3),
 			fmt.Sprintf("%.0f", float64(pctile(settles, 0.99).Nanoseconds())/1e3),
-			fmt.Sprintf("%d", w.respawns.Load()),
 		)
 	}
 	t.Note("install: Reconfigure returns, successor epoch admitting; settle: superseded epoch drained; settle floor is the handler work in flight at swap time")

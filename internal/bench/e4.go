@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gc"
 	"repro/internal/simnet"
 	"repro/internal/transport/faultnet"
@@ -22,15 +23,15 @@ type Cluster struct {
 	nDeliv atomic.Int64
 }
 
-// kindOf maps a variant kind string to the Site spec kind.
-func kindOf(kind string) gc.SpecKind {
+// kindOf maps a variant kind string to its spec kind.
+func kindOf(kind string) core.SpecKind {
 	switch kind {
 	case "bound":
-		return gc.SpecBound
+		return core.SpecBound
 	case "route":
-		return gc.SpecRoute
+		return core.SpecRoute
 	default:
-		return gc.SpecBasic
+		return core.SpecBasic
 	}
 }
 

@@ -54,19 +54,12 @@ func NewTransport(v Variant, shape TransportShape, seed int64) (*Transport, erro
 			Delay: 1, DelayMin: 20 * time.Microsecond, DelayMax: 200 * time.Microsecond,
 		},
 	})
-	kind := ctp.SpecBasic
-	switch v.Kind {
-	case "bound":
-		kind = ctp.SpecBound
-	case "route":
-		kind = ctp.SpecRoute
-	}
 	mk := func(id, peer simnet.NodeID, deliver func([]byte)) (*ctp.Endpoint, error) {
 		return ctp.NewEndpoint(ctp.Config{
 			Net: tr.net, ID: id, Peer: peer,
 			Reliable: shape.Reliable, Ordered: shape.Ordered, Checksummed: shape.Checksummed,
 			RTO:        10 * time.Millisecond,
-			Controller: v.New(), SpecKind: kind,
+			Controller: v.New(), SpecKind: kindOf(v.Kind),
 			Deliver: deliver,
 		})
 	}

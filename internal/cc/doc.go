@@ -57,4 +57,8 @@
 // totally orders conflicting slow-path claims without lock-order
 // deadlocks. Controllers hold per-stack state; do not share one across
 // stacks.
+//
+// The stack decides against each computation's pinned epoch which
+// microprotocols it may touch, so the version tables keep no removal
+// markers: see versionTable.InstallEpoch and RetireEpoch.
 package cc

@@ -46,14 +46,9 @@ func claimsOf(t core.Token) *vcaToken {
 // slots are quiescent (versionTable.claim). Spawn never blocks, so the
 // context is not consulted.
 func (k *vca) Spawn(_ context.Context, spec *core.Spec) (core.Token, error) {
-	fp, err := k.footprint(spec)
-	if err != nil {
-		return nil, err
-	}
+	fp := k.footprint(spec)
 	t := &vcaToken{fp: fp, nodes: make([]relNode, len(fp.slots))}
-	if err := k.claim(fp, t.nodes); err != nil {
-		return nil, err
-	}
+	k.claim(fp, t.nodes)
 	return t, nil
 }
 

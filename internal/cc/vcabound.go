@@ -58,10 +58,7 @@ func (c *VCABound) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 	if !spec.HasBounds() {
 		return nil, &core.SpecError{Controller: c.Name(), Reason: "spec carries no visit bounds; build it with core.AccessBound"}
 	}
-	fp, err := c.footprint(spec)
-	if err != nil {
-		return nil, err
-	}
+	fp := c.footprint(spec)
 	for i, b := range fp.bounds {
 		if b == 0 {
 			return nil, &core.SpecError{Controller: c.Name(), Reason: "non-positive bound for microprotocol " + fp.mps[i].Name()}
@@ -71,9 +68,7 @@ func (c *VCABound) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 		vcaToken:  vcaToken{fp: fp, nodes: make([]relNode, len(fp.slots))},
 		requested: make([]uint64, len(fp.slots)),
 	}
-	if err := c.claim(fp, t.nodes); err != nil {
-		return nil, err
-	}
+	c.claim(fp, t.nodes)
 	return t, nil
 }
 

@@ -71,10 +71,7 @@ func (c *VCARoute) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 	if spec.Graph() == nil {
 		return nil, &core.SpecError{Controller: c.Name(), Reason: "spec carries no routing graph; build it with core.Route"}
 	}
-	fp, err := c.footprint(spec)
-	if err != nil {
-		return nil, err
-	}
+	fp := c.footprint(spec)
 	np, nv := len(fp.slots), len(fp.route.succs)
 	flags := make([]bool, np+2*nv) // one backing array for released, removed and seen
 	t := &routeToken{
@@ -85,9 +82,7 @@ func (c *VCARoute) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 		counts:     make([]int32, nv),
 		rootActive: true,
 	}
-	if err := c.claim(fp, t.nodes); err != nil {
-		return nil, err
-	}
+	c.claim(fp, t.nodes)
 	return t, nil
 }
 

@@ -86,14 +86,9 @@ func readerOf(spec *core.Spec, mp *core.Microprotocol) bool {
 // group or take a fresh version. It never blocks on admission, so the
 // context is not consulted.
 func (c *VCARW) Spawn(_ context.Context, spec *core.Spec) (core.Token, error) {
-	fp, err := c.footprint(spec)
-	if err != nil {
-		return nil, err
-	}
+	fp := c.footprint(spec)
 	t := &vcaToken{fp: fp, nodes: make([]relNode, len(fp.slots))}
-	if err := fp.lockSlots(); err != nil {
-		return nil, err
-	}
+	fp.lockSlots()
 	for i, st := range fp.states {
 		pv := st.rwClaimLocked(fp.reader[i])
 		t.nodes[i] = relNode{minLv: pv - 1, target: pv}

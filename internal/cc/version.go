@@ -71,14 +71,6 @@ type mpState struct {
 	relq     atomic.Pointer[relNode]
 	draining atomic.Uint32
 
-	// gone is non-nil once a live reconfiguration removed this slot's
-	// microprotocol: new claims are rejected with the stored error (one
-	// preallocated per removal, so the rejection path allocates nothing).
-	// Claims already holding the slot release normally — RetireEpoch's
-	// drain waits for exactly that. A later epoch re-adding the same
-	// microprotocol clears the marker; the slot resumes where it left off.
-	gone atomic.Pointer[core.ReconfiguredError]
-
 	// rw is VCARW's reader-group bookkeeping for this slot, created
 	// lazily. Nil for every other controller.
 	rw *rwState //samoa:guard spawnMu — created and mutated only under the slot's spawnMu (rwClaimLocked, VCARW.Complete)
@@ -259,13 +251,7 @@ type versionTable struct {
 	index  map[*core.Microprotocol]int // mp → dense slot; grows under mu
 	states []*mpState                  // by dense slot; pointers are stable
 
-	// retired maps a microprotocol removed by reconfiguration to its
-	// rejection error, so a spec naming it fails at compile time even if
-	// the table never assigned it a slot. Added-back microprotocols are
-	// deleted again. Guarded by mu; nil until the first removal.
-	retired map[*core.Microprotocol]*core.ReconfiguredError
-
-	footprints sync.Map // *core.Spec → *footprint, compiled per epoch (invalidated on removal)
+	footprints sync.Map // *core.Spec → *footprint (dropped at RetireEpoch once no epoch can use it)
 
 	// fastEmpty counts fast-path spawns of empty footprints (no slot to
 	// charge them to); slowSpawns counts ordered-lock spawns. Slot-charged
@@ -325,23 +311,10 @@ func (vt *versionTable) slotLocked(mp *core.Microprotocol) int {
 // post-claim gv (the private version pv, and the lv value its release
 // will install). The same nodes are later pushed to the slots' release
 // stacks by Complete, so rule 3 allocates nothing.
-//
-// A slot whose microprotocol a reconfiguration has removed rejects the
-// claim with the removal's preallocated ReconfiguredError — the caller
-// raced an epoch swap and must rebuild its spec against the new epoch.
-// The check costs one pointer load per slot on the fast path; the slow
-// path re-checks under the admission locks, so a claim that loses the
-// race with InstallEpoch cannot slip a new version onto a retiring slot.
-func (vt *versionTable) claim(fp *footprint, nodes []relNode) error {
-	for _, st := range fp.states {
-		if err := st.gone.Load(); err != nil {
-			return err
-		}
+func (vt *versionTable) claim(fp *footprint, nodes []relNode) {
+	if !vt.claimFast(fp, nodes) {
+		vt.claimSlow(fp, nodes)
 	}
-	if vt.claimFast(fp, nodes) {
-		return nil
-	}
-	return vt.claimSlow(fp, nodes)
 }
 
 // claimFast is the lock-free admission path: it succeeds only when every
@@ -397,35 +370,22 @@ func (vt *versionTable) unclaim(fp *footprint, nodes []relNode, n int) {
 // cannot overlap, so cross-slot version orders cannot cycle), then
 // release. Disjoint spawns that both fall here still proceed in
 // parallel: they share no slot, hence no lock.
-func (vt *versionTable) claimSlow(fp *footprint, nodes []relNode) error {
-	if err := fp.lockSlots(); err != nil {
-		return err
-	}
+func (vt *versionTable) claimSlow(fp *footprint, nodes []relNode) {
+	fp.lockSlots()
 	for i, st := range fp.states {
 		g := st.gv.Add(fp.deltas[i])
 		nodes[i] = relNode{minLv: g - fp.deltas[i], target: g}
 	}
 	fp.unlockSlots()
 	vt.slowSpawns.Add(1)
-	return nil
 }
 
 // lockSlots acquires the spawnMu of every declared slot in ascending
-// slot order (the compiled lockOrder — deadlock freedom), then re-checks
-// the removal markers under the locks, so a claim that loses the race
-// with InstallEpoch cannot slip a new version onto a retiring slot. On a
-// removed slot it releases the locks and returns the removal's error.
-func (fp *footprint) lockSlots() error {
+// slot order (the compiled lockOrder — deadlock freedom).
+func (fp *footprint) lockSlots() {
 	for _, p := range fp.lockOrder {
 		fp.states[p].spawnMu.Lock()
 	}
-	for _, st := range fp.states {
-		if err := st.gone.Load(); err != nil {
-			fp.unlockSlots()
-			return err
-		}
-	}
-	return nil
 }
 
 func (fp *footprint) unlockSlots() {
@@ -435,54 +395,48 @@ func (fp *footprint) unlockSlots() {
 }
 
 // InstallEpoch is the synchronous half of core.Reconfigurer for every
-// VCA* controller, run inside Reconfigure right after the new epoch is
-// published. Removed microprotocols stop admitting: their slots get the
-// removal's preallocated rejection error, and the retired map catches
-// specs naming them that the table has never compiled. A replacement continues its
-// predecessor's slot — both microprotocols index the same mpState, so
-// old-epoch computations still holding the old version serialize against
-// new-epoch claims and the two versions may share state across the swap —
-// while specs still naming the old side are rejected like removals.
-// Re-added microprotocols are un-marked and resume their version chain.
-// Compiled footprints touching a removed or replaced microprotocol are
-// dropped from the cache, so the footprints and lock orders live specs
-// see are always re-derived against the new epoch (a plain addition gets
-// a fresh slot, which starts quiescent: lv == gv == 0).
+// VCA* controller, run inside Reconfigure before the new epoch is
+// published. A replacement continues its predecessor's slot — both
+// microprotocols index the same mpState, so old-epoch computations still
+// holding the old version serialize against new-epoch claims. Removals
+// need nothing: the stack refuses specs naming a microprotocol outside
+// the pinned epoch, and a re-added one resumes the chain its slot kept.
 func (vt *versionTable) InstallEpoch(ec core.EpochChange) {
-	stale := make(map[*core.Microprotocol]bool, len(ec.Removed)+len(ec.Replaced))
 	vt.mu.Lock()
-	if vt.retired == nil && len(ec.Removed)+len(ec.Replaced) > 0 {
-		vt.retired = make(map[*core.Microprotocol]*core.ReconfiguredError)
+	for _, r := range ec.Replaced {
+		vt.index[r.New] = vt.slotLocked(r.Old)
 	}
+	vt.mu.Unlock()
+}
+
+// RetireEpoch is the asynchronous half, run once the superseded epoch's
+// last computation has exited: each removed slot drains to its final gv
+// (normally at once — only that epoch could claim it, since the stack
+// leaves out a microprotocol the live epoch has re-added), and footprints
+// naming a removed or replaced microprotocol, which no later epoch
+// admits, leave the cache.
+func (vt *versionTable) RetireEpoch(ec core.EpochChange) error {
+	stale := make(map[*core.Microprotocol]bool, len(ec.Removed)+len(ec.Replaced))
 	for _, mp := range ec.Removed {
-		err := &core.ReconfiguredError{MP: mp.Name(), Epoch: ec.Epoch}
-		vt.retired[mp] = err
 		stale[mp] = true
+		var st *mpState
+		vt.mu.Lock()
 		if i, ok := vt.index[mp]; ok {
-			vt.states[i].gone.Store(err)
+			st = vt.states[i]
+		}
+		vt.mu.Unlock()
+		if st != nil {
+			st.waitAtLeast(context.TODO(), st.gv.Load()) // unbounded: cannot fail
 		}
 	}
 	for _, r := range ec.Replaced {
-		vt.retired[r.Old] = &core.ReconfiguredError{MP: r.Old.Name(), Epoch: ec.Epoch}
 		stale[r.Old] = true
-		delete(vt.retired, r.New)
-		if i, ok := vt.index[r.Old]; ok {
-			vt.index[r.New] = i // continue the version chain under the new mp
-		}
 	}
-	for _, mp := range ec.Added {
-		delete(vt.retired, mp)
-		if i, ok := vt.index[mp]; ok {
-			vt.states[i].gone.Store(nil)
-		}
-	}
-	vt.mu.Unlock()
 	if len(stale) == 0 {
-		return
+		return nil
 	}
 	vt.footprints.Range(func(k, v any) bool {
-		fp := v.(*footprint)
-		for _, mp := range fp.mps {
+		for _, mp := range v.(*footprint).mps {
 			if stale[mp] {
 				vt.footprints.Delete(k)
 				break
@@ -490,35 +444,6 @@ func (vt *versionTable) InstallEpoch(ec core.EpochChange) {
 		}
 		return true
 	})
-}
-
-// RetireEpoch is the asynchronous half, run once the superseded epoch's
-// last computation has exited: every removed slot is drained to
-// quiescence (lv == gv — each claim that beat the removal's install has
-// released) before the epoch retires. The stabilization loop re-reads gv
-// after the wait so a straggler claim that raced the gone-marker cannot
-// be missed; gone stops new admissions, so the loop terminates. In
-// practice the wait is already satisfied when retirement fires — the old
-// epoch's computations completed, and completion pushed their releases.
-func (vt *versionTable) RetireEpoch(ec core.EpochChange) error {
-	for _, mp := range ec.Removed {
-		vt.mu.Lock()
-		var st *mpState
-		if i, ok := vt.index[mp]; ok {
-			st = vt.states[i]
-		}
-		vt.mu.Unlock()
-		if st == nil {
-			continue // never claimed: trivially quiescent
-		}
-		for st.gone.Load() != nil { // a later epoch re-adding mp ends the drain
-			g := st.gv.Load()
-			st.waitAtLeast(context.TODO(), g) // unbounded: cannot fail
-			if st.gv.Load() == g && st.lv.Load() == g {
-				break
-			}
-		}
-	}
 	return nil
 }
 
@@ -565,22 +490,16 @@ type routeInfo struct {
 	mpVerts [][]int // footprint position → vertex indices
 }
 
-// footprint returns (compiling on first use) spec's footprint. A spec
-// naming a microprotocol removed by reconfiguration fails with the
-// removal's ReconfiguredError instead of compiling.
-func (vt *versionTable) footprint(spec *core.Spec) (*footprint, error) {
+// footprint returns (compiling on first use) spec's footprint.
+func (vt *versionTable) footprint(spec *core.Spec) *footprint {
 	if fp, ok := vt.footprints.Load(spec); ok {
-		return fp.(*footprint), nil
+		return fp.(*footprint)
 	}
-	fp, err := vt.compile(spec)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := vt.footprints.LoadOrStore(spec, fp)
-	return actual.(*footprint), nil
+	actual, _ := vt.footprints.LoadOrStore(spec, vt.compile(spec))
+	return actual.(*footprint)
 }
 
-func (vt *versionTable) compile(spec *core.Spec) (*footprint, error) {
+func (vt *versionTable) compile(spec *core.Spec) *footprint {
 	mps := spec.MPs()
 	fp := &footprint{
 		mps:       mps,
@@ -593,10 +512,6 @@ func (vt *versionTable) compile(spec *core.Spec) (*footprint, error) {
 	}
 	vt.mu.Lock()
 	for i, mp := range mps {
-		if err := vt.retired[mp]; err != nil {
-			vt.mu.Unlock()
-			return nil, err
-		}
 		slot := vt.slotLocked(mp)
 		fp.slots[i] = slot
 		fp.states[i] = vt.states[slot]
@@ -619,7 +534,7 @@ func (vt *versionTable) compile(spec *core.Spec) (*footprint, error) {
 	if g := spec.Graph(); g != nil {
 		fp.route = compileRoute(g, fp)
 	}
-	return fp, nil
+	return fp
 }
 
 func compileRoute(g *core.RouteGraph, fp *footprint) *routeInfo {

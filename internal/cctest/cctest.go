@@ -39,13 +39,13 @@ import (
 )
 
 // Kind selects which Spec flavour the controller consumes.
-type Kind int
+type Kind = core.SpecKind
 
 // Spec flavours.
 const (
-	KindBasic Kind = iota // core.Access
-	KindBound             // core.AccessBound
-	KindRoute             // core.Route
+	KindBasic = core.SpecBasic // core.Access
+	KindBound = core.SpecBound // core.AccessBound
+	KindRoute = core.SpecRoute // core.Route
 )
 
 // Config parameterizes a conformance run.
@@ -112,9 +112,7 @@ func seedList(n int) []int64 {
 type fixture struct {
 	stack    *core.Stack
 	rec      *trace.Recorder
-	mps      []*core.Microprotocol
 	events   []*core.EventType
-	handlers []*core.Handler
 	counters []int
 	snaps    []*snapState
 
@@ -161,14 +159,9 @@ func newFixtureSched(cfg Config, m int, sc *sched.Scheduler) *fixture {
 			f.snaps[i] = st
 			mp.SetSnapshotter(st)
 		}
-		h := mp.AddHandler("visit", f.visit(i))
-		f.mps = append(f.mps, mp)
-		f.handlers = append(f.handlers, h)
+		f.stack.Register(mp)
 		f.events = append(f.events, core.NewEventType(fmt.Sprintf("cev%d", i)))
-	}
-	f.stack.Register(f.mps...)
-	for i := range f.events {
-		f.stack.Bind(f.events[i], f.handlers[i])
+		f.stack.Bind(f.events[i], mp.AddHandler("visit", f.visit(i)))
 	}
 	return f
 }
@@ -198,59 +191,57 @@ func (f *fixture) visit(i int) core.HandlerFunc {
 // successor while computations are running. Replace keeps the successor
 // on its predecessor's version slot, so the two versions racing on the
 // shared counter across the swap is exactly what the lost-update check
-// exercises. The fixture's mp/handler tables are republished only after
-// the swap installs: computations that compiled a spec against the old
-// identity in the window get ReconfiguredError and retry (runScript).
+// exercises. It may run once per fixture (runScript retries once).
 func (f *fixture) swapMP(i int) error {
 	next := core.NewMicroprotocol(fmt.Sprintf("cmp%dv2", i))
 	if f.snaps[i] != nil {
 		next.SetSnapshotter(f.snaps[i])
 	}
-	h := next.AddHandler("visit", f.visit(i))
-	if err := f.stack.Reconfigure(func(e *core.Epoch) {
-		e.Replace(f.mps[i].Name(), next)
-	}); err != nil {
-		return err
-	}
-	f.mps[i] = next
-	f.handlers[i] = h
-	return nil
+	next.AddHandler("visit", f.visit(i))
+	return f.stack.Reconfigure(func(e *core.Epoch) {
+		e.Replace(fmt.Sprintf("cmp%d", i), next)
+	})
 }
 
-// runScript runs one script computation, retrying when its spec raced a
-// reconfiguration: ReconfiguredError means "rebuild the spec and retry",
-// and the rebuild picks up the replacement identity once swapMP has
-// republished it. The yield between attempts is a scheduling decision
-// point under exploration, so the retry loop cannot starve the swap task.
+// runScript runs one script computation under its hand-written spec. A
+// spec that raced the swap — built against one epoch, pinned to the
+// next — is refused with ReconfiguredError; rebuilt, it names the
+// replacement the live epoch binds, so one retry covers one swap.
 func (f *fixture) runScript(kind Kind, seq []int) error {
-	for tries := 0; ; tries++ {
-		err := f.stack.External(f.spec(kind, seq), f.events[seq[0]], &script{seq: seq})
-		var re *core.ReconfiguredError
-		if !errors.As(err, &re) || tries >= 8 {
-			return err
-		}
-		f.yield()
+	err := f.stack.External(f.spec(kind, seq), f.events[seq[0]], &script{seq: seq})
+	var re *core.ReconfiguredError
+	if errors.As(err, &re) {
+		err = f.stack.External(f.spec(kind, seq), f.events[seq[0]], &script{seq: seq})
 	}
+	return err
 }
 
+// spec writes the script's spec out by hand against the stack's live
+// bindings, so a spec built once a swap is published names the
+// replacement: exactly the microprotocols the script visits (with their
+// visit counts, or its path as the routing graph).
 func (f *fixture) spec(kind Kind, seq []int) *core.Spec {
+	hs := make([]*core.Handler, len(seq))
+	for j, i := range seq {
+		hs[j] = f.stack.Bound(f.events[i])[0]
+	}
 	switch kind {
 	case KindBound:
 		bounds := map[*core.Microprotocol]int{}
-		for _, i := range seq {
-			bounds[f.mps[i]]++
+		for _, h := range hs {
+			bounds[h.MP()]++
 		}
 		return core.AccessBound(bounds)
 	case KindRoute:
-		g := core.NewRouteGraph().Root(f.handlers[seq[0]])
-		for i := 0; i+1 < len(seq); i++ {
-			g.Edge(f.handlers[seq[i]], f.handlers[seq[i+1]])
+		g := core.NewRouteGraph().Root(hs[0])
+		for j := 0; j+1 < len(hs); j++ {
+			g.Edge(hs[j], hs[j+1])
 		}
 		return core.Route(g)
 	default:
 		var mps []*core.Microprotocol
-		for _, i := range seq {
-			mps = append(mps, f.mps[i])
+		for _, h := range hs {
+			mps = append(mps, h.MP())
 		}
 		return core.Access(mps...)
 	}
@@ -287,7 +278,7 @@ func runWorkload(t *testing.T, cfg Config, seed int64) {
 		wg.Add(1)
 		go func(seq []int) {
 			defer wg.Done()
-			if err := f.stack.External(f.spec(cfg.Kind, seq), f.events[seq[0]], &script{seq: seq}); err != nil {
+			if err := f.runScript(cfg.Kind, seq); err != nil {
 				t.Errorf("seed %d: %v", seed, err)
 			}
 		}(seq)

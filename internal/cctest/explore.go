@@ -25,7 +25,10 @@ import (
 // one more task that live-replaces mp0 mid-workload (Stack.Reconfigure
 // with Epoch.Replace), so every interleaving of the epoch swap against
 // spawns, releases, and in-flight chains is explored alongside the
-// scripts.
+// scripts. Scripts keep their hand-written specs across the swap and
+// build them from the live bindings, so one built as soon as the new
+// epoch is published names the replacement — the install window
+// (core.YieldInstall) is explored against both identities.
 type Workload struct {
 	Name    string
 	M       int

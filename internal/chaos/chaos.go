@@ -174,15 +174,26 @@ func (h *faultHook) TaskEnd(any)       {}
 func (h *faultHook) WaitTasks(any)     {}
 
 func (h *faultHook) Yield(p core.YieldPoint) {
+	if h.draw(true) {
+		panic(injected{point: p})
+	}
+}
+
+// stall is Yield for a caller between two steps outside any
+// computation: a drawn panic becomes a delay.
+func (h *faultHook) stall() { h.draw(false) }
+
+// draw rolls one fault while armed: a panic (reported, when mayPanic) or
+// a delay, slept here.
+func (h *faultHook) draw(mayPanic bool) (doPanic bool) {
 	if !h.armed.Load() {
-		return
+		return false
 	}
 	h.mu.Lock()
 	roll := h.rng.Float64()
-	var doPanic bool
 	var delay time.Duration
 	switch {
-	case roll < h.panicProb:
+	case mayPanic && roll < h.panicProb:
 		doPanic = true
 		h.panics++
 	case roll < h.panicProb+h.delayProb:
@@ -190,12 +201,8 @@ func (h *faultHook) Yield(p core.YieldPoint) {
 		h.delays++
 	}
 	h.mu.Unlock()
-	if doPanic {
-		panic(injected{point: p})
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
+	time.Sleep(delay)
+	return doPanic
 }
 
 // script is one computation's workload plan: the chain of microprotocols

@@ -19,13 +19,13 @@
 //     balance of the trace, a completing post-storm probe, a clean
 //     close, and ErrClosed afterwards.
 //
-// Computations caught compiling a footprint against a just-replaced
-// microprotocol see *core.ReconfiguredError; the harness retries them
-// against the current identity table, mirroring how a protocol stack
-// re-resolves its specs after an upgrade: gc.Site keeps one spec set per
-// configuration epoch, and a computation refused with a
-// ReconfiguredError (or pinned to another epoch than its set) runs again
-// under the set the upgrade republished (gc.Site.spawn).
+// The storm's specs are hand-written against an identity table the
+// harness republishes after each swap; one built before a swap whose
+// computation pins the epoch after it is refused with
+// *core.ReconfiguredError, and the harness retries once the table no
+// longer names the refused microprotocol. Protocol stacks avoid this by
+// declaring core.Derive specs, which resolve against the pinned epoch
+// (gc.Site does).
 package chaos
 
 import (
@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,7 +173,7 @@ func (r *SwapReport) String() string {
 // swapFixture is the swap-storm stack: m counter slots whose occupying
 // microprotocol changes under the workload's feet. The slot arrays
 // (events, counters) are fixed; the identity tables (mps, handlers) are
-// rewritten by swaps under mu.
+// rewritten by swaps under mu, which then broadcast swapped.
 type swapFixture struct {
 	stack  *core.Stack
 	ctrl   core.Controller
@@ -182,7 +183,8 @@ type swapFixture struct {
 	execs  []atomic.Int64 // ground truth: one Add per handler execution
 	racy   []int          // same increments, isolation-dependent
 
-	mu       sync.RWMutex
+	mu       sync.Mutex
+	swapped  *sync.Cond // on mu; broadcast after each republished table
 	mps      []*core.Microprotocol
 	handlers []*core.Handler
 	vers     []int
@@ -221,6 +223,7 @@ func newSwapFixture(cfg SwapConfig, hook *faultHook) *swapFixture {
 		racy:  make([]int, cfg.MPs),
 		vers:  make([]int, cfg.MPs),
 	}
+	f.swapped = sync.NewCond(&f.mu)
 	f.ctrl = cfg.New()
 	f.stack = core.NewStack(f.ctrl, core.WithName("swapstorm"), core.WithTracer(f.rec), core.WithHook(hook))
 	for i := 0; i < cfg.MPs; i++ {
@@ -238,12 +241,12 @@ func newSwapFixture(cfg SwapConfig, hook *faultHook) *swapFixture {
 }
 
 // spec builds the Spec flavour for one script against the current
-// identity table. Callers racing a swap may still compile against a
-// just-retired identity; the spawn then fails with ReconfiguredError and
-// run rebuilds the spec.
+// identity table. A swap may install between the build and the spawn;
+// the stack then refuses the spec with ReconfiguredError and run
+// rebuilds it.
 func (f *swapFixture) spec(kind Kind, seq []int) *core.Spec {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	switch kind {
 	case KindBound:
 		bounds := map[*core.Microprotocol]int{}
@@ -267,22 +270,28 @@ func (f *swapFixture) spec(kind Kind, seq []int) *core.Spec {
 }
 
 // run spawns one script, rebuilding its spec and retrying whenever a swap
-// retires the identity it compiled against. Retries are bounded: a
-// ReconfiguredError that persists past them is a containment bug and
-// surfaces in the report.
+// retired an identity it names. Each retry first waits for the table
+// that no longer names the refused microprotocol: only a committed swap
+// refuses a spec, and swap republishes right after its commit, so every
+// retry is owed to a distinct swap and the loop ends.
 func (f *swapFixture) run(kind Kind, seq []int, panicAt int, timeout time.Duration, respawns *atomic.Int64) error {
-	for tries := 0; ; tries++ {
+	for {
 		spec := f.spec(kind, seq)
 		if timeout > 0 {
 			spec = spec.WithTimeout(timeout)
 		}
+		f.hook.stall() // widen the window in which a swap can stale the spec
 		err := f.stack.External(spec, f.events[seq[0]], &script{seq: seq, panicAt: panicAt})
 		var re *core.ReconfiguredError
-		if !errors.As(err, &re) || tries >= 32 {
+		if !errors.As(err, &re) {
 			return err
 		}
 		respawns.Add(1)
-		runtime.Gosched()
+		f.mu.Lock()
+		for slices.ContainsFunc(f.mps, func(mp *core.Microprotocol) bool { return mp.Name() == re.MP }) {
+			f.swapped.Wait()
+		}
+		f.mu.Unlock()
 	}
 }
 
@@ -290,10 +299,10 @@ func (f *swapFixture) run(kind Kind, seq []int, panicAt int, timeout time.Durati
 // version. The fault hook can panic inside Reconfigure before it commits
 // (YieldReconfigure); that surfaces as a PanicError and the swap retries.
 func (f *swapFixture) swap(slot int, faults *int) error {
-	f.mu.RLock()
+	f.mu.Lock()
 	oldName := f.mps[slot].Name()
 	ver := f.vers[slot] + 1
-	f.mu.RUnlock()
+	f.mu.Unlock()
 	next := core.NewMicroprotocol(fmt.Sprintf("swap%dv%d", slot, ver))
 	h := next.AddHandler("visit", f.visit(slot))
 	for tries := 0; ; tries++ {
@@ -312,6 +321,7 @@ func (f *swapFixture) swap(slot int, faults *int) error {
 	f.handlers[slot] = h
 	f.vers[slot] = ver
 	f.mu.Unlock()
+	f.swapped.Broadcast()
 	return nil
 }
 

@@ -38,25 +38,17 @@ func (c *Computation) ID() uint64 { return c.id }
 // Epoch reports the configuration epoch the computation is pinned to:
 // its dispatch reads that epoch's binding table for its entire lifetime,
 // even if a Reconfigure installs a successor mid-flight.
-func (c *Computation) Epoch() uint64 {
-	if c.epoch != nil {
-		return c.epoch.n
-	}
-	return 0
-}
+func (c *Computation) Epoch() uint64 { return c.epoch.n }
 
 // handlers resolves an event type against the computation's pinned
-// epoch — the dispatch-path twin of Stack.handlers. The retired check
+// epoch — the dispatch-path twin of Stack.Bound. The retired check
 // feeds the dead-epoch probe: a pinned epoch can never retire while the
 // computation is active, so a hit means the pin protocol is broken.
 func (c *Computation) handlers(et *EventType) []*Handler {
-	if ep := c.epoch; ep != nil {
-		if ep.retired.Load() {
-			c.stack.deadDispatch.Add(1)
-		}
-		return ep.bindings[et]
+	if c.epoch.retired.Load() {
+		c.stack.deadDispatch.Add(1)
 	}
-	return c.stack.handlers(et)
+	return c.epoch.bindings[et]
 }
 
 // Spec reports the spec the computation was spawned with.

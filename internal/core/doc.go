@@ -25,7 +25,15 @@
 // and their asynchronous counterparts. Context.Fork adds a thread to the
 // current computation.
 //
+// A computation's spec declares the microprotocols it may touch: written
+// out (Access, AccessBound, Route) or derived (Derive) from the events
+// each handler Emits. Either way it is decided against the configuration
+// epoch the computation pins: a derived spec resolves to that epoch's
+// bindings, and a written one naming a microprotocol outside the epoch is
+// refused with a ReconfiguredError before the controller sees it.
+//
 // Binding is static, as in the paper: all Bind calls must precede the
 // first Isolated call on a stack. Stack.Rebind implements the paper's
-// future-work extension of dynamic rebinding between computations.
+// future-work extension of dynamic rebinding between computations, and
+// Stack.Reconfigure installs a successor epoch on a live stack.
 package core

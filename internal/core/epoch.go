@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -20,6 +21,8 @@ import (
 type epochSnap struct {
 	n        uint64
 	bindings map[*EventType][]*Handler
+	mps      map[*Microprotocol]bool // the epoch's microprotocols (admits)
+	derived  sync.Map                // *derivation → *Spec resolved against bindings (resolve)
 
 	// active counts computations currently pinned to this epoch; begun and
 	// ended count its controller lifecycle legs, so retirement can verify
@@ -66,12 +69,17 @@ type ReplacedMP struct {
 }
 
 // Reconfigurer is the optional Controller interface for epoch-aware
-// controllers. InstallEpoch runs synchronously inside Reconfigure, after
-// the new epoch is published: the controller must stop admitting new
-// claims on removed microprotocols (added ones start quiescent).
-// RetireEpoch runs once the old epoch's last computation has exited: the
-// controller drains removed slots to quiescence (lv == gv) and retires
-// them; a non-nil error is recorded and surfaces from Stack.EpochErrs.
+// controllers. InstallEpoch runs synchronously inside Reconfigure, before
+// the new epoch is published, so no computation has pinned it yet: the
+// controller continues each replaced microprotocol's state under its
+// successor. It need not guard removed microprotocols — the stack refuses
+// a spec naming a microprotocol outside the computation's pinned epoch
+// before Spawn. RetireEpoch runs once the old epoch's last computation
+// has exited: the controller drains removed slots to quiescence (lv ==
+// gv) and may drop what only the old epoch could use — the change it
+// receives leaves out removed microprotocols the live epoch has
+// re-added, whose slots are in use again; a non-nil error is
+// recorded and surfaces from Stack.EpochErrs.
 type Reconfigurer interface {
 	InstallEpoch(EpochChange)
 	RetireEpoch(EpochChange) error
@@ -399,14 +407,16 @@ func (s *Stack) reconfigure(edit func(*Epoch)) (*epochSnap, error) {
 
 // pin selects the epoch a new computation runs against: the current one,
 // re-checked after the active increment so that an epoch observed to be
-// current *after* publication of its successor is never pinned — the
-// increment-then-recheck makes retirement ("active reached zero after
-// supersession") imply no computation can still dispatch into the epoch.
+// superseded is never pinned — the increment-then-recheck makes
+// retirement ("active reached zero after supersession") imply no
+// computation can still dispatch into the epoch. Supersession precedes
+// the successor's publication, so the recheck also covers the instant
+// between the two.
 func (s *Stack) pin() *epochSnap {
 	for {
 		ep := s.snap.Load()
 		ep.active.Add(1)
-		if s.snap.Load() == ep {
+		if !ep.superseded.Load() {
 			return ep
 		}
 		s.exitEpoch(ep) // lost the race with an install: unpin and retry
@@ -432,14 +442,21 @@ func (s *Stack) maybeRetire(ep *epochSnap) {
 
 // retireEpoch finishes a superseded epoch exactly once: the controller
 // drains and retires removed slots, the epoch's lifecycle balance is
-// verified, and the epoch is marked dead. Any violation is recorded for
-// EpochErrs — retirement runs asynchronously (on the exiting
-// computation's goroutine or the reconfigurer's), so there is no caller
-// to return it to.
+// verified, and the epoch is marked dead. A removed microprotocol the
+// live epoch has re-added is left out of the controller's change: its
+// slot is in use again, and a later removal's retirement drains it. Any
+// violation is recorded for EpochErrs — retirement runs asynchronously
+// (on the exiting computation's goroutine or the reconfigurer's), so
+// there is no caller to return it to.
 func (s *Stack) retireEpoch(ep *epochSnap) {
 	ep.retireOnce.Do(func() {
 		if r, ok := s.ctrl.(Reconfigurer); ok {
-			if err := r.RetireEpoch(ep.succ); err != nil {
+			ch, live := ep.succ, s.snap.Load()
+			readded := func(mp *Microprotocol) bool { return live.mps[mp] }
+			if slices.ContainsFunc(ch.Removed, readded) {
+				ch.Removed = slices.DeleteFunc(slices.Clone(ch.Removed), readded)
+			}
+			if err := r.RetireEpoch(ch); err != nil {
 				s.recordEpochErr(fmt.Errorf("samoa: retiring epoch %d: %w", ep.n, err))
 			}
 		}

@@ -95,18 +95,30 @@ func (e *LifecycleError) Error() string {
 	return fmt.Sprintf("samoa: lifecycle imbalance on close: %d computations begun, %d ended", e.Begun, e.Ended)
 }
 
-// ReconfiguredError reports a computation whose spec declares a
-// microprotocol that a live reconfiguration has removed: the slot stopped
-// admitting new claims when the removing epoch installed. Callers racing
-// a reconfiguration should rebuild their spec against the new epoch and
-// retry.
+// ReconfiguredError reports a computation refused before it started
+// because its hand-written spec names a microprotocol outside the epoch
+// the computation pinned: one a live reconfiguration removed or replaced
+// at or before that epoch, or one a later epoch added. Callers racing a
+// reconfiguration should rebuild their spec against the new epoch and
+// retry — or declare it with Derive, which never goes stale.
 type ReconfiguredError struct {
-	MP    string // the removed microprotocol
-	Epoch uint64 // the epoch whose installation removed it
+	MP    string // the microprotocol outside the epoch
+	Epoch uint64 // the epoch the computation pinned
 }
 
 func (e *ReconfiguredError) Error() string {
-	return fmt.Sprintf("samoa: microprotocol %s was removed by reconfiguration (epoch %d); rebuild the spec and retry", e.MP, e.Epoch)
+	return fmt.Sprintf("samoa: microprotocol %s is not part of epoch %d (reconfigured); rebuild the spec and retry", e.MP, e.Epoch)
+}
+
+// DeriveError reports a computation refused before it started because
+// its Derive request reaches a handler that never declared Emits: the
+// derived spec could silently miss what that handler triggers.
+type DeriveError struct {
+	Handler string // "microprotocol.handler"
+}
+
+func (e *DeriveError) Error() string {
+	return fmt.Sprintf("samoa: derived spec reaches handler %s, which declares no Emits (call Emits() on a handler that triggers nothing)", e.Handler)
 }
 
 // UnboundError reports a trigger of an event type with no bound handler.

@@ -26,6 +26,12 @@ const (
 	// spawn/release points of running computations, and the chaos harness
 	// can fault a reconfiguration before it commits.
 	YieldReconfigure
+	// YieldInstall sits inside a reconfiguration's install, after the
+	// controller's InstallEpoch and before the new epoch is published, so
+	// a deterministic scheduler can run spawns in the window where the
+	// controller already knows the successor and no computation can pin
+	// it yet. The install has committed: a fault injected here is dropped.
+	YieldInstall
 )
 
 // Hook is the deterministic-scheduler integration point: when attached

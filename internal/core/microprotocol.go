@@ -77,6 +77,8 @@ type Handler struct {
 	name     string
 	fn       HandlerFunc
 	readOnly bool
+	declared bool         // Emits was called, possibly with no events
+	emits    []*EventType // see Emits
 }
 
 // HandlerOption configures a handler at creation.
@@ -110,6 +112,23 @@ func (p *Microprotocol) AddHandler(name string, fn HandlerFunc, opts ...HandlerO
 	}
 	p.byName[name] = h
 	p.handlers = append(p.handlers, h)
+	return h
+}
+
+// Emits declares event types the handler's body may trigger: Derive
+// follows an edge from the handler to every handler bound to one of them.
+// A handler that triggers nothing declares Emits() with no events; Derive
+// refuses to resolve through a handler that never called Emits, since it
+// cannot tell a leaf from a missing declaration. Emits returns the
+// handler for chaining and panics once the microprotocol's stack has
+// sealed, like AddHandler.
+func (h *Handler) Emits(ets ...*EventType) *Handler {
+	if s := h.mp.stack; s != nil && s.isSealed() {
+		panic(fmt.Sprintf("samoa: Emits on %s after its stack sealed (epoch %d is live; declare it on a replacement microprotocol installed via Reconfigure)",
+			h, s.CurrentEpoch()))
+	}
+	h.declared = true
+	h.emits = append(h.emits, ets...)
 	return h
 }
 

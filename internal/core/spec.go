@@ -14,6 +14,8 @@ import (
 //     visits per microprotocol ("isolated bound M e").
 //   - Route(graph) — a directed graph of handler calls
 //     ("isolated route M e"); M is derived from the graph's vertices.
+//   - Derive(kind, bound, roots...) — any of the three, inferred from the
+//     bindings of the epoch the computation pins (see Derive).
 //
 // A Spec is immutable once built and may be shared by any number of
 // computations. Controllers use the portion of the Spec they understand:
@@ -25,6 +27,7 @@ type Spec struct {
 	bounds  map[*Microprotocol]int
 	graph   *RouteGraph
 	timeout time.Duration // 0 = none; see WithTimeout
+	derive  *derivation   // non-nil for a Derive request, resolved per epoch by Isolated
 }
 
 // Access builds a basic spec: the computation may call any handler of the

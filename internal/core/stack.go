@@ -178,8 +178,11 @@ func (s *Stack) bindLocked(et *EventType, hs []*Handler) {
 }
 
 // installLocked publishes the binding table as a fresh epoch and returns
-// the epoch it superseded (nil at seal time). The old epoch is marked
-// superseded *before* the pointer swap, so the pin protocol's
+// the epoch it superseded (nil at seal time). The controller's version
+// slots are updated (InstallEpoch) before the pointer swap, so a
+// replacement already continues its predecessor's slot when the first
+// computation pins the epoch. The old
+// epoch is marked superseded right before the swap, so the pin protocol's
 // increment-then-recheck and exitEpoch's superseded check together
 // guarantee the old epoch's retirement fires exactly once its last
 // computation exits; callers must invoke maybeRetire(old) after releasing
@@ -196,19 +199,24 @@ func (s *Stack) installLocked(ch EpochChange) *epochSnap {
 		copy(out, hs)
 		bindings[et] = out
 	}
-	ep := &epochSnap{n: n, bindings: bindings, drained: make(chan struct{})}
+	mps := make(map[*Microprotocol]bool, len(s.mps))
+	for _, mp := range s.mps {
+		mps[mp] = true
+	}
+	ep := &epochSnap{n: n, bindings: bindings, mps: mps, drained: make(chan struct{})}
 	s.history = append(s.history, ep)
 	if old != nil {
 		ch.Epoch = n
 		old.succ = ch
+		if r, ok := s.ctrl.(Reconfigurer); ok {
+			r.InstallEpoch(ch)
+		}
+		// The install has passed its commit point: a fault the hook
+		// injects here is dropped, only the schedule it chose stands.
+		_ = s.yieldSafe(nil, YieldInstall)
 		old.superseded.Store(true)
 	}
 	s.snap.Store(ep)
-	if old != nil {
-		if r, ok := s.ctrl.(Reconfigurer); ok {
-			r.InstallEpoch(old.succ)
-		}
-	}
 	return old
 }
 
@@ -227,26 +235,16 @@ func (s *Stack) seal() {
 	s.mu.Unlock()
 }
 
-// handlers returns the current epoch's binding slice for et without
-// copying. Post-seal this is a lock-free read of the published snapshot;
-// the result is immutable and must not be modified. Dispatch inside a
-// computation goes through Computation.handlers instead, which reads the
-// computation's pinned epoch.
-func (s *Stack) handlers(et *EventType) []*Handler {
+// Bound returns the handlers currently bound to et, in bind order: the
+// current epoch's once sealed. Dispatch inside a computation reads its
+// pinned epoch instead (Computation.handlers).
+func (s *Stack) Bound(et *EventType) []*Handler {
 	if ep := s.snap.Load(); ep != nil {
-		return ep.bindings[et]
+		return append([]*Handler{}, ep.bindings[et]...)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bindings[et]
-}
-
-// Bound returns the handlers currently bound to et, in bind order.
-func (s *Stack) Bound(et *EventType) []*Handler {
-	hs := s.handlers(et)
-	out := make([]*Handler, len(hs))
-	copy(out, hs)
-	return out
+	return append([]*Handler{}, s.bindings[et]...)
 }
 
 func (s *Stack) isSealed() bool { return s.sealed.Load() }
@@ -275,14 +273,18 @@ func (s *Stack) Isolated(spec *Spec, root func(ctx *Context) error) error {
 	return s.IsolatedCtx(context.Background(), spec, root)
 }
 
-// IsolatedCtx is Isolated bounded by a context: when ctx is cancelled or
-// its deadline expires, the computation stops issuing handler calls,
-// blocked admission waits abandon with a *DeadlineError, and the
-// controller releases the computation's claims so waiters behind it
-// proceed. Spec.WithTimeout composes with ctx — whichever expires first
-// wins. Cancellation is cooperative between handler calls: a handler body
-// already running is not interrupted (poll Context.Computation().Ctx()
-// inside long-running bodies).
+// IsolatedCtx is Isolated bounded by a context. The spec is decided
+// against the epoch the computation pins: a Derive request resolves to
+// that epoch's spec, and a hand-written spec naming a microprotocol
+// outside that epoch is refused with a *ReconfiguredError before the
+// controller sees it. When ctx is cancelled or its deadline expires, the
+// computation stops issuing handler calls, blocked admission waits
+// abandon with a *DeadlineError, and the controller releases the
+// computation's claims so waiters behind it proceed. Spec.WithTimeout
+// composes with ctx — whichever expires first wins. Cancellation is
+// cooperative between handler calls: a handler body already running is
+// not interrupted (poll Context.Computation().Ctx() inside long-running
+// bodies).
 func (s *Stack) IsolatedCtx(ctx context.Context, spec *Spec, root func(ctx *Context) error) error {
 	s.seal()
 	ep := s.pin()
@@ -298,6 +300,15 @@ func (s *Stack) IsolatedCtx(ctx context.Context, spec *Spec, root func(ctx *Cont
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
+	}
+	var err error
+	if spec.derive != nil {
+		spec, err = ep.resolve(spec.derive)
+	} else {
+		err = ep.admits(spec)
+	}
+	if err != nil {
+		return err
 	}
 	var retryToken Token
 	for {

@@ -253,4 +253,5 @@ func TestPostSealPanicsNameEpoch(t *testing.T) {
 	check("AddHandler", func() { p.AddHandler("late", nopHandler) })
 	check("SetSnapshotter", func() { p.SetSnapshotter(nil) })
 	check("Bind", func() { s.Bind(core.NewEventType("e2"), h) })
+	check("Emits", func() { h.Emits(et) })
 }

@@ -304,14 +304,14 @@ func TestAllControllerSpecCombos(t *testing.T) {
 	combos := []struct {
 		name string
 		mk   func() core.Controller
-		kind ctp.SpecKind
+		kind core.SpecKind
 	}{
-		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, ctp.SpecBasic},
-		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, ctp.SpecBound},
-		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, ctp.SpecRoute},
-		{"serial", func() core.Controller { return cc.NewSerial() }, ctp.SpecBasic},
-		{"tso", func() core.Controller { return cc.NewTSO() }, ctp.SpecBasic},
-		{"vca-rw", func() core.Controller { return cc.NewVCARW() }, ctp.SpecBasic},
+		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, core.SpecBasic},
+		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, core.SpecBound},
+		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, core.SpecRoute},
+		{"serial", func() core.Controller { return cc.NewSerial() }, core.SpecBasic},
+		{"tso", func() core.Controller { return cc.NewTSO() }, core.SpecBasic},
+		{"vca-rw", func() core.Controller { return cc.NewVCARW() }, core.SpecBasic},
 	}
 	for _, combo := range combos {
 		combo := combo

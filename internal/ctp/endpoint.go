@@ -10,17 +10,6 @@ import (
 	"repro/internal/transport"
 )
 
-// SpecKind selects the isolated variant the Endpoint's computations
-// declare (must match the controller, as with gc.Site).
-type SpecKind int
-
-// Spec kinds.
-const (
-	SpecBasic SpecKind = iota
-	SpecBound
-	SpecRoute
-)
-
 // Config describes one transport endpoint.
 type Config struct {
 	// Net, ID, Peer place the endpoint and name its single peer.
@@ -42,9 +31,9 @@ type Config struct {
 	MaxRetries int
 	// Controller schedules computations (default cc.NewVCABasic()).
 	Controller core.Controller
-	// SpecKind must match the controller.
-	SpecKind SpecKind
-	// Bound is the per-microprotocol visit bound for SpecBound
+	// SpecKind must match the controller (see core.SpecKind).
+	SpecKind core.SpecKind
+	// Bound is the per-microprotocol visit bound for core.SpecBound
 	// (default 1024).
 	Bound int
 	// Deliver receives reassembled application messages. It runs inside
@@ -68,12 +57,10 @@ type Endpoint struct {
 	arq  *ARQ
 	sum  *Checksum
 	wout *WireOut
-	app  *core.Microprotocol
 
 	evAppSend *core.EventType
 	evRecvTop *core.EventType // first receive layer's event
 	evTick    *core.EventType
-	evDeliver *core.EventType
 
 	specSend, specRecv, specTick *core.Spec
 
@@ -125,232 +112,73 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	}
 	e.stack = core.NewStack(cfg.Controller, opts...)
 
-	// Events at each enabled layer boundary, bottom-up. The wire's send
-	// event always exists; each enabled layer gets a send event and a
-	// recv event.
-	evWireSend := core.NewEventType("WireSend")
-	e.evDeliver = core.NewEventType("Deliver")
-	e.evAppSend = core.NewEventType("AppSend")
+	evDeliver := core.NewEventType("Deliver")
 	e.evTick = core.NewEventType("RetransmitTick")
 
-	// Build bottom-up so every layer knows its down event; remember each
-	// layer's recv event so the layer above can name it as `up`.
-	e.wout = newWireOut(e.node, cfg.Peer)
-	downSend := evWireSend
-
-	var recvChain []*core.EventType // bottom-to-top recv events
+	// Receive events, bottom-up: one per enabled layer, then
+	// segmentation's. Each layer hands what it receives to the next one's.
+	var recvChain []*core.EventType
 	if cfg.Checksummed {
-		ev := core.NewEventType("SumRecv")
-		e.sum = newChecksum(downSend, nil) // up set below
-		downSend = core.NewEventType("SumSend")
-		recvChain = append(recvChain, ev)
+		recvChain = append(recvChain, core.NewEventType("SumRecv"))
 	}
 	if cfg.Reliable {
-		ev := core.NewEventType("ArqRecv")
-		e.arq = newARQ(cfg.RTO, cfg.Window, cfg.MaxRetries, int64(cfg.ID)+1, downSend, nil)
-		downSend = core.NewEventType("ArqSend")
-		recvChain = append(recvChain, ev)
+		recvChain = append(recvChain, core.NewEventType("ArqRecv"))
 	}
 	if cfg.Ordered {
-		ev := core.NewEventType("OrdRecv")
-		e.ord = newOrder(downSend, nil)
-		downSend = core.NewEventType("OrdSend")
-		recvChain = append(recvChain, ev)
+		recvChain = append(recvChain, core.NewEventType("OrdRecv"))
 	}
-	segRecv := core.NewEventType("SegRecv")
-	e.seg = newSegment(cfg.MSS, downSend, e.evDeliver)
-	recvChain = append(recvChain, segRecv)
-
-	// Fix up the `up` targets: each layer's recv hands to the next recv
-	// event in the chain.
-	idx := 0
-	if cfg.Checksummed {
-		e.sum.up = recvChain[idx+1]
-		idx++
-	}
-	if cfg.Reliable {
-		e.arq.up = recvChain[idx+1]
-		idx++
-	}
-	if cfg.Ordered {
-		e.ord.up = recvChain[idx+1]
-		idx++
-	}
+	recvChain = append(recvChain, core.NewEventType("SegRecv"))
 	e.evRecvTop = recvChain[0]
 
+	// Build bottom-up: every layer sends down through the event the layer
+	// below is bound to and hands up to the next receive event.
+	down := core.NewEventType("WireSend")
+	e.wout = newWireOut(e.node, cfg.Peer)
+	e.stack.Register(e.wout.mp)
+	e.stack.Bind(down, e.wout.hSend)
+	// stackUp registers a layer just built over down, binds its receive
+	// handler to its receive event and its send handler to a fresh send
+	// event, the down of the next layer up.
+	stackUp := func(mp *core.Microprotocol, send, recv *core.Handler, sendName string) {
+		e.stack.Register(mp)
+		e.stack.Bind(recvChain[0], recv)
+		recvChain = recvChain[1:]
+		down = core.NewEventType(sendName)
+		e.stack.Bind(down, send)
+	}
+	if cfg.Checksummed {
+		e.sum = newChecksum(down, recvChain[1])
+		stackUp(e.sum.mp, e.sum.hSend, e.sum.hRecv, "SumSend")
+	}
+	if cfg.Reliable {
+		e.arq = newARQ(cfg.RTO, cfg.Window, cfg.MaxRetries, int64(cfg.ID)+1, down, recvChain[1])
+		stackUp(e.arq.mp, e.arq.hSend, e.arq.hRecv, "ArqSend")
+		e.stack.Bind(e.evTick, e.arq.hRetransmit)
+	}
+	if cfg.Ordered {
+		e.ord = newOrder(down, recvChain[1])
+		stackUp(e.ord.mp, e.ord.hSend, e.ord.hRecv, "OrdSend")
+	}
+	e.seg = newSegment(cfg.MSS, down, evDeliver)
+	stackUp(e.seg.mp, e.seg.hSend, e.seg.hRecv, "AppSend")
+	e.evAppSend = down
+
 	// Application delivery microprotocol.
-	e.app = core.NewMicroprotocol("app")
-	hDeliver := e.app.AddHandler("deliver", func(_ *core.Context, msg core.Message) error {
+	app := core.NewMicroprotocol("app")
+	e.stack.Register(app)
+	e.stack.Bind(evDeliver, app.AddHandler("deliver", func(_ *core.Context, msg core.Message) error {
 		if cfg.Deliver != nil {
 			cfg.Deliver(msg.([]byte))
 		}
 		return nil
-	})
+	}).Emits())
 
-	// Register and bind. Send events chain top-down; note each layer
-	// holds its own down event — bind those to the layer below.
-	e.stack.Register(e.wout.mp, e.seg.mp, e.app)
-	if e.ord != nil {
-		e.stack.Register(e.ord.mp)
-	}
+	e.specSend = core.Derive(cfg.SpecKind, cfg.Bound, e.evAppSend)
+	e.specRecv = core.Derive(cfg.SpecKind, cfg.Bound, e.evRecvTop)
 	if e.arq != nil {
-		e.stack.Register(e.arq.mp)
+		e.specTick = core.Derive(cfg.SpecKind, cfg.Bound, e.evTick)
 	}
-	if e.sum != nil {
-		e.stack.Register(e.sum.mp)
-	}
-
-	e.stack.Bind(e.evAppSend, e.seg.hSend)
-	bindSend := func(ev *core.EventType, h *core.Handler) { e.stack.Bind(ev, h) }
-	// seg.down → (ord|arq|sum|wire).send etc., matching construction.
-	if e.ord != nil {
-		bindSend(e.seg.down, e.ord.hSend)
-		if e.arq != nil {
-			bindSend(e.ord.down, e.arq.hSend)
-		} else if e.sum != nil {
-			bindSend(e.ord.down, e.sum.hSend)
-		} else {
-			bindSend(e.ord.down, e.wout.hSend)
-		}
-	} else if e.arq != nil {
-		bindSend(e.seg.down, e.arq.hSend)
-	} else if e.sum != nil {
-		bindSend(e.seg.down, e.sum.hSend)
-	} else {
-		bindSend(e.seg.down, e.wout.hSend)
-	}
-	if e.arq != nil {
-		if e.sum != nil {
-			bindSend(e.arq.down, e.sum.hSend)
-		} else {
-			bindSend(e.arq.down, e.wout.hSend)
-		}
-		e.stack.Bind(e.evTick, e.arq.hRetransmit)
-	}
-	if e.sum != nil {
-		bindSend(e.sum.down, e.wout.hSend)
-	}
-
-	// Receive chain bindings.
-	idx = 0
-	if e.sum != nil {
-		e.stack.Bind(recvChain[idx], e.sum.hRecv)
-		idx++
-	}
-	if e.arq != nil {
-		e.stack.Bind(recvChain[idx], e.arq.hRecv)
-		idx++
-	}
-	if e.ord != nil {
-		e.stack.Bind(recvChain[idx], e.ord.hRecv)
-		idx++
-	}
-	e.stack.Bind(recvChain[idx], e.seg.hRecv)
-	e.stack.Bind(e.evDeliver, hDeliver)
-
-	e.buildSpecs()
 	return e, nil
-}
-
-// callGraph lists caller→callee pairs for the enabled composition.
-func (e *Endpoint) callGraph() [][2]*core.Handler {
-	var edges [][2]*core.Handler
-	nextSend := func() *core.Handler { // handler seg.send calls
-		switch {
-		case e.ord != nil:
-			return e.ord.hSend
-		case e.arq != nil:
-			return e.arq.hSend
-		case e.sum != nil:
-			return e.sum.hSend
-		default:
-			return e.wout.hSend
-		}
-	}
-	edges = append(edges, [2]*core.Handler{e.seg.hSend, nextSend()})
-	if e.ord != nil {
-		var down *core.Handler
-		switch {
-		case e.arq != nil:
-			down = e.arq.hSend
-		case e.sum != nil:
-			down = e.sum.hSend
-		default:
-			down = e.wout.hSend
-		}
-		edges = append(edges, [2]*core.Handler{e.ord.hSend, down})
-	}
-	if e.arq != nil {
-		var down *core.Handler
-		if e.sum != nil {
-			down = e.sum.hSend
-		} else {
-			down = e.wout.hSend
-		}
-		edges = append(edges,
-			[2]*core.Handler{e.arq.hSend, down},
-			[2]*core.Handler{e.arq.hRetransmit, down},
-			[2]*core.Handler{e.arq.hRecv, down}) // acks
-	}
-	if e.sum != nil {
-		edges = append(edges, [2]*core.Handler{e.sum.hSend, e.wout.hSend})
-	}
-	// Receive chain upward edges.
-	if e.sum != nil {
-		switch {
-		case e.arq != nil:
-			edges = append(edges, [2]*core.Handler{e.sum.hRecv, e.arq.hRecv})
-		case e.ord != nil:
-			edges = append(edges, [2]*core.Handler{e.sum.hRecv, e.ord.hRecv})
-		default:
-			edges = append(edges, [2]*core.Handler{e.sum.hRecv, e.seg.hRecv})
-		}
-	}
-	if e.arq != nil {
-		if e.ord != nil {
-			edges = append(edges, [2]*core.Handler{e.arq.hRecv, e.ord.hRecv})
-		} else {
-			edges = append(edges, [2]*core.Handler{e.arq.hRecv, e.seg.hRecv})
-		}
-	}
-	if e.ord != nil {
-		edges = append(edges, [2]*core.Handler{e.ord.hRecv, e.seg.hRecv})
-	}
-	edges = append(edges, [2]*core.Handler{e.seg.hRecv, e.app.Handler("deliver")})
-	return edges
-}
-
-// buildSpecs derives the per-entry specs from the call graph, as gc.Site
-// does.
-func (e *Endpoint) buildSpecs() {
-	b := core.NewSpecBuilder()
-	for _, ed := range e.callGraph() {
-		b.Edge(ed[0], ed[1])
-	}
-	build := func(roots ...*core.Handler) *core.Spec {
-		switch e.cfg.SpecKind {
-		case SpecRoute:
-			return b.Route(roots...)
-		case SpecBound:
-			return b.Bound(e.cfg.Bound, roots...)
-		default:
-			return b.Basic(roots...)
-		}
-	}
-	e.specSend = build(e.seg.hSend)
-	recvRoot := e.seg.hRecv
-	switch {
-	case e.sum != nil:
-		recvRoot = e.sum.hRecv
-	case e.arq != nil:
-		recvRoot = e.arq.hRecv
-	case e.ord != nil:
-		recvRoot = e.ord.hRecv
-	}
-	e.specRecv = build(recvRoot)
-	if e.arq != nil {
-		e.specTick = build(e.arq.hRetransmit)
-	}
 }
 
 // Start launches the receive pump and, for reliable compositions, the

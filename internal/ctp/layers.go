@@ -48,8 +48,8 @@ func newSegment(mss int, down, up *core.EventType) *Segment {
 		up:      up,
 		partial: make(map[uint64]*partialMsg),
 	}
-	s.hSend = s.mp.AddHandler("send", s.send)
-	s.hRecv = s.mp.AddHandler("recv", s.recv)
+	s.hSend = s.mp.AddHandler("send", s.send).Emits(s.down)
+	s.hRecv = s.mp.AddHandler("recv", s.recv).Emits(s.up)
 	return s
 }
 
@@ -139,8 +139,8 @@ func newOrder(down, up *core.EventType) *Order {
 		nextIn: 1,
 		buffer: make(map[uint64][]byte),
 	}
-	o.hSend = o.mp.AddHandler("send", o.send)
-	o.hRecv = o.mp.AddHandler("recv", o.recv)
+	o.hSend = o.mp.AddHandler("send", o.send).Emits(o.down)
+	o.hRecv = o.mp.AddHandler("recv", o.recv).Emits(o.up)
 	return o
 }
 
@@ -242,9 +242,9 @@ func newARQ(rto time.Duration, window, maxRetries int, seed int64, down, up *cor
 		pending:    make(map[uint64]*arqPending),
 		rng:        rand.New(rand.NewSource(seed)),
 	}
-	a.hSend = a.mp.AddHandler("send", a.send)
-	a.hRecv = a.mp.AddHandler("recv", a.recv)
-	a.hRetransmit = a.mp.AddHandler("retransmit", a.retransmit)
+	a.hSend = a.mp.AddHandler("send", a.send).Emits(a.down)
+	a.hRecv = a.mp.AddHandler("recv", a.recv).Emits(a.down, a.up) // acks go down
+	a.hRetransmit = a.mp.AddHandler("retransmit", a.retransmit).Emits(a.down)
 	return a
 }
 
@@ -376,8 +376,8 @@ func newChecksum(down, up *core.EventType) *Checksum {
 		down: down,
 		up:   up,
 	}
-	c.hSend = c.mp.AddHandler("send", c.send)
-	c.hRecv = c.mp.AddHandler("recv", c.recv)
+	c.hSend = c.mp.AddHandler("send", c.send).Emits(c.down)
+	c.hRecv = c.mp.AddHandler("recv", c.recv).Emits(c.up)
 	return c
 }
 
@@ -427,6 +427,6 @@ func newWireOut(node transport.Endpoint, peer transport.NodeID) *WireOut {
 	w.hSend = w.mp.AddHandler("send", func(_ *core.Context, msg core.Message) error {
 		w.node.Send(w.peer, msg.([]byte))
 		return nil
-	})
+	}).Emits()
 	return w
 }

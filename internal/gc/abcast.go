@@ -66,12 +66,12 @@ func newABcast(self transport.NodeID, batchMax int, ev *events, snapshot func() 
 		decisions: make(map[uint64][]CastMsg),
 		proposed:  make(map[uint64]bool),
 	}
-	a.hABcast = a.mp.AddHandler("abcast", a.abcast)
-	a.hRecv = a.mp.AddHandler("recv", a.recv)
-	a.hOnDecide = a.mp.AddHandler("onDecide", a.onDecide)
-	a.hSync = a.mp.AddHandler("sync", a.sync)
-	a.hSendSync = a.mp.AddHandler("sendSync", a.sendSync)
-	a.hPeerReset = a.mp.AddHandler("peerReset", a.peerReset)
+	a.hABcast = a.mp.AddHandler("abcast", a.abcast).Emits(ev.Bcast)
+	a.hRecv = a.mp.AddHandler("recv", a.recv).Emits(ev.ProposeEv)
+	a.hOnDecide = a.mp.AddHandler("onDecide", a.onDecide).Emits(ev.ADeliver, ev.ProposeEv, ev.SyncReq)
+	a.hSync = a.mp.AddHandler("sync", a.sync).Emits(ev.ProposeEv)
+	a.hSendSync = a.mp.AddHandler("sendSync", a.sendSync).Emits(ev.SendOut)
+	a.hPeerReset = a.mp.AddHandler("peerReset", a.peerReset).Emits()
 	return a
 }
 

@@ -53,14 +53,14 @@ func newApp(ver uint16, deliver, rdeliver func(from transport.NodeID, data []byt
 			a.deliver(m.ID.Origin, m.Data)
 		}
 		return nil
-	})
+	}).Emits()
 	a.hRDeliver = a.mp.AddHandler("rdeliver", func(_ *core.Context, msg core.Message) error {
 		m := msg.(CastMsg)
 		if m.Kind == castRApp && a.rdeliver != nil {
 			a.rdeliver(m.ID.Origin, m.Data)
 		}
 		return nil
-	})
+	}).Emits()
 	a.hViewChange = a.mp.AddHandler("viewChange", func(_ *core.Context, msg core.Message) error {
 		v := msg.(*View)
 		if a.onView != nil {
@@ -73,6 +73,6 @@ func newApp(ver uint16, deliver, rdeliver func(from transport.NodeID, data []byt
 			a.upgrade(v.Proto())
 		}
 		return nil
-	})
+	}).Emits()
 	return a
 }

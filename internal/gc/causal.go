@@ -48,8 +48,8 @@ func newCausal(self transport.NodeID, ev *events, deliver func(transport.NodeID,
 		vc:      make(map[transport.NodeID]uint64),
 		deliver: deliver,
 	}
-	c.hBcast = c.mp.AddHandler("bcast", c.bcast)
-	c.hRecv = c.mp.AddHandler("recv", c.recv)
+	c.hBcast = c.mp.AddHandler("bcast", c.bcast).Emits(ev.Bcast)
+	c.hRecv = c.mp.AddHandler("recv", c.recv).Emits()
 	return c
 }
 

@@ -346,14 +346,14 @@ func TestAllControllerSpecCombos(t *testing.T) {
 	combos := []struct {
 		name string
 		mk   func() core.Controller
-		kind gc.SpecKind
+		kind core.SpecKind
 	}{
-		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, gc.SpecBasic},
-		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, gc.SpecBound},
-		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, gc.SpecRoute},
-		{"serial", func() core.Controller { return cc.NewSerial() }, gc.SpecBasic},
-		{"tso", func() core.Controller { return cc.NewTSO() }, gc.SpecBasic},
-		{"vca-rw", func() core.Controller { return cc.NewVCARW() }, gc.SpecBasic},
+		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, core.SpecBasic},
+		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, core.SpecBound},
+		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, core.SpecRoute},
+		{"serial", func() core.Controller { return cc.NewSerial() }, core.SpecBasic},
+		{"tso", func() core.Controller { return cc.NewTSO() }, core.SpecBasic},
+		{"vca-rw", func() core.Controller { return cc.NewVCARW() }, core.SpecBasic},
 	}
 	for _, combo := range combos {
 		combo := combo

@@ -89,10 +89,10 @@ func newConsensus(self transport.NodeID, initial *View, ev *events) *Consensus {
 		suspects: make(map[transport.NodeID]bool),
 		insts:    make(map[uint64]*consInst),
 	}
-	c.hPropose = c.mp.AddHandler("propose", c.propose)
-	c.hRecv = c.mp.AddHandler("recv", c.recv)
-	c.hSuspect = c.mp.AddHandler("suspect", c.suspect)
-	c.hViewChange = c.mp.AddHandler("viewChange", c.viewChange)
+	c.hPropose = c.mp.AddHandler("propose", c.propose).Emits(ev.SendOut)
+	c.hRecv = c.mp.AddHandler("recv", c.recv).Emits(ev.SendOut, ev.Decide)
+	c.hSuspect = c.mp.AddHandler("suspect", c.suspect).Emits(ev.SendOut)
+	c.hViewChange = c.mp.AddHandler("viewChange", c.viewChange).Emits()
 	return c
 }
 

@@ -32,7 +32,7 @@ func TestE6ViewChangeRace(t *testing.T) {
 		delivered bool
 		dropped   uint64
 	}
-	run := func(t *testing.T, ctrl core.Controller, kind gc.SpecKind) result {
+	run := func(t *testing.T, ctrl core.Controller, kind core.SpecKind) result {
 		t.Helper()
 		net := simnet.New(simnet.Config{Nodes: 3})
 		defer net.Close()
@@ -105,7 +105,7 @@ func TestE6ViewChangeRace(t *testing.T) {
 	}
 
 	t.Run("none-loses-message", func(t *testing.T) {
-		res := run(t, cc.NewNone(), gc.SpecBasic)
+		res := run(t, cc.NewNone(), core.SpecBasic)
 		if res.delivered {
 			t.Fatal("under None the §3 race must lose the message")
 		}
@@ -114,25 +114,25 @@ func TestE6ViewChangeRace(t *testing.T) {
 		}
 	})
 	t.Run("vca-basic-delivers", func(t *testing.T) {
-		res := run(t, cc.NewVCABasic(), gc.SpecBasic)
+		res := run(t, cc.NewVCABasic(), core.SpecBasic)
 		if !res.delivered {
 			t.Fatalf("VCAbasic must prevent the race (dropped=%d)", res.dropped)
 		}
 	})
 	t.Run("vca-bound-delivers", func(t *testing.T) {
-		res := run(t, cc.NewVCABound(), gc.SpecBound)
+		res := run(t, cc.NewVCABound(), core.SpecBound)
 		if !res.delivered {
 			t.Fatalf("VCAbound must prevent the race (dropped=%d)", res.dropped)
 		}
 	})
 	t.Run("vca-route-delivers", func(t *testing.T) {
-		res := run(t, cc.NewVCARoute(), gc.SpecRoute)
+		res := run(t, cc.NewVCARoute(), core.SpecRoute)
 		if !res.delivered {
 			t.Fatalf("VCAroute must prevent the race (dropped=%d)", res.dropped)
 		}
 	})
 	t.Run("serial-delivers", func(t *testing.T) {
-		res := run(t, cc.NewSerial(), gc.SpecBasic)
+		res := run(t, cc.NewSerial(), core.SpecBasic)
 		if !res.delivered {
 			t.Fatalf("Serial must prevent the race (dropped=%d)", res.dropped)
 		}

@@ -173,7 +173,7 @@ func TestDatagramsPerABcast(t *testing.T) {
 	}
 	narrow := 0
 	for i, s := range sites {
-		narrow += tracers[i].count(s.specs.Load().specs[entAck])
+		narrow += tracers[i].count(s.specs[entAck])
 	}
 	if ackOnly.Load() == 0 || int64(narrow) != ackOnly.Load() {
 		t.Errorf("%d ack-only datagrams received, %d computations spawned under the ack spec", ackOnly.Load(), narrow)
@@ -296,7 +296,7 @@ func TestManyAcksInOneDatagramUnderVCABound(t *testing.T) {
 	// Site 0 is real; the test plays peer 1 on the raw endpoint.
 	s := NewSite(Config{
 		Net: sim, ID: 0, InitialView: NewView(0, 1), FDInterval: -1, RTO: time.Hour,
-		Controller: cc.NewVCABound(), SpecKind: SpecBound, SendWindow: 3,
+		Controller: cc.NewVCABound(), SpecKind: core.SpecBound, SendWindow: 3,
 	})
 	s.Start()
 	defer s.Stop()

@@ -45,9 +45,9 @@ func newFD(self transport.NodeID, initial *View, suspectAfter time.Duration, ev 
 	for _, m := range initial.Members() {
 		f.lastHeard[m] = now
 	}
-	f.hTick = f.mp.AddHandler("tick", f.tick)
-	f.hBeat = f.mp.AddHandler("beat", f.beat)
-	f.hViewChange = f.mp.AddHandler("viewChange", f.viewChange)
+	f.hTick = f.mp.AddHandler("tick", f.tick).Emits(ev.NetSend, ev.Suspect)
+	f.hBeat = f.mp.AddHandler("beat", f.beat).Emits()
+	f.hViewChange = f.mp.AddHandler("viewChange", f.viewChange).Emits()
 	return f
 }
 

@@ -40,8 +40,8 @@ func newFifo(self transport.NodeID, ev *events, deliver func(transport.NodeID, [
 		buffer:  make(map[transport.NodeID]map[uint64][]byte),
 		deliver: deliver,
 	}
-	f.hBcast = f.mp.AddHandler("bcast", f.bcast)
-	f.hRecv = f.mp.AddHandler("recv", f.recv)
+	f.hBcast = f.mp.AddHandler("bcast", f.bcast).Emits(ev.Bcast)
+	f.hRecv = f.mp.AddHandler("recv", f.recv).Emits()
 	return f
 }
 

@@ -24,11 +24,11 @@ func TestStackExecutionSatisfiesIsolation(t *testing.T) {
 	combos := []struct {
 		name string
 		mk   func() core.Controller
-		kind gc.SpecKind
+		kind core.SpecKind
 	}{
-		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, gc.SpecBasic},
-		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, gc.SpecBound},
-		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, gc.SpecRoute},
+		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, core.SpecBasic},
+		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, core.SpecBound},
+		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, core.SpecRoute},
 	}
 	for _, combo := range combos {
 		combo := combo

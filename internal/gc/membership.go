@@ -33,8 +33,8 @@ func newMembership(self transport.NodeID, initial *View, ev *events) *Membership
 		ev:   ev,
 		view: initial,
 	}
-	m.hJoinLeave = m.mp.AddHandler("joinleave", m.joinleave)
-	m.hDeliverView = m.mp.AddHandler("deliverView", m.deliverView)
+	m.hJoinLeave = m.mp.AddHandler("joinleave", m.joinleave).Emits(ev.ABcastEv)
+	m.hDeliverView = m.mp.AddHandler("deliverView", m.deliverView).Emits(ev.ViewChange, ev.PeerReset, ev.SyncReq)
 	return m
 }
 

@@ -69,7 +69,7 @@ func newNetOut(node transport.Endpoint) *NetOut {
 		n.appendLocked(f)
 		n.mu.Unlock()
 		return nil
-	})
+	}).Emits()
 	return n
 }
 

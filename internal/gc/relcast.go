@@ -51,10 +51,10 @@ func newRelCast(self transport.NodeID, initial *View, ev *events, afterViewChang
 		afterViewChange: afterViewChange,
 	}
 	rb.view.Store(initial)
-	rb.hBcast = rb.mp.AddHandler("bcast", rb.bcast)
-	rb.hRecv = rb.mp.AddHandler("recv", rb.recv)
-	rb.hViewChange = rb.mp.AddHandler("viewChange", rb.viewChange)
-	rb.hPeerReset = rb.mp.AddHandler("peerReset", rb.peerReset)
+	rb.hBcast = rb.mp.AddHandler("bcast", rb.bcast).Emits(ev.SendOut)
+	rb.hRecv = rb.mp.AddHandler("recv", rb.recv).Emits(ev.SendOut, ev.DeliverOut)
+	rb.hViewChange = rb.mp.AddHandler("viewChange", rb.viewChange).Emits()
+	rb.hPeerReset = rb.mp.AddHandler("peerReset", rb.peerReset).Emits()
 	return rb
 }
 

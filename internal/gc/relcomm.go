@@ -94,10 +94,10 @@ func newRelComm(self transport.NodeID, initial *View, rto time.Duration, window 
 		peers:   make(map[transport.NodeID]*peerIn),
 	}
 	rc.view.Store(initial)
-	rc.hSend = rc.mp.AddHandler("send", rc.send)
-	rc.hRecv = rc.mp.AddHandler("recv", rc.recv)
-	rc.hRetransmit = rc.mp.AddHandler("retransmit", rc.retransmit)
-	rc.hViewChange = rc.mp.AddHandler("viewChange", rc.viewChange)
+	rc.hSend = rc.mp.AddHandler("send", rc.send).Emits(ev.NetSend)
+	rc.hRecv = rc.mp.AddHandler("recv", rc.recv).Emits(ev.NetSend, ev.FromRComm)
+	rc.hRetransmit = rc.mp.AddHandler("retransmit", rc.retransmit).Emits(ev.NetSend)
+	rc.hViewChange = rc.mp.AddHandler("viewChange", rc.viewChange).Emits()
 	return rc
 }
 

@@ -12,19 +12,6 @@ import (
 	"repro/internal/transport"
 )
 
-// SpecKind selects how a Site declares its computations' specs — i.e.
-// which isolated variant the stack uses (paper §4). It must match the
-// configured controller: VCABound needs SpecBound, VCARoute needs
-// SpecRoute; every other controller runs SpecBasic specs.
-type SpecKind int
-
-// Spec kinds.
-const (
-	SpecBasic SpecKind = iota // isolated M e
-	SpecBound                 // isolated bound M e
-	SpecRoute                 // isolated route M e
-)
-
 // Config describes one Site.
 type Config struct {
 	// Net and ID place the site on a simulated network node.
@@ -35,9 +22,9 @@ type Config struct {
 	// Controller schedules the site's computations; default
 	// cc.NewVCABasic(). Controllers must not be shared between sites.
 	Controller core.Controller
-	// SpecKind must match the controller (see SpecKind).
-	SpecKind SpecKind
-	// Bound is the per-microprotocol visit bound declared by SpecBound
+	// SpecKind must match the controller (see core.SpecKind).
+	SpecKind core.SpecKind
+	// Bound is the per-microprotocol visit bound declared by core.SpecBound
 	// computations (default 1024 — deliberately loose; the paper notes
 	// that tight bounds are hard to state for recursive protocols).
 	Bound int
@@ -117,17 +104,10 @@ type inbound struct {
 	d  transport.Datagram
 }
 
-// specSet holds one pre-built Spec per entry point, for one configuration
-// epoch of the stack: the specs name that epoch's microprotocols.
-type specSet struct {
-	epoch uint64
-	specs [numEntries]*core.Spec
-}
-
 // Site is one member of the group: a full SAMOA stack (NetOut, RelComm,
 // RelCast, FD, Consensus, ABcast, Membership, App) wired to a simnet
 // node. Every external event — datagram, timer tick, application call —
-// enters through Isolated with the spec pre-built for that entry point.
+// enters through Isolated with the spec built for that entry point.
 type Site struct {
 	cfg   Config
 	ev    *events
@@ -145,13 +125,11 @@ type Site struct {
 	causal  *Causal
 	app     *App
 
-	// specs is the per-entry-point spec set for the stack's current
-	// configuration epoch. A live upgrade installs the epoch and
-	// republishes the set as one step under upMu; a computation that
-	// landed on the new epoch with the older set runs nothing and passes
-	// through upMu to get the new one (spawn).
-	specs  atomic.Pointer[specSet]
-	upMu   sync.Mutex    // held across an upgrade's epoch install and spec publication
+	// specs holds one spec per entry point, built once: each is a
+	// core.Derive request that every computation resolves against the
+	// epoch it pins — so a live upgrade needs no respawn — except the
+	// hand-written ack spec, over microprotocols no upgrade replaces.
+	specs  [numEntries]*core.Spec
 	appVer atomic.Uint32 // current app protocol version (starts at 1)
 
 	quit     chan struct{}
@@ -227,7 +205,30 @@ func NewSite(cfg Config) *Site {
 	s.stack.Register(s.netout.mp, s.relcomm.mp, s.relcast.mp, s.fd.mp,
 		s.cons.mp, s.ab.mp, s.memb.mp, s.fifo.mp, s.causal.mp, s.app.mp)
 	s.bind()
-	s.buildSpecs()
+	ev := s.ev
+	for e, et := range [numEntries]*core.EventType{
+		entFromNet: ev.FromNet, entBeat: ev.FDBeat, entFDTick: ev.FDTick,
+		entRetrans: ev.RetrTick, entABcast: ev.ABcastEv, entRBcast: ev.Bcast,
+		entFBcast: ev.FifoEv, entCBcast: ev.CausalEv, entJoinLeave: ev.JoinLeave,
+		entInject: ev.ADeliver,
+	} {
+		s.specs[e] = core.Derive(cfg.SpecKind, cfg.Bound, et)
+	}
+	// Acks never cascade: they touch RelComm state, and NetOut when an
+	// ack opens the flow-control window for queued sends. Declare exactly
+	// that, with the same visit bound as every other bound spec — one
+	// datagram may carry many acks.
+	switch cfg.SpecKind {
+	case core.SpecRoute:
+		s.specs[entAck] = core.Route(core.NewRouteGraph().
+			Root(s.relcomm.hRecv).Edge(s.relcomm.hRecv, s.netout.send))
+	case core.SpecBound:
+		s.specs[entAck] = core.AccessBound(map[*core.Microprotocol]int{
+			s.relcomm.mp: cfg.Bound, s.netout.mp: cfg.Bound,
+		})
+	default:
+		s.specs[entAck] = core.Access(s.relcomm.mp, s.netout.mp)
+	}
 	return s
 }
 
@@ -258,144 +259,13 @@ func (s *Site) bind() {
 	s.stack.Bind(ev.Suspect, s.cons.hSuspect)
 }
 
-// callGraph lists every caller→callee pair in the stack — the single
-// source of truth all three spec kinds derive from.
-func (s *Site) callGraph() [][2]*core.Handler {
-	return [][2]*core.Handler{
-		{s.relcomm.hRecv, s.netout.send},
-		{s.relcomm.hRecv, s.relcast.hRecv},
-		{s.relcomm.hRecv, s.cons.hRecv},
-		{s.relcomm.hRecv, s.ab.hSync},
-		{s.relcomm.hSend, s.netout.send},
-		{s.relcomm.hRetransmit, s.netout.send},
-		{s.relcast.hBcast, s.relcomm.hSend},
-		{s.relcast.hRecv, s.relcomm.hSend},
-		{s.relcast.hRecv, s.ab.hRecv},
-		{s.relcast.hRecv, s.app.hRDeliver},
-		{s.relcast.hRecv, s.fifo.hRecv},
-		{s.relcast.hRecv, s.causal.hRecv},
-		{s.fifo.hBcast, s.relcast.hBcast},
-		{s.causal.hBcast, s.relcast.hBcast},
-		{s.cons.hRecv, s.relcomm.hSend},
-		{s.cons.hRecv, s.ab.hOnDecide},
-		{s.cons.hPropose, s.relcomm.hSend},
-		{s.cons.hSuspect, s.relcomm.hSend},
-		{s.ab.hABcast, s.relcast.hBcast},
-		{s.ab.hRecv, s.cons.hPropose},
-		{s.ab.hOnDecide, s.memb.hDeliverView},
-		{s.ab.hOnDecide, s.app.hDeliver},
-		{s.ab.hOnDecide, s.cons.hPropose},
-		{s.memb.hDeliverView, s.relcast.hViewChange},
-		{s.memb.hDeliverView, s.relcomm.hViewChange},
-		{s.memb.hDeliverView, s.fd.hViewChange},
-		{s.memb.hDeliverView, s.cons.hViewChange},
-		{s.memb.hDeliverView, s.app.hViewChange},
-		{s.memb.hJoinLeave, s.ab.hABcast},
-		{s.memb.hDeliverView, s.ab.hSendSync},
-		{s.memb.hDeliverView, s.relcast.hPeerReset},
-		{s.memb.hDeliverView, s.ab.hPeerReset},
-		{s.ab.hOnDecide, s.ab.hSendSync},
-		{s.ab.hSendSync, s.relcomm.hSend},
-		{s.ab.hSync, s.cons.hPropose},
-		{s.fd.hTick, s.netout.send},
-		{s.fd.hTick, s.cons.hSuspect},
-	}
-}
-
-// buildSpecs derives, for each external-event entry point, the spec of the
-// configured kind from the call graph: the reachable subgraph from the
-// entry's root handlers. An acknowledgement datagram, for instance, only
-// touches RelComm — a much smaller M than a data datagram, which may
-// cascade through the whole stack.
-func (s *Site) buildSpecs() {
-	b := core.NewSpecBuilder()
-	for _, e := range s.callGraph() {
-		b.Edge(e[0], e[1])
-	}
-	build := func(roots ...*core.Handler) *core.Spec {
-		switch s.cfg.SpecKind {
-		case SpecRoute:
-			return b.Route(roots...)
-		case SpecBound:
-			return b.Bound(s.cfg.Bound, roots...)
-		default:
-			return b.Basic(roots...)
-		}
-	}
-	sp := &specSet{epoch: s.stack.CurrentEpoch()}
-	if sp.epoch == 0 {
-		sp.epoch = 1 // not sealed yet: the first computation seals the stack as epoch 1
-	}
-	sp.specs = [numEntries]*core.Spec{
-		entFromNet:   build(s.relcomm.hRecv),
-		entBeat:      build(s.fd.hBeat),
-		entFDTick:    build(s.fd.hTick),
-		entRetrans:   build(s.relcomm.hRetransmit),
-		entABcast:    build(s.ab.hABcast),
-		entRBcast:    build(s.relcast.hBcast),
-		entFBcast:    build(s.fifo.hBcast),
-		entCBcast:    build(s.causal.hBcast),
-		entJoinLeave: build(s.memb.hJoinLeave),
-		entInject:    build(s.memb.hDeliverView, s.app.hDeliver),
-	}
-	// Acks never cascade: they touch RelComm state, and NetOut when an
-	// ack opens the flow-control window for queued sends. Declare exactly
-	// that, with the same visit bound as every other bound spec — one
-	// datagram may carry many acks.
-	switch s.cfg.SpecKind {
-	case SpecRoute:
-		sp.specs[entAck] = core.Route(core.NewRouteGraph().
-			Root(s.relcomm.hRecv).Edge(s.relcomm.hRecv, s.netout.send))
-	case SpecBound:
-		sp.specs[entAck] = core.AccessBound(map[*core.Microprotocol]int{
-			s.relcomm.mp: s.cfg.Bound, s.netout.mp: s.cfg.Bound,
-		})
-	default:
-		sp.specs[entAck] = core.Access(s.relcomm.mp, s.netout.mp)
-	}
-	s.specs.Store(sp)
-}
-
 // run is the one way a site-driven computation enters the stack: it
 // triggers et as an isolated computation under the entry point's spec
 // and, once that has ended — normally, by error or by contained panic —
 // flushes the egress buffer.
 func (s *Site) run(e entry, et *core.EventType, msg core.Message) error {
 	defer s.flush()
-	return s.spawn(e, et, msg)
-}
-
-// errStaleSpecs ends, before it ran anything, a computation that landed
-// on another configuration epoch than its spec set was built for.
-var errStaleSpecs = errors.New("gc: spec set is of another configuration epoch")
-
-// spawn runs one computation under the current spec set. A spec set
-// belongs to one configuration epoch: a computation that finds itself
-// pinned to another one (a live upgrade installed between the load and
-// the pin) triggers nothing, and one the controller already refused at
-// Spawn with a ReconfiguredError ran nothing either. maybeUpgrade holds
-// upMu from before the install until the rebuilt set is published, so
-// passing through upMu is the wait for that set; the error stands only if
-// no newer set exists.
-func (s *Site) spawn(e entry, et *core.EventType, msg core.Message) error {
-	for {
-		sp := s.specs.Load()
-		err := s.stack.Isolated(sp.specs[e], func(ctx *core.Context) error {
-			if ctx.Computation().Epoch() != sp.epoch {
-				return errStaleSpecs
-			}
-			return ctx.TriggerAll(et, msg)
-		})
-		var re *core.ReconfiguredError
-		if !errors.Is(err, errStaleSpecs) && !errors.As(err, &re) {
-			return err
-		}
-		s.upMu.Lock()
-		s.upMu.Unlock()
-		if s.specs.Load() == sp {
-			return err
-		}
-	}
+	return s.stack.ExternalAll(s.specs[e], et, msg)
 }
 
 // flush puts what the site's computations have queued on the wire — one
@@ -417,7 +287,7 @@ func (s *Site) flush() {
 			default:
 			}
 			d := transport.Datagram{From: s.cfg.ID, To: s.cfg.ID, Payload: payload}
-			if err := s.spawn(entFromNet, s.ev.FromNet, d); !errors.Is(err, core.ErrClosed) {
+			if err := s.stack.ExternalAll(s.specs[entFromNet], s.ev.FromNet, d); !errors.Is(err, core.ErrClosed) {
 				s.record(err)
 			}
 		}
@@ -429,17 +299,11 @@ func (s *Site) flush() {
 // building the next App incarnation and swapping it in with one live
 // Reconfigure. Replace keeps the app's isolation identity (its version
 // slot continues under the new microprotocol), so in-flight computations
-// of the superseded epoch serialize against the new version's, and the
-// spec set is rebuilt against the new identity for subsequent spawns.
-// upMu is held from before the install until the rebuilt set is
-// published: to every spawn the two are one step (spawn). The new set
-// cannot be published first — a spec naming the new app before its
-// install would be given a fresh version slot instead of the old app's
-// chain. A bump at or below the running version is a no-op (duplicate or
-// stale '^' deliveries).
+// of the superseded epoch serialize against the new version's; the entry
+// specs, being Derive requests, name the new app in every computation
+// that pins the new epoch. A bump at or below the running version is a
+// no-op (duplicate or stale '^' deliveries).
 func (s *Site) maybeUpgrade(proto uint16) {
-	s.upMu.Lock()
-	defer s.upMu.Unlock()
 	old := s.app
 	if proto <= old.ver {
 		return
@@ -455,7 +319,6 @@ func (s *Site) maybeUpgrade(proto uint16) {
 		return
 	}
 	s.app = next
-	s.buildSpecs()
 	s.appVer.Store(uint32(proto))
 }
 
