@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -16,6 +17,14 @@ import (
 )
 
 func main() {
+	if !run() {
+		os.Exit(1)
+	}
+}
+
+// run plays the scenario and reports whether the surviving established
+// sites agree on the total order and no site recorded an error.
+func run() bool {
 	net := faultnet.New(faultnet.Config{
 		Inner: simnet.New(simnet.Config{Nodes: 4}),
 		Seed:  2026,
@@ -153,12 +162,15 @@ func main() {
 		st.Sent, st.Delivered, st.DroppedLoss,
 		100*float64(st.DroppedLoss)/float64(st.Sent), st.DroppedCrashed)
 
+	ok := agree
 	for id, s := range sites {
 		s.Stop()
 		for _, err := range s.Errs() {
 			fmt.Printf("site %d error: %v\n", id, err)
+			ok = false
 		}
 	}
+	return ok
 }
 
 func must(err error) {

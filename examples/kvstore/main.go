@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -21,6 +22,14 @@ import (
 )
 
 func main() {
+	if !run() {
+		os.Exit(1)
+	}
+}
+
+// run plays the scenario and reports whether every replica ended at the
+// expected counter.
+func run() bool {
 	net := faultnet.New(faultnet.Config{
 		Inner: simnet.New(simnet.Config{Nodes: 3}),
 		Seed:  2026,
@@ -70,6 +79,7 @@ func main() {
 
 	// Let the last applies reach every replica.
 	deadline := time.Now().Add(10 * time.Second)
+	converged := false
 	for {
 		a, _ := stores[0].Get("counter")
 		b, _ := stores[1].Get("counter")
@@ -77,6 +87,7 @@ func main() {
 		if a == b && b == c && a == strconv.Itoa(3*perReplica) {
 			fmt.Printf("\nconverged in %v: counter = %s on every replica (want %d) ✓\n",
 				time.Since(start).Round(time.Millisecond), a, 3*perReplica)
+			converged = true
 			break
 		}
 		if time.Now().After(deadline) {
@@ -88,6 +99,7 @@ func main() {
 	fmt.Printf("CAS retries per replica (lost races resolved by the total order): %v\n", retries)
 	st := net.Stats()
 	fmt.Printf("network: %d datagrams, %d lost and repaired by RelComm\n", st.Sent, st.DroppedLoss)
+	return converged
 }
 
 func must(err error) {

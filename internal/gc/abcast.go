@@ -18,8 +18,9 @@ type abcastReq struct {
 }
 
 // ABcast is the atomic (total-order) broadcast microprotocol (paper §3,
-// §7): payloads are disseminated with RelCast, and their delivery order is
-// fixed by running consensus on batches of not-yet-delivered message IDs.
+// §7): payloads are disseminated with RelCast — sent once, not relayed,
+// since consensus carries them — and their delivery order is fixed by
+// running consensus on batches of not-yet-delivered messages.
 // Every site proposes its current pool for the next undecided instance;
 // whichever batch the instance's consensus decides is delivered — in
 // deterministic ID order — on every site; messages that lost the race stay
@@ -115,7 +116,9 @@ func (a *ABcast) maybePropose(ctx *core.Context) error {
 }
 
 // onDecide buffers decisions and delivers them gap-free in instance
-// order, each batch in deterministic ID order, deduplicated.
+// order, each batch in deterministic ID order, deduplicated. A decided
+// value is consensus's own slice (it keeps it to answer late proposers
+// and new coordinators), so the batch is sorted as a copy.
 func (a *ABcast) onDecide(ctx *core.Context, msg core.Message) error {
 	d := msg.(decision)
 	if d.inst < a.nextDecide {
@@ -131,6 +134,7 @@ func (a *ABcast) onDecide(ctx *core.Context, msg core.Message) error {
 			break
 		}
 		a.inFlush, a.flushInst = true, a.nextDecide
+		batch = append([]CastMsg(nil), batch...)
 		sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
 		for _, m := range batch {
 			if a.delivered[m.ID] {

@@ -49,7 +49,6 @@ type consInst struct {
 	acceptRound uint32
 	acceptVal   []CastMsg
 	accepts     map[transport.NodeID]bool
-	decideSent  bool
 }
 
 // Consensus is the distributed consensus microprotocol the paper's atomic
@@ -65,9 +64,12 @@ type consInst struct {
 //     coordinators; a site that becomes coordinator runs PREPARE, and
 //     proposers re-forward their proposal to the new coordinator.
 //
-// All messages travel over RelComm (reliable), including self-addressed
-// ones — the coordinator's own promise/accept arrives as a self-delivered
-// frame, which keeps every path uniform.
+// Messages between sites travel over RelComm (reliable). The coordinator
+// accepts its own ACCEPT in place, counting itself towards the quorum, and
+// decides in place on the ACCEPTED that completes it; it sends ACCEPT and
+// DECIDE to the other members only. PREPARE, PROMISE and the ACCEPT that
+// cannot be accepted in place (see sendAccept) still reach the coordinator
+// as a self-addressed frame.
 type Consensus struct {
 	mp   *core.Microprotocol
 	self transport.NodeID
@@ -109,9 +111,14 @@ func (c *Consensus) sendTo(ctx *core.Context, to transport.NodeID, m *consMsg) e
 	return ctx.Trigger(c.ev.SendOut, rcSendReq{to: to, inner: encodeConsFrame(m)})
 }
 
-func (c *Consensus) sendAll(ctx *core.Context, m *consMsg) error {
+// sendAll sends m to every view member, this site included only if
+// toSelf is set.
+func (c *Consensus) sendAll(ctx *core.Context, m *consMsg, toSelf bool) error {
 	frame := encodeConsFrame(m)
 	for _, site := range c.view.Members() {
+		if site == c.self && !toSelf {
+			continue
+		}
 		if err := ctx.Trigger(c.ev.SendOut, rcSendReq{to: site, inner: frame}); err != nil {
 			return err
 		}
@@ -162,7 +169,7 @@ func (c *Consensus) tryCoordinate(ctx *core.Context, inst uint64, st *consInst) 
 		st.prepared = true
 		st.prepRound = st.round
 		st.promises = make(map[transport.NodeID]promiseVal)
-		return c.sendAll(ctx, &consMsg{Type: cPrepare, Inst: inst, Round: st.round})
+		return c.sendAll(ctx, &consMsg{Type: cPrepare, Inst: inst, Round: st.round}, true)
 	}
 	return nil
 }
@@ -172,7 +179,43 @@ func (c *Consensus) sendAccept(ctx *core.Context, inst uint64, st *consInst, val
 	st.acceptRound = st.round
 	st.acceptVal = value
 	st.accepts = make(map[transport.NodeID]bool)
-	return c.sendAll(ctx, &consMsg{Type: cAccept, Inst: inst, Round: st.round, HasValue: true, Value: value})
+	m := &consMsg{Type: cAccept, Inst: inst, Round: st.round, HasValue: true, Value: value}
+	// Accept in place unless that alone would reach the quorum (it would
+	// decide inside propose or suspect, whose Emits exclude Decide) or is
+	// refused: then the self frame takes the received-ACCEPT path.
+	selfFrame := c.view.Quorum() <= 1 || !c.accept(st, m)
+	if !selfFrame {
+		st.accepts[c.self] = true
+	}
+	return c.sendAll(ctx, m, selfFrame)
+}
+
+// accept applies an ACCEPT at this site, unless it has promised a higher
+// round; it reports whether it accepted.
+func (c *Consensus) accept(st *consInst, m *consMsg) bool {
+	if m.Round < st.promised {
+		return false
+	}
+	st.promised = m.Round
+	st.accRound = m.Round
+	st.accValue = m.Value
+	st.hasAcc = true
+	if m.Round > st.round {
+		st.round = m.Round
+	}
+	return true
+}
+
+// decide delivers a decision once: the Decide event carries the value
+// consensus keeps (accValue, acceptVal, decidedVal share it), so its
+// handlers must not mutate the slice.
+func (c *Consensus) decide(ctx *core.Context, st *consInst, m *consMsg) error {
+	if st.decided {
+		return nil
+	}
+	st.decided = true
+	st.decidedVal = m.Value
+	return ctx.TriggerAll(c.ev.Decide, decision{inst: m.Inst, value: m.Value})
 }
 
 // recv dispatches consensus protocol messages arriving via FromRComm.
@@ -246,20 +289,13 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 		return c.sendAccept(ctx, m.Inst, st, value)
 
 	case cAccept:
-		if m.Round < st.promised {
+		if !c.accept(st, &m) {
 			return nil
-		}
-		st.promised = m.Round
-		st.accRound = m.Round
-		st.accValue = m.Value
-		st.hasAcc = true
-		if m.Round > st.round {
-			st.round = m.Round
 		}
 		return c.sendTo(ctx, in.sender, &consMsg{Type: cAccepted, Inst: m.Inst, Round: m.Round})
 
 	case cAccepted:
-		if st.decided || st.decideSent || !st.acceptSent || st.acceptRound != m.Round ||
+		if st.decided || !st.acceptSent || st.acceptRound != m.Round ||
 			c.view.Coordinator(m.Inst, m.Round) != c.self {
 			return nil
 		}
@@ -267,16 +303,14 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 		if len(st.accepts) < c.view.Quorum() {
 			return nil
 		}
-		st.decideSent = true
-		return c.sendAll(ctx, &consMsg{Type: cDecide, Inst: m.Inst, Round: m.Round, HasValue: true, Value: st.acceptVal})
+		d := &consMsg{Type: cDecide, Inst: m.Inst, Round: m.Round, HasValue: true, Value: st.acceptVal}
+		if err := c.sendAll(ctx, d, false); err != nil {
+			return err
+		}
+		return c.decide(ctx, st, d)
 
 	case cDecide:
-		if st.decided {
-			return nil
-		}
-		st.decided = true
-		st.decidedVal = m.Value
-		return ctx.TriggerAll(c.ev.Decide, decision{inst: m.Inst, value: m.Value})
+		return c.decide(ctx, st, &m)
 	}
 	return nil
 }

@@ -97,40 +97,106 @@ func (h *consHarness) sentOfType(t *testing.T, typ uint8) []struct {
 	return out
 }
 
+// peers lists the destinations of captured sends, failing the test if
+// any is this harness's own site: the coordinator's ACCEPT and DECIDE go
+// to the other members only.
+func (h *consHarness) peers(t *testing.T, sent []struct {
+	to simnet.NodeID
+	m  consMsg
+}) []simnet.NodeID {
+	t.Helper()
+	var to []simnet.NodeID
+	for _, s := range sent {
+		if s.to == h.c.self {
+			t.Fatalf("%+v sent to the coordinator itself", s.m)
+		}
+		to = append(to, s.to)
+	}
+	return to
+}
+
+// TestConsensusRound0CoordinatorPath: the round-0 coordinator accepts its
+// own ACCEPT in place, so one remote ACCEPTED completes a 3-site quorum,
+// and it decides in place while DECIDE goes to the two peers.
 func TestConsensusRound0CoordinatorPath(t *testing.T) {
 	h := newConsHarness(t, 0, NewView(0, 1, 2)) // coord(inst 0, round 0) = 0
 	h.propose(t, 0, "v")
 
 	accepts := h.sentOfType(t, cAccept)
-	if len(accepts) != 3 {
-		t.Fatalf("ACCEPT sent to %d sites, want all 3", len(accepts))
+	if to := h.peers(t, accepts); fmt.Sprint(to) != "[1 2]" {
+		t.Fatalf("ACCEPT sent to %v, want the peers [1 2]", to)
 	}
 	if accepts[0].m.Round != 0 || !accepts[0].m.HasValue || string(accepts[0].m.Value[0].Data) != "v" {
 		t.Fatalf("accept = %+v", accepts[0].m)
 	}
-
-	// Quorum (2 of 3) of ACCEPTED ⇒ DECIDE to all.
-	h.feed(t, 0, consMsg{Type: cAccepted, Inst: 0, Round: 0})
-	if len(h.sentOfType(t, cDecide)) != 0 {
-		t.Fatal("decided before quorum")
+	if st := h.c.get(0); !st.accepts[0] || !st.hasAcc || string(st.accValue[0].Data) != "v" {
+		t.Fatalf("coordinator did not accept its own value in place: %+v", st)
 	}
+	if len(h.decided) != 0 || len(h.sentOfType(t, cDecide)) != 0 {
+		t.Fatal("decided inside propose")
+	}
+
+	// One remote ACCEPTED plus the coordinator's own accept is the
+	// quorum (2 of 3) ⇒ DECIDE to the peers, and Decide right here.
 	h.feed(t, 1, consMsg{Type: cAccepted, Inst: 0, Round: 0})
 	decides := h.sentOfType(t, cDecide)
-	if len(decides) != 3 {
-		t.Fatalf("DECIDE sent to %d sites, want 3", len(decides))
+	if to := h.peers(t, decides); fmt.Sprint(to) != "[1 2]" {
+		t.Fatalf("DECIDE sent to %v, want the peers [1 2]", to)
 	}
-	// Duplicate ACCEPTED must not re-decide.
-	h.feed(t, 2, consMsg{Type: cAccepted, Inst: 0, Round: 0})
-	if len(h.sentOfType(t, cDecide)) != 3 {
-		t.Fatal("re-decided on late ACCEPTED")
-	}
-
-	// Our own DECIDE loopback raises the Decide event, exactly once.
-	h.feed(t, 0, consMsg{Type: cDecide, Inst: 0, Round: 0, HasValue: true, Value: decides[0].m.Value})
-	h.feed(t, 1, consMsg{Type: cDecide, Inst: 0, Round: 0, HasValue: true, Value: decides[0].m.Value})
-	if len(h.decided) != 1 || string(h.decided[0].value[0].Data) != "v" {
+	if len(h.decided) != 1 || h.decided[0].inst != 0 || string(h.decided[0].value[0].Data) != "v" {
 		t.Fatalf("decided = %+v", h.decided)
 	}
+	// A late ACCEPTED must not re-decide, nor a DECIDE frame (a peer's
+	// replay) raise Decide a second time.
+	h.feed(t, 2, consMsg{Type: cAccepted, Inst: 0, Round: 0})
+	h.feed(t, 1, consMsg{Type: cDecide, Inst: 0, Round: 0, HasValue: true, Value: decides[0].m.Value})
+	if len(h.sentOfType(t, cDecide)) != 2 || len(h.decided) != 1 {
+		t.Fatalf("re-decided: %d DECIDEs sent, %d decisions", len(h.sentOfType(t, cDecide)), len(h.decided))
+	}
+}
+
+// TestConsensusSelfFrameAccept: the coordinator falls back to a
+// self-addressed ACCEPT when its local accept alone would reach the
+// quorum (a one-site view) or is refused, so neither propose nor suspect
+// ever raises Decide.
+func TestConsensusSelfFrameAccept(t *testing.T) {
+	t.Run("one-site view", func(t *testing.T) {
+		h := newConsHarness(t, 0, NewView(0))
+		h.propose(t, 0, "v")
+		accepts := h.sentOfType(t, cAccept)
+		if len(accepts) != 1 || accepts[0].to != 0 {
+			t.Fatalf("ACCEPT sent as %+v, want one self frame", accepts)
+		}
+		if len(h.decided) != 0 || len(h.c.get(0).accepts) != 0 {
+			t.Fatal("accepted or decided inside propose")
+		}
+		// The self frame takes the received-ACCEPT path; its ACCEPTED
+		// completes the quorum and decides.
+		h.feed(t, 0, accepts[0].m)
+		h.feed(t, 0, consMsg{Type: cAccepted, Inst: 0, Round: 0})
+		if len(h.decided) != 1 || len(h.sentOfType(t, cDecide)) != 0 {
+			t.Fatalf("decided = %+v, DECIDEs = %d", h.decided, len(h.sentOfType(t, cDecide)))
+		}
+	})
+	t.Run("refused", func(t *testing.T) {
+		h := newConsHarness(t, 0, NewView(0, 1, 2))
+		// A promise above the coordinator's round: the message paths keep
+		// round ≥ promised, so this is set directly.
+		h.c.get(0).promised = 5
+		h.propose(t, 0, "v")
+		accepts := h.sentOfType(t, cAccept)
+		if len(accepts) != 3 {
+			t.Fatalf("ACCEPT sent to %d sites, want 3 (self frame included)", len(accepts))
+		}
+		if st := h.c.get(0); st.accepts[0] || st.hasAcc {
+			t.Fatalf("refused accept counted: %+v", st)
+		}
+		// One remote ACCEPTED is no quorum without the coordinator.
+		h.feed(t, 1, consMsg{Type: cAccepted, Inst: 0, Round: 0})
+		if len(h.decided) != 0 || len(h.sentOfType(t, cDecide)) != 0 {
+			t.Fatal("decided with the coordinator's refused accept counted")
+		}
+	})
 }
 
 func TestConsensusProposerForwardsToCoordinator(t *testing.T) {
@@ -192,12 +258,32 @@ func TestConsensusNewCoordinatorAdoptsPromisedValue(t *testing.T) {
 	h.feed(t, 2, consMsg{Type: cPromise, Inst: 0, Round: 1, AccRound: 0, HasValue: true, Value: locked})
 	h.feed(t, 1, consMsg{Type: cPromise, Inst: 0, Round: 1}) // own loopback, no accepted value
 
+	h.acceptAndDecide(t, "theirs")
+}
+
+// acceptAndDecide checks instance 0's round-1 coordinator after its
+// promise quorum: ACCEPT of want goes to the two peers and is accepted in
+// place, so one remote ACCEPTED is the quorum; DECIDE goes to the peers
+// and Decide is raised here.
+func (h *consHarness) acceptAndDecide(t *testing.T, want string) {
+	t.Helper()
 	accepts := h.sentOfType(t, cAccept)
-	if len(accepts) != 3 {
-		t.Fatalf("ACCEPT fan-out = %d", len(accepts))
+	if to := h.peers(t, accepts); len(to) != 2 {
+		t.Fatalf("ACCEPT sent to %v, want the 2 peers", to)
 	}
-	if string(accepts[0].m.Value[0].Data) != "theirs" {
-		t.Fatalf("coordinator must adopt the promised value, sent %q", accepts[0].m.Value[0].Data)
+	if got := string(accepts[0].m.Value[0].Data); got != want || accepts[0].m.Round != 1 {
+		t.Fatalf("ACCEPT of %q in round %d, want %q in round 1", got, accepts[0].m.Round, want)
+	}
+	if !h.c.get(0).accepts[h.c.self] {
+		t.Fatal("coordinator did not count its own accept")
+	}
+	peer := accepts[0].to
+	h.feed(t, peer, consMsg{Type: cAccepted, Inst: 0, Round: 1})
+	if to := h.peers(t, h.sentOfType(t, cDecide)); len(to) != 2 {
+		t.Fatalf("DECIDE sent to %v, want the 2 peers", to)
+	}
+	if len(h.decided) != 1 || string(h.decided[0].value[0].Data) != want {
+		t.Fatalf("decided = %+v, want %q", h.decided, want)
 	}
 }
 
@@ -210,10 +296,7 @@ func TestConsensusNewCoordinatorUsesOwnProposal(t *testing.T) {
 	h.suspect(t, 0)
 	h.feed(t, 2, consMsg{Type: cPromise, Inst: 0, Round: 1})
 	h.feed(t, 1, consMsg{Type: cPromise, Inst: 0, Round: 1})
-	accepts := h.sentOfType(t, cAccept)
-	if len(accepts) != 3 || string(accepts[0].m.Value[0].Data) != "mine" {
-		t.Fatalf("accepts = %+v", accepts)
-	}
+	h.acceptAndDecide(t, "mine")
 }
 
 // TestConsensusSuspicionReforwardsProposal: when the coordinator changes

@@ -6,7 +6,7 @@
 //	Consensus  ── rotating-coordinator, majority-quorum consensus
 //	Fifo       ── FIFO-order broadcast (per-origin sequence numbers)
 //	Causal     ── causal-order broadcast (vector clocks)
-//	RelCast    ── reliable broadcast (relay on first receipt)
+//	RelCast    ── reliable broadcast (relay on first receipt, but not the casts ABcast orders)
 //	RelComm    ── reliable point-to-point (seq/ack/retransmit/window)
 //	FD         ── heartbeat failure detector
 //	NetOut     ── egress buffer: one datagram per peer per computation

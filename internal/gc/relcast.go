@@ -25,6 +25,12 @@ import (
 // members to get it, whatever the origin managed to send before
 // crashing. The wave terminates because every site relays a given
 // message at most once (the seen set).
+//
+// Casts ABcast orders (castApp, castViewChg) are not relayed: consensus
+// carries every ordered cast's payload in PROPOSE, ACCEPT and DECIDE, so
+// one correct receiver that pools m proposes it, and the DECIDE that
+// orders m delivers it to every member — the relay's guarantee, from the
+// layer above. The rule depends on the cast's kind alone.
 type RelCast struct {
 	mp   *core.Microprotocol
 	self transport.NodeID
@@ -91,10 +97,11 @@ members:
 
 // recv implements "if (new message m) then { bcast m; triggerAll
 // DeliverOut m; }", with the relay narrowed to the sites that may lack m
-// (see RelCast). The paper's DeliverOut is asynchronous; here it is
-// synchronous for the reason RelComm.recv gives — the datagram's next
-// frame must find this one's delivery finished. Non-RelCast payloads on
-// FromRComm belong to other microprotocols and are ignored.
+// and skipped for the casts ABcast orders (see RelCast). The paper's
+// DeliverOut is asynchronous; here it is synchronous for the reason
+// RelComm.recv gives — the datagram's next frame must find this one's
+// delivery finished. Non-RelCast payloads on FromRComm belong to other
+// microprotocols and are ignored.
 func (rb *RelCast) recv(ctx *core.Context, msg core.Message) error {
 	in := msg.(rcRecvd)
 	r := wire.NewReader(in.inner)
@@ -113,8 +120,10 @@ func (rb *RelCast) recv(ctx *core.Context, msg core.Message) error {
 	if !d.Mark(m.ID.Seq) {
 		return nil
 	}
-	if err := rb.sendAll(ctx, &m, rb.self, m.ID.Origin, in.sender); err != nil {
-		return err
+	if m.Kind != castApp && m.Kind != castViewChg {
+		if err := rb.sendAll(ctx, &m, rb.self, m.ID.Origin, in.sender); err != nil {
+			return err
+		}
 	}
 	return ctx.TriggerAll(rb.ev.DeliverOut, m)
 }
