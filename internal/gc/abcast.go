@@ -21,10 +21,11 @@ type abcastReq struct {
 // §7): payloads are disseminated with RelCast — sent once, not relayed,
 // since consensus carries them — and their delivery order is fixed by
 // running consensus on batches of not-yet-delivered messages.
-// Every site proposes its current pool for the next undecided instance;
-// whichever batch the instance's consensus decides is delivered — in
-// deterministic ID order — on every site; messages that lost the race stay
-// in the pool and ride the next instance.
+// Every site proposes its current pool for the next undecided instance
+// (consensus sends it on only when a coordinator asks); whichever batch
+// the instance's consensus decides is delivered — in deterministic ID
+// order — on every site; messages that lost the race stay in the pool and
+// ride the next instance.
 type ABcast struct {
 	mp       *core.Microprotocol
 	self     transport.NodeID
@@ -38,13 +39,16 @@ type ABcast struct {
 	snapshot func() []byte
 	install  func([]byte)
 
-	pool       map[MsgID]CastMsg
-	delivered  map[MsgID]bool
+	pool map[MsgID]CastMsg
+	// early holds the casts a decision delivered before RelCast brought
+	// them, so their copy is dropped when it arrives instead of pooled.
+	// A delivered cast is in no pool and in no later decided batch
+	// (DESIGN.md §12.1), so nothing else needs remembering.
+	early      map[MsgID]bool
 	decisions  map[uint64][]CastMsg
 	nextDecide uint64
 	proposed   map[uint64]bool
 	inFlush    bool
-	flushInst  uint64
 
 	// pendingSync holds joiners whose sync must wait for the current
 	// flush to finish: a snapshot taken mid-batch would miss the batch
@@ -63,7 +67,7 @@ func newABcast(self transport.NodeID, batchMax int, ev *events, snapshot func() 
 		snapshot:  snapshot,
 		install:   install,
 		pool:      make(map[MsgID]CastMsg),
-		delivered: make(map[MsgID]bool),
+		early:     make(map[MsgID]bool),
 		decisions: make(map[uint64][]CastMsg),
 		proposed:  make(map[uint64]bool),
 	}
@@ -89,7 +93,8 @@ func (a *ABcast) recv(ctx *core.Context, msg core.Message) error {
 	if m.Kind != castApp && m.Kind != castViewChg {
 		return nil // plain/FIFO/causal broadcasts are not ours to order
 	}
-	if a.delivered[m.ID] {
+	if a.early[m.ID] {
+		delete(a.early, m.ID)
 		return nil
 	}
 	a.pool[m.ID] = m
@@ -116,9 +121,9 @@ func (a *ABcast) maybePropose(ctx *core.Context) error {
 }
 
 // onDecide buffers decisions and delivers them gap-free in instance
-// order, each batch in deterministic ID order, deduplicated. A decided
-// value is consensus's own slice (it keeps it to answer late proposers
-// and new coordinators), so the batch is sorted as a copy.
+// order, each batch in deterministic ID order. A decided value is
+// consensus's own slice (it keeps it to answer late proposers and new
+// coordinators), so the batch is sorted as a copy.
 func (a *ABcast) onDecide(ctx *core.Context, msg core.Message) error {
 	d := msg.(decision)
 	if d.inst < a.nextDecide {
@@ -133,32 +138,36 @@ func (a *ABcast) onDecide(ctx *core.Context, msg core.Message) error {
 		if !ok {
 			break
 		}
-		a.inFlush, a.flushInst = true, a.nextDecide
+		a.inFlush = true
 		batch = append([]CastMsg(nil), batch...)
 		sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
 		for _, m := range batch {
-			if a.delivered[m.ID] {
-				continue
+			if _, pooled := a.pool[m.ID]; pooled {
+				delete(a.pool, m.ID)
+			} else if a.early[m.ID] {
+				continue // an earlier batch delivered it
+			} else {
+				a.early[m.ID] = true
 			}
-			a.delivered[m.ID] = true
-			delete(a.pool, m.ID)
 			if err := ctx.TriggerAll(a.ev.ADeliver, m); err != nil {
 				a.inFlush = false
 				return err
 			}
 		}
+		a.inFlush = false
 		delete(a.decisions, a.nextDecide)
 		delete(a.proposed, a.nextDecide)
 		a.nextDecide++
-	}
-	a.inFlush = false
-	// Emit syncs deferred during the flush, now that every delivery below
-	// nextDecide has been applied (snapshot and sync point agree).
-	for len(a.pendingSync) > 0 {
-		to := a.pendingSync[0]
-		a.pendingSync = a.pendingSync[1:]
-		if err := ctx.Trigger(a.ev.SyncReq, to); err != nil {
-			return err
+		// Emit the syncs this batch deferred before the next batch runs:
+		// every delivery below nextDecide has been applied, so snapshot
+		// and sync point agree, and a joiner's sync point is the instance
+		// right after the one that ordered its join.
+		for len(a.pendingSync) > 0 {
+			to := a.pendingSync[0]
+			a.pendingSync = a.pendingSync[1:]
+			if err := ctx.Trigger(a.ev.SyncReq, to); err != nil {
+				return err
+			}
 		}
 	}
 	return a.maybePropose(ctx)
@@ -181,8 +190,8 @@ func (a *ABcast) sync(ctx *core.Context, msg core.Message) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if a.nextDecide != 0 || len(a.delivered) > 0 || next <= a.nextDecide {
-		return nil
+	if a.nextDecide != 0 || next == 0 {
+		return nil // delivering any batch moved nextDecide past 0
 	}
 	a.nextDecide = next
 	if len(snap) > 0 && a.install != nil {
@@ -215,7 +224,7 @@ func (a *ABcast) sendSync(ctx *core.Context, msg core.Message) error {
 	return ctx.Trigger(a.ev.SendOut, rcSendReq{to: to, inner: encodeSyncFrame(a.nextDecide, snap)})
 }
 
-// peerReset forgets a rejoining site's pooled and delivered message IDs.
+// peerReset forgets a rejoining site's pooled and early message IDs.
 // Like RelCast's reset it runs inside the delivery of the site's '+'
 // view operation, so all members drop the dead incarnation's history at
 // the same point in the total order and the fresh incarnation's IDs
@@ -227,9 +236,9 @@ func (a *ABcast) peerReset(_ *core.Context, msg core.Message) error {
 			delete(a.pool, id)
 		}
 	}
-	for id := range a.delivered {
+	for id := range a.early {
 		if id.Origin == site {
-			delete(a.delivered, id)
+			delete(a.early, id)
 		}
 	}
 	return nil

@@ -64,6 +64,33 @@ type consInst struct {
 //     coordinators; a site that becomes coordinator runs PREPARE, and
 //     proposers re-forward their proposal to the new coordinator.
 //
+// Proposals travel lazily. A coordinator proposes from its own pool, which
+// in a stable view already holds every cast its origin sent it, so a
+// non-coordinator records its proposal and sends nothing. A PROPOSE leaves
+// only when a coordinator may lack the casts:
+//
+//   - after a suspicion advanced the round (the re-forward above);
+//   - to a site that solicited: a site that suspects anyone sends every
+//     member a SOLICIT, and each answers with its proposals for the
+//     instances the solicitor coordinates and with the decisions it holds
+//     from the solicitor's watermark up. Until the next view change it
+//     keeps forwarding its proposals to that site and relaying to it
+//     every decision it did not reach as coordinator, which also covers a
+//     cut link from the coordinator to the solicitor;
+//   - between a joiner and the members, both ways, until the next view
+//     change: the members treat a site new in their view as solicited,
+//     since it cannot have received the casts sent before its join; the
+//     joiner treats every member as solicited from its first proposal,
+//     which skips the instances below its sync point, since the members
+//     dropped the casts it sent before it was in their view.
+//
+// Every message carries the sender's watermark Done: each instance below
+// it is decided there, or covered by the snapshot a joiner installed. The
+// minimum watermark over the view, this site's own included and a member
+// that has not reported yet counting as 0, is the mark below which no
+// member can need an instance again; its state is deleted and messages
+// for it are ignored.
+//
 // Messages between sites travel over RelComm (reliable). The coordinator
 // accepts its own ACCEPT in place, counting itself towards the quorum, and
 // decides in place on the ACCEPTED that completes it; it sends ACCEPT and
@@ -79,17 +106,31 @@ type Consensus struct {
 	suspects map[transport.NodeID]bool
 	insts    map[uint64]*consInst
 
+	// solicited holds the sites that asked for proposals and decisions
+	// (cSolicit), plus the view's newcomers or, at a joiner, every
+	// member; a view change resets it.
+	solicited map[transport.NodeID]bool
+	// done is this site's watermark: every instance below it is decided
+	// here, or lies below the sync point of a joiner's first proposal.
+	done uint64
+	// peerDone is the highest watermark each peer reported; low is the
+	// pruning mark: every instance below it is forgotten.
+	peerDone map[transport.NodeID]uint64
+	low      uint64
+
 	hPropose, hRecv, hSuspect, hViewChange *core.Handler
 }
 
 func newConsensus(self transport.NodeID, initial *View, ev *events) *Consensus {
 	c := &Consensus{
-		mp:       core.NewMicroprotocol("consensus"),
-		self:     self,
-		ev:       ev,
-		view:     initial,
-		suspects: make(map[transport.NodeID]bool),
-		insts:    make(map[uint64]*consInst),
+		mp:        core.NewMicroprotocol("consensus"),
+		self:      self,
+		ev:        ev,
+		view:      initial,
+		suspects:  make(map[transport.NodeID]bool),
+		insts:     make(map[uint64]*consInst),
+		solicited: make(map[transport.NodeID]bool),
+		peerDone:  make(map[transport.NodeID]uint64),
 	}
 	c.hPropose = c.mp.AddHandler("propose", c.propose).Emits(ev.SendOut)
 	c.hRecv = c.mp.AddHandler("recv", c.recv).Emits(ev.SendOut, ev.Decide)
@@ -107,13 +148,39 @@ func (c *Consensus) get(inst uint64) *consInst {
 	return st
 }
 
+// advanceDone moves the watermark past the decided instances above it and
+// prunes what the view no longer needs.
+func (c *Consensus) advanceDone() {
+	for st := c.insts[c.done]; st != nil && st.decided; st = c.insts[c.done] {
+		c.done++
+	}
+	c.prune()
+}
+
+// prune forgets every instance below the minimum watermark over the view.
+// Only an instance that every member has decided (or skipped by its sync
+// point) goes, so no PREPARE, PROMISE or replay can need it again.
+func (c *Consensus) prune() {
+	mark := c.done
+	for _, site := range c.view.Members() {
+		if site != c.self {
+			mark = min(mark, c.peerDone[site])
+		}
+	}
+	for ; c.low < mark; c.low++ {
+		delete(c.insts, c.low)
+	}
+}
+
 func (c *Consensus) sendTo(ctx *core.Context, to transport.NodeID, m *consMsg) error {
+	m.Done = c.done
 	return ctx.Trigger(c.ev.SendOut, rcSendReq{to: to, inner: encodeConsFrame(m)})
 }
 
 // sendAll sends m to every view member, this site included only if
 // toSelf is set.
 func (c *Consensus) sendAll(ctx *core.Context, m *consMsg, toSelf bool) error {
+	m.Done = c.done
 	frame := encodeConsFrame(m)
 	for _, site := range c.view.Members() {
 		if site == c.self && !toSelf {
@@ -126,6 +193,16 @@ func (c *Consensus) sendAll(ctx *core.Context, m *consMsg, toSelf bool) error {
 	return nil
 }
 
+// sendPropose forwards this site's proposal for inst to coord.
+func (c *Consensus) sendPropose(ctx *core.Context, coord transport.NodeID, inst uint64, st *consInst) error {
+	return c.sendTo(ctx, coord, &consMsg{Type: cPropose, Inst: inst, Round: st.round, HasValue: true, Value: st.proposal})
+}
+
+// sendDecide sends one site the decision of inst.
+func (c *Consensus) sendDecide(ctx *core.Context, to transport.NodeID, inst uint64, round uint32, value []CastMsg) error {
+	return c.sendTo(ctx, to, &consMsg{Type: cDecide, Inst: inst, Round: round, HasValue: true, Value: value})
+}
+
 // advanceRounds moves past rounds whose coordinator is suspected (at most
 // one full rotation, in case everyone is suspected).
 func (c *Consensus) advanceRounds(inst uint64, st *consInst) {
@@ -134,9 +211,32 @@ func (c *Consensus) advanceRounds(inst uint64, st *consInst) {
 	}
 }
 
-// propose handles a local proposal (from ABcast).
+// propose handles a local proposal (from ABcast). ABcast proposes the
+// instance after the last it delivered, so every instance below it is
+// decided here or covered by a joiner's snapshot: the watermark rises to
+// it. A non-coordinator forwards the proposal only to a solicited
+// coordinator.
 func (c *Consensus) propose(ctx *core.Context, msg core.Message) error {
 	req := msg.(proposeReq)
+	if req.inst > c.done {
+		c.advanceDone()
+	}
+	if req.inst > c.done {
+		// Only a joiner's first proposal skips undecided instances: they
+		// lie below its sync point. The joiner is new to the view and may
+		// hold casts the members never received, so it forwards to every
+		// member until the next view change, as they do to it.
+		c.done = req.inst
+		for _, site := range c.view.Members() {
+			if site != c.self {
+				c.solicited[site] = true
+			}
+		}
+		c.advanceDone()
+	}
+	if req.inst < c.low {
+		return nil
+	}
 	st := c.get(req.inst)
 	if st.decided {
 		return nil
@@ -150,7 +250,10 @@ func (c *Consensus) propose(ctx *core.Context, msg core.Message) error {
 	if coord == c.self {
 		return c.tryCoordinate(ctx, req.inst, st)
 	}
-	return c.sendTo(ctx, coord, &consMsg{Type: cPropose, Inst: req.inst, Round: st.round, HasValue: true, Value: st.proposal})
+	if c.solicited[coord] {
+		return c.sendPropose(ctx, coord, req.inst, st)
+	}
+	return nil
 }
 
 // tryCoordinate drives the coordinator role for the current round.
@@ -215,7 +318,11 @@ func (c *Consensus) decide(ctx *core.Context, st *consInst, m *consMsg) error {
 	}
 	st.decided = true
 	st.decidedVal = m.Value
-	return ctx.TriggerAll(c.ev.Decide, decision{inst: m.Inst, value: m.Value})
+	if err := ctx.TriggerAll(c.ev.Decide, decision{inst: m.Inst, value: m.Value}); err != nil {
+		return err
+	}
+	c.advanceDone()
+	return nil
 }
 
 // recv dispatches consensus protocol messages arriving via FromRComm.
@@ -229,13 +336,23 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	if m.Done > c.peerDone[in.sender] {
+		c.peerDone[in.sender] = m.Done
+		c.prune()
+	}
+	if m.Type == cSolicit {
+		return c.solicit(ctx, in.sender, m.Done)
+	}
+	if m.Inst < c.low {
+		return nil // every member has decided it
+	}
 	st := c.get(m.Inst)
 	switch m.Type {
 	case cPropose:
 		if st.decided {
 			// Replay the decision: the proposer missed it (a joiner's
 			// first instance, or a DECIDE lost to its dead incarnation).
-			return c.sendTo(ctx, in.sender, &consMsg{Type: cDecide, Inst: m.Inst, Round: m.Round, HasValue: true, Value: st.decidedVal})
+			return c.sendDecide(ctx, in.sender, m.Inst, m.Round, st.decidedVal)
 		}
 		if !st.hasProp {
 			st.hasProp = true
@@ -310,7 +427,39 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 		return c.decide(ctx, st, d)
 
 	case cDecide:
+		if st.decided {
+			return nil
+		}
+		// A decision this site did not reach as coordinator: relay it to
+		// the solicitors, who may not hear from the coordinator.
+		for site := range c.solicited {
+			if site != in.sender {
+				if err := c.sendDecide(ctx, site, m.Inst, m.Round, m.Value); err != nil {
+					return err
+				}
+			}
+		}
 		return c.decide(ctx, st, &m)
+	}
+	return nil
+}
+
+// solicit answers a cSolicit from site, whose watermark is done: it sends
+// the proposals site now coordinates and every decision from done up, and
+// keeps forwarding and relaying to site until the next view change.
+func (c *Consensus) solicit(ctx *core.Context, site transport.NodeID, done uint64) error {
+	c.solicited[site] = true
+	for inst, st := range c.insts {
+		var err error
+		switch {
+		case st.decided && inst >= done:
+			err = c.sendDecide(ctx, site, inst, st.round, st.decidedVal)
+		case !st.decided && st.hasProp && c.view.Coordinator(inst, st.round) == site:
+			err = c.sendPropose(ctx, site, inst, st)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -318,7 +467,9 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 // suspect reacts to a failure-detector suspicion: undecided instances
 // whose coordinator is the suspect advance their round; if this site is
 // the new coordinator it runs PREPARE, otherwise it re-forwards its
-// proposal so the new coordinator has a value.
+// proposal so the new coordinator has a value. Then it solicits the other
+// members: a site it cannot hear from may hold the casts it lacks, or
+// coordinate decisions that never reach it.
 func (c *Consensus) suspect(ctx *core.Context, msg core.Message) error {
 	s := msg.(suspicion)
 	c.suspects[s.site] = true
@@ -337,16 +488,31 @@ func (c *Consensus) suspect(ctx *core.Context, msg core.Message) error {
 				return err
 			}
 		} else if st.hasProp {
-			if err := c.sendTo(ctx, coord, &consMsg{Type: cPropose, Inst: inst, Round: st.round, HasValue: true, Value: st.proposal}); err != nil {
+			if err := c.sendPropose(ctx, coord, inst, st); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return c.sendAll(ctx, &consMsg{Type: cSolicit}, false)
 }
 
 // viewChange adopts the new view for quorum and coordinator computation.
+// It drops the solicitors and treats the view's newcomers as solicited,
+// and forgets the watermarks of sites that left.
 func (c *Consensus) viewChange(_ *core.Context, msg core.Message) error {
+	old := c.view
 	c.view = msg.(*View)
+	clear(c.solicited)
+	for _, site := range c.view.Members() {
+		if site != c.self && !old.Contains(site) {
+			c.solicited[site] = true
+		}
+	}
+	for site := range c.peerDone {
+		if !c.view.Contains(site) {
+			delete(c.peerDone, site)
+		}
+	}
+	c.prune()
 	return nil
 }

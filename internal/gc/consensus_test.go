@@ -2,6 +2,7 @@ package gc
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/cc"
@@ -42,6 +43,7 @@ func newConsHarness(t *testing.T, self simnet.NodeID, view *View) *consHarness {
 	h.s.Bind(h.ev.ProposeEv, h.c.hPropose)
 	h.s.Bind(h.ev.FromRComm, h.c.hRecv)
 	h.s.Bind(h.ev.Suspect, h.c.hSuspect)
+	h.s.Bind(h.ev.ViewChange, h.c.hViewChange)
 	h.spec = core.Access(h.c.mp, capture)
 	return h
 }
@@ -61,6 +63,13 @@ func (h *consHarness) feed(t *testing.T, from simnet.NodeID, m consMsg) {
 	}
 }
 
+func (h *consHarness) viewChange(t *testing.T, v *View) {
+	t.Helper()
+	if err := h.s.External(h.spec, h.ev.ViewChange, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func (h *consHarness) suspect(t *testing.T, site simnet.NodeID) {
 	t.Helper()
 	if err := h.s.External(h.spec, h.ev.Suspect, suspicion{site: site}); err != nil {
@@ -68,16 +77,16 @@ func (h *consHarness) suspect(t *testing.T, site simnet.NodeID) {
 	}
 }
 
-// sentOfType decodes captured sends of one message type.
-func (h *consHarness) sentOfType(t *testing.T, typ uint8) []struct {
+// sentCons is one captured, decoded consensus send.
+type sentCons struct {
 	to simnet.NodeID
 	m  consMsg
-} {
+}
+
+// sentOfType decodes captured sends of one message type.
+func (h *consHarness) sentOfType(t *testing.T, typ uint8) []sentCons {
 	t.Helper()
-	var out []struct {
-		to simnet.NodeID
-		m  consMsg
-	}
+	var out []sentCons
 	for _, s := range h.sent {
 		r := wire.NewReader(s.inner)
 		if r.U8() != layerConsensus {
@@ -88,10 +97,7 @@ func (h *consHarness) sentOfType(t *testing.T, typ uint8) []struct {
 			t.Fatal(r.Err())
 		}
 		if m.Type == typ {
-			out = append(out, struct {
-				to simnet.NodeID
-				m  consMsg
-			}{s.to, m})
+			out = append(out, sentCons{s.to, m})
 		}
 	}
 	return out
@@ -100,10 +106,7 @@ func (h *consHarness) sentOfType(t *testing.T, typ uint8) []struct {
 // peers lists the destinations of captured sends, failing the test if
 // any is this harness's own site: the coordinator's ACCEPT and DECIDE go
 // to the other members only.
-func (h *consHarness) peers(t *testing.T, sent []struct {
-	to simnet.NodeID
-	m  consMsg
-}) []simnet.NodeID {
+func (h *consHarness) peers(t *testing.T, sent []sentCons) []simnet.NodeID {
 	t.Helper()
 	var to []simnet.NodeID
 	for _, s := range sent {
@@ -199,12 +202,26 @@ func TestConsensusSelfFrameAccept(t *testing.T) {
 	})
 }
 
+// TestConsensusProposerForwardsToCoordinator: a non-coordinator records
+// its proposal and sends nothing until the coordinator solicits it; then
+// it sends the PROPOSE for the instance that site coordinates, and
+// forwards later proposals to it at once, to no one else.
 func TestConsensusProposerForwardsToCoordinator(t *testing.T) {
-	h := newConsHarness(t, 1, NewView(0, 1, 2)) // not coordinator of inst 0
+	h := newConsHarness(t, 1, NewView(0, 1, 2)) // coord(inst, 0) = inst mod 3
 	h.propose(t, 0, "v")
-	props := h.sentOfType(t, cPropose)
-	if len(props) != 1 || props[0].to != 0 {
-		t.Fatalf("PROPOSE routing = %+v", props)
+	if props := h.sentOfType(t, cPropose); len(props) != 0 {
+		t.Fatalf("PROPOSE without a solicit: %+v", props)
+	}
+	h.feed(t, 0, consMsg{Type: cSolicit})
+	if got := instsTo(t, h.sentOfType(t, cPropose), 0); fmt.Sprint(got) != "[0]" {
+		t.Fatalf("PROPOSE after site 0's solicit for instances %v, want [0]", got)
+	}
+	h.decideAll(t, 5)
+	h.propose(t, 5, "v") // coordinated by site 2, which did not solicit
+	h.decideAll(t, 6)
+	h.propose(t, 6, "v")
+	if got := instsTo(t, h.sentOfType(t, cPropose), 0); fmt.Sprint(got) != "[0 6]" {
+		t.Fatalf("PROPOSE for instances %v, want [0 6]: instance 6 to site 0 at once, 5 not at all", got)
 	}
 }
 
@@ -299,18 +316,22 @@ func TestConsensusNewCoordinatorUsesOwnProposal(t *testing.T) {
 	h.acceptAndDecide(t, "mine")
 }
 
-// TestConsensusSuspicionReforwardsProposal: when the coordinator changes
-// and this site is not the new one, its proposal is re-forwarded.
+// TestConsensusSuspicionReforwards: when the coordinator changes and this
+// site is not the new one, its proposal is re-forwarded to the new
+// coordinator, and every other member is solicited.
 func TestConsensusSuspicionReforwards(t *testing.T) {
 	h := newConsHarness(t, 2, NewView(0, 1, 2)) // coord(0,1)=1, not us
-	h.propose(t, 0, "v")                        // → site 0
+	h.propose(t, 0, "v")                        // recorded, not sent
+	if n := len(h.sentOfType(t, cPropose)); n != 0 {
+		t.Fatalf("PROPOSE count = %d before the suspicion, want 0", n)
+	}
 	h.suspect(t, 0)
 	props := h.sentOfType(t, cPropose)
-	if len(props) != 2 {
-		t.Fatalf("PROPOSE count = %d, want re-forward", len(props))
+	if len(props) != 1 || props[0].to != 1 || props[0].m.Round != 1 {
+		t.Fatalf("re-forward = %+v, want one PROPOSE to new coordinator 1 in round 1", props)
 	}
-	if props[1].to != 1 {
-		t.Fatalf("re-forward went to %d, want new coordinator 1", props[1].to)
+	if to := h.peers(t, h.sentOfType(t, cSolicit)); fmt.Sprint(to) != "[0 1]" {
+		t.Fatalf("SOLICIT sent to %v, want [0 1]", to)
 	}
 }
 
@@ -339,20 +360,186 @@ func TestConsensusStalePrepareIgnored(t *testing.T) {
 	}
 }
 
+// TestConsensusInstancesIndependent: each instance's proposal goes to
+// that instance's coordinator only, when it solicits.
 func TestConsensusInstancesIndependent(t *testing.T) {
 	h := newConsHarness(t, 0, NewView(0, 1, 2))
-	for inst := uint64(0); inst < 3; inst++ {
-		coord := NewView(0, 1, 2).Coordinator(inst, 0)
+	h.propose(t, 0, "v0")
+	if accepts := h.sentOfType(t, cAccept); len(accepts) != 2 || accepts[0].m.Inst != 0 {
+		t.Fatalf("ACCEPT = %+v, want instance 0 to the two peers", accepts)
+	}
+	h.feed(t, 1, consMsg{Type: cAccepted, Inst: 0, Round: 0})
+	for inst := uint64(1); inst < 3; inst++ {
+		coord := simnet.NodeID(inst)
 		h.propose(t, inst, fmt.Sprintf("v%d", inst))
-		if coord == 0 {
-			if len(h.sentOfType(t, cAccept)) == 0 {
-				t.Fatalf("inst %d: expected to coordinate", inst)
-			}
+		if props := h.sentOfType(t, cPropose); len(props) != int(inst)-1 {
+			t.Fatalf("instance %d forwarded before site %d solicited: %+v", inst, coord, props)
+		}
+		h.feed(t, coord, consMsg{Type: cSolicit})
+		props := h.sentOfType(t, cPropose)
+		if last := props[len(props)-1]; len(props) != int(inst) || last.to != coord || last.m.Inst != inst {
+			t.Fatalf("forwards = %+v, want instance %d to site %d", props, inst, coord)
+		}
+		val := []CastMsg{{ID: MsgID{Origin: coord, Seq: 1}, Kind: castApp}}
+		h.feed(t, coord, consMsg{Type: cDecide, Inst: inst, HasValue: true, Value: val})
+	}
+}
+
+// decideAll feeds DECIDEs for instances [0, n) from site 0, each with the
+// sender's watermark set past it.
+func (h *consHarness) decideAll(t *testing.T, n uint64) {
+	t.Helper()
+	for inst := uint64(0); inst < n; inst++ {
+		val := []CastMsg{{ID: MsgID{Origin: 0, Seq: inst + 1}, Kind: castApp, Data: []byte(fmt.Sprint(inst))}}
+		h.feed(t, 0, consMsg{Type: cDecide, Inst: inst, Done: inst + 1, HasValue: true, Value: val})
+	}
+}
+
+// TestConsensusSolicitReplaysDecisions: a SOLICIT is answered with a
+// DECIDE replay for every instance decided here from the solicitor's
+// watermark up.
+func TestConsensusSolicitReplaysDecisions(t *testing.T) {
+	h := newConsHarness(t, 2, NewView(0, 1, 2))
+	h.decideAll(t, 4)
+	if h.c.done != 4 {
+		t.Fatalf("watermark = %d after deciding 0..3, want 4", h.c.done)
+	}
+	h.feed(t, 1, consMsg{Type: cSolicit, Done: 2})
+	decides := h.sentOfType(t, cDecide)
+	for _, d := range decides {
+		if string(d.m.Value[0].Data) != fmt.Sprint(d.m.Inst) {
+			t.Fatalf("replay of %d carries %q", d.m.Inst, d.m.Value[0].Data)
 		}
 	}
-	// Instance 1's coordinator is site 1: we forwarded.
+	if got := instsTo(t, decides, 1); fmt.Sprint(got) != "[2 3]" {
+		t.Fatalf("replayed instances %v, want [2 3]", got)
+	}
+}
+
+// instsTo returns the sorted instances of captured sends, failing the
+// test if any went to a site other than to.
+func instsTo(t *testing.T, sent []sentCons, to simnet.NodeID) []uint64 {
+	t.Helper()
+	var insts []uint64
+	for _, s := range sent {
+		if s.to != to {
+			t.Fatalf("%+v sent to %d, want %d", s.m, s.to, to)
+		}
+		insts = append(insts, s.m.Inst)
+	}
+	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
+	return insts
+}
+
+// TestConsensusSolicitedRelaysDecisions: a solicited site relays every
+// decision it reaches from another coordinator's DECIDE, and none it
+// reaches as coordinator, whose own DECIDE already goes to every member.
+func TestConsensusSolicitedRelaysDecisions(t *testing.T) {
+	h := newConsHarness(t, 2, NewView(0, 1, 2))
+	h.feed(t, 0, consMsg{Type: cSolicit})
+
+	h.decideAll(t, 1) // from site 0 itself: nobody to relay it to
+	val := []CastMsg{{ID: MsgID{Origin: 1, Seq: 1}, Kind: castApp, Data: []byte("x")}}
+	h.feed(t, 1, consMsg{Type: cDecide, Inst: 1, Round: 0, HasValue: true, Value: val})
+	decides := h.sentOfType(t, cDecide)
+	if len(decides) != 1 || decides[0].to != 0 || decides[0].m.Inst != 1 {
+		t.Fatalf("relay = %+v, want instance 1's DECIDE to site 0 only", decides)
+	}
+
+	// Instance 2 is ours: its DECIDE goes to the two peers, no more.
+	h.propose(t, 2, "mine")
+	h.feed(t, 1, consMsg{Type: cAccepted, Inst: 2, Round: 0})
+	var to []simnet.NodeID
+	for _, d := range h.sentOfType(t, cDecide)[1:] {
+		to = append(to, d.to)
+	}
+	if fmt.Sprint(to) != "[0 1]" {
+		t.Fatalf("coordinator's DECIDE went to %v, want [0 1] once each", to)
+	}
+	if len(h.decided) != 3 {
+		t.Fatalf("decided = %+v", h.decided)
+	}
+}
+
+// TestConsensusViewChangeClearsSolicited: a view change drops the
+// solicitors; a member new to the view counts as solicited, since it
+// cannot hold the casts sent before its join.
+func TestConsensusViewChangeClearsSolicited(t *testing.T) {
+	h := newConsHarness(t, 1, NewView(0, 1, 2))
+	h.feed(t, 0, consMsg{Type: cSolicit})
+	h.decideAll(t, 4)
+	h.viewChange(t, NewView(0, 1, 2, 3))
+	if len(h.c.solicited) != 1 || !h.c.solicited[3] {
+		t.Fatalf("solicited = %v after the view change, want only the newcomer 3", h.c.solicited)
+	}
+	h.propose(t, 4, "v") // coord(4, 0) = 0 in {0,1,2,3}
+	if props := h.sentOfType(t, cPropose); len(props) != 0 {
+		t.Fatalf("PROPOSE to a solicitor of the old view: %+v", props)
+	}
+	h.decideAll(t, 7)
+	h.propose(t, 7, "v") // coord(7, 0) = 3
+	if props := h.sentOfType(t, cPropose); len(props) != 1 || props[0].to != 3 {
+		t.Fatalf("PROPOSE = %+v, want one to the newcomer 3", props)
+	}
+}
+
+// TestConsensusSolicitedLatePropose: a PROPOSE a solicitor receives for
+// an instance it has already decided is answered with the DECIDE replay.
+func TestConsensusSolicitedLatePropose(t *testing.T) {
+	h := newConsHarness(t, 0, NewView(0, 1, 2))
+	h.propose(t, 0, "v")
+	h.feed(t, 1, consMsg{Type: cAccepted, Inst: 0, Round: 0})
+	h.suspect(t, 1)
+	late := []CastMsg{{ID: MsgID{Origin: 2, Seq: 1}, Kind: castApp, Data: []byte("late")}}
+	h.feed(t, 2, consMsg{Type: cPropose, Inst: 0, Round: 0, HasValue: true, Value: late})
+	decides := h.sentOfType(t, cDecide)
+	last := decides[len(decides)-1]
+	if len(decides) != 3 || last.to != 2 || string(last.m.Value[0].Data) != "v" {
+		t.Fatalf("DECIDEs = %+v, want the replay of \"v\" to site 2 last", decides)
+	}
+}
+
+// TestConsensusSolicitAfterPruning: once every member reported a watermark
+// past an instance, its state is gone and its messages are ignored, but a
+// SOLICIT — which names no instance — is still handled.
+func TestConsensusSolicitAfterPruning(t *testing.T) {
+	h := newConsHarness(t, 2, NewView(0, 1, 2))
+	h.decideAll(t, 6)
+	if h.c.low != 0 || len(h.c.insts) != 6 {
+		t.Fatalf("pruned to %d with %d instances before site 1 reported", h.c.low, len(h.c.insts))
+	}
+	h.feed(t, 1, consMsg{Type: cAccepted, Inst: 5, Done: 6})
+	if h.c.low != 6 || len(h.c.insts) != 0 {
+		t.Fatalf("low = %d, %d instances left, want 6 and 0", h.c.low, len(h.c.insts))
+	}
+	h.feed(t, 1, consMsg{Type: cPrepare, Inst: 3, Round: 4})
+	if len(h.sentOfType(t, cPromise)) != 0 || len(h.c.insts) != 0 {
+		t.Fatal("a pruned instance's PREPARE was handled")
+	}
+	h.feed(t, 0, consMsg{Type: cSolicit, Done: 6})
+	if !h.c.solicited[0] {
+		t.Fatal("SOLICIT dropped after pruning")
+	}
+	h.propose(t, 6, "v") // coord(6, 0) = 0
+	if props := h.sentOfType(t, cPropose); len(props) != 1 || props[0].to != 0 {
+		t.Fatalf("PROPOSE = %+v, want one to the solicitor 0", props)
+	}
+}
+
+// TestConsensusJoinerForwardsToEveryMember: a first proposal that skips
+// undecided instances is a joiner's, at its sync point. The joiner then
+// forwards its proposals to every coordinator, unasked, until the next
+// view change: the members dropped the casts it sent before it was in
+// their view.
+func TestConsensusJoinerForwardsToEveryMember(t *testing.T) {
+	h := newConsHarness(t, 2, NewView(0, 1, 2))
+	h.propose(t, 4, "mine") // sync point 4; coord(4, 0) = 1
 	props := h.sentOfType(t, cPropose)
-	if len(props) != 2 || props[0].to != 1 || props[1].to != 2 {
-		t.Fatalf("forwards = %+v", props)
+	if len(props) != 1 || props[0].to != 1 || props[0].m.Done != 4 {
+		t.Fatalf("PROPOSE = %+v, want instance 4 to site 1 with watermark 4", props)
+	}
+	h.viewChange(t, NewView(0, 1, 2, 3))
+	if len(h.c.solicited) != 1 || !h.c.solicited[3] {
+		t.Fatalf("solicited = %v after the view change, want only the newcomer 3", h.c.solicited)
 	}
 }

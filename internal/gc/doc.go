@@ -41,6 +41,18 @@
 // *logically* — the paper's §3 "Problem" — and the atomic pointer keeps
 // that a stale-read bug rather than an undefined data race.
 //
+// Consensus moves a proposal only when a coordinator may lack it. The
+// round's coordinator proposes from its own pool, which in a stable view
+// already holds every cast its origin sent it; other sites record their
+// proposal and send nothing. A site that suspects anyone solicits the
+// others, who then forward it the proposals for the instances it
+// coordinates and relay it the decisions it may not hear, until the next
+// view change; a joiner and the members treat each other the same way
+// after a join. Every consensus message carries the sender's watermark
+// (every instance below it is decided there); an instance below every
+// member's watermark is forgotten, which bounds consensus and ABcast
+// state (DESIGN.md §12.1).
+//
 // Handlers never block on the network: every protocol is an event-driven
 // state machine, so computations always terminate — the liveness
 // precondition of the versioning algorithms' completion rules.

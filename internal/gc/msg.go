@@ -55,6 +55,7 @@ const (
 	cAccept   uint8 = 4 // coordinator → all: accept this value
 	cAccepted uint8 = 5 // acceptor → coordinator: accepted
 	cDecide   uint8 = 6 // coordinator → all: decision
+	cSolicit  uint8 = 7 // suspecter → all: send me proposals and decisions
 )
 
 // MsgID uniquely identifies a broadcast message: origin site plus a
@@ -120,6 +121,7 @@ type consMsg struct {
 	Inst     uint64
 	Round    uint32
 	AccRound uint32 // cPromise: round of the piggybacked accepted value
+	Done     uint64 // sender's watermark: every instance below it is decided there
 	HasValue bool
 	Value    []CastMsg
 }
@@ -129,6 +131,7 @@ func (m *consMsg) encode(w *wire.Writer) {
 	w.U64(m.Inst)
 	w.U32(m.Round)
 	w.U32(m.AccRound)
+	w.UVarint(m.Done)
 	w.Bool(m.HasValue)
 	if m.HasValue {
 		w.UVarint(uint64(len(m.Value)))
@@ -144,6 +147,7 @@ func decodeConsMsg(r *wire.Reader) consMsg {
 	m.Inst = r.U64()
 	m.Round = r.U32()
 	m.AccRound = r.U32()
+	m.Done = r.UVarint()
 	m.HasValue = r.Bool()
 	if m.HasValue {
 		n := r.UVarint()

@@ -31,7 +31,7 @@ func TestCastMsgRoundTrip(t *testing.T) {
 
 func TestConsMsgRoundTrip(t *testing.T) {
 	m := consMsg{
-		Type: cAccept, Inst: 12, Round: 3, AccRound: 2, HasValue: true,
+		Type: cAccept, Inst: 12, Round: 3, AccRound: 2, Done: 300, HasValue: true,
 		Value: []CastMsg{
 			{ID: MsgID{Origin: 1, Seq: 1}, Kind: castApp, Data: []byte("a")},
 			{ID: MsgID{Origin: 2, Seq: 9}, Kind: castViewChg, Op: '+', Site: 4},
@@ -44,7 +44,7 @@ func TestConsMsgRoundTrip(t *testing.T) {
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if got.Type != m.Type || got.Inst != m.Inst || got.Round != m.Round || len(got.Value) != 2 {
+	if got.Type != m.Type || got.Inst != m.Inst || got.Round != m.Round || got.Done != m.Done || len(got.Value) != 2 {
 		t.Fatalf("round trip: %+v", got)
 	}
 	if got.Value[1].Site != 4 || got.Value[0].Data[0] != 'a' {
