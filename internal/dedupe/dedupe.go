@@ -34,6 +34,25 @@ func (d *Seq) Mark(seq uint64) bool {
 	return true
 }
 
+// Advance records every seq ≤ to as seen — the source vouches that it
+// will never send them (again) — dropping the sparse entries at or below
+// it and compacting whatever then became contiguous.
+func (d *Seq) Advance(to uint64) {
+	if to <= d.low {
+		return
+	}
+	for seq := range d.sparse {
+		if seq <= to {
+			delete(d.sparse, seq)
+		}
+	}
+	d.low = to
+	for d.sparse[d.low+1] {
+		d.low++
+		delete(d.sparse, d.low)
+	}
+}
+
 // Seen reports whether seq was marked.
 func (d *Seq) Seen(seq uint64) bool {
 	return seq <= d.low || d.sparse[seq]

@@ -99,3 +99,24 @@ func TestSeqGapStaysSparse(t *testing.T) {
 		t.Fatal("unseen gap reported seen")
 	}
 }
+
+// TestSeqAdvance: raising the high-water mark drops the sparse entries it
+// covers and compacts the ones it makes contiguous; a lower mark is a
+// no-op.
+func TestSeqAdvance(t *testing.T) {
+	d := &Seq{}
+	for _, seq := range []uint64{2, 5, 7, 8} {
+		d.Mark(seq)
+	}
+	d.Advance(6) // covers 2 and 5; 7 and 8 are now contiguous
+	if d.Low() != 8 || d.SparseLen() != 0 {
+		t.Fatalf("after Advance(6): low %d, sparse %d; want 8 and 0", d.Low(), d.SparseLen())
+	}
+	d.Advance(3)
+	if d.Low() != 8 {
+		t.Fatalf("Advance below the mark moved it to %d", d.Low())
+	}
+	if d.Mark(4) || !d.Mark(9) || d.Low() != 9 {
+		t.Fatalf("after advancing: low %d", d.Low())
+	}
+}

@@ -7,7 +7,7 @@
 //	Fifo       ── FIFO-order broadcast (per-origin sequence numbers)
 //	Causal     ── causal-order broadcast (vector clocks)
 //	RelCast    ── reliable broadcast (relay on first receipt, but not the casts ABcast orders)
-//	RelComm    ── reliable point-to-point (seq/ack/retransmit/window)
+//	RelComm    ── reliable point-to-point (seq/cumulative ack/retransmit/window)
 //	FD         ── heartbeat failure detector
 //	NetOut     ── egress buffer: one datagram per peer per computation
 //	App        ── delivery upcalls to the embedding application
@@ -30,6 +30,18 @@
 // the computation ends — one datagram per destination, no timer — and
 // feeds a site's frames to itself straight back into the stack, past the
 // transport and the ARQ (DESIGN.md §12.1).
+//
+// RelComm's acks are cumulative and ride the data: every data frame's
+// header acknowledges, for its receiver, every seq up to the contiguous
+// high-water mark it holds from that peer. A standalone ack leaves only
+// when a duplicate arrives (the sender is retransmitting), when half of
+// SendWindow is owed, or when the retransmission tick finds the peer
+// still owed; a frame above a gap is owed a selective ack, paid by the
+// tick while the gap stays open. Every data frame also carries the
+// sender base — every seq up to it is acknowledged or abandoned — where a
+// receiver starts its dedup window, so a fresh incarnation of a rejoined
+// site, to which the survivors' sequence numbers continue, compacts it
+// from the first frame.
 //
 // Microprotocol state carries no locks: handlers mutate plain maps and
 // slices, and correctness under concurrency is exactly the isolation

@@ -16,8 +16,8 @@ func FuzzDecodeMessages(f *testing.F) {
 	f.Add(encodeConsFrame(&consMsg{Type: cAccept, Inst: 1, Round: 2, HasValue: true,
 		Value: []CastMsg{{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 3}}}))
 	f.Add(encodeSyncFrame(7, []byte("snap")))
-	f.Add(appendData(nil, 4, 9, []byte("inner")))
-	f.Add(appendAck(nil, 4, 9))
+	f.Add(dataFrame(4, 9, "inner"))
+	f.Add(ackFrame(4, 9))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = decodeCastMsg(wire.NewReader(data))
 		_ = decodeConsMsg(wire.NewReader(data))
@@ -33,8 +33,9 @@ func FuzzSiteSurvivesGarbageDatagrams(f *testing.F) {
 	f.Add([]byte{dgAck, 1, 2})
 	f.Add([]byte{dgBeat})
 	cast := encodeCastFrame(&CastMsg{ID: MsgID{Origin: 0, Seq: 1}, Kind: castRApp, Data: []byte("ok")})
-	f.Add(appendData(nil, 0, 1, cast))
-	f.Add(appendAck(appendData(appendAck(nil, 7, 3), 0, 1, cast), 7, 4))
+	castData := appendFrame(nil, &frame{kind: dgData, seq: 1, inner: cast})
+	f.Add(castData)
+	f.Add(bytes.Join([][]byte{ackFrame(7, 3), castData, ackFrame(7, 4)}, nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		net := simnet.New(simnet.Config{Nodes: 2})
 		defer net.Close()
@@ -62,42 +63,51 @@ func walkFrames(p []byte) (frames []frame, ends []int, err error) {
 	return frames, ends, nil
 }
 
+// sameFrame compares two decoded frames field by field.
+func sameFrame(a, b frame) bool {
+	return a.kind == b.kind && a.epoch == b.epoch && a.seq == b.seq && a.ackEpoch == b.ackEpoch &&
+		a.ack == b.ack && a.base == b.base && bytes.Equal(a.inner, b.inner)
+}
+
 // FuzzDatagramFrames feeds arbitrary bytes to the datagram decoder: it
 // never panics, every frame it accepts survives re-encoding, and cutting a
 // datagram short loses exactly the frames the cut reaches — the
 // well-formed frames before a malformed tail are kept.
 func FuzzDatagramFrames(f *testing.F) {
-	ack := appendAck(nil, 7, 3)
-	data := appendData(nil, 7, 4, []byte("inner"))
+	ack := ackFrame(7, 3)
+	data := dataFrame(7, 4, "inner")
 	f.Add([]byte{}, uint16(0))
 	f.Add(ack, uint16(5))
 	f.Add(data, uint16(15))
 	f.Add(bytes.Join([][]byte{ack, data, ack, data}, nil), uint16(30))
 	f.Add([]byte{dgBeat}, uint16(0))
 	f.Add(append(append([]byte(nil), ack...), 99), uint16(13))
+	// A data frame with a piggybacked ack and a base, then a selective
+	// ack, cut at every byte.
+	hdrs := bytes.Join([][]byte{
+		appendFrame(nil, &frame{kind: dgData, epoch: 7, seq: 5, ackEpoch: 9, ack: 4, base: 2, inner: []byte("x")}),
+		appendFrame(nil, &frame{kind: dgSack, epoch: 9, seq: 6}),
+	}, nil)
+	for cut := range len(hdrs) + 1 {
+		f.Add(hdrs, uint16(cut))
+	}
 	f.Fuzz(func(t *testing.T, p []byte, cut uint16) {
 		if len(p) > 0 {
 			classify(p)
 		}
 		frames, ends, _ := walkFrames(p)
 		for _, fr := range frames {
-			var enc []byte
 			switch fr.kind {
-			case dgData:
-				enc = appendData(nil, fr.epoch, fr.seq, fr.inner)
-				if len(enc) != dataLen(fr.inner) {
-					t.Fatalf("dataLen says %d, frame encodes to %d bytes", dataLen(fr.inner), len(enc))
-				}
-			case dgAck:
-				enc = appendAck(nil, fr.epoch, fr.seq)
-			case dgBeat:
-				enc = []byte{dgBeat}
+			case dgData, dgAck, dgSack, dgBeat:
 			default:
 				t.Fatalf("decoder accepted kind %d", fr.kind)
 			}
+			enc := appendFrame(nil, &fr)
+			if len(enc) != fr.size() {
+				t.Fatalf("size says %d, frame encodes to %d bytes", fr.size(), len(enc))
+			}
 			back, rest, err := decodeFrame(enc)
-			if err != nil || len(rest) != 0 || back.kind != fr.kind || back.epoch != fr.epoch ||
-				back.seq != fr.seq || !bytes.Equal(back.inner, fr.inner) {
+			if err != nil || len(rest) != 0 || !sameFrame(back, fr) {
 				t.Fatalf("frame %+v re-decoded as %+v (rest %d, err %v)", fr, back, len(rest), err)
 			}
 		}
@@ -118,7 +128,7 @@ func FuzzDatagramFrames(f *testing.F) {
 			t.Fatalf("cut at %d of %d: error %v, cut on a frame boundary: %v", c, len(p), err, onBoundary)
 		}
 		for i, fr := range short {
-			if fr.kind != frames[i].kind || fr.seq != frames[i].seq || fr.epoch != frames[i].epoch || !bytes.Equal(fr.inner, frames[i].inner) {
+			if !sameFrame(fr, frames[i]) {
 				t.Fatalf("cut at %d: frame %d decoded as %+v, was %+v", c, i, fr, frames[i])
 			}
 		}

@@ -14,14 +14,19 @@ import (
 // share datagrams (NetOut coalesces them per computation); a heartbeat
 // always travels alone.
 const (
-	dgData uint8 = 1 // RelComm data: epoch + seq + length-prefixed inner payload
-	dgAck  uint8 = 2 // RelComm ack: epoch + seq
+	dgData uint8 = 1 // RelComm data: epoch + seq + piggybacked ack + sender base + length-prefixed inner payload
+	dgAck  uint8 = 2 // RelComm cumulative ack: echoed epoch + seq, acknowledging every seq up to it
 	dgBeat uint8 = 3 // failure-detector heartbeat: the kind byte only
+	dgSack uint8 = 4 // RelComm selective ack: echoed epoch + the one seq it acknowledges
 )
 
-// ackLen is the encoded size of an ack frame, and of a data frame's
-// fixed header: kind, epoch, seq.
-const ackLen = 1 + 4 + 8
+// ackLen is the encoded size of an ack frame: kind, epoch, seq.
+// dataHdrLen is a data frame's fixed header: those, then the piggybacked
+// ack's echoed epoch and seq, then the sender base.
+const (
+	ackLen     = 1 + 4 + 8
+	dataHdrLen = ackLen + 4 + 8 + 8
+)
 
 // maxDatagram is where NetOut splits one destination's frames into a
 // further datagram. It stays below the smallest payload limit among the
@@ -195,65 +200,85 @@ func encodeSyncFrame(nextInst uint64, snap []byte) []byte {
 	return w.Bytes()
 }
 
-// frame is one decoded datagram frame. inner aliases the datagram.
+// frame is one datagram frame, decoded or to be encoded. A decoded
+// frame's inner aliases the datagram.
 type frame struct {
 	kind  uint8
-	epoch uint32 // dgData: the sender's incarnation; dgAck: the echoed one
-	seq   uint64
-	inner []byte // dgData only
+	epoch uint32 // dgData: the sender's incarnation; dgAck, dgSack: the echoed one
+	seq   uint64 // dgData: the frame's; dgAck: the cumulative ack; dgSack: the one acknowledged
+	// dgData only: the cumulative ack for the reverse direction (the
+	// echoed epoch of the frame's receiver, and every seq up to ack from
+	// it arrived), and the sender base (every seq up to base the sender
+	// will never send again: acknowledged or abandoned).
+	ackEpoch  uint32
+	ack, base uint64
+	inner     []byte
 }
 
 var errBadFrame = errors.New("gc: malformed datagram frame")
 
-// appendData appends a RelComm data frame to dst. The epoch identifies
-// the sender's RelComm incarnation: a crash-restarted process starts a
-// fresh epoch, telling receivers to discard the dead incarnation's dedup
-// state instead of silently swallowing the newcomer's restarted sequence
-// space.
-func appendData(dst []byte, epoch uint32, seq uint64, inner []byte) []byte {
-	dst = appendHeader(dst, dgData, epoch, seq)
-	dst = binary.AppendUvarint(dst, uint64(len(inner)))
-	return append(dst, inner...)
+// size is the frame's encoded length.
+func (f *frame) size() int {
+	switch f.kind {
+	case dgBeat:
+		return 1
+	case dgData:
+		var v [binary.MaxVarintLen64]byte
+		return dataHdrLen + binary.PutUvarint(v[:], uint64(len(f.inner))) + len(f.inner)
+	default:
+		return ackLen
+	}
 }
 
-// appendAck appends a RelComm ack frame to dst, echoing the epoch of the
-// data frame it acknowledges (so a sender ignores acks addressed to a
-// previous incarnation of itself).
-func appendAck(dst []byte, epoch uint32, seq uint64) []byte {
-	return appendHeader(dst, dgAck, epoch, seq)
-}
-
-func appendHeader(dst []byte, kind uint8, epoch uint32, seq uint64) []byte {
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint32(dst, epoch)
-	return binary.LittleEndian.AppendUint64(dst, seq)
-}
-
-// dataLen is the encoded size of a data frame carrying inner.
-func dataLen(inner []byte) int {
-	var v [binary.MaxVarintLen64]byte
-	return ackLen + binary.PutUvarint(v[:], uint64(len(inner))) + len(inner)
+// appendFrame encodes f at the end of dst. A data frame's epoch
+// identifies the sender's RelComm incarnation: a crash-restarted process
+// starts a fresh epoch, telling receivers to discard the dead
+// incarnation's dedup state instead of silently swallowing the
+// newcomer's restarted sequence space. An ack echoes the epoch of the
+// data it acknowledges, so a sender ignores acks addressed to a previous
+// incarnation of itself.
+func appendFrame(dst []byte, f *frame) []byte {
+	dst = append(dst, f.kind)
+	if f.kind == dgBeat {
+		return dst
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, f.epoch)
+	dst = binary.LittleEndian.AppendUint64(dst, f.seq)
+	if f.kind != dgData {
+		return dst
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, f.ackEpoch)
+	dst = binary.LittleEndian.AppendUint64(dst, f.ack)
+	dst = binary.LittleEndian.AppendUint64(dst, f.base)
+	dst = binary.AppendUvarint(dst, uint64(len(f.inner)))
+	return append(dst, f.inner...)
 }
 
 // decodeFrame splits the first frame off a non-empty datagram — the one
-// datagram decoder: RelComm's receive loop, the pump's classification and
-// the tests all walk a datagram with it. An unknown kind or a truncated
-// frame is an error; the frames before it were already returned, so a
-// malformed tail costs only itself.
+// datagram decoder: RelComm's receive loop and the tests walk a datagram
+// with it. An unknown kind or a truncated frame is an error; the frames
+// before it were already returned, so a malformed tail costs only itself.
 func decodeFrame(p []byte) (f frame, rest []byte, err error) {
 	switch f.kind = p[0]; f.kind {
 	case dgBeat:
 		return f, p[1:], nil
-	case dgData, dgAck:
-		if len(p) < ackLen {
+	case dgData, dgAck, dgSack:
+		hdr := ackLen
+		if f.kind == dgData {
+			hdr = dataHdrLen
+		}
+		if len(p) < hdr {
 			return f, nil, fmt.Errorf("%w: kind %d header truncated at %d bytes", errBadFrame, f.kind, len(p))
 		}
 		f.epoch = binary.LittleEndian.Uint32(p[1:])
 		f.seq = binary.LittleEndian.Uint64(p[5:])
-		rest = p[ackLen:]
-		if f.kind == dgAck {
-			return f, rest, nil
+		if f.kind != dgData {
+			return f, p[ackLen:], nil
 		}
+		f.ackEpoch = binary.LittleEndian.Uint32(p[13:])
+		f.ack = binary.LittleEndian.Uint64(p[17:])
+		f.base = binary.LittleEndian.Uint64(p[25:])
+		rest = p[dataHdrLen:]
 		n, k := binary.Uvarint(rest)
 		if k <= 0 || n > uint64(len(rest)-k) {
 			return f, nil, fmt.Errorf("%w: data seq %d payload truncated", errBadFrame, f.seq)
@@ -267,27 +292,15 @@ func decodeFrame(p []byte) (f frame, rest []byte, err error) {
 
 // Datagram classes, for the pump's choice of spec.
 const (
-	classMixed uint8 = iota // at least one data frame (or garbage): may cascade through the stack
-	classAck                // acks only: touches RelComm and NetOut
+	classMixed uint8 = iota // RelComm frames (or garbage): may cascade through the stack
 	classBeat               // a heartbeat
 )
 
-// classify reads frame headers up to the first frame that is not an ack.
-// A datagram whose well-formed frames are all acks is ack-only even if
-// its tail is cut short: the receive loop reports the tail.
+// classify tells a heartbeat, which travels alone, from a datagram of
+// RelComm frames.
 func classify(p []byte) uint8 {
 	if p[0] == dgBeat {
 		return classBeat
 	}
-	for len(p) > 0 {
-		f, rest, err := decodeFrame(p)
-		if f.kind != dgAck {
-			return classMixed
-		}
-		if err != nil {
-			break
-		}
-		p = rest
-	}
-	return classAck
+	return classMixed
 }

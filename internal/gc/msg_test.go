@@ -2,6 +2,7 @@ package gc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -88,27 +89,60 @@ func TestSyncFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// dataFrame and ackFrame encode one frame each, for building test
+// datagrams: a data frame with no piggybacked ack and base 0, and a
+// cumulative ack.
+func dataFrame(epoch uint32, seq uint64, inner string) []byte {
+	return appendFrame(nil, &frame{kind: dgData, epoch: epoch, seq: seq, inner: []byte(inner)})
+}
+
+func ackFrame(epoch uint32, seq uint64) []byte {
+	return appendFrame(nil, &frame{kind: dgAck, epoch: epoch, seq: seq})
+}
+
 func TestFrameEncodings(t *testing.T) {
-	p := appendData(nil, 77, 9, []byte("inner"))
-	if len(p) != dataLen([]byte("inner")) {
-		t.Fatalf("dataLen = %d, encoded %d", dataLen([]byte("inner")), len(p))
-	}
-	p = appendAck(p, 78, 10)
-	f, rest, err := decodeFrame(p)
-	if err != nil || f.kind != dgData || f.epoch != 77 || f.seq != 9 || string(f.inner) != "inner" {
-		t.Fatalf("data frame round trip: %+v, %v", f, err)
-	}
-	f, rest, err = decodeFrame(rest)
-	if err != nil || f.kind != dgAck || f.epoch != 78 || f.seq != 10 || len(rest) != 0 {
-		t.Fatalf("ack frame round trip: %+v, %v", f, err)
+	for _, f := range []frame{
+		{kind: dgData, epoch: 77, seq: 9, inner: []byte("inner")},
+		{kind: dgAck, epoch: 78, seq: 10},
+		{kind: dgSack, epoch: 79, seq: 11},
+		{kind: dgBeat},
+	} {
+		p := appendFrame(nil, &f)
+		if len(p) != f.size() {
+			t.Fatalf("kind %d: size %d, encoded %d", f.kind, f.size(), len(p))
+		}
+		got, rest, err := decodeFrame(append(p, 0xEE))
+		if err != nil || got.kind != f.kind || got.epoch != f.epoch || got.seq != f.seq ||
+			!bytes.Equal(got.inner, f.inner) || !bytes.Equal(rest, []byte{0xEE}) {
+			t.Fatalf("kind %d round trip: %+v, rest %v, %v", f.kind, got, rest, err)
+		}
 	}
 }
 
-// TestClassify: a datagram gets the ack spec only if every well-formed
-// frame in it is an ack; a heartbeat is a datagram of its own.
+// TestDataHeaderRoundTrip: a data frame's header carries the piggybacked
+// ack (echoed epoch, cumulative seq) and the sender base, and a data
+// frame cut at any byte of its header or payload is an error, never a
+// shorter frame.
+func TestDataHeaderRoundTrip(t *testing.T) {
+	f := frame{kind: dgData, epoch: 0xA1B2C3D4, seq: 1 << 40, ackEpoch: 0x01020304, ack: 1<<40 - 3, base: 1<<33 + 7, inner: []byte("payload")}
+	p := appendFrame(nil, &f)
+	got, rest, err := decodeFrame(p)
+	if err != nil || len(rest) != 0 || got.epoch != f.epoch || got.seq != f.seq || got.ackEpoch != f.ackEpoch ||
+		got.ack != f.ack || got.base != f.base || string(got.inner) != "payload" {
+		t.Fatalf("round trip: %+v, rest %d, %v", got, len(rest), err)
+	}
+	for cut := 1; cut < len(p); cut++ {
+		if _, _, err := decodeFrame(p[:cut]); !errors.Is(err, errBadFrame) {
+			t.Fatalf("cut at %d of %d: error %v, want errBadFrame", cut, len(p), err)
+		}
+	}
+}
+
+// TestClassify: a heartbeat is a datagram of its own; anything else —
+// acks included — runs on the data path.
 func TestClassify(t *testing.T) {
-	ack := appendAck(nil, 1, 1)
-	data := appendData(nil, 1, 1, []byte("x"))
+	ack := ackFrame(1, 1)
+	data := dataFrame(1, 1, "x")
 	join := func(ps ...[]byte) []byte { return bytes.Join(ps, nil) }
 	for _, c := range []struct {
 		name string
@@ -116,14 +150,11 @@ func TestClassify(t *testing.T) {
 		want uint8
 	}{
 		{"beat", []byte{dgBeat}, classBeat},
-		{"one ack", ack, classAck},
-		{"three acks", join(ack, ack, ack), classAck},
-		{"acks with a cut tail", join(ack, ack[:5]), classAck},
+		{"one ack", ack, classMixed},
+		{"three acks", join(ack, ack, ack), classMixed},
 		{"data", data, classMixed},
 		{"ack then data", join(ack, data), classMixed},
-		{"data then ack", join(data, ack), classMixed},
 		{"unknown kind", []byte{99}, classMixed},
-		{"ack then unknown kind", join(ack, []byte{99}), classMixed},
 	} {
 		if got := classify(c.p); got != c.want {
 			t.Errorf("%s: class %d, want %d", c.name, got, c.want)

@@ -9,11 +9,8 @@ import (
 
 // outFrame asks NetOut to transmit one frame to a site.
 type outFrame struct {
-	to    transport.NodeID
-	kind  uint8 // dgData, dgAck or dgBeat
-	epoch uint32
-	seq   uint64
-	inner []byte // dgData only
+	to transport.NodeID
+	frame
 }
 
 // beatDatagram is the heartbeat: one frame that is a datagram of its own.
@@ -34,10 +31,11 @@ type outgoing struct {
 // It is a site-level egress buffer. The send handler only appends the
 // frame to its destination's datagram; whichever goroutine finishes a
 // site-driven computation then calls flush (Site.run), which swaps the
-// buffer out and puts one datagram per destination on the wire. An ack, a
-// relayed cast and a consensus reply produced by one computation for one
-// peer thus leave as one datagram, and no frame ever waits on a clock:
-// the computation that produced it is the latest it can leave with.
+// buffer out and puts one datagram per destination on the wire. The
+// relayed casts, consensus replies and acks produced by one computation
+// for one peer thus leave as one datagram, and no frame ever waits on a
+// clock: the computation that produced it is the latest it can leave
+// with.
 //
 // The buffer is shared by every computation of the site — under None or
 // an early-releasing controller several append at once, and flush runs
@@ -77,10 +75,7 @@ func newNetOut(node transport.Endpoint) *NetOut {
 // destination, starting a further one when that would pass maxDatagram
 // (a single larger frame travels alone and is the transport's to refuse).
 func (n *NetOut) appendLocked(f outFrame) {
-	size := ackLen
-	if f.kind == dgData {
-		size = dataLen(f.inner)
-	}
+	size := f.size()
 	var o *outgoing
 	for i := len(n.out) - 1; i >= 0; i-- {
 		if n.out[i].to == f.to {
@@ -94,11 +89,7 @@ func (n *NetOut) appendLocked(f outFrame) {
 		n.out = append(n.out, outgoing{to: f.to, data: make([]byte, 0, size)})
 		o = &n.out[len(n.out)-1]
 	}
-	if f.kind == dgData {
-		o.data = appendData(o.data, f.epoch, f.seq, f.inner)
-	} else {
-		o.data = appendAck(o.data, f.epoch, f.seq)
-	}
+	o.data = appendFrame(o.data, &f.frame)
 }
 
 // flush transmits everything buffered for other sites and returns the

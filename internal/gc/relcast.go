@@ -97,7 +97,8 @@ members:
 
 // recv implements "if (new message m) then { bcast m; triggerAll
 // DeliverOut m; }", with the relay narrowed to the sites that may lack m
-// and skipped for the casts ABcast orders (see RelCast). The paper's
+// and skipped for the casts ABcast orders and for the origin's own copy,
+// which bcast already sent to everyone (see RelCast). The paper's
 // DeliverOut is asynchronous; here it is synchronous for the reason
 // RelComm.recv gives — the datagram's next frame must find this one's
 // delivery finished. Non-RelCast payloads on FromRComm belong to other
@@ -120,7 +121,7 @@ func (rb *RelCast) recv(ctx *core.Context, msg core.Message) error {
 	if !d.Mark(m.ID.Seq) {
 		return nil
 	}
-	if m.Kind != castApp && m.Kind != castViewChg {
+	if m.Kind != castApp && m.Kind != castViewChg && m.ID.Origin != rb.self {
 		if err := rb.sendAll(ctx, &m, rb.self, m.ID.Origin, in.sender); err != nil {
 			return err
 		}

@@ -26,21 +26,37 @@ type rcRecvd struct {
 	inner  []byte
 }
 
-// pendingSend is an unacknowledged data message awaiting retransmission.
-type pendingSend struct {
+// sent is a data frame sent to a peer and not yet cumulatively
+// acknowledged, awaiting retransmission.
+type sent struct {
 	inner  []byte
 	sentAt time.Time
+	sacked bool // selectively acknowledged: it arrived, above a gap
 }
 
-// peerIn is the receive-side state for one peer: the incarnation (epoch)
-// its datagrams currently carry and the dedup window within it. A peer
-// that crash-restarts announces a fresh random epoch; the first datagram
-// of a new epoch resets the dedup window, so the restarted sender's
-// sequence space (starting over at 1) is not swallowed by the dead
-// incarnation's high-water mark.
-type peerIn struct {
+// link is RelComm's state for one peer, both directions.
+type link struct {
+	// Receive side: the incarnation (epoch) the peer's data frames
+	// currently carry, the dedup window within it, the cumulative ack
+	// last sent back — seen.Low() - acked is what the peer is owed — and
+	// the frames that arrived above a gap, owed a selective ack. A peer
+	// that crash-restarts announces a fresh random epoch; the first
+	// datagram of a new epoch resets the dedup window, so the restarted
+	// sender's sequence space (starting over at 1) is not swallowed by
+	// the dead incarnation's high-water mark.
 	epoch uint32
 	seen  dedupe.Seq
+	acked uint64
+	sacks []uint64
+
+	// Send side: the last seq assigned; the base, every seq up to which
+	// is acknowledged or abandoned; the frames base+1..nextSeq in seq
+	// order (none for the site itself); and the sends waiting for window
+	// space.
+	nextSeq uint64
+	base    uint64
+	unacked []sent
+	queued  [][]byte
 }
 
 // RelComm is the reliable point-to-point microprotocol of paper §3:
@@ -49,6 +65,28 @@ type peerIn struct {
 // receipt, delivered upward only "if the sender is in the current group
 // view"). That filter is the heart of experiment E6: a stale view here
 // silently loses messages.
+//
+// Acks are cumulative — every seq up to the acknowledged one arrived —
+// and ride the data. A peer is owed an ack once a data frame from it
+// arrives, and is paid by the first of:
+//
+//  1. any data frame to it, whose header carries the cumulative ack;
+//  2. a duplicate from it, which means it is retransmitting: ack at once;
+//  3. half of SendWindow owed, so its flow control never stalls;
+//  4. the retransmission tick (every RTO/2) finding it still owed.
+//
+// A frame that arrives above a gap is owed a selective ack, which acks
+// it alone: the tick sends it if the gap is still open (a duplicate, at
+// once), so the sender does not retransmit it with the gap. Because an
+// owed ack leaves at most RTO/2 after its frame arrived and a sender
+// retransmits only frames older than RTO, deferral alone never causes a
+// retransmission (DESIGN.md §12.1).
+//
+// Every data frame also carries the sender base: every seq up to it is
+// acknowledged or abandoned (its target left the view), so it will never
+// be sent again. A receiver's dedup window starts there, which is what
+// lets a fresh incarnation of a rejoined site — to which the survivors'
+// sequence numbers continue — compact its window from the first frame.
 //
 // A site's frames to itself are exempt from the ARQ: NetOut hands them
 // back in-process (Site.flush), where nothing can lose them, so they are
@@ -68,30 +106,25 @@ type RelComm struct {
 
 	view atomic.Pointer[View]
 
-	nextSeq map[transport.NodeID]uint64
-	pending map[transport.NodeID]map[uint64]*pendingSend
-	queued  map[transport.NodeID][][]byte // flow control: waiting for window space
-	peers   map[transport.NodeID]*peerIn
+	peers map[transport.NodeID]*link
 
 	// droppedStale counts sends discarded because the target was not in
-	// the view — the observable of the §3 Problem.
-	droppedStale atomic.Uint64
+	// the view — the observable of the §3 Problem. retransmitted counts
+	// data frames sent again after their RTO.
+	droppedStale, retransmitted atomic.Uint64
 
 	hSend, hRecv, hRetransmit, hViewChange *core.Handler
 }
 
 func newRelComm(self transport.NodeID, initial *View, rto time.Duration, window int, ev *events) *RelComm {
 	rc := &RelComm{
-		mp:      core.NewMicroprotocol("relcomm"),
-		self:    self,
-		epoch:   rand.Uint32(),
-		rto:     rto,
-		window:  window,
-		ev:      ev,
-		nextSeq: make(map[transport.NodeID]uint64),
-		pending: make(map[transport.NodeID]map[uint64]*pendingSend),
-		queued:  make(map[transport.NodeID][][]byte),
-		peers:   make(map[transport.NodeID]*peerIn),
+		mp:     core.NewMicroprotocol("relcomm"),
+		self:   self,
+		epoch:  rand.Uint32(),
+		rto:    rto,
+		window: window,
+		ev:     ev,
+		peers:  make(map[transport.NodeID]*link),
 	}
 	rc.view.Store(initial)
 	rc.hSend = rc.mp.AddHandler("send", rc.send).Emits(ev.NetSend)
@@ -113,53 +146,70 @@ func (rc *RelComm) send(ctx *core.Context, msg core.Message) error {
 		rc.droppedStale.Add(1)
 		return nil
 	}
-	if rc.window > 0 && len(rc.pending[req.to]) >= rc.window {
-		rc.queued[req.to] = append(rc.queued[req.to], req.inner)
+	l := rc.link(req.to)
+	if rc.window > 0 && len(l.unacked) >= rc.window {
+		l.queued = append(l.queued, req.inner)
 		return nil
 	}
-	return rc.transmit(ctx, req.to, req.inner)
+	return rc.transmit(ctx, req.to, l, req.inner)
+}
+
+func (rc *RelComm) link(id transport.NodeID) *link {
+	l := rc.peers[id]
+	if l == nil {
+		l = &link{}
+		rc.peers[id] = l
+	}
+	return l
 }
 
 // transmit assigns a sequence number, buffers for retransmission (unless
-// the frame is this site's own), and hands the frame to NetOut.
-func (rc *RelComm) transmit(ctx *core.Context, to transport.NodeID, inner []byte) error {
-	rc.nextSeq[to]++
-	seq := rc.nextSeq[to]
+// the frame is this site's own), and sends the frame.
+func (rc *RelComm) transmit(ctx *core.Context, to transport.NodeID, l *link, inner []byte) error {
+	l.nextSeq++
 	if to != rc.self {
-		p := rc.pending[to]
-		if p == nil {
-			p = make(map[uint64]*pendingSend)
-			rc.pending[to] = p
-		}
-		p[seq] = &pendingSend{inner: inner, sentAt: time.Now()}
+		l.unacked = append(l.unacked, sent{inner: inner, sentAt: time.Now()})
 	}
-	return ctx.Trigger(rc.ev.NetSend, outFrame{to: to, kind: dgData, epoch: rc.epoch, seq: seq, inner: inner})
+	return rc.sendData(ctx, to, l, l.nextSeq, inner)
+}
+
+// sendData hands NetOut a data frame carrying the base and, to a peer,
+// the cumulative ack it is owed — which pays it.
+func (rc *RelComm) sendData(ctx *core.Context, to transport.NodeID, l *link, seq uint64, inner []byte) error {
+	f := frame{kind: dgData, epoch: rc.epoch, seq: seq, base: l.base, inner: inner}
+	if to != rc.self {
+		f.ackEpoch, f.ack = l.epoch, l.seen.Low()
+		l.acked = f.ack
+	}
+	return ctx.Trigger(rc.ev.NetSend, outFrame{to: to, frame: f})
 }
 
 // drainQueue sends queued messages while the peer's window has space.
-func (rc *RelComm) drainQueue(ctx *core.Context, to transport.NodeID) error {
-	for len(rc.queued[to]) > 0 && (rc.window <= 0 || len(rc.pending[to]) < rc.window) {
-		inner := rc.queued[to][0]
-		rc.queued[to] = rc.queued[to][1:]
+func (rc *RelComm) drainQueue(ctx *core.Context, to transport.NodeID, l *link) error {
+	for len(l.queued) > 0 && (rc.window <= 0 || len(l.unacked) < rc.window) {
+		inner := l.queued[0]
+		l.queued[0] = nil
+		l.queued = l.queued[1:]
 		if !rc.view.Load().Contains(to) {
 			rc.droppedStale.Add(1)
 			continue
 		}
-		if err := rc.transmit(ctx, to, inner); err != nil {
+		if err := rc.transmit(ctx, to, l, inner); err != nil {
 			return err
 		}
 	}
-	if len(rc.queued[to]) == 0 {
-		delete(rc.queued, to)
+	if len(l.queued) == 0 {
+		l.queued = nil
 	}
 	return nil
 }
 
 // recv handles an incoming datagram, frame by frame: data frames are
-// acknowledged, deduplicated and — if the sender is in the current view —
-// handed upward via FromRComm; acks clear the retransmission buffer. The
-// acks it emits and whatever the frames' cascades send back share the
-// computation's egress flush, so they return to the peer in one datagram.
+// deduplicated and — if the sender is in the current view — handed
+// upward via FromRComm, and their headers' acks, like ack frames, clear
+// the retransmission buffer. The acks it emits and whatever the frames'
+// cascades send back share the computation's egress flush, so they
+// return to the peer in one datagram.
 //
 // FromRComm is triggered synchronously: the frames of one datagram are
 // one computation, isolation orders computations and not the threads
@@ -181,9 +231,9 @@ func (rc *RelComm) recv(ctx *core.Context, msg core.Message) error {
 		p = rest
 		switch f.kind {
 		case dgData:
-			err = rc.recvData(ctx, d.From, f)
-		case dgAck:
-			err = rc.recvAck(ctx, d.From, f)
+			err = rc.recvData(ctx, d.From, &f)
+		case dgAck, dgSack:
+			err = rc.recvAck(ctx, d.From, f.kind, f.epoch, f.seq)
 		}
 		if err != nil {
 			errs = append(errs, err)
@@ -192,84 +242,154 @@ func (rc *RelComm) recv(ctx *core.Context, msg core.Message) error {
 	return errors.Join(errs...)
 }
 
-func (rc *RelComm) recvData(ctx *core.Context, from transport.NodeID, f frame) error {
-	// Ack unconditionally (duplicates mean the ack was lost), echoing
-	// the sender's epoch so it can reject acks meant for a previous
-	// incarnation of itself.
+func (rc *RelComm) recvData(ctx *core.Context, from transport.NodeID, f *frame) error {
+	l := rc.link(from)
 	if from != rc.self {
-		if err := ctx.Trigger(rc.ev.NetSend, outFrame{to: from, kind: dgAck, epoch: f.epoch, seq: f.seq}); err != nil {
+		if err := rc.recvAck(ctx, from, dgAck, f.ackEpoch, f.ack); err != nil {
 			return err
 		}
 	}
-	p := rc.peers[from]
-	if p == nil {
-		p = &peerIn{epoch: f.epoch}
-		rc.peers[from] = p
-	} else if p.epoch != f.epoch {
+	if l.epoch != f.epoch {
 		// The peer restarted into a new incarnation: its sequence
 		// space starts over, so the old dedup window would swallow
 		// everything it now sends.
-		*p = peerIn{epoch: f.epoch}
+		l.epoch, l.seen, l.acked, l.sacks = f.epoch, dedupe.Seq{}, 0, nil
 	}
-	if !p.seen.Mark(f.seq) {
-		return nil
+	// Nothing up to the base will come (again), and nothing up to it is
+	// owed.
+	l.seen.Advance(f.base)
+	l.acked = max(l.acked, f.base)
+	fresh := l.seen.Mark(f.seq)
+	if from != rc.self {
+		if err := rc.oweAck(ctx, from, l, f.seq, fresh); err != nil {
+			return err
+		}
 	}
-	if !rc.view.Load().Contains(from) {
+	if !fresh || !rc.view.Load().Contains(from) {
 		return nil
 	}
 	return ctx.TriggerAll(rc.ev.FromRComm, rcRecvd{sender: from, inner: f.inner})
 }
 
-func (rc *RelComm) recvAck(ctx *core.Context, from transport.NodeID, f frame) error {
-	if f.epoch != rc.epoch {
-		return nil // ack for a previous incarnation of this site
+// oweAck applies the ack rules to a data frame that just arrived: what
+// it is owed leaves at once only for a duplicate or half a window,
+// otherwise it waits for a data frame or the tick.
+func (rc *RelComm) oweAck(ctx *core.Context, from transport.NodeID, l *link, seq uint64, fresh bool) error {
+	if seq > l.seen.Low() {
+		l.sacks = append(l.sacks, seq)
 	}
-	if p := rc.pending[from]; p != nil {
-		delete(p, f.seq)
+	switch {
+	case !fresh:
+		// The sender is retransmitting: the ack it waits for was lost.
+		return rc.payAcks(ctx, from, l, true)
+	case rc.window > 0 && l.seen.Low()-l.acked >= uint64(rc.window+1)/2:
+		return rc.payAcks(ctx, from, l, false)
 	}
-	return rc.drainQueue(ctx, from)
+	return nil
 }
 
-// retransmit re-sends every unacknowledged message older than the RTO.
-// It runs as its own timer-driven computation, so what it re-sends to one
-// peer leaves coalesced like any other computation's frames.
+// recvAck applies an ack from a peer — a dgAck up to seq, or a dgSack of
+// seq alone — moving the base past every leading acknowledged frame, and
+// fills the window it opens.
+func (rc *RelComm) recvAck(ctx *core.Context, from transport.NodeID, kind uint8, epoch uint32, seq uint64) error {
+	l := rc.peers[from]
+	if epoch != rc.epoch || l == nil || seq <= l.base {
+		return nil // for a previous incarnation of this site, or nothing new
+	}
+	i := seq - l.base // seq's position in unacked, from 1
+	if i > uint64(len(l.unacked)) {
+		return nil // never sent
+	}
+	n := 0
+	if kind == dgAck {
+		n = int(i)
+	} else {
+		l.unacked[i-1].sacked = true
+	}
+	for n < len(l.unacked) && l.unacked[n].sacked {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	m := copy(l.unacked, l.unacked[n:])
+	clear(l.unacked[m:])
+	l.unacked = l.unacked[:m]
+	l.base += uint64(n)
+	return rc.drainQueue(ctx, from, l)
+}
+
+// retransmit re-sends every unacknowledged message older than the RTO and
+// pays every ack still owed (rule 4). It runs as its own timer-driven
+// computation, so what it sends to one peer leaves coalesced like any
+// other computation's frames.
 func (rc *RelComm) retransmit(ctx *core.Context, _ core.Message) error {
 	now := time.Now()
-	for to, msgs := range rc.pending {
-		for seq, p := range msgs {
-			if now.Sub(p.sentAt) < rc.rto {
+	for to, l := range rc.peers {
+		for i := range l.unacked {
+			s := &l.unacked[i]
+			if s.sacked || now.Sub(s.sentAt) < rc.rto {
 				continue
 			}
-			p.sentAt = now
-			if err := ctx.Trigger(rc.ev.NetSend, outFrame{to: to, kind: dgData, epoch: rc.epoch, seq: seq, inner: p.inner}); err != nil {
+			s.sentAt = now
+			rc.retransmitted.Add(1)
+			if err := rc.sendData(ctx, to, l, l.base+uint64(i)+1, s.inner); err != nil {
 				return err
 			}
+		}
+		if err := rc.payAcks(ctx, to, l, false); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// viewChange installs a new view and stops retransmitting to (or queueing
-// for) removed sites.
+// payAcks sends a peer a selective ack for each frame it sent that is
+// still above a gap and the cumulative ack it is owed — also when it is
+// owed nothing new, if forced.
+func (rc *RelComm) payAcks(ctx *core.Context, to transport.NodeID, l *link, force bool) error {
+	for _, seq := range l.sacks {
+		if seq > l.seen.Low() {
+			if err := ctx.Trigger(rc.ev.NetSend, outFrame{to: to, frame: frame{kind: dgSack, epoch: l.epoch, seq: seq}}); err != nil {
+				return err
+			}
+		}
+	}
+	l.sacks = l.sacks[:0]
+	if to == rc.self || (l.seen.Low() == l.acked && !force) {
+		return nil
+	}
+	l.acked = l.seen.Low()
+	return ctx.Trigger(rc.ev.NetSend, outFrame{to: to, frame: frame{kind: dgAck, epoch: l.epoch, seq: l.acked}})
+}
+
+// viewChange installs a new view and abandons what is unacknowledged or
+// queued for removed sites: the base moves past it, so a later
+// incarnation of the site starts its dedup window there.
 func (rc *RelComm) viewChange(_ *core.Context, msg core.Message) error {
 	v := msg.(*View)
 	rc.view.Store(v)
-	for to := range rc.pending {
-		if !v.Contains(to) {
-			delete(rc.pending, to)
+	for to, l := range rc.peers {
+		if to == rc.self || v.Contains(to) {
+			continue
 		}
-	}
-	for to := range rc.queued {
-		if !v.Contains(to) {
-			rc.droppedStale.Add(uint64(len(rc.queued[to])))
-			delete(rc.queued, to)
-		}
+		l.base, l.unacked = l.nextSeq, nil
+		rc.droppedStale.Add(uint64(len(l.queued)))
+		l.queued = nil
 	}
 	return nil
 }
 
 // Queued reports messages waiting for window space to the peer (tests).
-func (rc *RelComm) Queued(to transport.NodeID) int { return len(rc.queued[to]) }
+func (rc *RelComm) Queued(to transport.NodeID) int {
+	if l := rc.peers[to]; l != nil {
+		return len(l.queued)
+	}
+	return 0
+}
 
 // DroppedStale reports sends dropped by the view filter (E6 observable).
 func (rc *RelComm) DroppedStale() uint64 { return rc.droppedStale.Load() }
+
+// Retransmitted reports data frames sent again after their RTO.
+func (rc *RelComm) Retransmitted() uint64 { return rc.retransmitted.Load() }

@@ -1,7 +1,9 @@
 package gc
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -110,11 +112,11 @@ func (h *rcHarness) recvData(t *testing.T) []uint64 {
 	}
 }
 
-// ackFrom1 feeds an ack for seq into node 0's stack, echoing node 0's
-// own epoch (as a real peer would).
+// ackFrom1 feeds a cumulative ack up to seq into node 0's stack, echoing
+// node 0's own epoch (as a real peer would).
 func (h *rcHarness) ackFrom1(t *testing.T, seq uint64) {
 	t.Helper()
-	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: appendAck(nil, h.rc.epoch, seq)})
+	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: ackFrame(h.rc.epoch, seq)})
 }
 
 func TestFlowControlWindowLimitsInFlight(t *testing.T) {
@@ -128,7 +130,7 @@ func TestFlowControlWindowLimitsInFlight(t *testing.T) {
 	if h.rc.Queued(1) != 3 {
 		t.Fatalf("queued = %d, want 3", h.rc.Queued(1))
 	}
-	// One ack opens one slot.
+	// Acking seq 1 opens one slot.
 	h.ackFrom1(t, 1)
 	if got := h.recvData(t); len(got) != 1 {
 		t.Fatalf("after ack: %d new datagrams, want 1", len(got))
@@ -136,13 +138,10 @@ func TestFlowControlWindowLimitsInFlight(t *testing.T) {
 	if h.rc.Queued(1) != 2 {
 		t.Fatalf("queued = %d, want 2", h.rc.Queued(1))
 	}
-	// Remaining acks drain the rest.
-	h.ackFrom1(t, 2)
+	// One cumulative ack opens two slots.
 	h.ackFrom1(t, 3)
-	h.ackFrom1(t, 4)
-	h.ackFrom1(t, 5)
-	if h.rc.Queued(1) != 0 {
-		t.Fatalf("queued = %d, want 0", h.rc.Queued(1))
+	if got := h.recvData(t); len(got) != 2 || h.rc.Queued(1) != 0 {
+		t.Fatalf("after acking up to 3: %d new datagrams and %d queued, want 2 and 0", len(got), h.rc.Queued(1))
 	}
 }
 
@@ -197,7 +196,7 @@ func TestRetransmitResendsUnacked(t *testing.T) {
 // dataFrom1 injects a data datagram from peer 1 with an explicit epoch.
 func (h *rcHarness) dataFrom1(t *testing.T, epoch uint32, seq uint64, payload string) {
 	t.Helper()
-	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: appendData(nil, epoch, seq, []byte(payload))})
+	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: dataFrame(epoch, seq, payload)})
 }
 
 // TestEpochChangeResetsDedup is the crash-restart regression: a peer that
@@ -231,16 +230,16 @@ func TestEpochChangeResetsDedup(t *testing.T) {
 func TestAckFromStaleEpochIgnored(t *testing.T) {
 	h := newRCHarness(t, -1)
 	h.sendTo1(t, "m")
-	if len(h.rc.pending[1]) != 1 {
-		t.Fatalf("pending = %d, want 1", len(h.rc.pending[1]))
+	if n := len(h.rc.peers[1].unacked); n != 1 {
+		t.Fatalf("unacked = %d, want 1", n)
 	}
 	// Ack carrying a different epoch — as if meant for a prior incarnation.
-	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: appendAck(nil, h.rc.epoch+1, 1)})
-	if len(h.rc.pending[1]) != 1 {
+	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: ackFrame(h.rc.epoch+1, 1)})
+	if len(h.rc.peers[1].unacked) != 1 {
 		t.Fatal("stale-epoch ack cleared the retransmission buffer")
 	}
 	h.ackFrom1(t, 1) // correct epoch clears it
-	if len(h.rc.pending[1]) != 0 {
+	if len(h.rc.peers[1].unacked) != 0 {
 		t.Fatal("current-epoch ack did not clear the buffer")
 	}
 }
@@ -257,13 +256,12 @@ func TestSendToNonMemberDropped(t *testing.T) {
 }
 
 // TestMalformedTailKeepsPrefix: a datagram whose last frame is cut short
-// is reported, but the well-formed frames before it are acknowledged and
-// delivered.
+// is reported, but the well-formed frames before it are delivered, and
+// both are acknowledged by one cumulative ack.
 func TestMalformedTailKeepsPrefix(t *testing.T) {
 	h := newRCHarness(t, -1)
-	p := appendData(nil, 10, 1, []byte("a"))
-	p = appendData(p, 10, 2, []byte("b"))
-	tail := appendData(nil, 10, 3, []byte("lost"))
+	p := append(dataFrame(10, 1, "a"), dataFrame(10, 2, "b")...)
+	tail := dataFrame(10, 3, "lost")
 	p = append(p, tail[:len(tail)-2]...)
 	err := h.stack.External(h.spec, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: p})
 	h.no.flush()
@@ -273,9 +271,148 @@ func TestMalformedTailKeepsPrefix(t *testing.T) {
 	if got := h.delivered(t, 2); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("delivered %v, want [a b]", got)
 	}
-	// Both were acknowledged, in one datagram.
-	d, ok := h.net.Node(1).TryRecv()
-	if !ok || classify(d.Payload) != classAck || len(d.Payload) != 2*ackLen {
-		t.Fatalf("acks came back as %d bytes (ok=%v), want one datagram of two acks", len(d.Payload), ok)
+	// The ack is owed, not sent: without a window, it waits for a data
+	// frame to peer 1 or the tick.
+	if d, ok := h.net.Node(1).TryRecv(); ok {
+		t.Fatalf("%d bytes sent back before the tick, want nothing", len(d.Payload))
+	}
+	h.external(t, h.ev.RetrTick, nil)
+	want := ackFrame(10, 2)
+	if d, ok := h.net.Node(1).TryRecv(); !ok || !bytes.Equal(d.Payload, want) {
+		t.Fatalf("tick sent %v (ok=%v), want one cumulative ack of seq 2", d.Payload, ok)
+	}
+}
+
+// recvFrames drains node 1's inbox, returning every frame in it.
+func (h *rcHarness) recvFrames(t *testing.T) []frame {
+	t.Helper()
+	var frames []frame
+	for {
+		d, ok := h.net.Node(1).TryRecv()
+		if !ok {
+			return frames
+		}
+		for p := d.Payload; len(p) > 0; {
+			f, rest, err := decodeFrame(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, p = append(frames, f), rest
+		}
+	}
+}
+
+// TestAckRidesDataFrame: data from a peer is owed an ack, not sent one;
+// the next data frame to the peer carries it, and then the tick finds
+// nothing owed.
+func TestAckRidesDataFrame(t *testing.T) {
+	h := newRCHarness(t, -1)
+	h.dataFrom1(t, 10, 1, "a")
+	h.dataFrom1(t, 10, 2, "b")
+	if got := h.recvFrames(t); len(got) != 0 {
+		t.Fatalf("sent %+v on receipt, want nothing", got)
+	}
+	h.sendTo1(t, "m")
+	got := h.recvFrames(t)
+	if len(got) != 1 || got[0].kind != dgData || got[0].ackEpoch != 10 || got[0].ack != 2 || got[0].epoch != h.rc.epoch {
+		t.Fatalf("sent %+v, want one data frame acking seq 2 of epoch 10", got)
+	}
+	h.external(t, h.ev.RetrTick, nil)
+	if got := h.recvFrames(t); len(got) != 0 {
+		t.Fatalf("tick sent %+v after the ack rode a data frame, want nothing", got)
+	}
+}
+
+// TestAckImmediateOnDuplicate: a duplicate means the sender is
+// retransmitting, so it is acked at once — even when the ack it repeats
+// was already paid.
+func TestAckImmediateOnDuplicate(t *testing.T) {
+	h := newRCHarness(t, -1)
+	h.dataFrom1(t, 10, 1, "a")
+	h.external(t, h.ev.RetrTick, nil)
+	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].seq != 1 {
+		t.Fatalf("tick sent %+v, want a cumulative ack of seq 1", got)
+	}
+	h.dataFrom1(t, 10, 1, "a")
+	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].epoch != 10 || got[0].seq != 1 {
+		t.Fatalf("duplicate answered by %+v, want a cumulative ack of seq 1 at once", got)
+	}
+}
+
+// TestAckHalfWindow: once half of SendWindow is owed, the ack leaves at
+// once, so a sender that sends nothing back never fills its window.
+func TestAckHalfWindow(t *testing.T) {
+	h := newRCHarness(t, 4)
+	h.dataFrom1(t, 10, 1, "a")
+	if got := h.recvFrames(t); len(got) != 0 {
+		t.Fatalf("sent %+v with one frame owed, want nothing", got)
+	}
+	h.dataFrom1(t, 10, 2, "b")
+	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].seq != 2 {
+		t.Fatalf("sent %+v with two of a four-frame window owed, want a cumulative ack of seq 2", got)
+	}
+}
+
+// TestAckSelectiveAboveGap: a frame above a gap is owed a selective ack,
+// which the tick pays while the gap stays open; once it closes, the
+// cumulative ack covers it. On the sending side, a selective ack keeps
+// the frame from being retransmitted, and the cumulative ack that closes
+// the gap moves the base past it.
+func TestAckSelectiveAboveGap(t *testing.T) {
+	h := newRCHarness(t, -1)
+	h.dataFrom1(t, 10, 1, "a")
+	h.dataFrom1(t, 10, 3, "c")
+	h.external(t, h.ev.RetrTick, nil)
+	got := h.recvFrames(t)
+	if len(got) != 2 || got[0].kind != dgSack || got[0].seq != 3 || got[1].kind != dgAck || got[1].seq != 1 {
+		t.Fatalf("tick sent %+v, want a selective ack of 3 and a cumulative ack of 1", got)
+	}
+	h.dataFrom1(t, 10, 4, "d")
+	h.dataFrom1(t, 10, 2, "b")
+	h.external(t, h.ev.RetrTick, nil)
+	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].seq != 4 {
+		t.Fatalf("tick sent %+v after the gap closed, want one cumulative ack of 4", got)
+	}
+
+	for i := 0; i < 3; i++ {
+		h.sendTo1(t, "m")
+	}
+	h.recvFrames(t)
+	sack := appendFrame(nil, &frame{kind: dgSack, epoch: h.rc.epoch, seq: 2})
+	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: sack})
+	time.Sleep(60 * time.Millisecond) // past RTO
+	h.external(t, h.ev.RetrTick, nil)
+	if got := h.recvData(t); fmt.Sprint(got) != "[1 3]" {
+		t.Fatalf("retransmitted %v, want [1 3]: seq 2 was selectively acked", got)
+	}
+	h.ackFrom1(t, 1)
+	if l := h.rc.peers[1]; l.base != 2 || len(l.unacked) != 1 {
+		t.Fatalf("after acking up to 1: base %d with %d unacked, want 2 and 1", l.base, len(l.unacked))
+	}
+}
+
+// TestAckSenderBaseStartsWindow: a receiver that has never heard from a
+// sender starts its dedup window at the sender's base, so the first frame
+// it gets is in order, and a frame at or below the base is a duplicate.
+func TestAckSenderBaseStartsWindow(t *testing.T) {
+	h := newRCHarness(t, -1)
+	p := appendFrame(nil, &frame{kind: dgData, epoch: 10, seq: 101, base: 100, inner: []byte("a")})
+	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: p})
+	if got := h.delivered(t, 1); len(got) != 1 {
+		t.Fatalf("delivered %v, want [a]", got)
+	}
+	if seen := &h.rc.peers[1].seen; seen.Low() != 101 || seen.SparseLen() != 0 {
+		t.Fatalf("window low %d, sparse %d; want 101 and 0", seen.Low(), seen.SparseLen())
+	}
+	h.external(t, h.ev.RetrTick, nil)
+	if got := h.recvFrames(t); len(got) != 1 || got[0].seq != 101 {
+		t.Fatalf("tick sent %+v, want a cumulative ack of 101 and nothing for the base", got)
+	}
+	h.dataFrom1(t, 10, 50, "old")
+	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].seq != 101 {
+		t.Fatalf("a frame below the base got %+v, want an immediate cumulative ack of 101", got)
+	}
+	if got := h.delivered(t, 1); len(got) != 1 {
+		t.Fatalf("delivered %v: a frame below the base got through", got)
 	}
 }

@@ -83,8 +83,7 @@ type Config struct {
 type entry int
 
 const (
-	entFromNet entry = iota // a datagram with data frames (or a self-delivered batch)
-	entAck                  // an ack-only datagram
+	entFromNet entry = iota // a datagram of RelComm frames (or a self-delivered batch)
 	entBeat
 	entFDTick
 	entRetrans
@@ -127,8 +126,7 @@ type Site struct {
 
 	// specs holds one spec per entry point, built once: each is a
 	// core.Derive request that every computation resolves against the
-	// epoch it pins — so a live upgrade needs no respawn — except the
-	// hand-written ack spec, over microprotocols no upgrade replaces.
+	// epoch it pins, so a live upgrade needs no respawn.
 	specs  [numEntries]*core.Spec
 	appVer atomic.Uint32 // current app protocol version (starts at 1)
 
@@ -213,21 +211,6 @@ func NewSite(cfg Config) *Site {
 		entInject: ev.ADeliver,
 	} {
 		s.specs[e] = core.Derive(cfg.SpecKind, cfg.Bound, et)
-	}
-	// Acks never cascade: they touch RelComm state, and NetOut when an
-	// ack opens the flow-control window for queued sends. Declare exactly
-	// that, with the same visit bound as every other bound spec — one
-	// datagram may carry many acks.
-	switch cfg.SpecKind {
-	case core.SpecRoute:
-		s.specs[entAck] = core.Route(core.NewRouteGraph().
-			Root(s.relcomm.hRecv).Edge(s.relcomm.hRecv, s.netout.send))
-	case core.SpecBound:
-		s.specs[entAck] = core.AccessBound(map[*core.Microprotocol]int{
-			s.relcomm.mp: cfg.Bound, s.netout.mp: cfg.Bound,
-		})
-	default:
-		s.specs[entAck] = core.Access(s.relcomm.mp, s.netout.mp)
 	}
 	return s
 }
@@ -352,9 +335,9 @@ func (s *Site) Stop() {
 	s.record(s.stack.Close())
 }
 
-// pump classifies every incoming datagram (beat, ack-only, or anything
-// with a data frame, so heartbeats and acks get their narrow specs) and
-// hands it to a worker, blocking while all are busy; returning closes s.in.
+// pump classifies every incoming datagram (a heartbeat, which gets its
+// narrow spec, or RelComm frames) and hands it to a worker, blocking
+// while all are busy; returning closes s.in.
 func (s *Site) pump() {
 	defer s.wg.Done()
 	defer close(s.in)
@@ -382,11 +365,8 @@ func (s *Site) pump() {
 			continue
 		}
 		e, et := entFromNet, s.ev.FromNet
-		switch classify(d.Payload) {
-		case classBeat:
+		if classify(d.Payload) == classBeat {
 			e, et = entBeat, s.ev.FDBeat
-		case classAck:
-			e = entAck
 		}
 		select {
 		case s.in <- inbound{e, et, d}:
@@ -451,6 +431,9 @@ func (s *Site) View() *View { return s.relcomm.view.Load() }
 // DroppedStale reports RelComm sends dropped by the view filter — the E6
 // observable for the paper's §3 Problem.
 func (s *Site) DroppedStale() uint64 { return s.relcomm.DroppedStale() }
+
+// Retransmitted reports RelComm data frames sent again after their RTO.
+func (s *Site) Retransmitted() uint64 { return s.relcomm.Retransmitted() }
 
 // PumpRetries reports how many times the receive pump woke to a
 // still-down transport (regression observable for the pump's backoff: a
@@ -528,8 +511,8 @@ func (s *Site) InjectDatagram(d transport.Datagram) error {
 // emitted to carry a plain reliable broadcast — the E6 experiments use it
 // to inject "the message from the crashed origin" (paper §3 Problem).
 func BuildCastDatagram(from transport.NodeID, rcSeq uint64, id MsgID, data []byte) transport.Datagram {
-	frame := encodeCastFrame(&CastMsg{ID: id, Kind: castRApp, Data: data})
+	inner := encodeCastFrame(&CastMsg{ID: id, Kind: castRApp, Data: data})
 	// Epoch 0 stands in for the crashed origin's incarnation; the
 	// receiver adopts whatever epoch a peer's first datagram carries.
-	return transport.Datagram{From: from, Payload: appendData(nil, 0, rcSeq, frame)}
+	return transport.Datagram{From: from, Payload: appendFrame(nil, &frame{kind: dgData, seq: rcSeq, inner: inner})}
 }

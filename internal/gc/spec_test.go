@@ -37,7 +37,6 @@ func TestEntrySpecs(t *testing.T) {
 		want []string
 	}{
 		{entFromNet, "FromNet", all},
-		{entAck, "ack", []string{"netout", "relcomm"}},
 		{entBeat, "beat", []string{"fd"}},
 		{entFDTick, "FD tick", []string{"consensus", "fd", "netout", "relcomm"}},
 		{entRetrans, "retransmit", []string{"netout", "relcomm"}},
