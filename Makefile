@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet samoa-vet test race race-contend socket-tests node-demo bench bench-core bench-gate bench-pair bench-ledger eval eval-quick eval-json fuzz fuzz-smoke explore chaos chaos-swap chaos-net examples clean
+.PHONY: all build vet samoa-vet test race race-contend socket-tests node-demo bench bench-core bench-gate bench-pair bench-ledger eval eval-quick eval-json fuzz fuzz-smoke explore chaos chaos-net examples clean
 
 all: build vet samoa-vet test
 
@@ -110,7 +110,7 @@ fuzz-smoke:
 
 # DEEP=1 turns explore and the chaos targets into their nightly sweeps:
 # CHAOS_DEEP/EXPLORE_DEEP raise the seed count and search budget, the
-# sweep gets 30 minutes, and the swap and network storms run under -race.
+# sweep gets 30 minutes, and the chaos storms run under -race.
 ifeq ($(DEEP),1)
 DEEP_ENV := CHAOS_DEEP=1 EXPLORE_DEEP=1
 DEEP_FLAGS := -timeout 30m
@@ -124,24 +124,15 @@ endif
 explore:
 	$(DEEP_ENV) $(GO) test ./internal/cctest -run 'TestExplore' -v $(DEEP_FLAGS)
 
-# Chaos-injection harness (internal/chaos, DESIGN.md §10): randomized
-# panics, delays and deadlines against every isolating controller, then
-# probe for wedges, leaked version slots and isolation violations.
-# `chaos` is the per-push smoke run; DEEP=1 sweeps many more seeds.
+# In-process storms (internal/chaos, DESIGN.md §10 and §15): randomized
+# panics, delays and deadlines against every isolating controller, and
+# the same storm racing live Replace swaps on every swap-safe controller;
+# then probe for wedges, leaked version slots, isolation violations,
+# lost updates and an unbalanced epoch-drain ledger. `chaos` is the
+# per-push run; DEEP=1 sweeps 40 seeds per controller under -race.
 # Reproduce one failure with CHAOS_SEED=<n> make chaos.
 chaos:
-	$(DEEP_ENV) $(GO) test ./internal/chaos -run TestChaos -count=1 -v $(DEEP_FLAGS)
-
-# Swap storms (internal/chaos swap.go, DESIGN.md §15): live
-# reconfigurations raced against in-flight computations, injected faults
-# and cancellations on every swap-safe controller, checked against the
-# epoch-drain ledger (every swap commits, superseded epochs retire with
-# balanced lifecycles, no dispatch into dead epochs, zero acked-write
-# loss across the version-chain handoff). `chaos-swap` is the per-push
-# 10-seed battery; DEEP=1 sweeps 40 seeds under -race.
-# Reproduce one failure with CHAOS_SEED=<n> make chaos-swap.
-chaos-swap:
-	$(DEEP_ENV) $(GO) test $(DEEP_RACE) ./internal/chaos -run TestSwapStorm -count=1 -v $(DEEP_FLAGS)
+	$(DEEP_ENV) $(GO) test $(DEEP_RACE) ./internal/chaos -run 'TestChaos|TestSwapStorm' -count=1 -v $(DEEP_FLAGS)
 
 # Distributed chaos (internal/chaos dchaos, DESIGN.md §13): seeded storms
 # of transport crash/restarts, majority-preserving partitions and message

@@ -73,8 +73,12 @@ func Run(t *testing.T, cfg Config) {
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 12
 	}
+	seeds, err := seedList(cfg.Seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Run("isolation-and-liveness", func(t *testing.T) {
-		for _, seed := range seedList(cfg.Seeds) {
+		for _, seed := range seeds {
 			seed := seed
 			// The seed names the subtest, so a failure is re-runnable in
 			// isolation: CCTEST_SEED=<n> go test -run <this test> ./...
@@ -91,18 +95,21 @@ func Run(t *testing.T, cfg Config) {
 }
 
 // seedList returns the workload seeds to run: 0..n-1, or just the value
-// of CCTEST_SEED when set (reproducing one reported failure).
-func seedList(n int) []int64 {
+// of CCTEST_SEED when set (reproducing one reported failure). A malformed
+// CCTEST_SEED is an error, not a silent fallback to the full battery.
+func seedList(n int) ([]int64, error) {
 	if env := os.Getenv("CCTEST_SEED"); env != "" {
-		if v, err := strconv.ParseInt(env, 10, 64); err == nil {
-			return []int64{v}
+		v, err := strconv.ParseInt(env, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("cctest: CCTEST_SEED=%q: %w", env, err)
 		}
+		return []int64{v}, nil
 	}
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = int64(i)
 	}
-	return out
+	return out, nil
 }
 
 // fixture is a protocol of m counter microprotocols whose handlers chain

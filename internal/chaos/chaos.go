@@ -1,12 +1,11 @@
 // Package chaos is the fault-injection harness for the fault-containment
-// layer (DESIGN.md §10): it drives a stack of counter microprotocols
-// through randomized workloads while injecting panics, delays, and
-// cancellations — inside handler bodies via the workload plans, and at
-// the framework's dispatch yield points via the core.WithHook seam — and
-// then interrogates the survivors.
-//
-// After the storm, three probes decide whether the controller contained
-// every fault:
+// layer (DESIGN.md §10) and for live reconfiguration (DESIGN.md §15): it
+// drives a stack of counter microprotocols through randomized workloads
+// while injecting panics, delays, and cancellations — inside handler
+// bodies via the workload plans, and at the framework's dispatch yield
+// points via the core.WithHook seam — and, when Config.Swaps is set,
+// races rotating Epoch.Replace swaps against all of it. Then it
+// interrogates the survivors:
 //
 //   - A full-footprint probe computation with a generous deadline must
 //     complete: if any injection wedged the controller or leaked a
@@ -16,6 +15,22 @@
 //     with core.ErrClosed.
 //   - The recorded trace must stay conflict-serializable and balanced —
 //     the same invariants cctest asserts for fault-free runs.
+//   - The epoch ledger must balance: every swap commits (the final epoch
+//     is 1 + Swaps, even when the hook faults reconfigurations
+//     pre-commit and they retry), every superseded epoch retires with
+//     Begun == Ended and Active == 0, no error reaches EpochErrs, and no
+//     dispatch enters a dead epoch.
+//   - No update is lost: each slot carries an atomic ground truth and a
+//     racy counter whose safety must come from the controller, across
+//     versions too — a replacement that forked its predecessor's version
+//     slot would let old- and new-epoch computations interleave on it.
+//     What a rollback controller restores is counted as rolled back.
+//
+// Specs are written out by hand against the stack's live bindings, as
+// cctest does. One built before a swap whose computation pins the epoch
+// after it is refused with *core.ReconfiguredError and rebuilt. Protocol
+// stacks avoid this by declaring core.Derive specs, which resolve
+// against the pinned epoch (gc.Site does).
 //
 // Runs are reproducible: every random decision derives from Config.Seed.
 package chaos
@@ -24,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,57 +48,39 @@ import (
 	"repro/internal/trace"
 )
 
-// Kind selects which Spec flavour the controller consumes (mirrors
-// cctest.Kind).
-type Kind int
-
-// Spec flavours.
+// The storm's shape, shared by every run.
 const (
-	KindBasic Kind = iota // core.Access
-	KindBound             // core.AccessBound
-	KindRoute             // core.Route
+	computations     = 60                   // concurrent computations
+	nSlots           = 4                    // counter microprotocols (slots)
+	panicProb        = 0.05                 // per-yield-point injected panic
+	delayProb        = 0.10                 // per-yield-point injected delay
+	handlerPanicProb = 0.20                 // per-computation planned handler panic
+	cancelProb       = 0.20                 // per-computation tiny deadline
+	cancelTimeout    = 2 * time.Millisecond // that deadline
+	probeTimeout     = 10 * time.Second     // bounds the post-storm probe
 )
 
-// Config parameterizes one chaos run.
+// Config parameterizes one storm.
 type Config struct {
-	// New creates a fresh controller (one per run; never reused).
+	// New creates a fresh controller (one per run; never reused). With
+	// Swaps > 0 it must implement core.Reconfigurer or be swap-safe by
+	// construction (cc.Serial).
 	New func() core.Controller
 	// Kind is the Spec flavour to build for it.
-	Kind Kind
+	Kind core.SpecKind
 	// Seed drives every random decision of the run.
 	Seed int64
-	// Computations is the number of concurrent computations (default 40).
-	Computations int
-	// MPs is the number of counter microprotocols (default 4).
-	MPs int
-	// PanicProb is the per-yield-point probability of an injected panic
-	// (default 0.05).
-	PanicProb float64
-	// DelayProb is the per-yield-point probability of an injected delay
-	// (default 0.10).
-	DelayProb float64
-	// HandlerPanicProb is the per-computation probability that one of its
-	// handler executions panics mid-body (default 0.20).
-	HandlerPanicProb float64
-	// CancelProb is the per-computation probability of running under a
-	// tiny Spec.WithTimeout deadline (default 0.20).
-	CancelProb float64
-	// Timeout is the tiny deadline those computations get (default 2ms).
-	Timeout time.Duration
-	// ProbeTimeout bounds the post-storm probe and the drain (default 10s);
-	// hitting it means a wedged controller or a leaked version slot.
-	ProbeTimeout time.Duration
-	// Snapshot attaches snapshotters to every microprotocol (required by
-	// rollback controllers).
-	Snapshot bool
+	// Swaps is the number of rotating Replace reconfigurations raced
+	// against the workload; 0 storms a fixed stack.
+	Swaps int
 }
 
-// Report is the outcome of one chaos run. Err flattens it into the
-// verdict the acceptance criteria ask for.
+// Report is the outcome of one storm. Err flattens it into the verdict.
 type Report struct {
 	Controller   string
 	Seed         int64
 	Computations int
+	Swaps        int
 
 	// Per-computation outcomes.
 	Completed int // returned nil
@@ -90,14 +88,25 @@ type Report struct {
 	TimedOut  int // returned a *core.DeadlineError
 	Failed    int // returned anything else (a containment bug)
 	FirstFail error
+	Respawns  int // spawn retries after a ReconfiguredError
 
 	// Injection counters.
 	HookPanics    int
 	HookDelays    int
 	HandlerPanics int
 	Cancels       int
+	SwapFaults    int // reconfigurations faulted pre-commit and retried
 
-	// Invariants.
+	// Epoch-ledger invariants.
+	FinalEpoch  uint64 // want 1 + Swaps
+	EpochStats  []core.EpochStat
+	LedgerErrs  []string // superseded epochs with unbalanced drains
+	EpochErrs   []error  // retirement errors recorded by the stack
+	DeadEpochs  uint64   // dispatches into a retired epoch
+	LostUpdates []string // slots whose racy counter trails the ground truth
+	SwapErr     error    // a reconfiguration failed outside the fault model
+
+	// Trace invariants.
 	Serializable bool
 	Cycle        []uint64
 	Stats        trace.Stats
@@ -109,46 +118,66 @@ type Report struct {
 	Recorder *trace.Recorder
 }
 
-// Err returns nil when the run satisfied every containment invariant,
-// and an error joining each violated one otherwise.
+// Err returns nil when the storm satisfied every invariant, and an error
+// joining each violated one otherwise.
 func (r *Report) Err() error {
 	var errs []error
+	tag := fmt.Sprintf("chaos[%s seed=%d]", r.Controller, r.Seed)
 	if !r.Serializable {
-		errs = append(errs, fmt.Errorf("chaos[%s seed=%d]: surviving computations violate the isolation property (cycle %v)",
-			r.Controller, r.Seed, r.Cycle))
+		errs = append(errs, fmt.Errorf("%s: surviving computations violate the isolation property (cycle %v)",
+			tag, r.Cycle))
 	}
 	if r.Stats.Spawned != r.Stats.Completed+r.Stats.Aborted {
-		errs = append(errs, fmt.Errorf("chaos[%s seed=%d]: trace lifecycle imbalance: %d spawned, %d completed, %d aborted",
-			r.Controller, r.Seed, r.Stats.Spawned, r.Stats.Completed, r.Stats.Aborted))
+		errs = append(errs, fmt.Errorf("%s: trace lifecycle imbalance: %d spawned, %d completed, %d aborted",
+			tag, r.Stats.Spawned, r.Stats.Completed, r.Stats.Aborted))
 	}
 	if r.ProbeErr != nil {
-		errs = append(errs, fmt.Errorf("chaos[%s seed=%d]: controller wedged or version slot leaked — probe failed: %w",
-			r.Controller, r.Seed, r.ProbeErr))
+		errs = append(errs, fmt.Errorf("%s: controller wedged or version slot leaked — probe failed: %w",
+			tag, r.ProbeErr))
 	}
 	if r.CloseErr != nil {
-		errs = append(errs, fmt.Errorf("chaos[%s seed=%d]: close: %w", r.Controller, r.Seed, r.CloseErr))
+		errs = append(errs, fmt.Errorf("%s: close: %w", tag, r.CloseErr))
 	}
 	if !errors.Is(r.RejectErr, core.ErrClosed) {
-		errs = append(errs, fmt.Errorf("chaos[%s seed=%d]: post-close computation returned %v, want ErrClosed",
-			r.Controller, r.Seed, r.RejectErr))
+		errs = append(errs, fmt.Errorf("%s: post-close computation returned %v, want ErrClosed", tag, r.RejectErr))
 	}
 	if r.Failed > 0 {
-		errs = append(errs, fmt.Errorf("chaos[%s seed=%d]: %d computations failed outside the fault model, first: %w",
-			r.Controller, r.Seed, r.Failed, r.FirstFail))
+		errs = append(errs, fmt.Errorf("%s: %d computations failed outside the fault model, first: %w",
+			tag, r.Failed, r.FirstFail))
+	}
+	if want := uint64(1 + r.Swaps); r.FinalEpoch != want {
+		errs = append(errs, fmt.Errorf("%s: final epoch %d, want %d — a reconfiguration never committed",
+			tag, r.FinalEpoch, want))
+	}
+	for _, msg := range r.LedgerErrs {
+		errs = append(errs, fmt.Errorf("%s: epoch ledger: %s", tag, msg))
+	}
+	for _, err := range r.EpochErrs {
+		errs = append(errs, fmt.Errorf("%s: epoch error: %w", tag, err))
+	}
+	if r.DeadEpochs > 0 {
+		errs = append(errs, fmt.Errorf("%s: %d dispatches into a retired epoch", tag, r.DeadEpochs))
+	}
+	for _, msg := range r.LostUpdates {
+		errs = append(errs, fmt.Errorf("%s: acked-write loss: %s", tag, msg))
+	}
+	if r.SwapErr != nil {
+		errs = append(errs, fmt.Errorf("%s: swap failed outside the fault model: %w", tag, r.SwapErr))
 	}
 	return errors.Join(errs...)
 }
 
-// String summarizes the run for logs.
+// String summarizes the storm for logs.
 func (r *Report) String() string {
-	return fmt.Sprintf("chaos[%s seed=%d]: %d computations — %d completed, %d panicked, %d timed out, %d failed; injected %d hook panics, %d delays, %d handler panics, %d deadlines; serializable=%v probe=%v close=%v",
-		r.Controller, r.Seed, r.Computations, r.Completed, r.Panicked, r.TimedOut, r.Failed,
-		r.HookPanics, r.HookDelays, r.HandlerPanics, r.Cancels,
+	return fmt.Sprintf("chaos[%s seed=%d]: %d computations over %d swaps (epoch %d) — %d completed, %d panicked, %d timed out, %d failed, %d respawns; injected %d hook panics, %d delays, %d handler panics, %d deadlines, %d swap faults; serializable=%v probe=%v close=%v",
+		r.Controller, r.Seed, r.Computations, r.Swaps, r.FinalEpoch,
+		r.Completed, r.Panicked, r.TimedOut, r.Failed, r.Respawns,
+		r.HookPanics, r.HookDelays, r.HandlerPanics, r.Cancels, r.SwapFaults,
 		r.Serializable, r.ProbeErr == nil, r.CloseErr == nil)
 }
 
 // injected is the panic value the hook throws; keeping it a distinct type
-// lets tests distinguish injected faults from real bugs.
+// tells injected faults apart from real bugs.
 type injected struct{ point core.YieldPoint }
 
 func (i injected) String() string {
@@ -159,13 +188,11 @@ func (i injected) String() string {
 // implements core.Hook; the task-tracking half is a no-op (goroutines run
 // natively), only Yield misbehaves.
 type faultHook struct {
-	mu        sync.Mutex
-	rng       *rand.Rand
-	panicProb float64
-	delayProb float64
-	panics    int
-	delays    int
-	armed     atomic.Bool
+	mu     sync.Mutex
+	rng    *rand.Rand
+	panics int
+	delays int
+	armed  atomic.Bool
 }
 
 func (h *faultHook) TaskSpawn(any) any { return nil }
@@ -193,10 +220,10 @@ func (h *faultHook) draw(mayPanic bool) (doPanic bool) {
 	roll := h.rng.Float64()
 	var delay time.Duration
 	switch {
-	case mayPanic && roll < h.panicProb:
+	case mayPanic && roll < panicProb:
 		doPanic = true
 		h.panics++
-	case roll < h.panicProb+h.delayProb:
+	case roll < panicProb+delayProb:
 		delay = time.Duration(50+h.rng.Intn(300)) * time.Microsecond
 		h.delays++
 	}
@@ -205,174 +232,212 @@ func (h *faultHook) draw(mayPanic bool) (doPanic bool) {
 	return doPanic
 }
 
-// script is one computation's workload plan: the chain of microprotocols
-// to visit and the step whose handler execution panics (-1 for none).
+// plan is one computation's workload: the chain of slots to visit, the
+// step whose handler execution panics (-1 for none), and its deadline
+// (0 for none).
+type plan struct {
+	seq     []int
+	panicAt int
+	timeout time.Duration
+}
+
+// script is the message a plan's handlers pass along the chain.
 type script struct {
 	seq     []int
 	pos     int
 	panicAt int
 }
 
-// fixture is the chaos stack: m counter microprotocols whose visit
-// handlers chain through the script and execute its planned faults.
-type fixture struct {
-	stack    *core.Stack
-	ctrl     core.Controller
-	rec      *trace.Recorder
-	hook     *faultHook
-	mps      []*core.Microprotocol
-	events   []*core.EventType
-	handlers []*core.Handler
-	snaps    []*snapState
-	counters []atomic.Int64
+// slot is one counter position of the stack. Every microprotocol version
+// that occupies it runs the same visit body over the same counters and
+// has the slot as its Snapshotter: execs is the ground truth (one Add
+// per handler execution), racy the same increments by a read–yield–write
+// whose safety must come from the controller, and rolledBack what
+// Restore undid, so racy + rolledBack == execs exactly.
+type slot struct {
+	execs      atomic.Int64
+	racy       int
+	rolledBack int
+}
 
+func (s *slot) Snapshot() any { return s.racy }
+
+func (s *slot) Restore(snap any) {
+	s.rolledBack += s.racy - snap.(int)
+	s.racy = snap.(int)
+}
+
+// injector is what the fixture needs of its fault hook: the core.Hook
+// the stack yields to, plus stall for the harness's own steps.
+type injector interface {
+	core.Hook
+	stall()
+}
+
+// fixture is the storm's stack: one counter microprotocol per slot,
+// whose occupant swaps replace under the workload's feet.
+type fixture struct {
+	stack  *core.Stack
+	rec    *trace.Recorder
+	hook   injector
+	kind   core.SpecKind
+	swaps  int
+	events []*core.EventType
+	slots  []*slot
+
+	respawns      atomic.Int64
 	handlerPanics atomic.Int64
 }
 
-// snapState is unsynchronized on purpose, exactly like the cctest
-// fixture: cross-computation safety of v must come from the controller
-// under test, even mid-chaos.
-type snapState struct{ v int }
-
-func (s *snapState) Snapshot() any    { return s.v }
-func (s *snapState) Restore(snap any) { s.v = snap.(int) }
-
-func newFixture(cfg Config, hook *faultHook) *fixture {
-	f := &fixture{
-		rec:      trace.NewRecorder(),
-		hook:     hook,
-		snaps:    make([]*snapState, cfg.MPs),
-		counters: make([]atomic.Int64, cfg.MPs),
-	}
-	f.ctrl = cfg.New()
-	f.stack = core.NewStack(f.ctrl, core.WithName("chaos"), core.WithTracer(f.rec), core.WithHook(hook))
-	for i := 0; i < cfg.MPs; i++ {
-		i := i
-		mp := core.NewMicroprotocol(fmt.Sprintf("chaos%d", i))
-		if cfg.Snapshot {
-			st := &snapState{}
-			f.snaps[i] = st
-			mp.SetSnapshotter(st)
-		}
-		h := mp.AddHandler("visit", func(ctx *core.Context, msg core.Message) error {
-			s := msg.(*script)
-			if f.snaps[i] != nil {
-				f.snaps[i].v++
-			} else {
-				f.counters[i].Add(1)
-			}
-			if s.panicAt == s.pos {
-				f.handlerPanics.Add(1)
-				panic(fmt.Sprintf("chaos: planned handler panic at step %d", s.pos))
-			}
-			if s.pos+1 < len(s.seq) {
-				return ctx.Trigger(f.events[s.seq[s.pos+1]],
-					&script{seq: s.seq, pos: s.pos + 1, panicAt: s.panicAt})
-			}
-			return nil
-		})
-		f.mps = append(f.mps, mp)
-		f.handlers = append(f.handlers, h)
+func newFixture(cfg Config, hook injector) *fixture {
+	f := &fixture{rec: trace.NewRecorder(), hook: hook, kind: cfg.Kind, swaps: cfg.Swaps}
+	f.stack = core.NewStack(cfg.New(), core.WithName("chaos"), core.WithTracer(f.rec), core.WithHook(hook))
+	for i := 0; i < nSlots; i++ {
+		f.slots = append(f.slots, &slot{})
 		f.events = append(f.events, core.NewEventType(fmt.Sprintf("chaosev%d", i)))
-	}
-	f.stack.Register(f.mps...)
-	for i := range f.events {
-		f.stack.Bind(f.events[i], f.handlers[i])
+		mp, h := f.version(i, fmt.Sprintf("chaos%d", i))
+		f.stack.Register(mp)
+		f.stack.Bind(f.events[i], h)
 	}
 	return f
 }
 
-// spec builds the Spec flavour for one script.
-func (f *fixture) spec(kind Kind, seq []int) *core.Spec {
-	switch kind {
-	case KindBound:
+// version builds one microprotocol occupying slot i.
+func (f *fixture) version(i int, name string) (*core.Microprotocol, *core.Handler) {
+	sl := f.slots[i]
+	mp := core.NewMicroprotocol(name)
+	mp.SetSnapshotter(sl)
+	h := mp.AddHandler("visit", func(ctx *core.Context, msg core.Message) error {
+		s := msg.(*script)
+		sl.execs.Add(1)
+		v := sl.racy
+		runtime.Gosched() // widen the lost-update window
+		sl.racy = v + 1
+		if s.panicAt == s.pos {
+			f.handlerPanics.Add(1)
+			panic(fmt.Sprintf("chaos: planned handler panic at step %d", s.pos))
+		}
+		if s.pos+1 < len(s.seq) {
+			return ctx.Trigger(f.events[s.seq[s.pos+1]],
+				&script{seq: s.seq, pos: s.pos + 1, panicAt: s.panicAt})
+		}
+		return nil
+	})
+	return mp, h
+}
+
+// spec writes the script's spec out by hand against the stack's live
+// bindings: exactly the microprotocols it visits (with their visit
+// counts, or its path as the routing graph).
+func (f *fixture) spec(seq []int) *core.Spec {
+	hs := make([]*core.Handler, len(seq))
+	for j, i := range seq {
+		hs[j] = f.stack.Bound(f.events[i])[0]
+	}
+	switch f.kind {
+	case core.SpecBound:
 		bounds := map[*core.Microprotocol]int{}
-		for _, i := range seq {
-			bounds[f.mps[i]]++
+		for _, h := range hs {
+			bounds[h.MP()]++
 		}
 		return core.AccessBound(bounds)
-	case KindRoute:
-		g := core.NewRouteGraph().Root(f.handlers[seq[0]])
-		for i := 0; i+1 < len(seq); i++ {
-			g.Edge(f.handlers[seq[i]], f.handlers[seq[i+1]])
+	case core.SpecRoute:
+		g := core.NewRouteGraph().Root(hs[0])
+		for j := 0; j+1 < len(hs); j++ {
+			g.Edge(hs[j], hs[j+1])
 		}
 		return core.Route(g)
 	default:
 		var mps []*core.Microprotocol
-		for _, i := range seq {
-			mps = append(mps, f.mps[i])
+		for _, h := range hs {
+			mps = append(mps, h.MP())
 		}
 		return core.Access(mps...)
 	}
 }
 
-// Run executes one chaos run and reports what survived.
+// run spawns one plan. A swap that commits between the spec's build and
+// the computation's pin refuses it with ReconfiguredError; the rebuilt
+// spec reads bindings at least that new, so every refusal is owed to a
+// distinct committed swap and swaps+1 attempts always suffice.
+func (f *fixture) run(p plan) error {
+	for try := 0; ; try++ {
+		spec := f.spec(p.seq)
+		if p.timeout > 0 {
+			spec = spec.WithTimeout(p.timeout)
+		}
+		f.hook.stall() // widen the window in which a swap can stale the spec
+		err := f.stack.External(spec, f.events[p.seq[0]], &script{seq: p.seq, panicAt: p.panicAt})
+		var re *core.ReconfiguredError
+		if !errors.As(err, &re) || try == f.swaps {
+			return err
+		}
+		f.respawns.Add(1)
+	}
+}
+
+// swap replaces the occupant of slot k mod nSlots with a fresh version. The
+// fault hook can panic inside Reconfigure before it commits
+// (YieldReconfigure); only that injected panic is retried, anything else
+// is returned at once.
+func (f *fixture) swap(k int, faults *int) error {
+	i := k % len(f.slots)
+	old := f.stack.Bound(f.events[i])[0].MP().Name()
+	next, _ := f.version(i, fmt.Sprintf("chaos%dv%d", i, k/len(f.slots)+1))
+	for {
+		err := f.stack.Reconfigure(func(e *core.Epoch) { e.Replace(old, next) })
+		var pe *core.PanicError
+		if !errors.As(err, &pe) {
+			return err
+		}
+		if _, ok := pe.Value.(injected); !ok {
+			return err
+		}
+		*faults++
+	}
+}
+
+// Run executes one storm and reports what survived.
 func Run(cfg Config) (*Report, error) {
 	if cfg.New == nil {
 		return nil, errors.New("chaos: Config.New required")
 	}
-	if cfg.Computations <= 0 {
-		cfg.Computations = 40
+	if cfg.Swaps < 0 {
+		return nil, errors.New("chaos: Config.Swaps must not be negative")
 	}
-	if cfg.MPs <= 0 {
-		cfg.MPs = 4
-	}
-	if cfg.PanicProb == 0 {
-		cfg.PanicProb = 0.05
-	}
-	if cfg.DelayProb == 0 {
-		cfg.DelayProb = 0.10
-	}
-	if cfg.HandlerPanicProb == 0 {
-		cfg.HandlerPanicProb = 0.20
-	}
-	if cfg.CancelProb == 0 {
-		cfg.CancelProb = 0.20
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 2 * time.Millisecond
-	}
-	if cfg.ProbeTimeout == 0 {
-		cfg.ProbeTimeout = 10 * time.Second
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	hook := &faultHook{
-		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
-		panicProb: cfg.PanicProb,
-		delayProb: cfg.DelayProb,
-	}
+	hook := &faultHook{rng: rand.New(rand.NewSource(cfg.Seed + 1))}
 	hook.armed.Store(true)
 	f := newFixture(cfg, hook)
 	rep := &Report{
-		Controller:   f.ctrl.Name(),
+		Controller:   f.stack.Controller().Name(),
 		Seed:         cfg.Seed,
-		Computations: cfg.Computations,
+		Computations: computations,
+		Swaps:        cfg.Swaps,
 		Recorder:     f.rec,
 	}
 
 	// Plan the workload single-threaded (reproducibility), then unleash it.
-	type plan struct {
-		seq     []int
-		panicAt int
-		timeout time.Duration
-	}
-	plans := make([]plan, cfg.Computations)
+	plans := make([]plan, computations)
 	for i := range plans {
 		l := 1 + rng.Intn(4)
 		seq := make([]int, l)
 		for j := range seq {
-			seq[j] = rng.Intn(cfg.MPs)
+			seq[j] = rng.Intn(nSlots)
 		}
 		p := plan{seq: seq, panicAt: -1}
-		if rng.Float64() < cfg.HandlerPanicProb {
+		if rng.Float64() < handlerPanicProb {
 			p.panicAt = rng.Intn(l)
 		}
-		if rng.Float64() < cfg.CancelProb {
-			p.timeout = cfg.Timeout
+		if rng.Float64() < cancelProb {
+			p.timeout = cancelTimeout
 			rep.Cancels++
 		}
 		plans[i] = p
+	}
+	pauses := make([]time.Duration, cfg.Swaps)
+	for i := range pauses {
+		pauses[i] = time.Duration(100+rng.Intn(600)) * time.Microsecond
 	}
 
 	var (
@@ -383,11 +448,7 @@ func Run(cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(p plan) {
 			defer wg.Done()
-			spec := f.spec(cfg.Kind, p.seq)
-			if p.timeout > 0 {
-				spec = spec.WithTimeout(p.timeout)
-			}
-			err := f.stack.External(spec, f.events[p.seq[0]], &script{seq: p.seq, panicAt: p.panicAt})
+			err := f.run(p)
 			mu.Lock()
 			defer mu.Unlock()
 			var pe *core.PanicError
@@ -407,27 +468,62 @@ func Run(cfg Config) (*Report, error) {
 			}
 		}(p)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k, pause := range pauses {
+			time.Sleep(pause)
+			if err := f.swap(k, &rep.SwapFaults); err != nil {
+				mu.Lock()
+				rep.SwapErr = err
+				mu.Unlock()
+				return
+			}
+		}
+	}()
 	wg.Wait()
 
 	hook.armed.Store(false)
 	rep.HookPanics = hook.panics
 	rep.HookDelays = hook.delays
 	rep.HandlerPanics = int(f.handlerPanics.Load())
+	rep.Respawns = int(f.respawns.Load())
 
 	// Probe: a full-footprint computation with a generous deadline. If any
 	// injection wedged the controller or leaked a version slot, admission
 	// never comes and the probe times out instead of hanging the harness.
-	probeSeq := make([]int, cfg.MPs)
-	for i := range probeSeq {
-		probeSeq[i] = i
+	probe := plan{seq: make([]int, nSlots), panicAt: -1, timeout: probeTimeout}
+	for i := range probe.seq {
+		probe.seq[i] = i
 	}
-	probeSpec := f.spec(cfg.Kind, probeSeq).WithTimeout(cfg.ProbeTimeout)
-	rep.ProbeErr = f.stack.External(probeSpec, f.events[0], &script{seq: probeSeq, panicAt: -1})
+	rep.ProbeErr = f.run(probe)
 
 	// Graceful drain with lifecycle verification, then prove the stack
-	// rejects new work.
+	// rejects new work. Close supersedes the final epoch, so afterwards
+	// every epoch in the ledger must have retired with balanced drains.
 	rep.CloseErr = f.stack.Close()
-	rep.RejectErr = f.stack.External(f.spec(cfg.Kind, []int{0}), f.events[0], &script{seq: []int{0}, panicAt: -1})
+	rep.RejectErr = f.run(plan{seq: []int{0}, panicAt: -1})
+
+	rep.FinalEpoch = f.stack.CurrentEpoch()
+	rep.EpochStats = f.stack.EpochStats()
+	for _, st := range rep.EpochStats {
+		if st.Begun != st.Ended || st.Active != 0 {
+			rep.LedgerErrs = append(rep.LedgerErrs,
+				fmt.Sprintf("epoch %d: begun %d, ended %d, active %d", st.Epoch, st.Begun, st.Ended, st.Active))
+		}
+		if st.Superseded && !st.Retired {
+			rep.LedgerErrs = append(rep.LedgerErrs,
+				fmt.Sprintf("epoch %d: superseded but never retired", st.Epoch))
+		}
+	}
+	rep.EpochErrs = f.stack.EpochErrs()
+	rep.DeadEpochs = f.stack.DeadEpochDispatches()
+	for i, sl := range f.slots {
+		if truth := sl.execs.Load(); int64(sl.racy+sl.rolledBack) != truth {
+			rep.LostUpdates = append(rep.LostUpdates,
+				fmt.Sprintf("slot %d: counter %d + %d rolled back, ground truth %d", i, sl.racy, sl.rolledBack, truth))
+		}
+	}
 
 	check := f.rec.Check()
 	rep.Serializable = check.Serializable

@@ -39,6 +39,14 @@ import (
 	"repro/internal/transport/udpnet"
 )
 
+// stormRates are the message-chaos rates toggled during a storm.
+// Corruption stays off by design: the link CRC is the integrity boundary
+// and rejected frames look like loss, which Drop covers.
+var stormRates = faultnet.Rates{Drop: 0.15, Dup: 0.05, Reorder: 0.05, Delay: 0.05}
+
+// settleTimeout bounds post-heal convergence.
+const settleTimeout = 30 * time.Second
+
 // DConfig parameterizes one distributed storm.
 type DConfig struct {
 	// Backend selects the substrate: "simnet" (default) or "udpnet".
@@ -49,15 +57,8 @@ type DConfig struct {
 	Seed int64
 	// Steps is the number of storm steps (default 12).
 	Steps int
-	// Rates are the message-chaos rates toggled during the storm
-	// (default: Drop 0.15, Dup 0.05, Reorder 0.05, Delay 0.05).
-	// Corruption stays off here by design: the link CRC is the integrity
-	// boundary and rejected frames look like loss, which Drop covers.
-	Rates faultnet.Rates
 	// StepPause separates storm steps (default 25ms).
 	StepPause time.Duration
-	// SettleTimeout bounds post-heal convergence (default 30s).
-	SettleTimeout time.Duration
 	// Upgrades is the number of mid-storm protocol-version bumps
 	// (Site.ProposeUpgrade) raced against the faults; each acked bump
 	// makes every surviving replica hot-swap its app microprotocol
@@ -215,14 +216,8 @@ func DRun(cfg DConfig) (*DReport, error) {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 12
 	}
-	if cfg.Rates == (faultnet.Rates{}) {
-		cfg.Rates = faultnet.Rates{Drop: 0.15, Dup: 0.05, Reorder: 0.05, Delay: 0.05}
-	}
 	if cfg.StepPause <= 0 {
 		cfg.StepPause = 25 * time.Millisecond
-	}
-	if cfg.SettleTimeout <= 0 {
-		cfg.SettleTimeout = 30 * time.Second
 	}
 	backend := cfg.Backend
 	if backend == "" {
@@ -371,7 +366,7 @@ func DRun(cfg DConfig) (*DReport, error) {
 		case 4: // toggle message chaos
 			chaosOn = !chaosOn
 			if chaosOn {
-				fab.setRates(cfg.Rates)
+				fab.setRates(stormRates)
 			} else {
 				fab.setRates(faultnet.Rates{})
 			}
@@ -412,7 +407,7 @@ func DRun(cfg DConfig) (*DReport, error) {
 
 	// Convergence: every replica must reach the same map, containing
 	// every acked write.
-	deadline := time.Now().Add(cfg.SettleTimeout)
+	deadline := time.Now().Add(settleTimeout)
 	for {
 		ref := stores[0].SnapshotMap()
 		same := true
@@ -435,7 +430,7 @@ func DRun(cfg DConfig) (*DReport, error) {
 			break
 		}
 		if time.Now().After(deadline) {
-			rep.SettleErr = fmt.Errorf("convergence deadline (%v) passed", cfg.SettleTimeout)
+			rep.SettleErr = fmt.Errorf("convergence deadline (%v) passed", settleTimeout)
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

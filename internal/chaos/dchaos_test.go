@@ -2,41 +2,9 @@ package chaos
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 )
-
-// stormSeeds returns the seed battery: CHAOS_SEED pins a single seed
-// (replay), CHAOS_SEEDS sets the count, CHAOS_DEEP=1 runs the full
-// 20-seed acceptance battery, and the default keeps `go test ./...`
-// quick with 3 seeds per backend.
-func stormSeeds(t *testing.T) []int64 {
-	t.Helper()
-	if v := os.Getenv("CHAOS_SEED"); v != "" {
-		seed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED=%q: %v", v, err)
-		}
-		return []int64{seed}
-	}
-	n := 3
-	if v := os.Getenv("CHAOS_SEEDS"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 {
-			t.Fatalf("CHAOS_SEEDS=%q: want a positive integer", v)
-		}
-		n = parsed
-	} else if os.Getenv("CHAOS_DEEP") == "1" {
-		n = 20
-	}
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = int64(1000 + i)
-	}
-	return seeds
-}
 
 // TestDistributedStorms drives seeded fault storms over both transport
 // substrates: every seed must satisfy every distributed invariant (see
@@ -48,7 +16,7 @@ func TestDistributedStorms(t *testing.T) {
 	for _, backend := range Backends() {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
-			for _, seed := range stormSeeds(t) {
+			for _, seed := range seeds(t, 1000, 3, 3, 20) {
 				seed := seed
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					rep, err := DRun(DConfig{Backend: backend, Seed: seed})
@@ -82,7 +50,7 @@ func TestDistributedStormWithUpgrades(t *testing.T) {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			var proposed int
-			for _, seed := range stormSeeds(t) {
+			for _, seed := range seeds(t, 1000, 3, 3, 20) {
 				seed := seed
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					rep, err := DRun(DConfig{Backend: backend, Seed: seed, Upgrades: 2})
