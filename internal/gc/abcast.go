@@ -74,7 +74,7 @@ func newABcast(self transport.NodeID, batchMax int, ev *events, snapshot func() 
 	a.hABcast = a.mp.AddHandler("abcast", a.abcast).Emits(ev.Bcast)
 	a.hRecv = a.mp.AddHandler("recv", a.recv).Emits(ev.ProposeEv)
 	a.hOnDecide = a.mp.AddHandler("onDecide", a.onDecide).Emits(ev.ADeliver, ev.ProposeEv, ev.SyncReq)
-	a.hSync = a.mp.AddHandler("sync", a.sync).Emits(ev.ProposeEv)
+	a.hSync = a.mp.AddHandler("sync", a.sync).Emits(ev.ADeliver, ev.ProposeEv, ev.SyncReq)
 	a.hSendSync = a.mp.AddHandler("sendSync", a.sendSync).Emits(ev.SendOut)
 	a.hPeerReset = a.mp.AddHandler("peerReset", a.peerReset).Emits()
 	return a
@@ -133,6 +133,12 @@ func (a *ABcast) onDecide(ctx *core.Context, msg core.Message) error {
 		return nil
 	}
 	a.decisions[d.inst] = d.value
+	return a.flush(ctx)
+}
+
+// flush delivers the buffered decisions from nextDecide on, gap-free,
+// then proposes for the next undecided instance.
+func (a *ABcast) flush(ctx *core.Context) error {
 	for {
 		batch, ok := a.decisions[a.nextDecide]
 		if !ok {
@@ -202,7 +208,10 @@ func (a *ABcast) sync(ctx *core.Context, msg core.Message) error {
 			delete(a.decisions, inst)
 		}
 	}
-	return a.maybePropose(ctx)
+	// The decision of the sync point itself may have come first: an
+	// acceptor decides on a voted ACCEPT, which can overtake the sync.
+	// No later Decide need follow it, so deliver it here.
+	return a.flush(ctx)
 }
 
 // sendSync (SyncReq event) ships a freshly joined site the resume point

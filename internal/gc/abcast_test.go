@@ -207,6 +207,23 @@ func TestABcastSyncFastForwards(t *testing.T) {
 	}
 }
 
+// TestABcastSyncDeliversEarlierDecision: a joiner can decide its sync
+// point on a voted ACCEPT before any sync frame arrives. The sync then
+// delivers that buffered decision itself: no later Decide may come.
+func TestABcastSyncDeliversEarlierDecision(t *testing.T) {
+	h := newABHarness(t, 64)
+	h.decide(t, 5, cm(1, 2, "first"))
+	if len(h.adeliv) != 0 {
+		t.Fatalf("delivered %v before the sync", h.adeliv)
+	}
+	if err := h.s.External(h.spec, h.ev.FromRComm, rcRecvd{sender: 1, inner: encodeSyncFrame(5, nil)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.adeliv) != 1 || h.adeliv[0] != "first" {
+		t.Fatalf("delivered %v after the sync, want [first]", h.adeliv)
+	}
+}
+
 func TestABcastSyncInstallsSnapshot(t *testing.T) {
 	h := newABHarness(t, 64)
 	if err := h.s.External(h.spec, h.ev.FromRComm, rcRecvd{sender: 1, inner: encodeSyncFrame(4, []byte("state@4"))}); err != nil {

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -121,27 +122,35 @@ func TestOneWayStreamNeverStalls(t *testing.T) {
 	}
 }
 
-// TestRejoinedSiteDedupeCompacts is the regression for a fresh
-// incarnation of a rejoined site: the survivors' sequence numbers to it
-// continue across its crash, and their sender base tells it where its
-// dedup window starts. Without the base it would mark every survivor
-// frame out of order, growing its sparse set by one per frame forever.
-func TestRejoinedSiteDedupeCompacts(t *testing.T) {
+// rejoinGroup runs 3 sites with a failure detector through 20 ABcasts,
+// crashes site 2, removes it with Leave, runs 20 more ABcasts and joins a
+// fresh incarnation of site 2 back. onDeliver, if set, runs inside every
+// delivering computation, with the delivering site. cast sends n ABcasts,
+// alternating between sites from and from+1, and waits until each listed
+// member delivered them.
+func rejoinGroup(t *testing.T, onDeliver func(s *Site, data []byte)) (sites []*Site, cast func(from, n int, members ...int)) {
+	t.Helper()
 	sim := simnet.New(simnet.Config{Nodes: 3})
-	defer sim.Close()
+	t.Cleanup(sim.Close)
 	var delivered [3]atomic.Int64
 	newSite := func(id transport.NodeID) *Site {
-		s := NewSite(Config{
+		var s *Site
+		s = NewSite(Config{
 			Net: sim, ID: id, InitialView: NewView(0, 1, 2),
 			// The detector lets consensus move past the crashed site when
 			// it coordinates.
 			FDInterval: 10 * time.Millisecond, SuspectAfter: 60 * time.Millisecond,
-			Deliver: func(transport.NodeID, []byte) { delivered[id].Add(1) },
+			Deliver: func(_ transport.NodeID, data []byte) {
+				delivered[id].Add(1)
+				if onDeliver != nil {
+					onDeliver(s, data)
+				}
+			},
 		})
 		s.Start()
 		return s
 	}
-	sites := []*Site{newSite(0), newSite(1), newSite(2)}
+	sites = []*Site{newSite(0), newSite(1), newSite(2)}
 	t.Cleanup(func() {
 		for id, s := range sites {
 			s.Stop()
@@ -150,7 +159,7 @@ func TestRejoinedSiteDedupeCompacts(t *testing.T) {
 			}
 		}
 	})
-	cast := func(from int, n int, members ...int) {
+	cast = func(from int, n int, members ...int) {
 		t.Helper()
 		want := make([]int64, len(members))
 		for i, id := range members {
@@ -192,6 +201,16 @@ func TestRejoinedSiteDedupeCompacts(t *testing.T) {
 		}
 		return true
 	})
+	return sites, cast
+}
+
+// TestRejoinedSiteDedupeCompacts is the regression for a fresh
+// incarnation of a rejoined site: the survivors' sequence numbers to it
+// continue across its crash, and their sender base tells it where its
+// dedup window starts. Without the base it would mark every survivor
+// frame out of order, growing its sparse set by one per frame forever.
+func TestRejoinedSiteDedupeCompacts(t *testing.T) {
+	sites, cast := rejoinGroup(t, nil)
 	cast(0, 300, 0, 1, 2)
 	for _, s := range sites {
 		s.Stop() // computations are over: RelComm's state may be read
@@ -205,6 +224,67 @@ func TestRejoinedSiteDedupeCompacts(t *testing.T) {
 		if seen.SparseLen() > window || seen.Low()+window < next {
 			t.Errorf("site 2's window for site %d: low %d, sparse %d; want sparse ≤ %d and low within %d of site %d's next seq %d",
 				from, seen.Low(), seen.SparseLen(), window, window, from, next)
+		}
+	}
+}
+
+// TestRejoinedSiteCoordinatesInRound0: a suspicion dies with the
+// suspect's membership. After site 2 crashed, left and rejoined, no
+// survivor still suspects it, and each instance it coordinates decides in
+// round 0 at every site, with no PREPARE round past it.
+func TestRejoinedSiteCoordinatesInRound0(t *testing.T) {
+	type decided struct {
+		site      transport.NodeID
+		inst      uint64
+		round     uint32
+		suspected bool
+	}
+	var (
+		mu      sync.Mutex
+		probing atomic.Bool
+		seen    []decided
+	)
+	// Runs inside the delivering computation, nested in Consensus's
+	// decide: the delivered instance is still in Consensus's state.
+	onDeliver := func(s *Site, _ []byte) {
+		if !probing.Load() {
+			return
+		}
+		inst := s.ab.nextDecide
+		if s.cons.view.Coordinator(inst, 0) != 2 {
+			return
+		}
+		st := s.cons.insts[inst]
+		if st == nil {
+			t.Errorf("site %d delivers instance %d with no consensus state", s.ID(), inst)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		seen = append(seen, decided{s.ID(), inst, st.round, s.cons.suspects[2]})
+	}
+	_, cast := rejoinGroup(t, onDeliver)
+	probing.Store(true)
+	for k := 0; k < 6; k++ {
+		cast(0, 1, 0, 1, 2) // one cast per instance
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	insts := map[uint64]int{}
+	for _, d := range seen {
+		insts[d.inst]++
+		if d.round != 0 || d.suspected {
+			t.Errorf("site %d decided site 2's instance %d in round %d, suspecting site 2: %v; want round 0, no suspicion",
+				d.site, d.inst, d.round, d.suspected)
+		}
+	}
+	if len(insts) == 0 {
+		t.Fatal("no instance coordinated by site 2 was delivered")
+	}
+	for inst, n := range insts {
+		if n != 3 {
+			t.Errorf("instance %d delivered at %d sites, want 3", inst, n)
 		}
 	}
 }

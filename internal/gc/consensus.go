@@ -49,6 +49,11 @@ type consInst struct {
 	acceptRound uint32
 	acceptVal   []CastMsg
 	accepts     map[transport.NodeID]bool
+	// voted: the ACCEPT carried the Voted bit, so each acceptor decides
+	// on it alone; refused lists the sites that refused it, the only
+	// ones that then need a DECIDE.
+	voted   bool
+	refused []transport.NodeID
 }
 
 // Consensus is the distributed consensus microprotocol the paper's atomic
@@ -59,7 +64,11 @@ type consInst struct {
 //   - Higher rounds require a PREPARE/PROMISE phase; the coordinator
 //     adopts the value of the highest-round promise, or its own proposal,
 //     or an empty batch (which merely burns the instance).
-//   - A quorum of ACCEPTED yields a DECIDE broadcast.
+//   - A quorum of ACCEPTED decides. In a view of at most 3 sites the
+//     coordinator's own vote and one acceptor's are a quorum, so its
+//     ACCEPT says Voted: each acceptor that accepts it decides at once,
+//     and DECIDE goes only to the sites that refused it (cRefused). In
+//     larger views the coordinator sends DECIDE to every member.
 //   - Failure-detector suspicions advance the round past suspected
 //     coordinators; a site that becomes coordinator runs PREPARE, and
 //     proposers re-forward their proposal to the new coordinator.
@@ -282,6 +291,7 @@ func (c *Consensus) sendAccept(ctx *core.Context, inst uint64, st *consInst, val
 	st.acceptRound = st.round
 	st.acceptVal = value
 	st.accepts = make(map[transport.NodeID]bool)
+	st.refused = nil
 	m := &consMsg{Type: cAccept, Inst: inst, Round: st.round, HasValue: true, Value: value}
 	// Accept in place unless that alone would reach the quorum (it would
 	// decide inside propose or suspect, whose Emits exclude Decide) or is
@@ -289,7 +299,11 @@ func (c *Consensus) sendAccept(ctx *core.Context, inst uint64, st *consInst, val
 	selfFrame := c.view.Quorum() <= 1 || !c.accept(st, m)
 	if !selfFrame {
 		st.accepts[c.self] = true
+		// In a view of at most 3 sites this vote plus any acceptor's is
+		// the quorum, so an acceptor that accepts knows the value chosen.
+		m.Voted = c.view.Quorum() <= 2
 	}
+	st.voted = m.Voted
 	return c.sendAll(ctx, m, selfFrame)
 }
 
@@ -307,6 +321,24 @@ func (c *Consensus) accept(st *consInst, m *consMsg) bool {
 		st.round = m.Round
 	}
 	return true
+}
+
+// learn decides a value this site did not reach as coordinator: from a
+// DECIDE, or from a voted ACCEPT it accepted. It first relays the decision
+// to the solicitors other than from, who may not hear it from the
+// coordinator.
+func (c *Consensus) learn(ctx *core.Context, st *consInst, from transport.NodeID, m *consMsg) error {
+	if st.decided {
+		return nil
+	}
+	for site := range c.solicited {
+		if site != from {
+			if err := c.sendDecide(ctx, site, m.Inst, m.Round, m.Value); err != nil {
+				return err
+			}
+		}
+	}
+	return c.decide(ctx, st, m)
 }
 
 // decide delivers a decision once: the Decide event carries the value
@@ -407,9 +439,28 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 
 	case cAccept:
 		if !c.accept(st, &m) {
+			// Answered, so a coordinator that decides without this site
+			// sends it the decision.
+			return c.sendTo(ctx, in.sender, &consMsg{Type: cRefused, Inst: m.Inst, Round: m.Round})
+		}
+		if err := c.sendTo(ctx, in.sender, &consMsg{Type: cAccepted, Inst: m.Inst, Round: m.Round}); err != nil {
+			return err
+		}
+		if !m.Voted {
 			return nil
 		}
-		return c.sendTo(ctx, in.sender, &consMsg{Type: cAccepted, Inst: m.Inst, Round: m.Round})
+		// The coordinator's vote and this site's are its quorum.
+		return c.learn(ctx, st, in.sender, &m)
+
+	case cRefused:
+		if st.decided {
+			// Replay the decision: the refuser cannot reach it by itself.
+			return c.sendDecide(ctx, in.sender, m.Inst, st.round, st.decidedVal)
+		}
+		if st.acceptSent && st.acceptRound == m.Round {
+			st.refused = append(st.refused, in.sender)
+		}
+		return nil
 
 	case cAccepted:
 		if st.decided || !st.acceptSent || st.acceptRound != m.Round ||
@@ -421,25 +472,24 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 			return nil
 		}
 		d := &consMsg{Type: cDecide, Inst: m.Inst, Round: m.Round, HasValue: true, Value: st.acceptVal}
-		if err := c.sendAll(ctx, d, false); err != nil {
+		var err error
+		if st.voted {
+			// Every acceptor of a voted ACCEPT decides on it; a refuser cannot.
+			for _, site := range st.refused {
+				if err = c.sendTo(ctx, site, d); err != nil {
+					break
+				}
+			}
+		} else {
+			err = c.sendAll(ctx, d, false)
+		}
+		if err != nil {
 			return err
 		}
 		return c.decide(ctx, st, d)
 
 	case cDecide:
-		if st.decided {
-			return nil
-		}
-		// A decision this site did not reach as coordinator: relay it to
-		// the solicitors, who may not hear from the coordinator.
-		for site := range c.solicited {
-			if site != in.sender {
-				if err := c.sendDecide(ctx, site, m.Inst, m.Round, m.Value); err != nil {
-					return err
-				}
-			}
-		}
-		return c.decide(ctx, st, &m)
+		return c.learn(ctx, st, in.sender, &m)
 	}
 	return nil
 }
@@ -498,7 +548,9 @@ func (c *Consensus) suspect(ctx *core.Context, msg core.Message) error {
 
 // viewChange adopts the new view for quorum and coordinator computation.
 // It drops the solicitors and treats the view's newcomers as solicited,
-// and forgets the watermarks of sites that left.
+// and forgets the watermarks and suspicions of sites that left: a site
+// that rejoins is a new incarnation, and FD announces it afresh if it
+// fails again.
 func (c *Consensus) viewChange(_ *core.Context, msg core.Message) error {
 	old := c.view
 	c.view = msg.(*View)
@@ -511,6 +563,11 @@ func (c *Consensus) viewChange(_ *core.Context, msg core.Message) error {
 	for site := range c.peerDone {
 		if !c.view.Contains(site) {
 			delete(c.peerDone, site)
+		}
+	}
+	for site := range c.suspects {
+		if !c.view.Contains(site) {
+			delete(c.suspects, site)
 		}
 	}
 	c.prune()

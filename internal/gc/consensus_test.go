@@ -119,8 +119,9 @@ func (h *consHarness) peers(t *testing.T, sent []sentCons) []simnet.NodeID {
 }
 
 // TestConsensusRound0CoordinatorPath: the round-0 coordinator accepts its
-// own ACCEPT in place, so one remote ACCEPTED completes a 3-site quorum,
-// and it decides in place while DECIDE goes to the two peers.
+// own ACCEPT in place and says so in the Voted bit, so one remote
+// ACCEPTED completes a 3-site quorum; it decides in place and sends no
+// DECIDE, since every acceptor of a voted ACCEPT decides on it.
 func TestConsensusRound0CoordinatorPath(t *testing.T) {
 	h := newConsHarness(t, 0, NewView(0, 1, 2)) // coord(inst 0, round 0) = 0
 	h.propose(t, 0, "v")
@@ -129,8 +130,8 @@ func TestConsensusRound0CoordinatorPath(t *testing.T) {
 	if to := h.peers(t, accepts); fmt.Sprint(to) != "[1 2]" {
 		t.Fatalf("ACCEPT sent to %v, want the peers [1 2]", to)
 	}
-	if accepts[0].m.Round != 0 || !accepts[0].m.HasValue || string(accepts[0].m.Value[0].Data) != "v" {
-		t.Fatalf("accept = %+v", accepts[0].m)
+	if m := accepts[0].m; m.Round != 0 || !m.Voted || !m.HasValue || string(m.Value[0].Data) != "v" {
+		t.Fatalf("accept = %+v, want a voted round-0 ACCEPT of \"v\"", m)
 	}
 	if st := h.c.get(0); !st.accepts[0] || !st.hasAcc || string(st.accValue[0].Data) != "v" {
 		t.Fatalf("coordinator did not accept its own value in place: %+v", st)
@@ -140,11 +141,11 @@ func TestConsensusRound0CoordinatorPath(t *testing.T) {
 	}
 
 	// One remote ACCEPTED plus the coordinator's own accept is the
-	// quorum (2 of 3) ⇒ DECIDE to the peers, and Decide right here.
+	// quorum (2 of 3) ⇒ Decide right here, and no DECIDE: no site
+	// refused the ACCEPT.
 	h.feed(t, 1, consMsg{Type: cAccepted, Inst: 0, Round: 0})
-	decides := h.sentOfType(t, cDecide)
-	if to := h.peers(t, decides); fmt.Sprint(to) != "[1 2]" {
-		t.Fatalf("DECIDE sent to %v, want the peers [1 2]", to)
+	if decides := h.sentOfType(t, cDecide); len(decides) != 0 {
+		t.Fatalf("DECIDE sent as %+v, want none", decides)
 	}
 	if len(h.decided) != 1 || h.decided[0].inst != 0 || string(h.decided[0].value[0].Data) != "v" {
 		t.Fatalf("decided = %+v", h.decided)
@@ -152,8 +153,8 @@ func TestConsensusRound0CoordinatorPath(t *testing.T) {
 	// A late ACCEPTED must not re-decide, nor a DECIDE frame (a peer's
 	// replay) raise Decide a second time.
 	h.feed(t, 2, consMsg{Type: cAccepted, Inst: 0, Round: 0})
-	h.feed(t, 1, consMsg{Type: cDecide, Inst: 0, Round: 0, HasValue: true, Value: decides[0].m.Value})
-	if len(h.sentOfType(t, cDecide)) != 2 || len(h.decided) != 1 {
+	h.feed(t, 1, consMsg{Type: cDecide, Inst: 0, Round: 0, HasValue: true, Value: accepts[0].m.Value})
+	if len(h.sentOfType(t, cDecide)) != 0 || len(h.decided) != 1 {
 		t.Fatalf("re-decided: %d DECIDEs sent, %d decisions", len(h.sentOfType(t, cDecide)), len(h.decided))
 	}
 }
@@ -161,14 +162,15 @@ func TestConsensusRound0CoordinatorPath(t *testing.T) {
 // TestConsensusSelfFrameAccept: the coordinator falls back to a
 // self-addressed ACCEPT when its local accept alone would reach the
 // quorum (a one-site view) or is refused, so neither propose nor suspect
-// ever raises Decide.
+// ever raises Decide. Such an ACCEPT carries no vote, so the coordinator
+// sends DECIDE to every peer.
 func TestConsensusSelfFrameAccept(t *testing.T) {
 	t.Run("one-site view", func(t *testing.T) {
 		h := newConsHarness(t, 0, NewView(0))
 		h.propose(t, 0, "v")
 		accepts := h.sentOfType(t, cAccept)
-		if len(accepts) != 1 || accepts[0].to != 0 {
-			t.Fatalf("ACCEPT sent as %+v, want one self frame", accepts)
+		if len(accepts) != 1 || accepts[0].to != 0 || accepts[0].m.Voted {
+			t.Fatalf("ACCEPT sent as %+v, want one unvoted self frame", accepts)
 		}
 		if len(h.decided) != 0 || len(h.c.get(0).accepts) != 0 {
 			t.Fatal("accepted or decided inside propose")
@@ -188,8 +190,8 @@ func TestConsensusSelfFrameAccept(t *testing.T) {
 		h.c.get(0).promised = 5
 		h.propose(t, 0, "v")
 		accepts := h.sentOfType(t, cAccept)
-		if len(accepts) != 3 {
-			t.Fatalf("ACCEPT sent to %d sites, want 3 (self frame included)", len(accepts))
+		if len(accepts) != 3 || accepts[0].m.Voted {
+			t.Fatalf("ACCEPT sent as %+v, want 3 unvoted (self frame included)", accepts)
 		}
 		if st := h.c.get(0); st.accepts[0] || st.hasAcc {
 			t.Fatalf("refused accept counted: %+v", st)
@@ -198,6 +200,12 @@ func TestConsensusSelfFrameAccept(t *testing.T) {
 		h.feed(t, 1, consMsg{Type: cAccepted, Inst: 0, Round: 0})
 		if len(h.decided) != 0 || len(h.sentOfType(t, cDecide)) != 0 {
 			t.Fatal("decided with the coordinator's refused accept counted")
+		}
+		// Two remote votes are the quorum; neither acceptor could decide
+		// on an unvoted ACCEPT, so both are sent DECIDE.
+		h.feed(t, 2, consMsg{Type: cAccepted, Inst: 0, Round: 0})
+		if to := h.peers(t, h.sentOfType(t, cDecide)); len(h.decided) != 1 || fmt.Sprint(to) != "[1 2]" {
+			t.Fatalf("decided = %+v, DECIDE sent to %v, want one decision and DECIDE to [1 2]", h.decided, to)
 		}
 	})
 }
@@ -233,7 +241,8 @@ func TestConsensusAcceptorPath(t *testing.T) {
 	if len(acks) != 1 || acks[0].to != 0 || acks[0].m.Round != 0 {
 		t.Fatalf("ACCEPTED = %+v", acks)
 	}
-	// A stale (lower-round) ACCEPT after promising a higher round is ignored.
+	// A stale (lower-round) ACCEPT after promising a higher round is
+	// refused, and the refusal answers its sender.
 	h.feed(t, 1, consMsg{Type: cPrepare, Inst: 0, Round: 3})
 	if n := len(h.sentOfType(t, cPromise)); n != 1 {
 		t.Fatalf("PROMISE count = %d", n)
@@ -241,6 +250,12 @@ func TestConsensusAcceptorPath(t *testing.T) {
 	h.feed(t, 0, consMsg{Type: cAccept, Inst: 0, Round: 1, HasValue: true, Value: val})
 	if n := len(h.sentOfType(t, cAccepted)); n != 1 {
 		t.Fatalf("stale ACCEPT was accepted; ACCEPTED count = %d", n)
+	}
+	if refusals := h.sentOfType(t, cRefused); len(refusals) != 1 || refusals[0].to != 0 || refusals[0].m.Round != 1 {
+		t.Fatalf("refusals = %+v, want one of round 1 to site 0", refusals)
+	}
+	if len(h.decided) != 0 {
+		t.Fatalf("decided on an unvoted ACCEPT: %+v", h.decided)
 	}
 }
 
@@ -279,25 +294,25 @@ func TestConsensusNewCoordinatorAdoptsPromisedValue(t *testing.T) {
 }
 
 // acceptAndDecide checks instance 0's round-1 coordinator after its
-// promise quorum: ACCEPT of want goes to the two peers and is accepted in
-// place, so one remote ACCEPTED is the quorum; DECIDE goes to the peers
-// and Decide is raised here.
+// promise quorum: a voted ACCEPT of want goes to the two peers and is
+// accepted in place, so one remote ACCEPTED is the quorum; Decide is
+// raised here and no DECIDE is sent, since nobody refused.
 func (h *consHarness) acceptAndDecide(t *testing.T, want string) {
 	t.Helper()
 	accepts := h.sentOfType(t, cAccept)
 	if to := h.peers(t, accepts); len(to) != 2 {
 		t.Fatalf("ACCEPT sent to %v, want the 2 peers", to)
 	}
-	if got := string(accepts[0].m.Value[0].Data); got != want || accepts[0].m.Round != 1 {
-		t.Fatalf("ACCEPT of %q in round %d, want %q in round 1", got, accepts[0].m.Round, want)
+	if m := accepts[0].m; string(m.Value[0].Data) != want || m.Round != 1 || !m.Voted {
+		t.Fatalf("ACCEPT = %+v, want a voted ACCEPT of %q in round 1", m, want)
 	}
 	if !h.c.get(0).accepts[h.c.self] {
 		t.Fatal("coordinator did not count its own accept")
 	}
 	peer := accepts[0].to
 	h.feed(t, peer, consMsg{Type: cAccepted, Inst: 0, Round: 1})
-	if to := h.peers(t, h.sentOfType(t, cDecide)); len(to) != 2 {
-		t.Fatalf("DECIDE sent to %v, want the 2 peers", to)
+	if decides := h.sentOfType(t, cDecide); len(decides) != 0 {
+		t.Fatalf("DECIDE sent as %+v, want none", decides)
 	}
 	if len(h.decided) != 1 || string(h.decided[0].value[0].Data) != want {
 		t.Fatalf("decided = %+v, want %q", h.decided, want)
@@ -431,33 +446,38 @@ func instsTo(t *testing.T, sent []sentCons, to simnet.NodeID) []uint64 {
 	return insts
 }
 
-// TestConsensusSolicitedRelaysDecisions: a solicited site relays every
-// decision it reaches from another coordinator's DECIDE, and none it
-// reaches as coordinator, whose own DECIDE already goes to every member.
+// TestConsensusSolicitedRelaysDecisions: a solicited site relays to the
+// solicitor every decision it did not reach as coordinator — from another
+// coordinator's DECIDE or from a voted ACCEPT it accepted — except to the
+// coordinator itself, and none it reaches as coordinator.
 func TestConsensusSolicitedRelaysDecisions(t *testing.T) {
-	h := newConsHarness(t, 2, NewView(0, 1, 2))
+	h := newConsHarness(t, 2, NewView(0, 1, 2)) // coord(inst, 0) = inst mod 3
 	h.feed(t, 0, consMsg{Type: cSolicit})
 
 	h.decideAll(t, 1) // from site 0 itself: nobody to relay it to
-	val := []CastMsg{{ID: MsgID{Origin: 1, Seq: 1}, Kind: castApp, Data: []byte("x")}}
-	h.feed(t, 1, consMsg{Type: cDecide, Inst: 1, Round: 0, HasValue: true, Value: val})
-	decides := h.sentOfType(t, cDecide)
-	if len(decides) != 1 || decides[0].to != 0 || decides[0].m.Inst != 1 {
-		t.Fatalf("relay = %+v, want instance 1's DECIDE to site 0 only", decides)
+	val := func(inst uint64) []CastMsg {
+		return []CastMsg{{ID: MsgID{Origin: 1, Seq: inst}, Kind: castApp, Data: []byte("x")}}
+	}
+	h.feed(t, 1, consMsg{Type: cDecide, Inst: 1, Round: 0, HasValue: true, Value: val(1)})
+	if got := instsTo(t, h.sentOfType(t, cDecide), 0); fmt.Sprint(got) != "[1]" {
+		t.Fatalf("relayed instances %v, want [1]", got)
 	}
 
-	// Instance 2 is ours: its DECIDE goes to the two peers, no more.
+	// Instance 2 is ours: acceptors decide on the voted ACCEPT, so
+	// nobody is sent a DECIDE.
 	h.propose(t, 2, "mine")
 	h.feed(t, 1, consMsg{Type: cAccepted, Inst: 2, Round: 0})
-	var to []simnet.NodeID
-	for _, d := range h.sentOfType(t, cDecide)[1:] {
-		to = append(to, d.to)
+
+	// Instance 3's coordinator is the solicitor: no relay back to it.
+	// Instance 4's is site 1: its voted ACCEPT decides here and is
+	// relayed to the solicitor.
+	h.feed(t, 0, consMsg{Type: cAccept, Inst: 3, Round: 0, Voted: true, HasValue: true, Value: val(3)})
+	h.feed(t, 1, consMsg{Type: cAccept, Inst: 4, Round: 0, Voted: true, HasValue: true, Value: val(4)})
+	if got := instsTo(t, h.sentOfType(t, cDecide), 0); fmt.Sprint(got) != "[1 4]" {
+		t.Fatalf("relayed instances %v, want [1 4]", got)
 	}
-	if fmt.Sprint(to) != "[0 1]" {
-		t.Fatalf("coordinator's DECIDE went to %v, want [0 1] once each", to)
-	}
-	if len(h.decided) != 3 {
-		t.Fatalf("decided = %+v", h.decided)
+	if len(h.decided) != 5 {
+		t.Fatalf("decided = %+v, want instances 0..4", h.decided)
 	}
 }
 
@@ -493,9 +513,8 @@ func TestConsensusSolicitedLatePropose(t *testing.T) {
 	late := []CastMsg{{ID: MsgID{Origin: 2, Seq: 1}, Kind: castApp, Data: []byte("late")}}
 	h.feed(t, 2, consMsg{Type: cPropose, Inst: 0, Round: 0, HasValue: true, Value: late})
 	decides := h.sentOfType(t, cDecide)
-	last := decides[len(decides)-1]
-	if len(decides) != 3 || last.to != 2 || string(last.m.Value[0].Data) != "v" {
-		t.Fatalf("DECIDEs = %+v, want the replay of \"v\" to site 2 last", decides)
+	if len(decides) != 1 || decides[0].to != 2 || string(decides[0].m.Value[0].Data) != "v" {
+		t.Fatalf("DECIDEs = %+v, want only the replay of \"v\" to site 2", decides)
 	}
 }
 
@@ -541,5 +560,131 @@ func TestConsensusJoinerForwardsToEveryMember(t *testing.T) {
 	h.viewChange(t, NewView(0, 1, 2, 3))
 	if len(h.c.solicited) != 1 || !h.c.solicited[3] {
 		t.Fatalf("solicited = %v after the view change, want only the newcomer 3", h.c.solicited)
+	}
+}
+
+// TestConsensusVotedAcceptDecides: in a view of at most 3 sites the
+// coordinator's in-place vote plus the acceptor's own is a quorum, so an
+// acceptor that accepts a voted ACCEPT sends ACCEPTED and decides at once.
+func TestConsensusVotedAcceptDecides(t *testing.T) {
+	for _, view := range []*View{NewView(0, 1, 2), NewView(0, 1)} {
+		t.Run(fmt.Sprintf("%d sites", view.Size()), func(t *testing.T) {
+			coord := newConsHarness(t, 0, view)
+			coord.propose(t, 0, "v")
+			accepts := coord.sentOfType(t, cAccept)
+			if len(accepts) != view.Size()-1 || !accepts[0].m.Voted {
+				t.Fatalf("ACCEPT sent as %+v, want a voted one to each peer", accepts)
+			}
+
+			h := newConsHarness(t, 1, view)
+			h.feed(t, 0, accepts[0].m)
+			if acks := h.sentOfType(t, cAccepted); len(acks) != 1 || acks[0].to != 0 {
+				t.Fatalf("ACCEPTED = %+v, want one to the coordinator", acks)
+			}
+			if len(h.decided) != 1 || string(h.decided[0].value[0].Data) != "v" {
+				t.Fatalf("decided = %+v, want \"v\" on the voted ACCEPT", h.decided)
+			}
+			if decides := h.sentOfType(t, cDecide); len(decides) != 0 {
+				t.Fatalf("DECIDE sent as %+v with no solicitor", decides)
+			}
+		})
+	}
+}
+
+// TestConsensusUnvotedAcceptDoesNotDecide: an acceptor decides on no
+// ACCEPT without the Voted bit, and a coordinator in a view of 4 sites,
+// where its vote and one acceptor's are no quorum, sets no bit and still
+// sends DECIDE to every peer.
+func TestConsensusUnvotedAcceptDoesNotDecide(t *testing.T) {
+	h := newConsHarness(t, 1, NewView(0, 1, 2))
+	val := []CastMsg{{ID: MsgID{Origin: 0, Seq: 1}, Kind: castApp, Data: []byte("x")}}
+	h.feed(t, 0, consMsg{Type: cAccept, Inst: 0, Round: 0, HasValue: true, Value: val})
+	if len(h.sentOfType(t, cAccepted)) != 1 || len(h.decided) != 0 {
+		t.Fatalf("unvoted ACCEPT: %d ACCEPTED, decided = %+v, want 1 and none", len(h.sentOfType(t, cAccepted)), h.decided)
+	}
+
+	coord := newConsHarness(t, 0, NewView(0, 1, 2, 3))
+	coord.propose(t, 0, "v")
+	accepts := coord.sentOfType(t, cAccept)
+	if to := coord.peers(t, accepts); fmt.Sprint(to) != "[1 2 3]" || accepts[0].m.Voted {
+		t.Fatalf("ACCEPT sent as %+v, want an unvoted one to [1 2 3]", accepts)
+	}
+	coord.feed(t, 1, consMsg{Type: cAccepted, Inst: 0, Round: 0})
+	if len(coord.decided) != 0 {
+		t.Fatal("decided on 2 of 4 votes")
+	}
+	coord.feed(t, 2, consMsg{Type: cAccepted, Inst: 0, Round: 0})
+	if to := coord.peers(t, coord.sentOfType(t, cDecide)); len(coord.decided) != 1 || fmt.Sprint(to) != "[1 2 3]" {
+		t.Fatalf("decided = %+v, DECIDE sent to %v, want one decision and DECIDE to [1 2 3]", coord.decided, to)
+	}
+}
+
+// pass feeds to every message of one type that from sent to it.
+func pass(t *testing.T, from, to *consHarness, typ uint8) {
+	t.Helper()
+	for _, s := range from.sentOfType(t, typ) {
+		if s.to == to.c.self {
+			to.feed(t, from.c.self, s.m)
+		}
+	}
+}
+
+// TestConsensusRefusedAcceptGetsDecide: an acceptor that promised a higher
+// round refuses a voted ACCEPT and says so; the coordinator, which may
+// decide without it, sends it exactly one DECIDE, whether the refusal
+// arrives before the decision or after it.
+func TestConsensusRefusedAcceptGetsDecide(t *testing.T) {
+	for _, refuseFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("refusal before decision %v", refuseFirst), func(t *testing.T) {
+			view := NewView(0, 1, 2)
+			coord, refuser := newConsHarness(t, 0, view), newConsHarness(t, 2, view)
+			refuser.feed(t, 1, consMsg{Type: cPrepare, Inst: 0, Round: 1})
+			coord.propose(t, 0, "v")
+			pass(t, coord, refuser, cAccept)
+			if len(refuser.sentOfType(t, cAccepted)) != 0 || len(refuser.decided) != 0 {
+				t.Fatal("the refuser accepted or decided")
+			}
+			accepted := consMsg{Type: cAccepted, Inst: 0, Round: 0}
+			if !refuseFirst {
+				coord.feed(t, 1, accepted)
+			}
+			pass(t, refuser, coord, cRefused)
+			if refuseFirst {
+				coord.feed(t, 1, accepted)
+			}
+			if len(coord.decided) != 1 {
+				t.Fatalf("coordinator decided %+v", coord.decided)
+			}
+			decides := coord.sentOfType(t, cDecide)
+			if len(decides) != 1 || decides[0].to != 2 || string(decides[0].m.Value[0].Data) != "v" {
+				t.Fatalf("DECIDEs = %+v, want one of \"v\" to the refuser 2", decides)
+			}
+			pass(t, coord, refuser, cDecide)
+			if len(refuser.decided) != 1 {
+				t.Fatal("the refuser did not decide")
+			}
+		})
+	}
+}
+
+// TestConsensusViewChangeDropsSuspicions: a suspicion dies with the
+// suspect's membership. After site 2 leaves and rejoins, an instance it
+// coordinates starts in round 0 again: the proposal goes to site 2 (a
+// newcomer, so solicited) instead of starting a PREPARE round past it.
+func TestConsensusViewChangeDropsSuspicions(t *testing.T) {
+	h := newConsHarness(t, 0, NewView(0, 1, 2))
+	h.suspect(t, 2)
+	h.viewChange(t, NewView(0, 1))
+	h.viewChange(t, NewView(0, 1, 2))
+	if len(h.c.suspects) != 0 {
+		t.Fatalf("suspects = %v after site 2 left and rejoined, want none", h.c.suspects)
+	}
+	h.decideAll(t, 2)
+	h.propose(t, 2, "v") // coord(2, 0) = 2
+	if props := h.sentOfType(t, cPropose); len(props) != 1 || props[0].to != 2 || props[0].m.Round != 0 {
+		t.Fatalf("PROPOSE = %+v, want one to site 2 in round 0", props)
+	}
+	if preps := h.sentOfType(t, cPrepare); len(preps) != 0 {
+		t.Fatalf("PREPARE sent: %+v", preps)
 	}
 }

@@ -63,7 +63,11 @@
 // after a join. Every consensus message carries the sender's watermark
 // (every instance below it is decided there); an instance below every
 // member's watermark is forgotten, which bounds consensus and ABcast
-// state (DESIGN.md §12.1).
+// state (DESIGN.md §12.1). In a view of at most three sites the
+// coordinator's ACCEPT carries its own vote, so an acceptor that accepts
+// it holds a quorum and decides at once: an ordered cast is decided two
+// message delays after it leaves any origin, and DECIDE goes only to the
+// sites that refused the ACCEPT.
 //
 // Handlers never block on the network: every protocol is an event-driven
 // state machine, so computations always terminate — the liveness

@@ -79,13 +79,16 @@ func (f *FD) beat(_ *core.Context, msg core.Message) error {
 	return nil
 }
 
-// viewChange adopts the new view, granting fresh members a full timeout.
+// viewChange adopts the new view, granting fresh members a full timeout
+// and no suspicion: a member new to the view is a new incarnation, whose
+// failure must be announced again.
 func (f *FD) viewChange(_ *core.Context, msg core.Message) error {
 	v := msg.(*View)
 	now := time.Now()
 	for _, m := range v.Members() {
 		if !f.view.Contains(m) {
 			f.lastHeard[m] = now
+			delete(f.suspected, m)
 		}
 	}
 	f.view = v

@@ -131,6 +131,32 @@ func TestFDNewMemberGetsGracePeriod(t *testing.T) {
 	}
 }
 
+// TestFDRejoinedMemberSuspectedAgain: a site that leaves and rejoins is a
+// new incarnation, so its suspicion does not outlive the old one's
+// membership, and its next failure is announced again.
+func TestFDRejoinedMemberSuspectedAgain(t *testing.T) {
+	h := newFDHarness(t, 0, NewView(0, 1, 2), 10*time.Millisecond)
+	time.Sleep(20 * time.Millisecond)
+	h.tick(t)
+	if len(h.suspicions) != 2 {
+		t.Fatalf("suspicions = %v, want sites 1 and 2", h.suspicions)
+	}
+	h.beat(t, 1)
+	for _, v := range []*View{NewView(0, 1), NewView(0, 1, 2)} {
+		if err := h.s.External(h.spec, h.ev.ViewChange, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.f.suspected[2] {
+		t.Fatal("the rejoined site is still suspected")
+	}
+	time.Sleep(20 * time.Millisecond)
+	h.tick(t)
+	if n := len(h.suspicions); n != 4 || h.suspicions[3] != 2 {
+		t.Fatalf("suspicions = %v, want the rejoined site 2 announced again", h.suspicions)
+	}
+}
+
 // membHarness drives one Membership microprotocol, capturing the
 // ViewChange fan-out, ABcast requests, and sync requests.
 type membHarness struct {

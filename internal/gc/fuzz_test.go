@@ -14,7 +14,8 @@ func FuzzDecodeMessages(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeCastFrame(&CastMsg{ID: MsgID{Origin: 1, Seq: 2}, Kind: castApp, Data: []byte("x")}))
 	f.Add(encodeConsFrame(&consMsg{Type: cAccept, Inst: 1, Round: 2, HasValue: true,
-		Value: []CastMsg{{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 3}}}))
+		Voted: true, Value: []CastMsg{{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 3}}}))
+	f.Add(encodeConsFrame(&consMsg{Type: cRefused, Inst: 1, Round: 2}))
 	f.Add(encodeSyncFrame(7, []byte("snap")))
 	f.Add(dataFrame(4, 9, "inner"))
 	f.Add(ackFrame(4, 9))
@@ -91,6 +92,14 @@ func FuzzDatagramFrames(f *testing.F) {
 	for cut := range len(hdrs) + 1 {
 		f.Add(hdrs, uint16(cut))
 	}
+	// A voted ACCEPT and a refusal riding data frames.
+	voted := encodeConsFrame(&consMsg{Type: cAccept, Inst: 3, Round: 1, Done: 2, Voted: true, HasValue: true,
+		Value: []CastMsg{{ID: MsgID{Origin: 1, Seq: 4}, Kind: castApp, Data: []byte("v")}}})
+	refused := encodeConsFrame(&consMsg{Type: cRefused, Inst: 3, Round: 1, Done: 2})
+	f.Add(bytes.Join([][]byte{
+		appendFrame(nil, &frame{kind: dgData, epoch: 7, seq: 8, inner: voted}),
+		appendFrame(nil, &frame{kind: dgData, epoch: 7, seq: 9, inner: refused}),
+	}, nil), uint16(20))
 	f.Fuzz(func(t *testing.T, p []byte, cut uint16) {
 		if len(p) > 0 {
 			classify(p)

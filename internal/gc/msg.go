@@ -61,6 +61,7 @@ const (
 	cAccepted uint8 = 5 // acceptor → coordinator: accepted
 	cDecide   uint8 = 6 // coordinator → all: decision
 	cSolicit  uint8 = 7 // suspecter → all: send me proposals and decisions
+	cRefused  uint8 = 8 // acceptor → coordinator: promised a higher round
 )
 
 // MsgID uniquely identifies a broadcast message: origin site plus a
@@ -127,6 +128,9 @@ type consMsg struct {
 	Round    uint32
 	AccRound uint32 // cPromise: round of the piggybacked accepted value
 	Done     uint64 // sender's watermark: every instance below it is decided there
+	// Voted (cAccept): the coordinator accepted the value in place, and
+	// its vote plus the receiver's is its quorum.
+	Voted    bool
 	HasValue bool
 	Value    []CastMsg
 }
@@ -137,6 +141,7 @@ func (m *consMsg) encode(w *wire.Writer) {
 	w.U32(m.Round)
 	w.U32(m.AccRound)
 	w.UVarint(m.Done)
+	w.Bool(m.Voted)
 	w.Bool(m.HasValue)
 	if m.HasValue {
 		w.UVarint(uint64(len(m.Value)))
@@ -153,6 +158,7 @@ func decodeConsMsg(r *wire.Reader) consMsg {
 	m.Round = r.U32()
 	m.AccRound = r.U32()
 	m.Done = r.UVarint()
+	m.Voted = r.Bool()
 	m.HasValue = r.Bool()
 	if m.HasValue {
 		n := r.UVarint()

@@ -32,7 +32,7 @@ func TestCastMsgRoundTrip(t *testing.T) {
 
 func TestConsMsgRoundTrip(t *testing.T) {
 	m := consMsg{
-		Type: cAccept, Inst: 12, Round: 3, AccRound: 2, Done: 300, HasValue: true,
+		Type: cAccept, Inst: 12, Round: 3, AccRound: 2, Done: 300, Voted: true, HasValue: true,
 		Value: []CastMsg{
 			{ID: MsgID{Origin: 1, Seq: 1}, Kind: castApp, Data: []byte("a")},
 			{ID: MsgID{Origin: 2, Seq: 9}, Kind: castViewChg, Op: '+', Site: 4},
@@ -45,11 +45,18 @@ func TestConsMsgRoundTrip(t *testing.T) {
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if got.Type != m.Type || got.Inst != m.Inst || got.Round != m.Round || got.Done != m.Done || len(got.Value) != 2 {
+	if got.Type != m.Type || got.Inst != m.Inst || got.Round != m.Round || got.Done != m.Done || !got.Voted || len(got.Value) != 2 {
 		t.Fatalf("round trip: %+v", got)
 	}
 	if got.Value[1].Site != 4 || got.Value[0].Data[0] != 'a' {
 		t.Fatalf("value round trip: %+v", got.Value)
+	}
+	refusal := consMsg{Type: cRefused, Inst: 12, Round: 3, Done: 7}
+	w = wire.NewWriter(16)
+	refusal.encode(w)
+	r = wire.NewReader(w.Bytes())
+	if got := decodeConsMsg(r); r.Err() != nil || got.Type != cRefused || got.Inst != 12 || got.Round != 3 || got.Done != 7 || got.Voted || got.HasValue {
+		t.Fatalf("refusal round trip: %+v (err %v)", got, r.Err())
 	}
 }
 
