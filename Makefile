@@ -14,8 +14,8 @@ vet:
 	$(GO) vet ./...
 
 # Static microprotocol- and concurrency-contract checking (cmd/samoa-vet,
-# DESIGN.md §9, §14): footprint / readonly / nestediso / blocking /
-# routecycle / lockorder / atomics / ignores over the repo's own code.
+# DESIGN.md §9, §14): readonly / nestediso / blocking / lockorder /
+# atomics / ignores over the repo's own code.
 # Zero findings is the merge bar; deliberate exceptions carry a
 # //samoa:ignore <check> — rationale, and the ignores check audits those.
 samoa-vet:

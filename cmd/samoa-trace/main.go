@@ -90,7 +90,11 @@ func runRandom(v bench.Variant, comps, mps, scriptLen int, seed int64) {
 		for i := range script {
 			script[i] = rng.Intn(mps)
 		}
-		spec := specFor(v.Kind, script, protos, handlers)
+		path := make([]*core.Handler, len(script))
+		for j, i := range script {
+			path[j] = handlers[i]
+		}
+		spec := core.PathSpec(v.SpecKind(), path...)
 		fmt.Printf("  k%d: visits %v\n", k+1, script)
 		wg.Add(1)
 		go func(script []int, spec *core.Spec) {
@@ -121,29 +125,6 @@ func eventName(p trace.RunPair) string {
 		return "ext"
 	}
 	return p.Event.Name()
-}
-
-func specFor(kind string, script []int, protos []*core.Microprotocol, handlers []*core.Handler) *core.Spec {
-	switch kind {
-	case "bound":
-		bounds := map[*core.Microprotocol]int{}
-		for _, i := range script {
-			bounds[protos[i]]++
-		}
-		return core.AccessBound(bounds)
-	case "route":
-		g := core.NewRouteGraph().Root(handlers[script[0]])
-		for i := 0; i+1 < len(script); i++ {
-			g.Edge(handlers[script[i]], handlers[script[i+1]])
-		}
-		return core.Route(g)
-	default:
-		var mps []*core.Microprotocol
-		for _, i := range script {
-			mps = append(mps, protos[i])
-		}
-		return core.Access(mps...)
-	}
 }
 
 // dotOut mirrors the -dot flag.

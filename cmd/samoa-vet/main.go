@@ -1,6 +1,6 @@
 // Command samoa-vet statically checks microprotocol isolation and
 // concurrency contracts (see internal/analysis). It loads the named
-// package patterns, runs the eight analyzers, and exits 1 if anything
+// package patterns, runs the six analyzers, and exits 1 if anything
 // was found:
 //
 //	samoa-vet ./internal/... ./examples/... ./cmd/...
@@ -85,14 +85,8 @@ func main() {
 				perCheck[s.Name] = agg
 			}
 			model := analysis.ExtractModel(pkg)
-			resolvedSpecs := 0
-			for _, s := range model.IsoSites {
-				if s.Spec != nil && s.Spec.SpecComplete {
-					resolvedSpecs++
-				}
-			}
-			fmt.Fprintf(os.Stderr, "samoa-vet: %-40s handlers=%-3d bindings=%-3d isosites=%-3d resolved-specs=%-3d emits-checked=%d\n",
-				pkg.ImportPath, len(model.Handlers), len(model.Bindings), len(model.IsoSites), resolvedSpecs, len(model.EmitsChecked()))
+			fmt.Fprintf(os.Stderr, "samoa-vet: %-40s handlers=%-3d isosites=%d\n",
+				pkg.ImportPath, len(model.Handlers), len(model.IsoSites))
 		}
 	}
 	if *stats {

@@ -24,14 +24,11 @@ type Analyzer struct {
 // it at the end makes the ordering mirror the dependency.
 func All() []*Analyzer {
 	return []*Analyzer{
-		FootprintAnalyzer,
 		ReadOnlyAnalyzer,
 		NestedIsoAnalyzer,
 		BlockingAnalyzer,
-		RouteCycleAnalyzer,
 		LockOrderAnalyzer,
 		AtomicsAnalyzer,
-		ReconfigAnalyzer,
 		IgnoresAnalyzer,
 	}
 }
@@ -46,7 +43,7 @@ func CheckNames() []string {
 	return names
 }
 
-// ByName resolves a comma-separated check list ("footprint,blocking")
+// ByName resolves a comma-separated check list ("readonly,blocking")
 // against All. An empty or "all" selection returns every analyzer.
 func ByName(sel string) ([]*Analyzer, error) {
 	if sel == "" || sel == "all" {

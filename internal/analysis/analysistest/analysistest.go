@@ -5,7 +5,7 @@
 //
 // An expectation comment attaches to its own source line:
 //
-//	p.stack.External(spec, ev, nil) // want `reaches handler C\.sink`
+//	p.stack.External(spec, ev, nil) // want `synchronous Stack\.External`
 //
 // A want-below comment attaches to the line below it — for diagnostics
 // positioned on a comment-only line (the ignores audit reports at the

@@ -17,10 +17,6 @@ func testdata(parts ...string) string {
 	return filepath.Join(append([]string{"testdata", "src"}, parts...)...)
 }
 
-func TestFootprint(t *testing.T) {
-	analysistest.Run(t, testdata("footprint"), analysis.FootprintAnalyzer)
-}
-
 func TestReadOnly(t *testing.T) {
 	analysistest.Run(t, testdata("readonly"), analysis.ReadOnlyAnalyzer)
 }
@@ -33,20 +29,12 @@ func TestBlocking(t *testing.T) {
 	analysistest.Run(t, testdata("blocking"), analysis.BlockingAnalyzer)
 }
 
-func TestRouteCycle(t *testing.T) {
-	analysistest.Run(t, testdata("routecycle"), analysis.RouteCycleAnalyzer)
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, testdata("lockorder"), analysis.LockOrderAnalyzer)
 }
 
 func TestAtomics(t *testing.T) {
 	analysistest.Run(t, testdata("atomics"), analysis.AtomicsAnalyzer)
-}
-
-func TestReconfig(t *testing.T) {
-	analysistest.Run(t, testdata("reconfig"), analysis.ReconfigAnalyzer)
 }
 
 func TestIgnores(t *testing.T) {
@@ -60,24 +48,18 @@ func TestTransportPump(t *testing.T) {
 	analysistest.Run(t, testdata("transportpump"), analysis.BlockingAnalyzer)
 }
 
-// TestCCMirrorClean proves the seeded-regression fixture is clean under
-// every analyzer before the seeds are planted.
-func TestCCMirrorClean(t *testing.T) {
-	analysistest.Run(t, testdata("ccmirror"), analysis.All()...)
-}
-
 // TestByName covers the -checks selection surface.
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName("")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 9, nil", len(all), err)
+	if err != nil || len(all) != 6 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 6, nil", len(all), err)
 	}
 	if all[len(all)-1].Name != "ignores" {
 		t.Fatalf("ignores must run last (it audits the other checks' suppressions); got %q", all[len(all)-1].Name)
 	}
-	two, err := analysis.ByName("footprint, blocking")
-	if err != nil || len(two) != 2 || two[0].Name != "footprint" || two[1].Name != "blocking" {
-		t.Fatalf("ByName(\"footprint, blocking\") = %v, err %v", two, err)
+	two, err := analysis.ByName("readonly, blocking")
+	if err != nil || len(two) != 2 || two[0].Name != "readonly" || two[1].Name != "blocking" {
+		t.Fatalf("ByName(\"readonly, blocking\") = %v, err %v", two, err)
 	}
 	if _, err := analysis.ByName("nope"); err == nil {
 		t.Fatal("ByName(\"nope\") succeeded; want error")

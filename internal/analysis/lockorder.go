@@ -15,7 +15,7 @@ import (
 // acquired in opposite orders on different paths are a potential
 // deadlock. Lock identity is the declared storage location (a field or
 // variable's types.Object), deliberately conflating instances — the
-// same granularity the footprint extractor uses — and anything the
+// same granularity the model extractor uses — and anything the
 // walk cannot resolve is skipped, never guessed.
 //
 // The canonical ascending-order idiom in internal/cc,

@@ -10,6 +10,12 @@ import (
 	"repro/internal/analysis"
 )
 
+// Every analyzer earns its place by catching one defect planted in the
+// repository's own gc, cc or core code: each test below copies a real
+// package with one mutation applied and expects the analyzer to report
+// exactly that mutation. An analyzer whose plant no longer reports is
+// dead weight, and the clean original is TestRepoCleanAtHead's concern.
+
 // seedPackage copies the non-test Go files of the module-relative
 // package dir with one mutation applied and runs the given analyzer over
 // the copy, returning its findings. The copy lives under the module root
@@ -56,12 +62,6 @@ func seedPackage(t *testing.T, dir, orig, mutated string, a *analysis.Analyzer) 
 	return analysis.RunChecks(pkg, []*analysis.Analyzer{a})
 }
 
-// seedCCMirror is seedPackage over the ccmirror fixture.
-func seedCCMirror(t *testing.T, orig, mutated string, a *analysis.Analyzer) []analysis.Diagnostic {
-	t.Helper()
-	return seedPackage(t, filepath.Join("internal", "analysis", "testdata", "src", "ccmirror"), orig, mutated, a)
-}
-
 // expectOnly asserts every diagnostic matches want and at least one was
 // reported.
 func expectOnly(t *testing.T, diags []analysis.Diagnostic, want *regexp.Regexp) {
@@ -79,33 +79,71 @@ func expectOnly(t *testing.T, diags []analysis.Diagnostic, want *regexp.Regexp) 
 	}
 }
 
-// TestSeededLockOrderCaught swaps admit's canonical spawnMu→mu nesting:
-// the inversion against publish's order must be reported.
+var (
+	gcDir = filepath.Join("internal", "gc")
+	ccDir = filepath.Join("internal", "cc")
+)
+
+// TestSeededReadOnlyCaught declares RelCast's recv handler ReadOnly: its
+// body writes the relay state, which VCARW would then share between
+// concurrent readers.
+func TestSeededReadOnlyCaught(t *testing.T) {
+	diags := seedPackage(t, gcDir,
+		`rb.mp.AddHandler("recv", rb.recv)`,
+		`rb.mp.AddHandler("recv", rb.recv, core.ReadOnly())`,
+		analysis.ReadOnlyAnalyzer)
+	expectOnly(t, diags, regexp.MustCompile(`handler relcast\.recv is declared ReadOnly but .* captured state`))
+}
+
+// TestSeededNestedIsoCaught makes RelCast's recv handler start a
+// computation synchronously, which deadlocks once the specs overlap.
+func TestSeededNestedIsoCaught(t *testing.T) {
+	diags := seedPackage(t, gcDir,
+		"func (rb *RelCast) recv(ctx *core.Context, msg core.Message) error {\n",
+		"func (rb *RelCast) recv(ctx *core.Context, msg core.Message) error {\n\t_ = ctx.Stack().External(nil, rb.ev.Bcast, nil)\n",
+		analysis.NestedIsoAnalyzer)
+	expectOnly(t, diags, regexp.MustCompile(`synchronous Stack\.External inside handler relcast\.recv deadlocks`))
+}
+
+// TestSeededBlockingCaught makes RelComm's retransmission tick wait out
+// half an RTO inside its computation: a sleep the schedule explorer
+// cannot see.
+func TestSeededBlockingCaught(t *testing.T) {
+	diags := seedPackage(t, gcDir,
+		"func (rc *RelComm) retransmit(ctx *core.Context, _ core.Message) error {\n",
+		"func (rc *RelComm) retransmit(ctx *core.Context, _ core.Message) error {\n\ttime.Sleep(rc.rto / 2)\n",
+		analysis.BlockingAnalyzer)
+	expectOnly(t, diags, regexp.MustCompile(`time\.Sleep inside handler relcomm\.retransmit stalls real time`))
+}
+
+// TestSeededLockOrderCaught turns the release at the end of VCARoute.Exit
+// into a second acquisition: the next Exit or Request of the computation
+// waits forever on its own token.
 func TestSeededLockOrderCaught(t *testing.T) {
-	diags := seedCCMirror(t,
-		"\tst.spawnMu.Lock()\n\tst.mu.Lock()",
-		"\tst.mu.Lock()\n\tst.spawnMu.Lock()",
+	diags := seedPackage(t, ccDir,
+		"\ttok.counts[v]--\n\ttok.scanReleaseLocked()\n\ttok.mu.Unlock()",
+		"\ttok.counts[v]--\n\ttok.scanReleaseLocked()\n\ttok.mu.Lock()",
 		analysis.LockOrderAnalyzer)
-	expectOnly(t, diags, regexp.MustCompile(`acquires .* while holding .*opposite order — lock-order inversion`))
+	expectOnly(t, diags, regexp.MustCompile(`acquires tok\.mu twice on the same path — guaranteed self-deadlock`))
 }
 
-// TestSeededAtomicsCaught drops the //samoa:guard on applied: the plain
-// write under mu plus the atomic read elsewhere becomes the undeclared
-// mixed-access smell.
+// TestSeededAtomicsCaught drops the token lock from VCABound.Request:
+// the visit counts are declared //samoa:guard mu, and concurrent threads
+// of one computation race on them.
 func TestSeededAtomicsCaught(t *testing.T) {
-	diags := seedCCMirror(t,
-		"\t//samoa:guard mu — written plainly under mu; read via atomic.LoadUint64\n\tapplied uint64",
-		"\tapplied uint64",
+	diags := seedPackage(t, ccDir,
+		"\ttok.mu.Lock()\n\tdefer tok.mu.Unlock()\n\tif tok.requested[i] >= tok.fp.bounds[i] {",
+		"\tif tok.requested[i] >= tok.fp.bounds[i] {",
 		analysis.AtomicsAnalyzer)
-	expectOnly(t, diags, regexp.MustCompile(`st\.applied is accessed atomically elsewhere but plainly here`))
+	expectOnly(t, diags, regexp.MustCompile(`plain access to tok\.requested outside its //samoa:guard mu contract`))
 }
 
-// TestSeededIgnoresCaught plants a suppression over code that reports
-// nothing: the staleness audit must reject it.
+// TestSeededIgnoresCaught widens WaitDie's backoff suppression to a check
+// that reports nothing there: the staleness audit must reject it.
 func TestSeededIgnoresCaught(t *testing.T) {
-	diags := seedCCMirror(t,
-		"// stats reads the published values lock-free.",
-		"//samoa:ignore lockorder — seeded: nothing here for lockorder to report",
+	diags := seedPackage(t, ccDir,
+		"time.Sleep(backoff) //samoa:ignore blocking — ",
+		"time.Sleep(backoff) //samoa:ignore blocking,lockorder — ",
 		analysis.IgnoresAnalyzer)
 	expectOnly(t, diags, regexp.MustCompile(`stale //samoa:ignore: lockorder no longer reports anything`))
 }

@@ -1,8 +1,6 @@
 package analysis_test
 
 import (
-	"path/filepath"
-	"regexp"
 	"testing"
 
 	"repro/internal/analysis"
@@ -33,24 +31,4 @@ func TestRepoCleanAtHead(t *testing.T) {
 			t.Errorf("%s", d)
 		}
 	}
-}
-
-// TestSeededRegressionCaught deletes one microprotocol from the
-// quickstart example's spec and checks the footprint analyzer reports
-// the now-unreachable handler — the acceptance probe from the issue.
-func TestSeededRegressionCaught(t *testing.T) {
-	diags := seedPackage(t, filepath.Join("examples", "quickstart"),
-		"core.Access(f.mpP, f.mpR, f.mpS)", "core.Access(f.mpP, f.mpR)", analysis.FootprintAnalyzer)
-	expectOnly(t, diags, regexp.MustCompile(`reaches handler S\.S but microprotocol S is not in its declared spec \[P R\]`))
-}
-
-// TestSeededEmitsRegressionCaught drops one event from a gc handler's
-// Emits and checks the footprint analyzer reports the trigger the
-// declaration no longer covers: the local check that keeps derived specs
-// honest.
-func TestSeededEmitsRegressionCaught(t *testing.T) {
-	diags := seedPackage(t, filepath.Join("internal", "gc"),
-		`rc.mp.AddHandler("recv", rc.recv).Emits(ev.NetSend, ev.FromRComm)`,
-		`rc.mp.AddHandler("recv", rc.recv).Emits(ev.NetSend)`, analysis.FootprintAnalyzer)
-	expectOnly(t, diags, regexp.MustCompile(`handler relcomm\.recv triggers FromRComm, which its Emits does not declare`))
 }

@@ -25,6 +25,18 @@ type Variant struct {
 	Kind string // "basic" | "bound" | "route"
 }
 
+// SpecKind maps the variant's kind string to its spec kind.
+func (v Variant) SpecKind() core.SpecKind {
+	switch v.Kind {
+	case "bound":
+		return core.SpecBound
+	case "route":
+		return core.SpecRoute
+	default:
+		return core.SpecBasic
+	}
+}
+
 // Variants returns every controller variant in presentation order:
 // baselines first, then the paper's algorithms, then the §7 extensions.
 func Variants() []Variant {

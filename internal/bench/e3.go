@@ -62,24 +62,7 @@ func NewScaleWorkload(v Variant, workers int, shared bool, work time.Duration) *
 		w.chains = append(w.chains, mps)
 		w.events = append(w.events, evs)
 
-		var spec *core.Spec
-		switch v.Kind {
-		case "bound":
-			bounds := map[*core.Microprotocol]int{}
-			for _, mp := range mps {
-				bounds[mp] = 1
-			}
-			spec = core.AccessBound(bounds)
-		case "route":
-			g := core.NewRouteGraph().Root(hs[0])
-			for i := 0; i+1 < len(hs); i++ {
-				g.Edge(hs[i], hs[i+1])
-			}
-			spec = core.Route(g)
-		default:
-			spec = core.Access(mps...)
-		}
-		w.specs = append(w.specs, spec)
+		w.specs = append(w.specs, core.PathSpec(v.SpecKind(), hs...))
 	}
 	return w
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/gc"
 	"repro/internal/simnet"
 	"repro/internal/transport/faultnet"
@@ -21,18 +20,6 @@ type Cluster struct {
 	Net    *faultnet.Net
 	Sites  []*gc.Site
 	nDeliv atomic.Int64
-}
-
-// kindOf maps a variant kind string to its spec kind.
-func kindOf(kind string) core.SpecKind {
-	switch kind {
-	case "bound":
-		return core.SpecBound
-	case "route":
-		return core.SpecRoute
-	default:
-		return core.SpecBasic
-	}
 }
 
 // NewCluster starts n sites under the variant's controller.
@@ -51,7 +38,7 @@ func NewCluster(v Variant, n int, seed int64) *Cluster {
 	for i := 0; i < n; i++ {
 		s := gc.NewSite(gc.Config{
 			Net: c.Net, ID: simnet.NodeID(i), InitialView: view,
-			Controller: v.New(), SpecKind: kindOf(v.Kind),
+			Controller: v.New(), SpecKind: v.SpecKind(),
 			FDInterval: -1, // benign run: no failure detector noise
 			// Generous RTO: the run is loss-free, so any retransmission
 			// is pure queueing noise that would inflate the datagram

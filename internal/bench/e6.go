@@ -36,7 +36,7 @@ func RunE6Race(v Variant) E6Result {
 
 	b := gc.NewSite(gc.Config{
 		Net: net, ID: 1, InitialView: gc.NewView(0, 1), FDInterval: -1,
-		Controller: v.New(), SpecKind: kindOf(v.Kind),
+		Controller: v.New(), SpecKind: v.SpecKind(),
 		Passive: true, // only the two orchestrated computations run on B
 		AfterRelCastView: func() {
 			select {

@@ -59,7 +59,7 @@ func NewTransport(v Variant, shape TransportShape, seed int64) (*Transport, erro
 			Net: tr.net, ID: id, Peer: peer,
 			Reliable: shape.Reliable, Ordered: shape.Ordered, Checksummed: shape.Checksummed,
 			RTO:        10 * time.Millisecond,
-			Controller: v.New(), SpecKind: kindOf(v.Kind),
+			Controller: v.New(), SpecKind: v.SpecKind(),
 			Deliver: deliver,
 		})
 	}

@@ -232,26 +232,7 @@ func (f *fixture) spec(kind Kind, seq []int) *core.Spec {
 	for j, i := range seq {
 		hs[j] = f.stack.Bound(f.events[i])[0]
 	}
-	switch kind {
-	case KindBound:
-		bounds := map[*core.Microprotocol]int{}
-		for _, h := range hs {
-			bounds[h.MP()]++
-		}
-		return core.AccessBound(bounds)
-	case KindRoute:
-		g := core.NewRouteGraph().Root(hs[0])
-		for j := 0; j+1 < len(hs); j++ {
-			g.Edge(hs[j], hs[j+1])
-		}
-		return core.Route(g)
-	default:
-		var mps []*core.Microprotocol
-		for _, h := range hs {
-			mps = append(mps, h.MP())
-		}
-		return core.Access(mps...)
-	}
+	return core.PathSpec(kind, hs...)
 }
 
 func (f *fixture) count(i int) int {

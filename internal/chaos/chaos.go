@@ -334,26 +334,7 @@ func (f *fixture) spec(seq []int) *core.Spec {
 	for j, i := range seq {
 		hs[j] = f.stack.Bound(f.events[i])[0]
 	}
-	switch f.kind {
-	case core.SpecBound:
-		bounds := map[*core.Microprotocol]int{}
-		for _, h := range hs {
-			bounds[h.MP()]++
-		}
-		return core.AccessBound(bounds)
-	case core.SpecRoute:
-		g := core.NewRouteGraph().Root(hs[0])
-		for j := 0; j+1 < len(hs); j++ {
-			g.Edge(hs[j], hs[j+1])
-		}
-		return core.Route(g)
-	default:
-		var mps []*core.Microprotocol
-		for _, h := range hs {
-			mps = append(mps, h.MP())
-		}
-		return core.Access(mps...)
-	}
+	return core.PathSpec(f.kind, hs...)
 }
 
 // run spawns one plan. A swap that commits between the spec's build and

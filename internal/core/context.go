@@ -35,7 +35,12 @@ func (c *Context) Ctx() context.Context { return c.comp.ctx }
 // paper's "trigger" construct. It returns an UnboundError or
 // AmbiguousError if not exactly one handler is bound, a controller error
 // if the call violates the computation's spec, or the handler's own error.
+// Every trigger form returns an EmitsError when the running handler
+// declared Emits without et.
 func (c *Context) Trigger(et *EventType, msg Message) error {
+	if err := c.emitted(et); err != nil {
+		return err
+	}
 	h, err := c.single(et)
 	if err != nil {
 		c.comp.record(err)
@@ -48,6 +53,9 @@ func (c *Context) Trigger(et *EventType, msg Message) error {
 // order — the paper's "triggerAll". All bound handlers run even if an
 // earlier one fails; the joined errors are returned.
 func (c *Context) TriggerAll(et *EventType, msg Message) error {
+	if err := c.emitted(et); err != nil {
+		return err
+	}
 	hs := c.comp.handlers(et)
 	var errs []error
 	for _, h := range hs {
@@ -63,6 +71,9 @@ func (c *Context) TriggerAll(et *EventType, msg Message) error {
 // calling thread; errors from the handler itself are recorded on the
 // computation and surface from Isolated.
 func (c *Context) AsyncTrigger(et *EventType, msg Message) error {
+	if err := c.emitted(et); err != nil {
+		return err
+	}
 	h, err := c.single(et)
 	if err != nil {
 		c.comp.record(err)
@@ -75,6 +86,9 @@ func (c *Context) AsyncTrigger(et *EventType, msg Message) error {
 // to et — the paper's "asyncTriggerAll". Each handler runs in its own
 // computation thread.
 func (c *Context) AsyncTriggerAll(et *EventType, msg Message) error {
+	if err := c.emitted(et); err != nil {
+		return err
+	}
 	hs := c.comp.handlers(et)
 	var errs []error
 	for _, h := range hs {
@@ -106,6 +120,32 @@ func (c *Context) Fork(fn func(ctx *Context) error) {
 		defer c.inv.forks.Done()
 		c.comp.record(c.comp.stack.callFork(c.comp, c.inv, fn))
 	}()
+}
+
+// emitted refuses et when the running handler declared Emits without it:
+// Derive follows only the declared events, so an undeclared trigger would
+// run outside what a derived spec admitted. Like a handler outside M, it
+// is an error in the triggering thread (paper §4). The root expression and
+// handlers that never called Emits are exempt; a forked thread runs as the
+// handler that forked it. The exemption test stays inlinable, so a stack
+// without Emits pays one branch per trigger.
+func (c *Context) emitted(et *EventType) error {
+	if h := c.inv.handler; h != nil && h.declared {
+		return c.emits(h, et)
+	}
+	return nil
+}
+
+// emits scans h's declared events for et.
+func (c *Context) emits(h *Handler, et *EventType) error {
+	for _, e := range h.emits {
+		if e == et {
+			return nil
+		}
+	}
+	err := &EmitsError{Handler: h.String(), Event: et.Name()}
+	c.comp.record(err)
+	return err
 }
 
 func (c *Context) single(et *EventType) (*Handler, error) {

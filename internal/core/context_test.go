@@ -333,3 +333,93 @@ func TestConcurrentComputationsUnderNone(t *testing.T) {
 		t.Fatalf("n = %d", n.Load())
 	}
 }
+
+// emitsFixture binds a counting sink to out and a caller to in whose body
+// issues out through form. declare picks the caller's Emits: "none" never
+// calls it, "out" declares out, "other" declares only an unrelated event.
+func emitsFixture(t *testing.T, declare string, form func(*core.Context, *core.EventType) error) (s *core.Stack, in *core.EventType, sunk *atomic.Int32) {
+	t.Helper()
+	s = newNoneStack(t)
+	p := core.NewMicroprotocol("p")
+	in, out := core.NewEventType("in"), core.NewEventType("out")
+	sunk = new(atomic.Int32)
+	sink := p.AddHandler("sink", func(*core.Context, core.Message) error {
+		sunk.Add(1)
+		return nil
+	})
+	caller := p.AddHandler("caller", func(ctx *core.Context, _ core.Message) error {
+		return form(ctx, out)
+	})
+	switch declare {
+	case "out":
+		caller.Emits(out)
+	case "other":
+		caller.Emits(core.NewEventType("other"))
+	}
+	s.Register(p)
+	s.Bind(in, caller)
+	s.Bind(out, sink)
+	return s, in, sunk
+}
+
+// triggerForms issues an event through each trigger construct, and from
+// a forked thread.
+var triggerForms = map[string]func(*core.Context, *core.EventType) error{
+	"Trigger":         func(ctx *core.Context, et *core.EventType) error { return ctx.Trigger(et, nil) },
+	"TriggerAll":      func(ctx *core.Context, et *core.EventType) error { return ctx.TriggerAll(et, nil) },
+	"AsyncTrigger":    func(ctx *core.Context, et *core.EventType) error { return ctx.AsyncTrigger(et, nil) },
+	"AsyncTriggerAll": func(ctx *core.Context, et *core.EventType) error { return ctx.AsyncTriggerAll(et, nil) },
+	"Fork": func(ctx *core.Context, et *core.EventType) error {
+		ctx.Fork(func(fctx *core.Context) error { return fctx.Trigger(et, nil) })
+		return nil
+	},
+}
+
+// TestTriggerRefusesUndeclaredEvent: a handler whose Emits omits an event
+// is refused on every trigger form, and from a thread it forked, before
+// the bound handler runs.
+func TestTriggerRefusesUndeclaredEvent(t *testing.T) {
+	for name, form := range triggerForms {
+		t.Run(name, func(t *testing.T) {
+			s, in, sunk := emitsFixture(t, "other", form)
+			err := s.External(core.Access(s.MP("p")), in, nil)
+			var ee *core.EmitsError
+			if !errors.As(err, &ee) || ee.Handler != "p.caller" || ee.Event != "out" {
+				t.Fatalf("err = %v, want EmitsError for p.caller triggering out", err)
+			}
+			if n := sunk.Load(); n != 0 {
+				t.Fatalf("refused trigger ran the sink %d times", n)
+			}
+		})
+	}
+}
+
+// TestTriggerEmitsExempt: a declared event passes on every form, and so
+// does any event from a handler that never called Emits or from the root
+// expression.
+func TestTriggerEmitsExempt(t *testing.T) {
+	for name, form := range triggerForms {
+		for _, declare := range []string{"out", "none"} {
+			t.Run(name+"/"+declare, func(t *testing.T) {
+				s, in, sunk := emitsFixture(t, declare, form)
+				if err := s.External(core.Access(s.MP("p")), in, nil); err != nil {
+					t.Fatal(err)
+				}
+				if n := sunk.Load(); n != 1 {
+					t.Fatalf("sink ran %d times, want 1", n)
+				}
+			})
+		}
+		t.Run(name+"/root", func(t *testing.T) {
+			s, _, sunk := emitsFixture(t, "other", form)
+			out := core.NewEventType("root-out")
+			s.Bind(out, s.MP("p").Handler("sink"))
+			if err := s.Isolated(core.Access(s.MP("p")), func(ctx *core.Context) error { return form(ctx, out) }); err != nil {
+				t.Fatal(err)
+			}
+			if n := sunk.Load(); n != 1 {
+				t.Fatalf("sink ran %d times, want 1", n)
+			}
+		})
+	}
+}

@@ -121,6 +121,18 @@ func (e *DeriveError) Error() string {
 	return fmt.Sprintf("samoa: derived spec reaches handler %s, which declares no Emits (call Emits() on a handler that triggers nothing)", e.Handler)
 }
 
+// EmitsError reports a handler triggering an event its Emits does not
+// declare. Derive builds specs from the declared events only, so the
+// trigger is refused in the triggering thread before any handler runs.
+type EmitsError struct {
+	Handler string // "microprotocol.handler"
+	Event   string // the undeclared event type
+}
+
+func (e *EmitsError) Error() string {
+	return fmt.Sprintf("samoa: handler %s triggers %q, which its Emits does not declare", e.Handler, e.Event)
+}
+
 // UnboundError reports a trigger of an event type with no bound handler.
 type UnboundError struct {
 	Event string // event type name

@@ -20,6 +20,7 @@ func TestErrorStrings(t *testing.T) {
 		{&core.BoundExhaustedError{MP: "relcomm", Bound: 4}, []string{"bound 4", "relcomm", "exhausted"}},
 		{&core.NoRouteError{From: "P.hp", To: "Q.hq"}, []string{"P.hp", "Q.hq", "no route"}},
 		{&core.NoRouteError{To: "Q.hq"}, []string{"<root>", "Q.hq"}},
+		{&core.EmitsError{Handler: "relcast.recv", Event: "SendOut"}, []string{"relcast.recv", `"SendOut"`, "Emits does not declare"}},
 		{&core.ReadOnlyViolationError{MP: "data", Handler: "poke"}, []string{"read-only", "data.poke"}},
 		{&core.SpecError{Controller: "vca-bound", Reason: "no bounds"}, []string{"vca-bound", "no bounds"}},
 		{core.ErrActiveComputations, []string{"rebind", "active"}},

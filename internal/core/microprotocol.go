@@ -115,9 +115,11 @@ func (p *Microprotocol) AddHandler(name string, fn HandlerFunc, opts ...HandlerO
 	return h
 }
 
-// Emits declares event types the handler's body may trigger: Derive
-// follows an edge from the handler to every handler bound to one of them.
-// A handler that triggers nothing declares Emits() with no events; Derive
+// Emits declares event types the handler's body may trigger. Derive
+// follows it, and Trigger refuses what it omits: Derive adds an edge from
+// the handler to every handler bound to a declared event, and each
+// trigger form returns an EmitsError for an event outside the list. A
+// handler that triggers nothing declares Emits() with no events; Derive
 // refuses to resolve through a handler that never called Emits, since it
 // cannot tell a leaf from a missing declaration. Emits returns the
 // handler for chaining and panics once the microprotocol's stack has

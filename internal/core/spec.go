@@ -59,6 +59,38 @@ func Route(g *RouteGraph) *Spec {
 	return &Spec{mps: dedupMPs(mps), graph: g}
 }
 
+// PathSpec writes out by hand the spec of a computation that calls the
+// handlers of path in order: M is their microprotocols (SpecBasic), each
+// bounded by its visits on the path (SpecBound), or the chain path[0] →
+// path[1] → … rooted at path[0] (SpecRoute). Fixtures that choose a path
+// per computation use it; protocol code derives its specs (Derive).
+func PathSpec(kind SpecKind, path ...*Handler) *Spec {
+	switch kind {
+	case SpecBound:
+		bounds := make(map[*Microprotocol]int, len(path))
+		for _, h := range path {
+			bounds[h.mp]++
+		}
+		return AccessBound(bounds)
+	case SpecRoute:
+		g := NewRouteGraph()
+		for i, h := range path {
+			if i == 0 {
+				g.Root(h)
+			} else {
+				g.Edge(path[i-1], h)
+			}
+		}
+		return Route(g)
+	default:
+		mps := make([]*Microprotocol, len(path))
+		for i, h := range path {
+			mps[i] = h.mp
+		}
+		return Access(mps...)
+	}
+}
+
 // MPs returns the declared collection M, deduplicated and sorted by
 // microprotocol ID. The returned slice must not be modified.
 func (s *Spec) MPs() []*Microprotocol { return s.mps }

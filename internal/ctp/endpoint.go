@@ -275,14 +275,32 @@ func (e *Endpoint) Errs() []error {
 	return append([]error(nil), e.errs...)
 }
 
-// Failed returns the connection failures recorded so far: frames that
-// exhausted Config.MaxRetries without an ack (nil for unreliable or
-// uncapped compositions).
+// Failed returns the connection failures recorded in Errs so far:
+// frames that exhausted Config.MaxRetries without an ack (nil for
+// unreliable or uncapped compositions). It reads the same log as Errs, so
+// a failure Failed reports is already in Errs.
 func (e *Endpoint) Failed() []*ConnFailedError {
-	if e.arq == nil {
-		return nil
+	var out []*ConnFailedError
+	for _, err := range e.Errs() {
+		out = connFailures(out, err)
 	}
-	return e.arq.Failures()
+	return out
+}
+
+// connFailures appends every *ConnFailedError in err's tree to out: one
+// retransmission tick reports each frame it abandons, joined.
+func connFailures(out []*ConnFailedError, err error) []*ConnFailedError {
+	switch x := err.(type) {
+	case *ConnFailedError:
+		out = append(out, x)
+	case interface{ Unwrap() []error }:
+		for _, e := range x.Unwrap() {
+			out = connFailures(out, e)
+		}
+	case interface{ Unwrap() error }:
+		out = connFailures(out, x.Unwrap())
+	}
+	return out
 }
 
 // Retransmits reports ARQ retransmissions (0 for unreliable

@@ -1,10 +1,10 @@
 package ctp
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -214,9 +214,6 @@ type ARQ struct {
 
 	retransmits atomic.Uint64
 
-	failMu   sync.Mutex
-	failures []*ConnFailedError
-
 	hSend, hRecv, hRetransmit *core.Handler
 }
 
@@ -310,7 +307,7 @@ func (a *ARQ) recv(ctx *core.Context, msg core.Message) error {
 
 func (a *ARQ) retransmit(ctx *core.Context, _ core.Message) error {
 	now := time.Now()
-	var failed error
+	var failed []error
 	for seq, p := range a.pending {
 		if now.Sub(p.sentAt) < p.rto {
 			continue
@@ -319,13 +316,7 @@ func (a *ARQ) retransmit(ctx *core.Context, _ core.Message) error {
 			// Budget exhausted: abandon the frame and surface the failure,
 			// but keep scanning — other frames may still be repairable.
 			delete(a.pending, seq)
-			cf := &ConnFailedError{Seq: seq, Retries: p.tries}
-			a.failMu.Lock() //samoa:ignore blocking — uncontended guard for the Failures() accessor, which application code reads from outside any computation
-			a.failures = append(a.failures, cf)
-			a.failMu.Unlock()
-			if failed == nil {
-				failed = cf
-			}
+			failed = append(failed, &ConnFailedError{Seq: seq, Retries: p.tries})
 			continue
 		}
 		p.tries++
@@ -340,22 +331,14 @@ func (a *ARQ) retransmit(ctx *core.Context, _ core.Message) error {
 		p.rto = next + time.Duration((a.rng.Float64()-0.5)*0.5*float64(next))
 		a.retransmits.Add(1)
 		if err := ctx.Trigger(a.down, p.frame); err != nil {
-			return err
+			return errors.Join(append(failed, err)...)
 		}
 	}
-	return failed
+	return errors.Join(failed...)
 }
 
 // Retransmits reports the total retransmissions so far.
 func (a *ARQ) Retransmits() uint64 { return a.retransmits.Load() }
-
-// Failures returns the connection failures recorded so far (frames
-// abandoned after exhausting their retry budget).
-func (a *ARQ) Failures() []*ConnFailedError {
-	a.failMu.Lock()
-	defer a.failMu.Unlock()
-	return append([]*ConnFailedError(nil), a.failures...)
-}
 
 // Checksum guards the whole frame below it with FNV-32a; corrupted
 // datagrams are silently dropped (ARQ repairs the loss, if present).

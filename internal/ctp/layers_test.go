@@ -250,15 +250,12 @@ func TestARQMaxRetriesSurfacesConnFailure(t *testing.T) {
 	if cf.Seq != 1 || cf.Retries != 2 {
 		t.Fatalf("failure = %+v", cf)
 	}
-	fails := arq.Failures()
-	if len(fails) != 1 || fails[0].Seq != 1 {
-		t.Fatalf("Failures() = %+v", fails)
-	}
-	// The frame is abandoned: further ticks neither retransmit nor re-fail.
+	// The frame is abandoned: further ticks neither retransmit nor re-fail
+	// (h.external fails the test on a tick error).
 	before := arq.Retransmits()
 	time.Sleep(15 * time.Millisecond)
 	h.external(t, evTick, nil)
-	if arq.Retransmits() != before || len(arq.Failures()) != 1 {
+	if arq.Retransmits() != before {
 		t.Fatal("abandoned frame still active")
 	}
 	if len(h.down) != 3 { // original + 2 retransmissions

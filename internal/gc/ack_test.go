@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -84,7 +83,7 @@ func TestOneWayStreamNeverStalls(t *testing.T) {
 		},
 	}
 	var rdelivered atomic.Int64
-	tracer := &specTracer{spawns: make(map[*core.Spec]int)}
+	tracer := &countTracer{}
 	sites, _ := startSites(t, net, 2, func(id transport.NodeID, cfg *Config) {
 		cfg.SendWindow = window
 		if id == 1 {
@@ -109,7 +108,7 @@ func TestOneWayStreamNeverStalls(t *testing.T) {
 	if n := other.Load(); n != 0 {
 		t.Errorf("site 1 sent %d datagrams that were not ack-only", n)
 	}
-	ticks := int64(tracer.count(sites[1].specs[entRetrans]))
+	ticks := int64(tracer.ran(sites[1].relcomm.hRetransmit))
 	dups := int64(sites[0].Retransmitted())
 	if n := frames.Load(); n != casts+dups {
 		t.Errorf("site 0 sent %d data frames for %d casts and %d retransmissions", n, casts, dups)

@@ -52,34 +52,43 @@ func (e tapEndpoint) Recv() (transport.Datagram, bool) {
 	return d, ok
 }
 
-// specTracer counts the computations spawned under each spec.
-type specTracer struct {
+// countTracer counts the computations spawned and each handler's
+// executions. It counts by handler, not by spec: a tracer sees the spec a
+// Derive request resolved to, never the request a site holds.
+type countTracer struct {
 	nopTracer
 	mu     sync.Mutex
-	spawns map[*core.Spec]int
+	spawns int
+	runs   map[*core.Handler]int
 }
 
-func (tr *specTracer) Spawned(_ uint64, spec *core.Spec) {
+func (tr *countTracer) Spawned(uint64, *core.Spec) {
 	tr.mu.Lock()
-	tr.spawns[spec]++
+	tr.spawns++
 	tr.mu.Unlock()
 }
 
-// total is the number of computations spawned under any spec.
-func (tr *specTracer) total() int {
+func (tr *countTracer) HandlerStart(_, _ uint64, _ *core.EventType, h *core.Handler) {
 	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	n := 0
-	for _, c := range tr.spawns {
-		n += c
+	if tr.runs == nil {
+		tr.runs = make(map[*core.Handler]int)
 	}
-	return n
+	tr.runs[h]++
+	tr.mu.Unlock()
 }
 
-func (tr *specTracer) count(spec *core.Spec) int {
+// total is the number of computations spawned.
+func (tr *countTracer) total() int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.spawns[spec]
+	return tr.spawns
+}
+
+// ran is the number of executions of h.
+func (tr *countTracer) ran(h *core.Handler) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.runs[h]
 }
 
 // startSites starts one site per id, all in one view, with the failure
@@ -161,9 +170,9 @@ func TestDatagramsPerABcast(t *testing.T) {
 			}
 		},
 	}
-	tracers := make([]*specTracer, 3)
+	tracers := make([]*countTracer, 3)
 	sites, delivered := startSites(t, net, 3, func(id transport.NodeID, cfg *Config) {
-		tracers[id] = &specTracer{spawns: make(map[*core.Spec]int)}
+		tracers[id] = &countTracer{}
 		cfg.Tracer = tracers[id]
 		cfg.RTO = time.Hour // a retransmission would be a datagram the protocol did not need
 	})
