@@ -207,7 +207,7 @@ func TestDeriveIsolatedAllocBudget(t *testing.T) {
 		})
 	}
 	access := allocs(core.Access(mp, next))
-	if derived := allocs(core.Derive(core.SpecBasic, 0, e0)); derived > access {
+	if derived := allocs(core.Derive(1, e0)); derived > access {
 		t.Errorf("Derive computation: %.2f allocs/op, Access: %.2f; a warm epoch must resolve for free", derived, access)
 	}
 }

@@ -244,20 +244,7 @@ func BenchmarkSpawnComplete(b *testing.B) {
 				mps[i].SetSnapshotter(benchSnap{})
 				hs[i] = mps[i].AddHandler("h", func(*core.Context, core.Message) error { return nil })
 			}
-			var spec *core.Spec
-			switch v.Kind {
-			case "bound":
-				bounds := make(map[*core.Microprotocol]int, len(mps))
-				for _, mp := range mps {
-					bounds[mp] = 4
-				}
-				spec = core.AccessBound(bounds)
-			case "route":
-				g := core.NewRouteGraph().Root(hs...)
-				spec = core.Route(g)
-			default:
-				spec = core.Access(mps...)
-			}
+			spec := core.PathSpec(hs...)
 			ctrl := v.New()
 			b.ReportAllocs()
 			b.ResetTimer()

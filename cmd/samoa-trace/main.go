@@ -94,7 +94,7 @@ func runRandom(v bench.Variant, comps, mps, scriptLen int, seed int64) {
 		for j, i := range script {
 			path[j] = handlers[i]
 		}
-		spec := core.PathSpec(v.SpecKind(), path...)
+		spec := core.PathSpec(path...)
 		fmt.Printf("  k%d: visits %v\n", k+1, script)
 		wg.Add(1)
 		go func(script []int, spec *core.Spec) {

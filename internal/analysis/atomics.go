@@ -381,7 +381,8 @@ func collectInFunc(m *Model, info *types.Info, fn *FuncNode, tracked func(*types
 
 // holdsGuard reports whether the access happens with its guard held:
 // the innermost function follows the *Locked convention, or its body
-// (outside nested literals) takes the same guard on a compatible base.
+// (outside nested literals) takes the same guard on a compatible base
+// before the access — a Lock later in the body does not cover it.
 // Receiver matching is lenient — an unresolvable base on either side is
 // accepted, so only provable violations are reported.
 func holdsGuard(m *Model, a *fieldAccess, guard *types.Var) bool {
@@ -420,7 +421,7 @@ func holdsGuard(m *Model, a *fieldAccess, guard *types.Var) bool {
 			if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
 				lockBase = m.objOf(inner.X)
 			}
-			if lockBase == nil || a.base == nil || lockBase == a.base {
+			if n.Pos() < a.sel.Pos() && (lockBase == nil || a.base == nil || lockBase == a.base) {
 				held = true
 			}
 		}

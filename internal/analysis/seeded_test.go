@@ -129,13 +129,21 @@ func TestSeededLockOrderCaught(t *testing.T) {
 
 // TestSeededAtomicsCaught drops the token lock from VCABound.Request:
 // the visit counts are declared //samoa:guard mu, and concurrent threads
-// of one computation race on them.
+// of one computation race on them. A second plant stores the local
+// version at the top of mpState.waitAtLeast, before the function takes
+// st.mu: a Lock later in the body must not cover it.
 func TestSeededAtomicsCaught(t *testing.T) {
 	diags := seedPackage(t, ccDir,
 		"\ttok.mu.Lock()\n\tdefer tok.mu.Unlock()\n\tif tok.requested[i] >= tok.fp.bounds[i] {",
 		"\tif tok.requested[i] >= tok.fp.bounds[i] {",
 		analysis.AtomicsAnalyzer)
 	expectOnly(t, diags, regexp.MustCompile(`plain access to tok\.requested outside its //samoa:guard mu contract`))
+
+	diags = seedPackage(t, ccDir,
+		"min uint64) error {\n\tif st.lv.Load() >= min {",
+		"min uint64) error {\n\tst.lv.Store(min)\n\tif st.lv.Load() >= min {",
+		analysis.AtomicsAnalyzer)
+	expectOnly(t, diags, regexp.MustCompile(`atomic mutation of st\.lv outside its //samoa:guard mu contract`))
 }
 
 // TestSeededIgnoresCaught widens WaitDie's backoff suppression to a check

@@ -17,38 +17,26 @@ import (
 	"repro/internal/core"
 )
 
-// Variant is a named controller configuration: the algorithm plus the
-// isolated-construct flavour its specs must use.
+// Variant is a named controller configuration. Every variant runs the
+// same specs: each carries M, visit bounds and the route, and the
+// controller reads the part it implements.
 type Variant struct {
 	Name string
 	New  func() core.Controller
-	Kind string // "basic" | "bound" | "route"
-}
-
-// SpecKind maps the variant's kind string to its spec kind.
-func (v Variant) SpecKind() core.SpecKind {
-	switch v.Kind {
-	case "bound":
-		return core.SpecBound
-	case "route":
-		return core.SpecRoute
-	default:
-		return core.SpecBasic
-	}
 }
 
 // Variants returns every controller variant in presentation order:
 // baselines first, then the paper's algorithms, then the §7 extensions.
 func Variants() []Variant {
 	return []Variant{
-		{"none", func() core.Controller { return cc.NewNone() }, "basic"},
-		{"serial", func() core.Controller { return cc.NewSerial() }, "basic"},
-		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, "basic"},
-		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, "bound"},
-		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, "route"},
-		{"vca-rw", func() core.Controller { return cc.NewVCARW() }, "basic"},
-		{"tso", func() core.Controller { return cc.NewTSO() }, "basic"},
-		{"wait-die", func() core.Controller { return cc.NewWaitDie() }, "basic"},
+		{"none", func() core.Controller { return cc.NewNone() }},
+		{"serial", func() core.Controller { return cc.NewSerial() }},
+		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
+		{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
+		{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
+		{"vca-rw", func() core.Controller { return cc.NewVCARW() }},
+		{"tso", func() core.Controller { return cc.NewTSO() }},
+		{"wait-die", func() core.Controller { return cc.NewWaitDie() }},
 	}
 }
 

@@ -206,19 +206,3 @@ func TestVariantRegistry(t *testing.T) {
 		t.Fatal("phantom variant")
 	}
 }
-
-// TestE13Shapes: every swap-safe controller completes the swap battery,
-// and settle (superseded epoch drained) can never undercut install
-// (Reconfigure returned) — both clocks start at the same instant.
-func TestE13Shapes(t *testing.T) {
-	tab := bench.E13SwapLatency(4, 5, 50*time.Microsecond)
-	if want := len(bench.SwapSafe()); len(tab.Rows) != want {
-		t.Fatalf("rows = %d, want %d (one per swap-safe controller)", len(tab.Rows), want)
-	}
-	for _, row := range tab.Rows {
-		install, settle := atoiCell(t, row[1]), atoiCell(t, row[3])
-		if settle < install {
-			t.Errorf("%s: settle p50 %dµs < install p50 %dµs", row[0], settle, install)
-		}
-	}
-}

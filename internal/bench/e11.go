@@ -57,31 +57,20 @@ func NewContentionWorkload(v Variant, shape string, workers int) *ContentionWork
 	w := &ContentionWorkload{Ctrl: v.New(), shape: shape}
 	w.stack = core.NewStack(w.Ctrl)
 
-	specFor := func(kind string, mps ...*core.Microprotocol) *core.Spec {
-		if kind == "bound" {
-			bounds := map[*core.Microprotocol]int{}
-			for _, mp := range mps {
-				bounds[mp] = 1
-			}
-			return core.AccessBound(bounds)
-		}
-		return core.Access(mps...)
-	}
-
-	newLane := func(name string) (*core.Microprotocol, *core.Handler, *core.EventType) {
+	newLane := func(name string) (*core.Handler, *core.EventType) {
 		mp := core.NewMicroprotocol(name)
 		h := mp.AddHandler("h", func(*core.Context, core.Message) error { return nil })
 		w.stack.Register(mp)
 		et := core.NewEventType("e-" + name)
 		w.stack.Bind(et, h)
-		return mp, h, et
+		return h, et
 	}
 
 	switch shape {
 	case "zipf":
 		for i := 0; i < zipfLanes; i++ {
-			mp, _, et := newLane(fmt.Sprintf("z%d", i))
-			w.specs = append(w.specs, specFor(v.Kind, mp))
+			h, et := newLane(fmt.Sprintf("z%d", i))
+			w.specs = append(w.specs, core.PathSpec(h))
 			w.evs = append(w.evs, et)
 		}
 		w.seqs = make([][]int, workers)
@@ -107,13 +96,13 @@ func NewContentionWorkload(v Variant, shape string, workers int) *ContentionWork
 			w.stack.Register(mp)
 			et := core.NewEventType(fmt.Sprintf("e-own%d", i))
 			w.stack.Bind(et, h)
-			w.specs = append(w.specs, specFor(v.Kind, mp, hot))
+			w.specs = append(w.specs, core.PathSpec(h, hotH))
 			w.evs = append(w.evs, et)
 		}
 	default: // disjoint
 		for i := 0; i < workers; i++ {
-			mp, _, et := newLane(fmt.Sprintf("d%d", i))
-			w.specs = append(w.specs, specFor(v.Kind, mp))
+			h, et := newLane(fmt.Sprintf("d%d", i))
+			w.specs = append(w.specs, core.PathSpec(h))
 			w.evs = append(w.evs, et)
 		}
 	}

@@ -55,7 +55,7 @@ func E12KVOverUDP(writers, perWriter int) *Table {
 				Net: nets[i], ID: transport.NodeID(i), InitialView: view,
 				OpTimeout: 30 * time.Second,
 				Site: gc.Config{
-					Controller: variant.New(), SpecKind: variant.SpecKind(),
+					Controller: variant.New(),
 					FDInterval: -1, // benign run: no failure-detector noise
 					RTO:        100 * time.Millisecond,
 				},

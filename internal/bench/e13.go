@@ -43,7 +43,7 @@ func newSwapLatWorkload(v Variant, work time.Duration) *swapLatWorkload {
 	w := &swapLatWorkload{work: work}
 	w.stack = core.NewStack(v.New())
 	w.ev = core.NewEventType("hot-ev")
-	w.spec = core.Derive(v.SpecKind(), 1, w.ev)
+	w.spec = core.Derive(1, w.ev)
 	mp := core.NewMicroprotocol("hot@v0")
 	w.stack.Register(mp)
 	w.stack.Bind(w.ev, mp.AddHandler("visit", w.visit).Emits())

@@ -46,14 +46,12 @@ func newCallWorkload(v Variant, callsPerComp int, s *sched.Scheduler) *CallWorkl
 	w.stack.Register(mp)
 	w.et = core.NewEventType("e")
 	w.stack.Bind(w.et, h)
-	switch v.Kind {
-	case "bound":
-		w.spec = core.AccessBound(map[*core.Microprotocol]int{mp: callsPerComp})
-	case "route":
-		w.spec = core.Route(core.NewRouteGraph().Root(h))
-	default:
-		w.spec = core.Access(mp)
+	// One visit per call, so VCABound's bound is exactly callsPerComp.
+	path := make([]*core.Handler, callsPerComp)
+	for i := range path {
+		path[i] = h
 	}
+	w.spec = core.PathSpec(path...)
 	return w
 }
 

@@ -62,7 +62,7 @@ func NewScaleWorkload(v Variant, workers int, shared bool, work time.Duration) *
 		w.chains = append(w.chains, mps)
 		w.events = append(w.events, evs)
 
-		w.specs = append(w.specs, core.PathSpec(v.SpecKind(), hs...))
+		w.specs = append(w.specs, core.PathSpec(hs...))
 	}
 	return w
 }

@@ -38,7 +38,7 @@ func NewCluster(v Variant, n int, seed int64) *Cluster {
 	for i := 0; i < n; i++ {
 		s := gc.NewSite(gc.Config{
 			Net: c.Net, ID: simnet.NodeID(i), InitialView: view,
-			Controller: v.New(), SpecKind: v.SpecKind(),
+			Controller: v.New(),
 			FDInterval: -1, // benign run: no failure detector noise
 			// Generous RTO: the run is loss-free, so any retransmission
 			// is pure queueing noise that would inflate the datagram

@@ -36,8 +36,8 @@ func RunE6Race(v Variant) E6Result {
 
 	b := gc.NewSite(gc.Config{
 		Net: net, ID: 1, InitialView: gc.NewView(0, 1), FDInterval: -1,
-		Controller: v.New(), SpecKind: v.SpecKind(),
-		Passive: true, // only the two orchestrated computations run on B
+		Controller: v.New(),
+		Passive:    true, // only the two orchestrated computations run on B
 		AfterRelCastView: func() {
 			select {
 			case inWindow <- struct{}{}:

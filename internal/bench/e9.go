@@ -59,8 +59,8 @@ func NewTransport(v Variant, shape TransportShape, seed int64) (*Transport, erro
 			Net: tr.net, ID: id, Peer: peer,
 			Reliable: shape.Reliable, Ordered: shape.Ordered, Checksummed: shape.Checksummed,
 			RTO:        10 * time.Millisecond,
-			Controller: v.New(), SpecKind: v.SpecKind(),
-			Deliver: deliver,
+			Controller: v.New(),
+			Deliver:    deliver,
 		})
 	}
 	var err error

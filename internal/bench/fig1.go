@@ -44,8 +44,8 @@ func NewFig1(v Variant, maxWork time.Duration) *Fig1 {
 	a1, b1 := core.NewEventType("a1"), core.NewEventType("b1")
 	a2, b2 := core.NewEventType("a2"), core.NewEventType("b2")
 
-	hR := mpR.AddHandler("R", func(*core.Context, core.Message) error { work(); return nil })
-	hS := mpS.AddHandler("S", func(*core.Context, core.Message) error { work(); return nil })
+	hR := mpR.AddHandler("R", func(*core.Context, core.Message) error { work(); return nil }).Emits()
+	hS := mpS.AddHandler("S", func(*core.Context, core.Message) error { work(); return nil }).Emits()
 	hP := mpP.AddHandler("P", func(ctx *core.Context, msg core.Message) error {
 		work()
 		if err := ctx.Trigger(a1, msg); err != nil {
@@ -53,7 +53,7 @@ func NewFig1(v Variant, maxWork time.Duration) *Fig1 {
 		}
 		work()
 		return ctx.Trigger(a2, msg)
-	})
+	}).Emits(a1, a2)
 	hQ := mpQ.AddHandler("Q", func(ctx *core.Context, msg core.Message) error {
 		work()
 		if err := ctx.Trigger(b1, msg); err != nil {
@@ -61,7 +61,7 @@ func NewFig1(v Variant, maxWork time.Duration) *Fig1 {
 		}
 		work()
 		return ctx.Trigger(b2, msg)
-	})
+	}).Emits(b1, b2)
 
 	f.stack.Register(mpP, mpQ, mpR, mpS)
 	f.stack.Bind(f.a0, hP)
@@ -71,17 +71,10 @@ func NewFig1(v Variant, maxWork time.Duration) *Fig1 {
 	f.stack.Bind(a2, hS)
 	f.stack.Bind(b2, hS)
 
-	switch v.Kind {
-	case "bound":
-		f.specA = core.AccessBound(map[*core.Microprotocol]int{mpP: 1, mpR: 1, mpS: 1})
-		f.specB = core.AccessBound(map[*core.Microprotocol]int{mpQ: 1, mpR: 1, mpS: 1})
-	case "route":
-		f.specA = core.Route(core.NewRouteGraph().Root(hP).Edge(hP, hR).Edge(hP, hS))
-		f.specB = core.Route(core.NewRouteGraph().Root(hQ).Edge(hQ, hR).Edge(hQ, hS))
-	default:
-		f.specA = core.Access(mpP, mpR, mpS)
-		f.specB = core.Access(mpQ, mpR, mpS)
-	}
+	// Each external event's spec is derived from the handlers' Emits: M,
+	// one visit per microprotocol and the route P → R, P → S (Q for b0).
+	f.specA = core.Derive(1, f.a0)
+	f.specB = core.Derive(1, f.b0)
 	return f
 }
 

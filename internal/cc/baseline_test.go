@@ -14,7 +14,7 @@ import (
 func TestSerialAdmitsOneComputationAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 4; trial++ {
-		rep := hammer(t, cc.NewSerial(), "basic", 3, randScripts(rng, 10, 3, 5))
+		rep := hammer(t, cc.NewSerial(), 3, randScripts(rng, 10, 3, 5))
 		if !rep.Serial {
 			t.Fatal("Serial controller produced a non-serial run")
 		}
@@ -140,17 +140,18 @@ func TestNoneImposesNoBlocking(t *testing.T) {
 	}
 }
 
-// TestControllersAcceptAnySpecKind: Serial and None run bound and route
-// specs too (they simply ignore the extra structure).
-func TestControllersAcceptAnySpecKind(t *testing.T) {
-	for _, mk := range []func() core.Controller{
-		func() core.Controller { return cc.NewSerial() },
-		func() core.Controller { return cc.NewNone() },
-	} {
-		for _, kind := range []string{"basic", "bound", "route"} {
-			ctrl := mk()
-			p := newProto(ctrl, 2)
-			if err := p.run(kind, []int{0, 1, 0}); err != nil {
+// TestControllersAcceptAnyConstruct: Serial and None run hand-written
+// bound and route specs too (they simply ignore the extra structure).
+func TestControllersAcceptAnyConstruct(t *testing.T) {
+	for _, ctrl := range []core.Controller{cc.NewSerial(), cc.NewNone()} {
+		p := newProto(ctrl, 2)
+		h0, h1 := p.handlers[0], p.handlers[1]
+		for kind, spec := range map[string]*core.Spec{
+			"basic": core.Access(p.mps[0], p.mps[1]),
+			"bound": core.AccessBound(map[*core.Microprotocol]int{p.mps[0]: 2, p.mps[1]: 1}),
+			"route": core.Route(core.NewRouteGraph().Root(h0).Edge(h0, h1).Edge(h1, h0)),
+		} {
+			if err := p.stack.External(spec, p.events[0], &visitScript{seq: []int{0, 1, 0}}); err != nil {
 				t.Fatalf("%s/%s: %v", ctrl.Name(), kind, err)
 			}
 		}

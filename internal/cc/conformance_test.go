@@ -19,36 +19,28 @@ func TestConformance(t *testing.T) {
 	}{
 		{"serial", cctest.Config{
 			New:            func() core.Controller { return cc.NewSerial() },
-			Kind:           cctest.KindBasic,
 			SkipUndeclared: true, // Appia model: no spec validation
 		}},
 		{"vca-basic", cctest.Config{
-			New:  func() core.Controller { return cc.NewVCABasic() },
-			Kind: cctest.KindBasic,
+			New: func() core.Controller { return cc.NewVCABasic() },
 		}},
 		{"ref-vca-basic", cctest.Config{
-			New:  func() core.Controller { return cc.NewRefVCABasic() },
-			Kind: cctest.KindBasic,
+			New: func() core.Controller { return cc.NewRefVCABasic() },
 		}},
 		{"vca-bound", cctest.Config{
-			New:  func() core.Controller { return cc.NewVCABound() },
-			Kind: cctest.KindBound,
+			New: func() core.Controller { return cc.NewVCABound() },
 		}},
 		{"vca-route", cctest.Config{
-			New:  func() core.Controller { return cc.NewVCARoute() },
-			Kind: cctest.KindRoute,
+			New: func() core.Controller { return cc.NewVCARoute() },
 		}},
 		{"vca-rw", cctest.Config{
-			New:  func() core.Controller { return cc.NewVCARW() },
-			Kind: cctest.KindBasic,
+			New: func() core.Controller { return cc.NewVCARW() },
 		}},
 		{"tso", cctest.Config{
-			New:  func() core.Controller { return cc.NewTSO() },
-			Kind: cctest.KindBasic,
+			New: func() core.Controller { return cc.NewTSO() },
 		}},
 		{"wait-die", cctest.Config{
 			New:      func() core.Controller { return cc.NewWaitDie() },
-			Kind:     cctest.KindBasic,
 			Snapshot: true, // rollback scheduling needs snapshotters
 		}},
 	}

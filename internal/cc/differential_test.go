@@ -254,7 +254,6 @@ func TestExploreReachesFastPath(t *testing.T) {
 			mu.Unlock()
 			return c
 		},
-		Kind:     cctest.KindBasic,
 		Strategy: func() sched.Strategy { return sched.NewRandomWalk(7) },
 		Runs:     60,
 		MaxSteps: 20000,

@@ -192,7 +192,7 @@ func TestVCARWSerializableUnderMix(t *testing.T) {
 func TestTSOConflictingSerialize(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 6; trial++ {
-		hammer(t, cc.NewTSO(), "basic", 3, randScripts(rng, 10, 3, 5))
+		hammer(t, cc.NewTSO(), 3, randScripts(rng, 10, 3, 5))
 	}
 }
 

@@ -61,41 +61,22 @@ func newProto(ctrl core.Controller, m int) *proto {
 	return p
 }
 
-// specFor builds the spec a controller kind needs for a script.
-func (p *proto) specFor(kind string, seq []int) *core.Spec {
-	switch kind {
-	case "bound":
-		bounds := map[*core.Microprotocol]int{}
-		for _, i := range seq {
-			bounds[p.mps[i]]++
-		}
-		return core.AccessBound(bounds)
-	case "route":
-		g := core.NewRouteGraph().Root(p.handlers[seq[0]])
-		for i := 0; i+1 < len(seq); i++ {
-			g.Edge(p.handlers[seq[i]], p.handlers[seq[i+1]])
-		}
-		return core.Route(g)
-	default:
-		var mps []*core.Microprotocol
-		for _, i := range seq {
-			mps = append(mps, p.mps[i])
-		}
-		return core.Access(mps...)
+// run executes one computation for the script, under the script's path
+// spec, and returns its error.
+func (p *proto) run(seq []int) error {
+	hs := make([]*core.Handler, len(seq))
+	for j, i := range seq {
+		hs[j] = p.handlers[i]
 	}
-}
-
-// run executes one computation for the script and returns its error.
-func (p *proto) run(kind string, seq []int) error {
 	if len(seq) == 0 {
-		return p.stack.Isolated(p.specFor(kind, []int{}), nil)
+		return p.stack.Isolated(core.PathSpec(), nil)
 	}
-	return p.stack.External(p.specFor(kind, seq), p.events[seq[0]], &visitScript{seq: seq})
+	return p.stack.External(core.PathSpec(hs...), p.events[seq[0]], &visitScript{seq: seq})
 }
 
 // hammer launches the scripts concurrently and verifies: no errors, no
 // lost updates, and a serializable trace.
-func hammer(t *testing.T, ctrl core.Controller, kind string, m int, scripts [][]int) *trace.Report {
+func hammer(t *testing.T, ctrl core.Controller, m int, scripts [][]int) *trace.Report {
 	t.Helper()
 	p := newProto(ctrl, m)
 	var wg sync.WaitGroup
@@ -104,7 +85,7 @@ func hammer(t *testing.T, ctrl core.Controller, kind string, m int, scripts [][]
 		wg.Add(1)
 		go func(i int, seq []int) {
 			defer wg.Done()
-			errs[i] = p.run(kind, seq)
+			errs[i] = p.run(seq)
 		}(i, seq)
 	}
 	wg.Wait()

@@ -21,18 +21,17 @@ import (
 type faultCase struct {
 	name string
 	new  func() core.Controller
-	kind cctest.Kind
 }
 
 var faultCases = []faultCase{
-	{"serial", func() core.Controller { return cc.NewSerial() }, cctest.KindBasic},
-	{"none", func() core.Controller { return cc.NewNone() }, cctest.KindBasic},
-	{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, cctest.KindBasic},
-	{"vca-bound", func() core.Controller { return cc.NewVCABound() }, cctest.KindBound},
-	{"vca-route", func() core.Controller { return cc.NewVCARoute() }, cctest.KindRoute},
-	{"vca-rw", func() core.Controller { return cc.NewVCARW() }, cctest.KindBasic},
-	{"tso", func() core.Controller { return cc.NewTSO() }, cctest.KindBasic},
-	{"wait-die", func() core.Controller { return cc.NewWaitDie() }, cctest.KindBasic},
+	{"serial", func() core.Controller { return cc.NewSerial() }},
+	{"none", func() core.Controller { return cc.NewNone() }},
+	{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
+	{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
+	{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
+	{"vca-rw", func() core.Controller { return cc.NewVCARW() }},
+	{"tso", func() core.Controller { return cc.NewTSO() }},
+	{"wait-die", func() core.Controller { return cc.NewWaitDie() }},
 }
 
 type nopSnap struct{}
@@ -101,30 +100,6 @@ func newFaultFixture(c faultCase) *faultFixture {
 	return f
 }
 
-// spec builds the right flavour for a footprint rooted at root; wide
-// footprints cover both microprotocols, narrow ones only mp0.
-func (f *faultFixture) spec(kind cctest.Kind, root *core.Handler, wide bool) *core.Spec {
-	switch kind {
-	case cctest.KindBound:
-		bounds := map[*core.Microprotocol]int{f.mp0: 1}
-		if wide {
-			bounds[f.mp1] = 1
-		}
-		return core.AccessBound(bounds)
-	case cctest.KindRoute:
-		g := core.NewRouteGraph().Root(root)
-		if wide {
-			g.Edge(f.hOk, f.hOk1)
-		}
-		return core.Route(g)
-	default:
-		if wide {
-			return core.Access(f.mp0, f.mp1)
-		}
-		return core.Access(f.mp0)
-	}
-}
-
 // TestPanicContainedPerController: a panicking handler surfaces as a
 // typed PanicError carrying its identity, and a follow-up computation
 // with an overlapping footprint completes — the panic released every
@@ -135,7 +110,7 @@ func TestPanicContainedPerController(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			f := newFaultFixture(c)
-			err := f.stack.External(f.spec(c.kind, f.hBoom, c.kind != cctest.KindRoute), f.evBoom, nil)
+			err := f.stack.External(core.PathSpec(f.hBoom, f.hOk1), f.evBoom, nil)
 			var pe *core.PanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("panicking handler returned %v, want *core.PanicError", err)
@@ -151,7 +126,7 @@ func TestPanicContainedPerController(t *testing.T) {
 			}
 			// Overlapping follow-up must complete; the timeout converts a
 			// wedged controller into a typed failure instead of a hang.
-			follow := f.spec(c.kind, f.hOk, true).WithTimeout(10 * time.Second)
+			follow := core.PathSpec(f.hOk, f.hOk1).WithTimeout(10 * time.Second)
 			if err := f.stack.External(follow, f.evOk, nil); err != nil {
 				t.Fatalf("follow-up after panic: %v", err)
 			}
@@ -183,7 +158,7 @@ func TestEpochPinnedFramesRelease(t *testing.T) {
 			// A: pinned to epoch 1, wedged inside hSlow holding mp0.
 			aDone := make(chan error, 1)
 			go func() {
-				aDone <- f.stack.External(f.spec(c.kind, f.hSlow, false), f.evSlow, nil)
+				aDone <- f.stack.External(core.PathSpec(f.hSlow), f.evSlow, nil)
 			}()
 			for !f.slowEntered.Load() {
 				runtime.Gosched()
@@ -193,7 +168,7 @@ func TestEpochPinnedFramesRelease(t *testing.T) {
 			bDone := make(chan error, 1)
 			go func() {
 				bDone <- f.stack.External(
-					f.spec(c.kind, f.hOk, true).WithTimeout(300*time.Millisecond), f.evOk, nil)
+					core.PathSpec(f.hOk, f.hOk1).WithTimeout(300*time.Millisecond), f.evOk, nil)
 			}()
 			ss := f.ctrl.(interface{ SpawnStats() (uint64, uint64) })
 			for {
@@ -249,15 +224,7 @@ func TestEpochPinnedFramesRelease(t *testing.T) {
 			}
 
 			// The rebuilt spec runs on epoch 2's quiescent slots.
-			var follow *core.Spec
-			switch c.kind {
-			case cctest.KindBound:
-				follow = core.AccessBound(map[*core.Microprotocol]int{f.mp0: 1, v2: 1})
-			case cctest.KindRoute:
-				follow = core.Route(core.NewRouteGraph().Root(f.hOk).Edge(f.hOk, v2ok1))
-			default:
-				follow = core.Access(f.mp0, v2)
-			}
+			follow := core.PathSpec(f.hOk, v2ok1)
 			if err := f.stack.External(follow.WithTimeout(10*time.Second), f.evOk, nil); err != nil {
 				t.Fatalf("follow-up on new epoch: %v", err)
 			}
@@ -285,13 +252,13 @@ func TestDeadlineReleasesPerController(t *testing.T) {
 			f := newFaultFixture(c)
 			done := make(chan error, 1)
 			go func() {
-				done <- f.stack.External(f.spec(c.kind, f.hSlow, false), f.evSlow, nil)
+				done <- f.stack.External(core.PathSpec(f.hSlow), f.evSlow, nil)
 			}()
 			for !f.slowEntered.Load() {
 				runtime.Gosched()
 			}
 			err := f.stack.External(
-				f.spec(c.kind, f.hOk, true).WithTimeout(50*time.Millisecond), f.evOk, nil)
+				core.PathSpec(f.hOk, f.hOk1).WithTimeout(50*time.Millisecond), f.evOk, nil)
 			var de *core.DeadlineError
 			if !errors.As(err, &de) {
 				t.Fatalf("blocked computation returned %v, want *core.DeadlineError", err)
@@ -300,7 +267,7 @@ func TestDeadlineReleasesPerController(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatalf("blocker failed: %v", err)
 			}
-			follow := f.spec(c.kind, f.hOk, true).WithTimeout(10 * time.Second)
+			follow := core.PathSpec(f.hOk, f.hOk1).WithTimeout(10 * time.Second)
 			if err := f.stack.External(follow, f.evOk, nil); err != nil {
 				t.Fatalf("follow-up after timeout: %v", err)
 			}

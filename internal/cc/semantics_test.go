@@ -87,10 +87,6 @@ func TestRouteTriggerAllMultipleBindings(t *testing.T) {
 func TestEquivalentFinalStateAcrossControllers(t *testing.T) {
 	scripts := [][]int{{0, 1, 2}, {2, 1, 0}, {1, 1, 2}, {0, 2}, {2}, {0, 0, 1}}
 	want := []int{5, 5, 5}
-	kinds := map[string]string{
-		"serial": "basic", "vca-basic": "basic", "vca-bound": "bound",
-		"vca-route": "route", "tso": "basic",
-	}
 	mks := map[string]func() core.Controller{
 		"serial":    func() core.Controller { return cc.NewSerial() },
 		"vca-basic": func() core.Controller { return cc.NewVCABasic() },
@@ -105,7 +101,7 @@ func TestEquivalentFinalStateAcrossControllers(t *testing.T) {
 			wg.Add(1)
 			go func(seq []int) {
 				defer wg.Done()
-				if err := p.run(kinds[name], seq); err != nil {
+				if err := p.run(seq); err != nil {
 					t.Error(err)
 				}
 			}(seq)

@@ -38,11 +38,14 @@ func randTree(rng *rand.Rand, m, maxNodes int) *treeNode {
 	return root
 }
 
-func (n *treeNode) countVisits(counts map[int]int) {
-	counts[n.mp]++
+// preorder appends the tree's microprotocols to out, parents before
+// children.
+func (n *treeNode) preorder(out []int) []int {
+	out = append(out, n.mp)
 	for _, c := range n.children {
-		c.countVisits(counts)
+		out = c.preorder(out)
 	}
+	return out
 }
 
 // treeProto hosts the tree workloads. Counters are atomic because a tree
@@ -96,44 +99,20 @@ func newTreeProto(ctrl core.Controller, m int) *treeProto {
 	return p
 }
 
-// specFor derives the spec of the given kind from the tree's structure.
-func (p *treeProto) specFor(kind string, root *treeNode) *core.Spec {
-	counts := map[int]int{}
-	root.countVisits(counts)
-	switch kind {
-	case "bound":
-		bounds := map[*core.Microprotocol]int{}
-		for i, n := range counts {
-			bounds[p.mps[i]] = n
-		}
-		return core.AccessBound(bounds)
-	case "route":
-		g := core.NewRouteGraph().Root(p.handlers[root.mp])
-		var walk func(n *treeNode)
-		walk = func(n *treeNode) {
-			for _, c := range n.children {
-				g.Edge(p.handlers[n.mp], p.handlers[c.mp])
-				walk(c)
-			}
-		}
-		walk(root)
-		return core.Route(g)
-	default:
-		var mps []*core.Microprotocol
-		for i := range counts {
-			mps = append(mps, p.mps[i])
-		}
-		return core.Access(mps...)
+// run executes the tree as one computation. Its spec is the path of the
+// tree's preorder walk: M and the visit counts are exact, and since every
+// node comes after its parent, the chain routes every call the tree makes.
+func (p *treeProto) run(root *treeNode) error {
+	var hs []*core.Handler
+	for _, i := range root.preorder(nil) {
+		hs = append(hs, p.handlers[i])
 	}
-}
-
-func (p *treeProto) run(kind string, root *treeNode) error {
-	return p.stack.External(p.specFor(kind, root), p.events[root.mp], root)
+	return p.stack.External(core.PathSpec(hs...), p.events[root.mp], root)
 }
 
 // runTreeWorkload launches the trees concurrently and verifies counters
 // and serializability.
-func runTreeWorkload(t *testing.T, ctrl core.Controller, kind string, m int, trees []*treeNode) {
+func runTreeWorkload(t *testing.T, ctrl core.Controller, m int, trees []*treeNode) {
 	t.Helper()
 	p := newTreeProto(ctrl, m)
 	var wg sync.WaitGroup
@@ -141,27 +120,25 @@ func runTreeWorkload(t *testing.T, ctrl core.Controller, kind string, m int, tre
 		wg.Add(1)
 		go func(tr *treeNode) {
 			defer wg.Done()
-			if err := p.run(kind, tr); err != nil {
-				t.Errorf("%s/%s: %v", ctrl.Name(), kind, err)
+			if err := p.run(tr); err != nil {
+				t.Errorf("%s: %v", ctrl.Name(), err)
 			}
 		}(tr)
 	}
 	wg.Wait()
 	want := make([]int, m)
 	for _, tr := range trees {
-		counts := map[int]int{}
-		tr.countVisits(counts)
-		for i, n := range counts {
-			want[i] += n
+		for _, i := range tr.preorder(nil) {
+			want[i]++
 		}
 	}
 	for i := range want {
 		if got := p.counters[i].Load(); got != int64(want[i]) {
-			t.Errorf("%s/%s: counter[%d] = %d, want %d", ctrl.Name(), kind, i, got, want[i])
+			t.Errorf("%s: counter[%d] = %d, want %d", ctrl.Name(), i, got, want[i])
 		}
 	}
 	if rep := p.rec.Check(); !rep.Serializable {
-		t.Errorf("%s/%s: tree workload not serializable: %v", ctrl.Name(), kind, rep.Cycle)
+		t.Errorf("%s: tree workload not serializable: %v", ctrl.Name(), rep.Cycle)
 	}
 }
 
@@ -171,13 +148,12 @@ func TestTreeWorkloadsAllControllers(t *testing.T) {
 	combos := []struct {
 		name string
 		mk   func() core.Controller
-		kind string
 	}{
-		{"serial", func() core.Controller { return cc.NewSerial() }, "basic"},
-		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, "basic"},
-		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, "bound"},
-		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, "route"},
-		{"tso", func() core.Controller { return cc.NewTSO() }, "basic"},
+		{"serial", func() core.Controller { return cc.NewSerial() }},
+		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
+		{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
+		{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
+		{"tso", func() core.Controller { return cc.NewTSO() }},
 	}
 	for _, combo := range combos {
 		combo := combo
@@ -189,7 +165,7 @@ func TestTreeWorkloadsAllControllers(t *testing.T) {
 				for i := range trees {
 					trees[i] = randTree(rng, m, 8)
 				}
-				runTreeWorkload(t, combo.mk(), combo.kind, m, trees)
+				runTreeWorkload(t, combo.mk(), m, trees)
 				return !t.Failed()
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 12}); err != nil {
@@ -207,14 +183,7 @@ func TestTreeDeepAsyncFanout(t *testing.T) {
 		root.children = append(root.children, &treeNode{mp: 1 + i%2})
 		root.async = append(root.async, true)
 	}
-	for _, combo := range []struct {
-		mk   func() core.Controller
-		kind string
-	}{
-		{func() core.Controller { return cc.NewVCABasic() }, "basic"},
-		{func() core.Controller { return cc.NewVCABound() }, "bound"},
-		{func() core.Controller { return cc.NewVCARoute() }, "route"},
-	} {
-		runTreeWorkload(t, combo.mk(), combo.kind, 3, []*treeNode{root, root, root})
+	for _, ctrl := range []core.Controller{cc.NewVCABasic(), cc.NewVCABound(), cc.NewVCARoute()} {
+		runTreeWorkload(t, ctrl, 3, []*treeNode{root, root, root})
 	}
 }

@@ -206,7 +206,7 @@ func TestVCABasicReentrant(t *testing.T) {
 func TestVCABasicHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 8; trial++ {
-		hammer(t, cc.NewVCABasic(), "basic", 4, randScripts(rng, 12, 4, 6))
+		hammer(t, cc.NewVCABasic(), 4, randScripts(rng, 12, 4, 6))
 	}
 }
 
@@ -216,7 +216,7 @@ func TestVCABasicPropertyIsolation(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + rng.Intn(4)
-		hammer(t, cc.NewVCABasic(), "basic", m, randScripts(rng, 2+rng.Intn(8), m, 5))
+		hammer(t, cc.NewVCABasic(), m, randScripts(rng, 2+rng.Intn(8), m, 5))
 		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {

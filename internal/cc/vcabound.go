@@ -40,8 +40,9 @@ type boundToken struct {
 }
 
 // NewVCABound creates a controller enforcing the least-upper-bound
-// version-counting algorithm. Specs must be built with core.AccessBound.
-// Its version table claims with the spec's bounds as rule-1 deltas.
+// version-counting algorithm. Specs must carry visit bounds
+// (core.AccessBound, core.PathSpec or core.Derive). Its version table
+// claims with the spec's bounds as rule-1 deltas.
 func NewVCABound() *VCABound {
 	vt := newVersionTable()
 	vt.useBounds = true

@@ -222,7 +222,7 @@ func TestVCABoundConcurrentVisitsWithinComputation(t *testing.T) {
 func TestVCABoundHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 8; trial++ {
-		hammer(t, cc.NewVCABound(), "bound", 4, randScripts(rng, 12, 4, 6))
+		hammer(t, cc.NewVCABound(), 4, randScripts(rng, 12, 4, 6))
 	}
 }
 
@@ -230,7 +230,7 @@ func TestVCABoundPropertyIsolation(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + rng.Intn(4)
-		hammer(t, cc.NewVCABound(), "bound", m, randScripts(rng, 2+rng.Intn(8), m, 5))
+		hammer(t, cc.NewVCABound(), m, randScripts(rng, 2+rng.Intn(8), m, 5))
 		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {

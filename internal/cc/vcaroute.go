@@ -42,7 +42,8 @@ import (
 type VCARoute struct{ vca }
 
 // NewVCARoute creates a controller enforcing the routing-pattern
-// version-counting algorithm. Specs must be built with core.Route.
+// version-counting algorithm. Specs must carry a routing graph
+// (core.Route, core.PathSpec or core.Derive).
 func NewVCARoute() *VCARoute { return &VCARoute{vca{newVersionTable()}} }
 
 // Name implements core.Controller.

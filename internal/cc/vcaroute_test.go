@@ -318,7 +318,7 @@ func TestVCARouteMultiHandlerMicroprotocol(t *testing.T) {
 func TestVCARouteHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 8; trial++ {
-		hammer(t, cc.NewVCARoute(), "route", 4, randScripts(rng, 12, 4, 6))
+		hammer(t, cc.NewVCARoute(), 4, randScripts(rng, 12, 4, 6))
 	}
 }
 
@@ -326,7 +326,7 @@ func TestVCARoutePropertyIsolation(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + rng.Intn(4)
-		hammer(t, cc.NewVCARoute(), "route", m, randScripts(rng, 2+rng.Intn(8), m, 5))
+		hammer(t, cc.NewVCARoute(), m, randScripts(rng, 2+rng.Intn(8), m, 5))
 		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {

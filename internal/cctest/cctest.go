@@ -5,8 +5,7 @@
 //
 //	func TestMyControllerConformance(t *testing.T) {
 //	    cctest.Run(t, cctest.Config{
-//	        New:  func() core.Controller { return NewMyController() },
-//	        Kind: cctest.KindBasic, // which Spec flavour it consumes
+//	        New: func() core.Controller { return NewMyController() },
 //	    })
 //	}
 //
@@ -38,22 +37,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Kind selects which Spec flavour the controller consumes.
-type Kind = core.SpecKind
-
-// Spec flavours.
-const (
-	KindBasic = core.SpecBasic // core.Access
-	KindBound = core.SpecBound // core.AccessBound
-	KindRoute = core.SpecRoute // core.Route
-)
-
 // Config parameterizes a conformance run.
 type Config struct {
 	// New creates a fresh controller (one per stack; never reused).
 	New func() core.Controller
-	// Kind is the Spec flavour to build for it.
-	Kind Kind
 	// Seeds is the number of randomized workloads (default 12).
 	Seeds int
 	// SkipUndeclared skips the spec-enforcement check, for controllers
@@ -214,25 +201,25 @@ func (f *fixture) swapMP(i int) error {
 // spec that raced the swap — built against one epoch, pinned to the
 // next — is refused with ReconfiguredError; rebuilt, it names the
 // replacement the live epoch binds, so one retry covers one swap.
-func (f *fixture) runScript(kind Kind, seq []int) error {
-	err := f.stack.External(f.spec(kind, seq), f.events[seq[0]], &script{seq: seq})
+func (f *fixture) runScript(seq []int) error {
+	err := f.stack.External(f.spec(seq), f.events[seq[0]], &script{seq: seq})
 	var re *core.ReconfiguredError
 	if errors.As(err, &re) {
-		err = f.stack.External(f.spec(kind, seq), f.events[seq[0]], &script{seq: seq})
+		err = f.stack.External(f.spec(seq), f.events[seq[0]], &script{seq: seq})
 	}
 	return err
 }
 
 // spec writes the script's spec out by hand against the stack's live
 // bindings, so a spec built once a swap is published names the
-// replacement: exactly the microprotocols the script visits (with their
-// visit counts, or its path as the routing graph).
-func (f *fixture) spec(kind Kind, seq []int) *core.Spec {
+// replacement: exactly the microprotocols the script visits, with their
+// visit counts and its path as the routing graph.
+func (f *fixture) spec(seq []int) *core.Spec {
 	hs := make([]*core.Handler, len(seq))
 	for j, i := range seq {
 		hs[j] = f.stack.Bound(f.events[i])[0]
 	}
-	return core.PathSpec(kind, hs...)
+	return core.PathSpec(hs...)
 }
 
 func (f *fixture) count(i int) int {
@@ -266,7 +253,7 @@ func runWorkload(t *testing.T, cfg Config, seed int64) {
 		wg.Add(1)
 		go func(seq []int) {
 			defer wg.Done()
-			if err := f.runScript(cfg.Kind, seq); err != nil {
+			if err := f.runScript(seq); err != nil {
 				t.Errorf("seed %d: %v", seed, err)
 			}
 		}(seq)
@@ -302,7 +289,7 @@ func AssertInvariants(tb testing.TB, rec *trace.Recorder) {
 func runUndeclared(t *testing.T, cfg Config) {
 	t.Helper()
 	f := newFixture(cfg, 2)
-	err := f.stack.External(f.spec(cfg.Kind, []int{0}), f.events[1], &script{seq: []int{1}})
+	err := f.stack.External(f.spec([]int{0}), f.events[1], &script{seq: []int{1}})
 	var ue *core.UndeclaredError
 	var nr *core.NoRouteError
 	if !errors.As(err, &ue) && !errors.As(err, &nr) {

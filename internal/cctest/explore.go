@@ -65,8 +65,6 @@ func SwapWorkloads() []Workload {
 type ExploreConfig struct {
 	// New creates a fresh controller per execution.
 	New func() core.Controller
-	// Kind is the Spec flavour to build.
-	Kind Kind
 	// Snapshot attaches snapshotters (rollback controllers need them).
 	Snapshot bool
 	// Strategy creates a fresh strategy per workload (strategies are
@@ -84,7 +82,7 @@ type ExploreConfig struct {
 // runSpec builds one deterministically-scheduled execution of wl,
 // returning the spec together with its fixture (for fingerprinting).
 func runSpec(cfg ExploreConfig, wl Workload, s *sched.Scheduler) (sched.RunSpec, *fixture) {
-	rcfg := Config{New: cfg.New, Kind: cfg.Kind, Snapshot: cfg.Snapshot}
+	rcfg := Config{New: cfg.New, Snapshot: cfg.Snapshot}
 	f := newFixtureSched(rcfg, wl.M, s)
 	want := make([]int, wl.M)
 	for _, seq := range wl.Scripts {
@@ -98,7 +96,7 @@ func runSpec(cfg ExploreConfig, wl Workload, s *sched.Scheduler) (sched.RunSpec,
 			for _, seq := range wl.Scripts {
 				seq := seq
 				s.Go(func() {
-					if err := f.runScript(cfg.Kind, seq); err != nil {
+					if err := f.runScript(seq); err != nil {
 						errs = append(errs, err)
 					}
 				})

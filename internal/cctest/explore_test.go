@@ -16,20 +16,19 @@ import (
 type exploreTarget struct {
 	name     string
 	neW      func() core.Controller
-	kind     cctest.Kind
 	snapshot bool
 }
 
 func exploreTargets() []exploreTarget {
 	return []exploreTarget{
-		{name: "serial", neW: func() core.Controller { return cc.NewSerial() }, kind: cctest.KindBasic},
-		{name: "vca-basic", neW: func() core.Controller { return cc.NewVCABasic() }, kind: cctest.KindBasic},
-		{name: "ref-vca-basic", neW: func() core.Controller { return cc.NewRefVCABasic() }, kind: cctest.KindBasic},
-		{name: "vca-bound", neW: func() core.Controller { return cc.NewVCABound() }, kind: cctest.KindBound},
-		{name: "vca-route", neW: func() core.Controller { return cc.NewVCARoute() }, kind: cctest.KindRoute},
-		{name: "vca-rw", neW: func() core.Controller { return cc.NewVCARW() }, kind: cctest.KindBasic},
-		{name: "tso", neW: func() core.Controller { return cc.NewTSO() }, kind: cctest.KindBasic},
-		{name: "wait-die", neW: func() core.Controller { return cc.NewWaitDie() }, kind: cctest.KindBasic, snapshot: true},
+		{name: "serial", neW: func() core.Controller { return cc.NewSerial() }},
+		{name: "vca-basic", neW: func() core.Controller { return cc.NewVCABasic() }},
+		{name: "ref-vca-basic", neW: func() core.Controller { return cc.NewRefVCABasic() }},
+		{name: "vca-bound", neW: func() core.Controller { return cc.NewVCABound() }},
+		{name: "vca-route", neW: func() core.Controller { return cc.NewVCARoute() }},
+		{name: "vca-rw", neW: func() core.Controller { return cc.NewVCARW() }},
+		{name: "tso", neW: func() core.Controller { return cc.NewTSO() }},
+		{name: "wait-die", neW: func() core.Controller { return cc.NewWaitDie() }, snapshot: true},
 	}
 }
 
@@ -58,7 +57,6 @@ func TestExploreIsolatingControllers(t *testing.T) {
 					}
 					cctest.Explore(t, cctest.ExploreConfig{
 						New:      tgt.neW,
-						Kind:     tgt.kind,
 						Snapshot: tgt.snapshot,
 						Strategy: mk,
 						Runs:     runs,
@@ -94,7 +92,6 @@ func TestExploreReconfigure(t *testing.T) {
 					}
 					cctest.Explore(t, cctest.ExploreConfig{
 						New:       tgt.neW,
-						Kind:      tgt.kind,
 						Snapshot:  tgt.snapshot,
 						Strategy:  mk,
 						Runs:      runs,
@@ -114,7 +111,6 @@ func TestExploreReconfigure(t *testing.T) {
 func TestExploreNoneFindsViolation(t *testing.T) {
 	cfg := cctest.ExploreConfig{
 		New:      func() core.Controller { return cc.NewNone() },
-		Kind:     cctest.KindBasic,
 		Strategy: func() sched.Strategy { return sched.NewDFS(14) },
 		Runs:     2000,
 		MaxSteps: 20000,
@@ -162,7 +158,6 @@ func TestExploreDeep(t *testing.T) {
 		t.Run(tgt.name, func(t *testing.T) {
 			cctest.Explore(t, cctest.ExploreConfig{
 				New:      tgt.neW,
-				Kind:     tgt.kind,
 				Snapshot: tgt.snapshot,
 				Strategy: func() sched.Strategy { return sched.NewDFS(24) },
 				Runs:     30000,
@@ -177,7 +172,6 @@ func TestExploreDeep(t *testing.T) {
 func TestExploreSerialTrace(t *testing.T) {
 	cfg := cctest.ExploreConfig{
 		New:      func() core.Controller { return cc.NewVCABasic() },
-		Kind:     cctest.KindBasic,
 		Strategy: func() sched.Strategy { return sched.NewRandomWalk(7) },
 		Runs:     1,
 		MaxSteps: 20000,

@@ -66,8 +66,6 @@ type Config struct {
 	// Swaps > 0 it must implement core.Reconfigurer or be swap-safe by
 	// construction (cc.Serial).
 	New func() core.Controller
-	// Kind is the Spec flavour to build for it.
-	Kind core.SpecKind
 	// Seed drives every random decision of the run.
 	Seed int64
 	// Swaps is the number of rotating Replace reconfigurations raced
@@ -280,7 +278,6 @@ type fixture struct {
 	stack  *core.Stack
 	rec    *trace.Recorder
 	hook   injector
-	kind   core.SpecKind
 	swaps  int
 	events []*core.EventType
 	slots  []*slot
@@ -290,7 +287,7 @@ type fixture struct {
 }
 
 func newFixture(cfg Config, hook injector) *fixture {
-	f := &fixture{rec: trace.NewRecorder(), hook: hook, kind: cfg.Kind, swaps: cfg.Swaps}
+	f := &fixture{rec: trace.NewRecorder(), hook: hook, swaps: cfg.Swaps}
 	f.stack = core.NewStack(cfg.New(), core.WithName("chaos"), core.WithTracer(f.rec), core.WithHook(hook))
 	for i := 0; i < nSlots; i++ {
 		f.slots = append(f.slots, &slot{})
@@ -334,7 +331,7 @@ func (f *fixture) spec(seq []int) *core.Spec {
 	for j, i := range seq {
 		hs[j] = f.stack.Bound(f.events[i])[0]
 	}
-	return core.PathSpec(f.kind, hs...)
+	return core.PathSpec(hs...)
 }
 
 // run spawns one plan. A swap that commits between the spec's build and

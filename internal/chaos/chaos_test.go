@@ -51,20 +51,19 @@ func seeds(t *testing.T, base int64, n, short, deep int) []int64 {
 type variant struct {
 	name string
 	new  func() core.Controller
-	kind core.SpecKind
 }
 
 // variants are the isolating controllers the storm must not be able to
 // wedge. None is excluded: it provides no isolation, so the
 // serializability half of the verdict does not apply to it.
 var variants = []variant{
-	{"serial", func() core.Controller { return cc.NewSerial() }, core.SpecBasic},
-	{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, core.SpecBasic},
-	{"vca-bound", func() core.Controller { return cc.NewVCABound() }, core.SpecBound},
-	{"vca-route", func() core.Controller { return cc.NewVCARoute() }, core.SpecRoute},
-	{"vca-rw", func() core.Controller { return cc.NewVCARW() }, core.SpecBasic},
-	{"tso", func() core.Controller { return cc.NewTSO() }, core.SpecBasic},
-	{"wait-die", func() core.Controller { return cc.NewWaitDie() }, core.SpecBasic},
+	{"serial", func() core.Controller { return cc.NewSerial() }},
+	{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
+	{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
+	{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
+	{"vca-rw", func() core.Controller { return cc.NewVCARW() }},
+	{"tso", func() core.Controller { return cc.NewTSO() }},
+	{"wait-die", func() core.Controller { return cc.NewWaitDie() }},
 }
 
 // storm runs one battery: every variant in parallel, each over its seeds.
@@ -74,7 +73,7 @@ func storm(t *testing.T, vs []variant, swaps, n, short int) {
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds(t, 0, n, short, 40) {
-				rep, err := Run(Config{New: v.new, Kind: v.kind, Seed: seed, Swaps: swaps})
+				rep, err := Run(Config{New: v.new, Seed: seed, Swaps: swaps})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

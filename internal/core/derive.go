@@ -6,18 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// SpecKind selects the isolated variant a derived spec takes (paper §4).
-// It must match the stack's controller: cc.VCABound needs SpecBound,
-// cc.VCARoute needs SpecRoute, and every other controller runs SpecBasic.
-type SpecKind int
-
-// Spec kinds.
-const (
-	SpecBasic SpecKind = iota // isolated M e
-	SpecBound                 // isolated bound M e
-	SpecRoute                 // isolated route M e
-)
-
 // Derive requests a spec inferred from the stack's own bindings — the
 // practical rendering of the paper's §4 remark that "in the
 // strongly-typed language, the proper value of argument M could be
@@ -27,9 +15,11 @@ const (
 //
 //   - its roots are the handlers bound to roots;
 //   - an edge h→h′ joins h to every h′ bound to an event h emits;
-//   - M (SpecBasic), M with bound visits per microprotocol (SpecBound) or
-//     the routing graph with those roots (SpecRoute) covers the part
-//     reachable from the roots.
+//   - the spec declares all three parts of the reachable part at once:
+//     its microprotocols M, bound visits on each of them, and the routing
+//     graph with those roots. The controller reads the part it implements
+//     (cc.VCABound the bounds, cc.VCARoute the graph, every other
+//     controller M), so one request serves every controller.
 //
 // The returned Spec is a request, not a declaration: Isolated resolves it
 // against the epoch the computation pins, so pin and spec choice are one
@@ -43,8 +33,8 @@ const (
 //
 // A reached handler that never declared Emits makes the computation fail
 // with a *DeriveError instead of being taken for a leaf.
-func Derive(kind SpecKind, bound int, roots ...*EventType) *Spec {
-	return &Spec{derive: &derivation{kind: kind, bound: bound, roots: slices.Clone(roots)}}
+func Derive(bound int, roots ...*EventType) *Spec {
+	return &Spec{derive: &derivation{bound: bound, roots: slices.Clone(roots)}}
 }
 
 // derivation is what a Derive spec stands for until a computation pins an
@@ -53,7 +43,6 @@ func Derive(kind SpecKind, bound int, roots ...*EventType) *Spec {
 // (cc's compiled footprints) carries across reconfigurations that do not
 // touch the request's part of the stack.
 type derivation struct {
-	kind  SpecKind
 	bound int
 	roots []*EventType
 	last  atomic.Pointer[Spec]
@@ -108,21 +97,13 @@ func (d *derivation) derive(bindings map[*EventType][]*Handler) (*Spec, error) {
 			}
 		}
 	}
-	switch d.kind {
-	case SpecRoute:
-		return Route(g), nil
-	case SpecBound:
-		bounds := make(map[*Microprotocol]int, len(reached))
-		for _, h := range reached {
-			bounds[h.mp] = d.bound
-		}
-		return AccessBound(bounds), nil
+	bounds := make(map[*Microprotocol]int, len(reached))
+	for _, h := range reached {
+		bounds[h.mp] = d.bound
 	}
-	mps := make([]*Microprotocol, len(reached))
-	for i, h := range reached {
-		mps[i] = h.mp
-	}
-	return Access(mps...), nil
+	spec := Route(g)
+	spec.bounds = bounds
+	return spec, nil
 }
 
 // sameSpec reports whether two resolutions of one request declare the

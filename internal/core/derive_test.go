@@ -23,10 +23,11 @@ func resolve(t *testing.T, s *core.Stack, spec *core.Spec) *core.Spec {
 	return out
 }
 
-// chain builds p.hp →e1→ q.hq, plus r.hr bound to e2 that nothing emits;
-// r.hr itself emits e1, an edge into the reachable part from outside it.
-func chain() (s *core.Stack, e0, e2 *core.EventType, p, q, r *core.Microprotocol) {
-	s = core.NewStack(cc.NewSerial())
+// chain builds, on a stack run by ctrl, p.hp →e1→ q.hq, plus r.hr bound
+// to e2 that nothing emits; r.hr itself emits e1, an edge into the
+// reachable part from outside it.
+func chain(ctrl core.Controller) (s *core.Stack, e0, e2 *core.EventType, p, q, r *core.Microprotocol) {
+	s = core.NewStack(ctrl)
 	p, q, r = core.NewMicroprotocol("p"), core.NewMicroprotocol("q"), core.NewMicroprotocol("r")
 	e0, e1, e2 := core.NewEventType("e0"), core.NewEventType("e1"), core.NewEventType("e2")
 	s.Register(p, q, r)
@@ -39,8 +40,8 @@ func chain() (s *core.Stack, e0, e2 *core.EventType, p, q, r *core.Microprotocol
 // TestSpecBuilderReachability: a derived basic spec declares exactly the
 // microprotocols whose handlers the root reaches.
 func TestSpecBuilderReachability(t *testing.T) {
-	s, e0, _, p, q, r := chain()
-	if spec := resolve(t, s, core.Derive(core.SpecBasic, 0, e0)); !spec.Declares(p) || !spec.Declares(q) || spec.Declares(r) {
+	s, e0, _, p, q, r := chain(cc.NewSerial())
+	if spec := resolve(t, s, core.Derive(1, e0)); !spec.Declares(p) || !spec.Declares(q) || spec.Declares(r) {
 		t.Fatalf("basic spec MPs = %v, want [p q]", spec.MPs())
 	}
 }
@@ -48,8 +49,8 @@ func TestSpecBuilderReachability(t *testing.T) {
 // TestSpecBuilderBound: a derived bound spec puts the bound on every
 // reached microprotocol.
 func TestSpecBuilderBound(t *testing.T) {
-	s, e0, _, p, q, _ := chain()
-	bound := resolve(t, s, core.Derive(core.SpecBound, 7, e0))
+	s, e0, _, p, q, _ := chain(cc.NewSerial())
+	bound := resolve(t, s, core.Derive(7, e0))
 	for _, mp := range []*core.Microprotocol{p, q} {
 		if n, ok := bound.Bound(mp); !ok || n != 7 {
 			t.Errorf("bound(%s) = %d, %v; want 7", mp, n, ok)
@@ -61,8 +62,8 @@ func TestSpecBuilderBound(t *testing.T) {
 // rooted at the root's handlers and carries only the emit edges of the
 // reachable part — r.hr's edge into q.hq must not leak into it.
 func TestSpecBuilderRouteRestrictsToReachable(t *testing.T) {
-	s, e0, _, p, q, r := chain()
-	g := resolve(t, s, core.Derive(core.SpecRoute, 0, e0)).Graph()
+	s, e0, _, p, q, r := chain(cc.NewSerial())
+	g := resolve(t, s, core.Derive(1, e0)).Graph()
 	hp, hq, hr := p.Handler("hp"), q.Handler("hq"), r.Handler("hr")
 	if !g.IsRoot(hp) || g.IsRoot(hq) || !g.Contains(hq) || g.Contains(hr) {
 		t.Fatalf("route graph: root(hp)=%v root(hq)=%v contains(hq)=%v contains(hr)=%v",
@@ -76,11 +77,37 @@ func TestSpecBuilderRouteRestrictsToReachable(t *testing.T) {
 	}
 }
 
+// TestDeriveCarriesEveryPart: one request resolves to one spec that
+// declares M, the bounds and the route together, so every controller runs
+// it: VCABound reads the bounds, VCARoute the graph, the rest M.
+func TestDeriveCarriesEveryPart(t *testing.T) {
+	for _, ctrl := range []core.Controller{cc.NewVCABasic(), cc.NewVCABound(), cc.NewVCARoute()} {
+		s, e0, _, p, q, r := chain(ctrl)
+		req := core.Derive(3, e0)
+		if err := s.External(req, e0, nil); err != nil {
+			t.Fatalf("%s: %v", ctrl.Name(), err)
+		}
+		spec := resolve(t, s, req)
+		if len(spec.MPs()) != 2 || !spec.Declares(p) || !spec.Declares(q) || spec.Declares(r) {
+			t.Fatalf("%s: MPs = %v, want [p q]", ctrl.Name(), spec.MPs())
+		}
+		for _, mp := range []*core.Microprotocol{p, q} {
+			if n, ok := spec.Bound(mp); !ok || n != 3 {
+				t.Errorf("%s: bound(%s) = %d, %v; want 3", ctrl.Name(), mp, n, ok)
+			}
+		}
+		hp, hq := p.Handler("hp"), q.Handler("hq")
+		if g := spec.Graph(); g == nil || !g.IsRoot(hp) || len(g.Succs(hp)) != 1 || g.Succs(hp)[0] != hq {
+			t.Fatalf("%s: graph is not hp → hq rooted at hp", ctrl.Name())
+		}
+	}
+}
+
 // TestSpecBuilderMultipleRoots: a spec derived from several roots covers
 // what any of them reaches.
 func TestSpecBuilderMultipleRoots(t *testing.T) {
-	s, e0, e2, p, q, r := chain()
-	spec := resolve(t, s, core.Derive(core.SpecBasic, 0, e0, e2))
+	s, e0, e2, p, q, r := chain(cc.NewSerial())
+	spec := resolve(t, s, core.Derive(1, e0, e2))
 	if !spec.Declares(p) || !spec.Declares(q) || !spec.Declares(r) {
 		t.Fatalf("two roots: MPs = %v, want [p q r]", spec.MPs())
 	}
@@ -91,8 +118,8 @@ func TestSpecBuilderMultipleRoots(t *testing.T) {
 // leaves the request's part of the stack alone keeps that Spec, and one
 // that replaces a reached microprotocol resolves to the successor.
 func TestDeriveFollowsPinnedEpoch(t *testing.T) {
-	s, e0, e2, p, q, _ := chain()
-	req := core.Derive(core.SpecBasic, 0, e0).WithTimeout(time.Minute)
+	s, e0, e2, p, q, _ := chain(cc.NewSerial())
+	req := core.Derive(1, e0).WithTimeout(time.Minute)
 	first := resolve(t, s, req)
 	if again := resolve(t, s, req); again != first {
 		t.Fatal("a request must resolve once per epoch")
@@ -129,7 +156,7 @@ func TestDeriveRefusesUndeclaredHandler(t *testing.T) {
 	s.Bind(e0, p.AddHandler("hp", nopHandler).Emits(e1))
 	s.Bind(e1, q.AddHandler("hq", nopHandler))
 	var de *core.DeriveError
-	if err := s.External(core.Derive(core.SpecBasic, 0, e0), e0, nil); !errors.As(err, &de) || de.Handler != "q.hq" {
+	if err := s.External(core.Derive(1, e0), e0, nil); !errors.As(err, &de) || de.Handler != "q.hq" {
 		t.Fatalf("derive through undeclared q.hq = %v, want DeriveError{q.hq}", err)
 	}
 }

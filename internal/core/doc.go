@@ -33,7 +33,7 @@
 // refused with a ReconfiguredError before the controller sees it.
 //
 // Binding is static, as in the paper: all Bind calls must precede the
-// first Isolated call on a stack. Stack.Rebind implements the paper's
-// future-work extension of dynamic rebinding between computations, and
-// Stack.Reconfigure installs a successor epoch on a live stack.
+// first Isolated call on a stack. Stack.Reconfigure implements the
+// paper's future-work extension of dynamic rebinding: it installs a
+// successor epoch on a live stack (Epoch.Rebind, Replace, …).
 package core

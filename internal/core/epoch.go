@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -250,18 +249,14 @@ func (e *Epoch) Bind(et *EventType, hs ...*Handler) {
 	}
 }
 
-// Unbind removes every handler bound to the event type.
-func (e *Epoch) Unbind(et *EventType) {
+// Rebind replaces the handlers bound to the event type; with no handlers
+// it unbinds the event.
+func (e *Epoch) Rebind(et *EventType, hs ...*Handler) {
 	if et == nil {
-		e.fail("Unbind nil event type")
+		e.fail("Rebind nil event type")
 		return
 	}
 	delete(e.bindings, et)
-}
-
-// Rebind replaces the handlers bound to the event type.
-func (e *Epoch) Rebind(et *EventType, hs ...*Handler) {
-	e.Unbind(et)
 	e.Bind(et, hs...)
 }
 
@@ -327,45 +322,23 @@ func (e *Epoch) diffLocked() EpochChange {
 // Trigger dispatch stays lock-free and allocation-free throughout.
 //
 // Reconfigure returns once the new epoch is installed, without waiting
-// for the old epoch to drain (use ReconfigureContext to wait). A failed
-// validation, a panicking edit, or a stack that is (or concurrently
-// becomes) closed leaves the live configuration untouched; the
-// commit-point check makes a racing Close win deterministically.
+// for the old epoch to drain; EpochDrained(n-1), with n the edited
+// epoch's Number, closes once it has. A failed validation, a panicking
+// edit, or a stack that is (or concurrently becomes) closed leaves the
+// live configuration untouched; the commit-point check makes a racing
+// Close win deterministically.
 func (s *Stack) Reconfigure(edit func(*Epoch)) error {
-	_, err := s.reconfigure(edit)
-	return err
-}
-
-// ReconfigureContext is Reconfigure plus retirement: it additionally
-// waits until the superseded epoch has fully drained — every computation
-// pinned to it exited and the controller retired its slots — or ctx
-// expires (the swap stays installed; only the wait is abandoned). The
-// swap-latency this wait measures is the zero-downtime number.
-func (s *Stack) ReconfigureContext(ctx context.Context, edit func(*Epoch)) error {
-	old, err := s.reconfigure(edit)
-	if err != nil || old == nil {
-		return err
-	}
-	select {
-	case <-old.drained:
-		return nil
-	case <-ctx.Done():
-		return &DeadlineError{Stage: "retire", Err: ctx.Err()}
-	}
-}
-
-func (s *Stack) reconfigure(edit func(*Epoch)) (*epochSnap, error) {
 	if edit == nil {
-		return nil, errors.New("samoa: Reconfigure with nil edit")
+		return errors.New("samoa: Reconfigure with nil edit")
 	}
 	s.seal()
 	if err := s.yieldSafe(nil, YieldReconfigure); err != nil {
-		return nil, err
+		return err
 	}
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	ep := s.newEpochLocked()
 	var editErr error
@@ -382,14 +355,14 @@ func (s *Stack) reconfigure(edit func(*Epoch)) (*epochSnap, error) {
 	}
 	if editErr != nil {
 		s.mu.Unlock()
-		return nil, editErr
+		return editErr
 	}
 	ch := ep.diffLocked()
 	// Commit point: a Close that has begun by now wins — the install is
 	// abandoned with the live configuration untouched.
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	for _, mp := range ch.Added {
 		mp.stack = s
@@ -402,7 +375,7 @@ func (s *Stack) reconfigure(edit func(*Epoch)) (*epochSnap, error) {
 	old := s.installLocked(ch)
 	s.mu.Unlock()
 	s.maybeRetire(old)
-	return old, nil
+	return nil
 }
 
 // pin selects the epoch a new computation runs against: the current one,

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -376,9 +375,10 @@ func TestReconfigureAfterClose(t *testing.T) {
 	}
 }
 
-// TestReconfigureContextWaitsForRetirement: the blocking variant returns
-// only after the superseded epoch drained, and honours its context.
-func TestReconfigureContextWaitsForRetirement(t *testing.T) {
+// TestEpochDrainedWaitsForRetirement: after Reconfigure returns, the
+// superseded epoch's drain channel stays open while a computation pinned
+// to it runs, and closes once that computation exits.
+func TestEpochDrainedWaitsForRetirement(t *testing.T) {
 	s := core.NewStack(cc.NewNone())
 	p := core.NewMicroprotocol("p")
 	entered := make(chan struct{})
@@ -396,17 +396,18 @@ func TestReconfigureContextWaitsForRetirement(t *testing.T) {
 	go func() { errc <- s.External(core.Access(p), et, nil) }()
 	<-entered
 
-	// Bounded wait expires while the old epoch is still pinned: the swap
-	// installs but the retirement wait is abandoned.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	err := s.ReconfigureContext(ctx, func(e *core.Epoch) {})
-	var de *core.DeadlineError
-	if !errors.As(err, &de) || de.Stage != "retire" {
-		t.Fatalf("bounded ReconfigureContext = %v, want retire DeadlineError", err)
+	// The swap installs while the old epoch is still pinned.
+	var n uint64
+	if err := s.Reconfigure(func(e *core.Epoch) { n = e.Number() }); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.CurrentEpoch(); got != 2 {
-		t.Fatalf("CurrentEpoch = %d, want 2 (swap must install despite the expired wait)", got)
+	if got := s.CurrentEpoch(); n != 2 || got != 2 {
+		t.Fatalf("edited epoch %d, CurrentEpoch %d; want 2", n, got)
+	}
+	select {
+	case <-s.EpochDrained(n - 1):
+		t.Fatal("epoch 1 drained while a computation pinned to it still runs")
+	default:
 	}
 
 	close(release)
@@ -414,14 +415,19 @@ func TestReconfigureContextWaitsForRetirement(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-s.EpochDrained(1):
+	case <-s.EpochDrained(n - 1):
 	case <-time.After(5 * time.Second):
 		t.Fatal("epoch 1 did not retire after its computation exited")
 	}
-	// With the stack quiescent the blocking variant completes the full
-	// swap-and-retire cycle synchronously.
-	if err := s.ReconfigureContext(context.Background(), func(e *core.Epoch) {}); err != nil {
-		t.Fatalf("ReconfigureContext on a quiescent stack: %v", err)
+	// With the stack quiescent Reconfigure retires the superseded epoch
+	// before it returns.
+	if err := s.Reconfigure(func(e *core.Epoch) { n = e.Number() }); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.EpochDrained(n - 1):
+	default:
+		t.Fatalf("epoch %d not retired when Reconfigure returned on a quiescent stack", n-1)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -6,10 +6,6 @@ import (
 	"strings"
 )
 
-// ErrActiveComputations is returned by Stack.Rebind while computations are
-// in flight: the paper forbids rebinding inside computations.
-var ErrActiveComputations = errors.New("samoa: rebind while computations are active")
-
 // ErrComputationAborted is produced by rollback-based controllers (the
 // paper's "timestamp-ordering algorithms with rollback/recovery" group,
 // cc.WaitDie) when a computation must be undone and re-executed. It

@@ -23,7 +23,6 @@ func TestErrorStrings(t *testing.T) {
 		{&core.EmitsError{Handler: "relcast.recv", Event: "SendOut"}, []string{"relcast.recv", `"SendOut"`, "Emits does not declare"}},
 		{&core.ReadOnlyViolationError{MP: "data", Handler: "poke"}, []string{"read-only", "data.poke"}},
 		{&core.SpecError{Controller: "vca-bound", Reason: "no bounds"}, []string{"vca-bound", "no bounds"}},
-		{core.ErrActiveComputations, []string{"rebind", "active"}},
 	}
 	for _, tc := range cases {
 		msg := tc.err.Error()

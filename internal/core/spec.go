@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -14,14 +15,16 @@ import (
 //     visits per microprotocol ("isolated bound M e").
 //   - Route(graph) — a directed graph of handler calls
 //     ("isolated route M e"); M is derived from the graph's vertices.
-//   - Derive(kind, bound, roots...) — any of the three, inferred from the
+//   - Derive(bound, roots...) — all three at once, inferred from the
 //     bindings of the epoch the computation pins (see Derive).
+//   - PathSpec(path...) — all three at once, written out for one path.
 //
 // A Spec is immutable once built and may be shared by any number of
 // computations. Controllers use the portion of the Spec they understand:
-// cc.VCABound demands bounds, cc.VCARoute demands a graph, and every
-// controller can run an Access spec (treating it with its most
-// conservative interpretation).
+// cc.VCABound demands bounds, cc.VCARoute demands a graph (each refuses a
+// spec without its part with a SpecError), and every other controller
+// reads M alone. A Derive or PathSpec spec carries all three parts, so
+// every controller runs it.
 type Spec struct {
 	mps     []*Microprotocol // deduplicated, sorted by ID
 	bounds  map[*Microprotocol]int
@@ -60,35 +63,25 @@ func Route(g *RouteGraph) *Spec {
 }
 
 // PathSpec writes out by hand the spec of a computation that calls the
-// handlers of path in order: M is their microprotocols (SpecBasic), each
-// bounded by its visits on the path (SpecBound), or the chain path[0] →
-// path[1] → … rooted at path[0] (SpecRoute). Fixtures that choose a path
-// per computation use it; protocol code derives its specs (Derive).
-func PathSpec(kind SpecKind, path ...*Handler) *Spec {
-	switch kind {
-	case SpecBound:
-		bounds := make(map[*Microprotocol]int, len(path))
-		for _, h := range path {
-			bounds[h.mp]++
+// handlers of path in order. Like a derived spec it declares all three
+// parts: M is their microprotocols, each bounded by its visits on the
+// path, and the route is the chain path[0] → path[1] → … rooted at
+// path[0], each edge declared once. Fixtures that choose a path per computation use it; protocol
+// code derives its specs (Derive).
+func PathSpec(path ...*Handler) *Spec {
+	g := NewRouteGraph()
+	bounds := make(map[*Microprotocol]int, len(path))
+	for i, h := range path {
+		bounds[h.mp]++
+		if i == 0 {
+			g.Root(h)
+		} else if !slices.Contains(g.Succs(path[i-1]), h) {
+			g.Edge(path[i-1], h)
 		}
-		return AccessBound(bounds)
-	case SpecRoute:
-		g := NewRouteGraph()
-		for i, h := range path {
-			if i == 0 {
-				g.Root(h)
-			} else {
-				g.Edge(path[i-1], h)
-			}
-		}
-		return Route(g)
-	default:
-		mps := make([]*Microprotocol, len(path))
-		for i, h := range path {
-			mps[i] = h.mp
-		}
-		return Access(mps...)
 	}
+	spec := Route(g)
+	spec.bounds = bounds
+	return spec
 }
 
 // MPs returns the declared collection M, deduplicated and sorted by

@@ -173,28 +173,26 @@ func TestRouteGraphHasCycle(t *testing.T) {
 	}
 }
 
-// TestPathSpec: one path yields M, per-microprotocol visit bounds, or the
-// chain graph, by kind.
+// TestPathSpec: one path yields one spec carrying M, per-microprotocol
+// visit bounds and the chain graph together.
 func TestPathSpec(t *testing.T) {
 	p := core.NewMicroprotocol("p")
 	q := core.NewMicroprotocol("q")
 	hp := p.AddHandler("hp", nopHandler)
 	hq := q.AddHandler("hq", nopHandler)
-	path := []*core.Handler{hp, hq, hp}
+	spec := core.PathSpec(hp, hq, hp)
 
-	basic := core.PathSpec(core.SpecBasic, path...)
-	if len(basic.MPs()) != 2 || !basic.Declares(p) || !basic.Declares(q) || basic.HasBounds() || basic.Graph() != nil {
-		t.Fatalf("basic spec: MPs %v, bounds %v, graph %v", basic.MPs(), basic.HasBounds(), basic.Graph())
+	if len(spec.MPs()) != 2 || !spec.Declares(p) || !spec.Declares(q) {
+		t.Fatalf("MPs %v, want [p q]", spec.MPs())
 	}
-	bound := core.PathSpec(core.SpecBound, path...)
-	if n, _ := bound.Bound(p); n != 2 {
+	if n, _ := spec.Bound(p); n != 2 {
 		t.Fatalf("Bound(p) = %d, want 2 visits", n)
 	}
-	if n, _ := bound.Bound(q); n != 1 {
+	if n, _ := spec.Bound(q); n != 1 {
 		t.Fatalf("Bound(q) = %d, want 1 visit", n)
 	}
-	g := core.PathSpec(core.SpecRoute, path...).Graph()
+	g := spec.Graph()
 	if g == nil || !g.IsRoot(hp) || g.IsRoot(hq) || len(g.Succs(hp)) != 1 || g.Succs(hp)[0] != hq || g.Succs(hq)[0] != hp {
-		t.Fatal("route spec is not the chain hp → hq → hp rooted at hp")
+		t.Fatal("route is not the chain hp → hq → hp rooted at hp")
 	}
 }

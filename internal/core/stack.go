@@ -21,15 +21,14 @@ import (
 // afterwards dispatch (Trigger, TriggerAll, Bound) is lock-free and
 // allocation-free — readers only dereference the snapshot. Bindings are
 // immutable within an epoch (the paper's static-binding assumption);
-// Reconfigure installs a successor epoch on a live stack (see epoch.go),
-// and Rebind remains as the quiescent-only special case.
+// Reconfigure installs a successor epoch on a live stack (see epoch.go).
 type Stack struct {
 	name   string
 	ctrl   Controller
 	tracer Tracer
 	hook   Hook // deterministic-scheduler hook; nil in production
 
-	mu       sync.Mutex // guards bindings, mps, and history during build, Rebind, and Reconfigure
+	mu       sync.Mutex // guards bindings, mps, and history during build and Reconfigure
 	bindings map[*EventType][]*Handler
 	mps      map[string]*Microprotocol
 
@@ -140,32 +139,10 @@ func (s *Stack) Bind(et *EventType, hs ...*Handler) {
 		for i, h := range hs {
 			names[i] = h.String()
 		}
-		panic(fmt.Sprintf("samoa: Bind %q → [%s] on stack %q after its first computation sealed the binding table (epoch %d is live; use Reconfigure, or Rebind while quiescent)",
+		panic(fmt.Sprintf("samoa: Bind %q → [%s] on stack %q after its first computation sealed the binding table (epoch %d is live; use Reconfigure and Epoch.Rebind)",
 			et.Name(), strings.Join(names, " "), s.name, s.CurrentEpoch()))
 	}
 	s.bindLocked(et, hs)
-}
-
-// Rebind replaces the handlers bound to an event type. It implements the
-// paper's future-work dynamic-binding extension under the paper's own
-// restriction: handlers "cannot be (re)bound inside any computation", so
-// Rebind fails with ErrActiveComputations unless the stack is quiescent.
-// On success the new binding table is republished atomically.
-func (s *Stack) Rebind(et *EventType, hs ...*Handler) error {
-	s.mu.Lock()
-	if s.active.Load() > 0 {
-		s.mu.Unlock()
-		return ErrActiveComputations
-	}
-	delete(s.bindings, et)
-	s.bindLocked(et, hs)
-	var old *epochSnap
-	if s.sealed.Load() {
-		old = s.installLocked(EpochChange{})
-	}
-	s.mu.Unlock()
-	s.maybeRetire(old)
-	return nil
 }
 
 func (s *Stack) bindLocked(et *EventType, hs []*Handler) {

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -77,6 +76,8 @@ func TestSealOnFirstIsolated(t *testing.T) {
 	mustPanic(t, "AddHandler after seal", func() { p.AddHandler("late", nopHandler) })
 }
 
+// TestRebind: Epoch.Rebind inside a Reconfigure changes dispatch for
+// the computations of the new epoch.
 func TestRebind(t *testing.T) {
 	s := newNoneStack(t)
 	p := core.NewMicroprotocol("p")
@@ -97,8 +98,7 @@ func TestRebind(t *testing.T) {
 	if err := s.External(spec, et, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Rebind while quiescent succeeds and changes dispatch.
-	if err := s.Rebind(et, h2); err != nil {
+	if err := s.Reconfigure(func(e *core.Epoch) { e.Rebind(et, h2) }); err != nil {
 		t.Fatalf("Rebind: %v", err)
 	}
 	if err := s.External(spec, et, nil); err != nil {
@@ -106,37 +106,6 @@ func TestRebind(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "h1" || got[1] != "h2" {
 		t.Fatalf("dispatch order = %v", got)
-	}
-}
-
-func TestRebindWhileActiveFails(t *testing.T) {
-	s := newNoneStack(t)
-	p := core.NewMicroprotocol("p")
-	h := p.AddHandler("h", nopHandler)
-	s.Register(p)
-	et := core.NewEventType("e")
-	s.Bind(et, h)
-
-	inComp := make(chan struct{})
-	release := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		errc <- s.Isolated(core.Access(p), func(ctx *core.Context) error {
-			close(inComp)
-			<-release
-			return nil
-		})
-	}()
-	<-inComp
-	if err := s.Rebind(et, h); !errors.Is(err, core.ErrActiveComputations) {
-		t.Fatalf("Rebind during computation: %v", err)
-	}
-	close(release)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Rebind(et, h); err != nil {
-		t.Fatalf("Rebind after completion: %v", err)
 	}
 }
 
@@ -203,7 +172,7 @@ func TestBindAfterSealPanicNamesBinding(t *testing.T) {
 	late := core.NewEventType("late")
 	defer func() {
 		msg, _ := recover().(string)
-		for _, want := range []string{`"late"`, "p.h", `"audit"`, "Rebind", "epoch 1", "Reconfigure"} {
+		for _, want := range []string{`"late"`, "p.h", `"audit"`, "epoch 1", "Reconfigure"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("panic %q missing %q", msg, want)
 			}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -299,26 +301,24 @@ func TestBidirectionalTraffic(t *testing.T) {
 }
 
 // TestAllControllerSpecCombos runs the reliable-ordered-checksummed stack
-// under every isolated variant.
+// under every isolated variant, each on the same derived specs.
 func TestAllControllerSpecCombos(t *testing.T) {
 	combos := []struct {
 		name string
 		mk   func() core.Controller
-		kind core.SpecKind
 	}{
-		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, core.SpecBasic},
-		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, core.SpecBound},
-		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, core.SpecRoute},
-		{"serial", func() core.Controller { return cc.NewSerial() }, core.SpecBasic},
-		{"tso", func() core.Controller { return cc.NewTSO() }, core.SpecBasic},
-		{"vca-rw", func() core.Controller { return cc.NewVCARW() }, core.SpecBasic},
+		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
+		{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
+		{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
+		{"serial", func() core.Controller { return cc.NewSerial() }},
+		{"tso", func() core.Controller { return cc.NewTSO() }},
+		{"vca-rw", func() core.Controller { return cc.NewVCARW() }},
 	}
 	for _, combo := range combos {
 		combo := combo
 		t.Run(combo.name, func(t *testing.T) {
 			p := newPair(t, 9, faultnet.Rates{Drop: 0.15}, func(cfg *ctp.Config) {
 				cfg.Controller = combo.mk()
-				cfg.SpecKind = combo.kind
 			})
 			for i := 0; i < 8; i++ {
 				if err := p.a.Send([]byte(fmt.Sprintf("c%d", i))); err != nil {
@@ -363,5 +363,65 @@ func TestStreamIntegrityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// goroutineID is the running goroutine's id, from the "goroutine N ["
+// header runtime.Stack writes first.
+func goroutineID() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, err := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	if err != nil {
+		panic(fmt.Sprintf("unparsable stack header %q", buf[:]))
+	}
+	return id
+}
+
+// spawnerTracer records the goroutine every computation was spawned on.
+type spawnerTracer struct {
+	mu     sync.Mutex
+	spawns int
+	on     map[uint64]bool
+}
+
+func (tr *spawnerTracer) Spawned(uint64, *core.Spec) {
+	id := goroutineID()
+	tr.mu.Lock()
+	tr.spawns++
+	tr.on[id] = true
+	tr.mu.Unlock()
+}
+func (*spawnerTracer) HandlerStart(uint64, uint64, *core.EventType, *core.Handler) {}
+func (*spawnerTracer) HandlerEnd(uint64, uint64, *core.Handler)                    {}
+func (*spawnerTracer) Completed(uint64)                                            {}
+func (*spawnerTracer) Aborted(uint64)                                              {}
+
+// TestPumpReusesWorkers pins the warm-stack pump structurally: however
+// many datagrams flow, an endpoint's computations are spawned on a fixed
+// set of goroutines — its pump workers and its ticker — plus the one
+// goroutine that calls Send. A pump that starts a goroutine per datagram,
+// or a ticker that starts one per tick, spawns on hundreds.
+func TestPumpReusesWorkers(t *testing.T) {
+	const endpoints, workers, tickers, callers, msgs = 2, 16, 1, 1, 300
+	tr := &spawnerTracer{on: map[uint64]bool{}}
+	p := newPair(t, 5, faultnet.Rates{Drop: 0.05}, func(cfg *ctp.Config) { cfg.Tracer = tr })
+	for i := 0; i < msgs; i++ {
+		if err := p.a.Send([]byte(fmt.Sprintf("m%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.waitDelivered(msgs)
+
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	bound := endpoints*(workers+tickers) + callers
+	t.Logf("%d computations spawned on %d goroutines (bound %d)", tr.spawns, len(tr.on), bound)
+	if len(tr.on) > bound {
+		t.Fatalf("%d computations spawned on %d distinct goroutines, want at most %d = %d endpoints × (%d workers + %d ticker) + %d caller",
+			tr.spawns, len(tr.on), bound, endpoints, workers, tickers, callers)
+	}
+	if tr.spawns < 10*bound {
+		t.Fatalf("only %d computations spawned: too few to tell reuse from a goroutine per datagram", tr.spawns)
 	}
 }

@@ -29,21 +29,25 @@ type Config struct {
 	// is abandoned and surfaces a *ConnFailedError (via Errs and Failed).
 	// Zero means retry forever.
 	MaxRetries int
-	// Controller schedules computations (default cc.NewVCABasic()).
+	// Controller schedules computations (default cc.NewVCABasic()). Any
+	// controller runs the endpoint: its specs are derived (core.Derive)
+	// and carry M, visit bounds and the route together.
 	Controller core.Controller
-	// SpecKind must match the controller (see core.SpecKind).
-	SpecKind core.SpecKind
-	// Bound is the per-microprotocol visit bound for core.SpecBound
-	// (default 1024).
-	Bound int
 	// Deliver receives reassembled application messages. It runs inside
 	// computations: be quick, don't call Endpoint methods synchronously.
 	Deliver func(msg []byte)
 	// Tracer, if set, observes the endpoint's stack.
 	Tracer core.Tracer
-	// PumpWorkers caps concurrently processed datagrams (default 16).
-	PumpWorkers int
 }
+
+const (
+	// pumpWorkers is how many long-lived workers Start launches to run
+	// incoming datagrams' computations: the cap on them at once.
+	pumpWorkers = 16
+	// visitBound is the per-microprotocol visit bound every derived spec
+	// declares for cc.VCABound.
+	visitBound = 1024
+)
 
 // Endpoint is one side of a point-to-point transport connection: a SAMOA
 // stack of the configured layers wired to a simnet node.
@@ -66,7 +70,7 @@ type Endpoint struct {
 
 	quit     chan struct{}
 	stopOnce sync.Once
-	sem      chan struct{}
+	in       chan []byte // pump → workers; unbuffered, closed by the pump
 	wg       sync.WaitGroup
 
 	errMu sync.Mutex
@@ -93,18 +97,12 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	if cfg.Controller == nil {
 		cfg.Controller = cc.NewVCABasic()
 	}
-	if cfg.Bound <= 0 {
-		cfg.Bound = 1024
-	}
-	if cfg.PumpWorkers <= 0 {
-		cfg.PumpWorkers = 16
-	}
 
 	e := &Endpoint{
 		cfg:  cfg,
 		node: cfg.Net.Endpoint(cfg.ID),
 		quit: make(chan struct{}),
-		sem:  make(chan struct{}, cfg.PumpWorkers),
+		in:   make(chan []byte),
 	}
 	opts := []core.StackOption{core.WithName("ctp")}
 	if cfg.Tracer != nil {
@@ -173,19 +171,22 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		return nil
 	}).Emits())
 
-	e.specSend = core.Derive(cfg.SpecKind, cfg.Bound, e.evAppSend)
-	e.specRecv = core.Derive(cfg.SpecKind, cfg.Bound, e.evRecvTop)
+	e.specSend = core.Derive(visitBound, e.evAppSend)
+	e.specRecv = core.Derive(visitBound, e.evRecvTop)
 	if e.arq != nil {
-		e.specTick = core.Derive(cfg.SpecKind, cfg.Bound, e.evTick)
+		e.specTick = core.Derive(visitBound, e.evTick)
 	}
 	return e, nil
 }
 
-// Start launches the receive pump and, for reliable compositions, the
-// retransmission ticker.
+// Start launches the receive pump, its workers and, for reliable
+// compositions, the retransmission ticker.
 func (e *Endpoint) Start() {
-	e.wg.Add(1)
+	e.wg.Add(1 + pumpWorkers)
 	go e.pump()
+	for i := 0; i < pumpWorkers; i++ {
+		go e.work()
+	}
 	if e.arq != nil {
 		e.wg.Add(1)
 		go e.ticker()
@@ -210,8 +211,11 @@ func (e *Endpoint) Send(msg []byte) error {
 	return e.stack.External(e.specSend, e.evAppSend, append([]byte(nil), msg...))
 }
 
+// pump hands every datagram from the peer to a worker, blocking while all
+// are busy; returning closes e.in.
 func (e *Endpoint) pump() {
 	defer e.wg.Done()
+	defer close(e.in)
 	for {
 		d, ok := e.node.Recv()
 		if !ok {
@@ -221,41 +225,35 @@ func (e *Endpoint) pump() {
 			continue
 		}
 		select {
-		case e.sem <- struct{}{}:
+		case e.in <- d.Payload:
 		case <-e.quit:
 			return
 		}
-		e.wg.Add(1)
-		go func(payload []byte) {
-			defer e.wg.Done()
-			defer func() { <-e.sem }()
-			e.record(e.stack.External(e.specRecv, e.evRecvTop, payload))
-		}(d.Payload)
 	}
 }
 
+// work runs the computations of the datagrams the pump hands it until e.in
+// closes, its only stop signal.
+func (e *Endpoint) work() {
+	defer e.wg.Done()
+	for payload := range e.in {
+		e.record(e.stack.External(e.specRecv, e.evRecvTop, payload))
+	}
+}
+
+// ticker runs each retransmission scan on its own goroutine;
+// time.Ticker holds at most one tick during a scan and drops the rest.
 func (e *Endpoint) ticker() {
 	defer e.wg.Done()
 	t := time.NewTicker(e.cfg.RTO / 2)
 	defer t.Stop()
-	busy := make(chan struct{}, 1)
 	for {
 		select {
 		case <-e.quit:
 			return
 		case <-t.C:
 		}
-		select {
-		case busy <- struct{}{}:
-		default:
-			continue
-		}
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer func() { <-busy }()
-			e.record(e.stack.External(e.specTick, e.evTick, nil))
-		}()
+		e.record(e.stack.External(e.specTick, e.evTick, nil))
 	}
 }
 

@@ -339,21 +339,20 @@ func TestCrashedCoordinatorRoundAdvance(t *testing.T) {
 	}
 }
 
-// TestAllControllerSpecCombos drives the full stack under every
-// (controller, spec kind) combination the framework supports — the
-// integration proof that each isolated variant can run a real protocol.
+// TestAllControllerSpecCombos drives the full stack under every controller
+// on the same derived specs — the integration proof that each isolated
+// variant can run a real protocol.
 func TestAllControllerSpecCombos(t *testing.T) {
 	combos := []struct {
 		name string
 		mk   func() core.Controller
-		kind core.SpecKind
 	}{
-		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, core.SpecBasic},
-		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, core.SpecBound},
-		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, core.SpecRoute},
-		{"serial", func() core.Controller { return cc.NewSerial() }, core.SpecBasic},
-		{"tso", func() core.Controller { return cc.NewTSO() }, core.SpecBasic},
-		{"vca-rw", func() core.Controller { return cc.NewVCARW() }, core.SpecBasic},
+		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
+		{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
+		{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
+		{"serial", func() core.Controller { return cc.NewSerial() }},
+		{"tso", func() core.Controller { return cc.NewTSO() }},
+		{"vca-rw", func() core.Controller { return cc.NewVCARW() }},
 	}
 	for _, combo := range combos {
 		combo := combo
@@ -363,7 +362,6 @@ func TestAllControllerSpecCombos(t *testing.T) {
 			for id := simnet.NodeID(0); id < 2; id++ {
 				c.addSite(id, view, func(cfg *gc.Config) {
 					cfg.Controller = combo.mk()
-					cfg.SpecKind = combo.kind
 				})
 			}
 			for i := 0; i < 4; i++ {

@@ -32,7 +32,7 @@ func TestE6ViewChangeRace(t *testing.T) {
 		delivered bool
 		dropped   uint64
 	}
-	run := func(t *testing.T, ctrl core.Controller, kind core.SpecKind) result {
+	run := func(t *testing.T, ctrl core.Controller) result {
 		t.Helper()
 		net := simnet.New(simnet.Config{Nodes: 3})
 		defer net.Close()
@@ -51,8 +51,8 @@ func TestE6ViewChangeRace(t *testing.T) {
 
 		b = gc.NewSite(gc.Config{
 			Net: net, ID: 1, InitialView: gc.NewView(0, 1), FDInterval: -1,
-			Controller: ctrl, SpecKind: kind,
-			Passive: true, // only the two orchestrated computations run on B
+			Controller: ctrl,
+			Passive:    true, // only the two orchestrated computations run on B
 			AfterRelCastView: func() {
 				select {
 				case inWindow <- struct{}{}:
@@ -105,7 +105,7 @@ func TestE6ViewChangeRace(t *testing.T) {
 	}
 
 	t.Run("none-loses-message", func(t *testing.T) {
-		res := run(t, cc.NewNone(), core.SpecBasic)
+		res := run(t, cc.NewNone())
 		if res.delivered {
 			t.Fatal("under None the §3 race must lose the message")
 		}
@@ -114,25 +114,25 @@ func TestE6ViewChangeRace(t *testing.T) {
 		}
 	})
 	t.Run("vca-basic-delivers", func(t *testing.T) {
-		res := run(t, cc.NewVCABasic(), core.SpecBasic)
+		res := run(t, cc.NewVCABasic())
 		if !res.delivered {
 			t.Fatalf("VCAbasic must prevent the race (dropped=%d)", res.dropped)
 		}
 	})
 	t.Run("vca-bound-delivers", func(t *testing.T) {
-		res := run(t, cc.NewVCABound(), core.SpecBound)
+		res := run(t, cc.NewVCABound())
 		if !res.delivered {
 			t.Fatalf("VCAbound must prevent the race (dropped=%d)", res.dropped)
 		}
 	})
 	t.Run("vca-route-delivers", func(t *testing.T) {
-		res := run(t, cc.NewVCARoute(), core.SpecRoute)
+		res := run(t, cc.NewVCARoute())
 		if !res.delivered {
 			t.Fatalf("VCAroute must prevent the race (dropped=%d)", res.dropped)
 		}
 	})
 	t.Run("serial-delivers", func(t *testing.T) {
-		res := run(t, cc.NewSerial(), core.SpecBasic)
+		res := run(t, cc.NewSerial())
 		if !res.delivered {
 			t.Fatalf("Serial must prevent the race (dropped=%d)", res.dropped)
 		}

@@ -326,8 +326,8 @@ func TestEgressSplitsAtMaxDatagram(t *testing.T) {
 }
 
 // TestManyAcksInOneDatagramUnderVCABound: an ack-only datagram runs under
-// the data path's derived spec, whose visit bounds come from
-// Config.Bound. One datagram carrying three acks opens the flow-control
+// the data path's derived spec, whose visit bounds are the site's loose
+// visitBound. One datagram carrying three acks opens the flow-control
 // window three times, so its computation visits NetOut three times.
 func TestManyAcksInOneDatagramUnderVCABound(t *testing.T) {
 	sim := simnet.New(simnet.Config{Nodes: 2})
@@ -335,7 +335,7 @@ func TestManyAcksInOneDatagramUnderVCABound(t *testing.T) {
 	// Site 0 is real; the test plays peer 1 on the raw endpoint.
 	s := NewSite(Config{
 		Net: sim, ID: 0, InitialView: NewView(0, 1), FDInterval: -1, RTO: time.Hour,
-		Controller: cc.NewVCABound(), SpecKind: core.SpecBound, SendWindow: 3,
+		Controller: cc.NewVCABound(), SendWindow: 3,
 	})
 	s.Start()
 	defer s.Stop()

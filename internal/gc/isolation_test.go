@@ -24,11 +24,10 @@ func TestStackExecutionSatisfiesIsolation(t *testing.T) {
 	combos := []struct {
 		name string
 		mk   func() core.Controller
-		kind core.SpecKind
 	}{
-		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }, core.SpecBasic},
-		{"vca-bound", func() core.Controller { return cc.NewVCABound() }, core.SpecBound},
-		{"vca-route", func() core.Controller { return cc.NewVCARoute() }, core.SpecRoute},
+		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
+		{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
+		{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
 	}
 	for _, combo := range combos {
 		combo := combo
@@ -47,7 +46,7 @@ func TestStackExecutionSatisfiesIsolation(t *testing.T) {
 				recs[i] = trace.NewRecorder()
 				sites[i] = gc.NewSite(gc.Config{
 					Net: net, ID: simnet.NodeID(i), InitialView: view,
-					Controller: combo.mk(), SpecKind: combo.kind,
+					Controller: combo.mk(),
 					FDInterval: 5 * time.Millisecond, // extra concurrent computations
 					RTO:        10 * time.Millisecond,
 					Tracer:     recs[i],

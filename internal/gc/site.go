@@ -21,13 +21,9 @@ type Config struct {
 	InitialView *View
 	// Controller schedules the site's computations; default
 	// cc.NewVCABasic(). Controllers must not be shared between sites.
+	// Any controller runs the site: its specs are derived (core.Derive)
+	// and carry M, visit bounds and the route together.
 	Controller core.Controller
-	// SpecKind must match the controller (see core.SpecKind).
-	SpecKind core.SpecKind
-	// Bound is the per-microprotocol visit bound declared by core.SpecBound
-	// computations (default 1024 — deliberately loose; the paper notes
-	// that tight bounds are hard to state for recursive protocols).
-	Bound int
 	// BatchMax caps consensus batch sizes (default 64).
 	BatchMax int
 	// Deliver receives totally-ordered application payloads; RDeliver
@@ -78,6 +74,11 @@ type Config struct {
 	// rather than incidental Go-level map races with pump workers.
 	Passive bool
 }
+
+// visitBound is the per-microprotocol visit bound every derived spec
+// declares for cc.VCABound: deliberately loose, since the paper notes that
+// tight bounds are hard to state for recursive protocols.
+const visitBound = 1024
 
 // entry names an external-event entry point of the stack.
 type entry int
@@ -152,9 +153,6 @@ func NewSite(cfg Config) *Site {
 	if cfg.Controller == nil {
 		cfg.Controller = cc.NewVCABasic()
 	}
-	if cfg.Bound <= 0 {
-		cfg.Bound = 1024
-	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 64
 	}
@@ -210,7 +208,7 @@ func NewSite(cfg Config) *Site {
 		entFBcast: ev.FifoEv, entCBcast: ev.CausalEv, entJoinLeave: ev.JoinLeave,
 		entInject: ev.ADeliver,
 	} {
-		s.specs[e] = core.Derive(cfg.SpecKind, cfg.Bound, et)
+		s.specs[e] = core.Derive(visitBound, et)
 	}
 	return s
 }
