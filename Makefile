@@ -26,12 +26,12 @@ test:
 	$(GO) test ./...
 
 # Full suite under the race detector (slower; what CI should run), then
-# the gc site pump's worker-reuse and stop-while-blocked tests and the ctp
-# endpoint pump's worker-reuse test five times.
+# the gc site pump's one-pump and stop-while-blocked tests and the ctp
+# endpoint pump's one-pump test five times.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestPumpReusesWorkers|TestStopWithHandOffBlocked' ./internal/gc
-	$(GO) test -race -count=5 -run 'TestPumpReusesWorkers' ./internal/ctp
+	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestStopWithPumpBlocked' ./internal/gc
+	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram' ./internal/ctp
 
 # Short-form contention suite (DESIGN.md §11) under the race detector:
 # the sharded-admission race/differential tests and the cancellable-wait
@@ -45,14 +45,14 @@ race-contend:
 # backend-agnostic transport conformance suite against simnet AND udpnet,
 # the udpnet framing/crash/restart tests, the kvstore cluster over real
 # loopback sockets, the 3-process samoa-node integration test, and the
-# gc site pump's worker-reuse and stop-while-blocked tests and the ctp
-# endpoint pump's worker-reuse test (five runs each).
+# gc site pump's one-pump and stop-while-blocked tests and the ctp
+# endpoint pump's one-pump test (five runs each).
 # Tests skip (with a reason) where loopback UDP is unavailable.
 socket-tests:
 	$(GO) test -race -count=1 ./internal/transport/... ./cmd/samoa-node
 	$(GO) test -race -count=1 -run UDPCluster ./internal/kvstore
-	$(GO) test -race -count=5 -run 'TestPumpReusesWorkers|TestStopWithHandOffBlocked' ./internal/gc
-	$(GO) test -race -count=5 -run 'TestPumpReusesWorkers' ./internal/ctp
+	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestStopWithPumpBlocked' ./internal/gc
+	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram' ./internal/ctp
 
 # 3-process replicated-KV demo on loopback: boots three samoa-node
 # processes on fixed ports and drives them with the built-in client.

@@ -36,7 +36,10 @@ func run(name string, ctrl core.Controller) {
 	c := gc.NewSite(gc.Config{
 		Net: net, ID: 2, InitialView: gc.NewView(0, 1, 2), FDInterval: -1,
 		RDeliver: func(from simnet.NodeID, data []byte) {
-			delivered <- struct{}{}
+			select { // RDeliver runs on C's receive pump: never block it
+			case delivered <- struct{}{}:
+			default:
+			}
 		},
 	})
 	c.Start()

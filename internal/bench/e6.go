@@ -29,7 +29,12 @@ func RunE6Race(v Variant) E6Result {
 
 	c := gc.NewSite(gc.Config{
 		Net: net, ID: 2, InitialView: gc.NewView(0, 1, 2), FDInterval: -1,
-		RDeliver: func(simnet.NodeID, []byte) { delivered <- struct{}{} },
+		RDeliver: func(simnet.NodeID, []byte) {
+			select {
+			case delivered <- struct{}{}:
+			default:
+			}
+		},
 	})
 	c.Start()
 	defer c.Stop()

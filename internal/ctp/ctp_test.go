@@ -397,13 +397,12 @@ func (*spawnerTracer) HandlerEnd(uint64, uint64, *core.Handler)                 
 func (*spawnerTracer) Completed(uint64)                                            {}
 func (*spawnerTracer) Aborted(uint64)                                              {}
 
-// TestPumpReusesWorkers pins the warm-stack pump structurally: however
-// many datagrams flow, an endpoint's computations are spawned on a fixed
-// set of goroutines — its pump workers and its ticker — plus the one
-// goroutine that calls Send. A pump that starts a goroutine per datagram,
-// or a ticker that starts one per tick, spawns on hundreds.
-func TestPumpReusesWorkers(t *testing.T) {
-	const endpoints, workers, tickers, callers, msgs = 2, 16, 1, 1, 300
+// TestPumpRunsEveryDatagram pins the one-pump shape structurally: however
+// many datagrams flow, an endpoint's computations are spawned on its pump
+// and its ticker, plus the one goroutine that calls Send. A pool of pump
+// workers, or a goroutine per datagram or per tick, spawns on more.
+func TestPumpRunsEveryDatagram(t *testing.T) {
+	const endpoints, pumps, tickers, callers, msgs = 2, 1, 1, 1, 300
 	tr := &spawnerTracer{on: map[uint64]bool{}}
 	p := newPair(t, 5, faultnet.Rates{Drop: 0.05}, func(cfg *ctp.Config) { cfg.Tracer = tr })
 	for i := 0; i < msgs; i++ {
@@ -415,13 +414,13 @@ func TestPumpReusesWorkers(t *testing.T) {
 
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	bound := endpoints*(workers+tickers) + callers
+	bound := endpoints*(pumps+tickers) + callers
 	t.Logf("%d computations spawned on %d goroutines (bound %d)", tr.spawns, len(tr.on), bound)
 	if len(tr.on) > bound {
-		t.Fatalf("%d computations spawned on %d distinct goroutines, want at most %d = %d endpoints × (%d workers + %d ticker) + %d caller",
-			tr.spawns, len(tr.on), bound, endpoints, workers, tickers, callers)
+		t.Fatalf("%d computations spawned on %d distinct goroutines, want at most %d = %d endpoints × (%d pump + %d ticker) + %d caller",
+			tr.spawns, len(tr.on), bound, endpoints, pumps, tickers, callers)
 	}
 	if tr.spawns < 10*bound {
-		t.Fatalf("only %d computations spawned: too few to tell reuse from a goroutine per datagram", tr.spawns)
+		t.Fatalf("only %d computations spawned: too few to tell one pump from a goroutine per datagram", tr.spawns)
 	}
 }

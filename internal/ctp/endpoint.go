@@ -34,20 +34,18 @@ type Config struct {
 	// and carry M, visit bounds and the route together.
 	Controller core.Controller
 	// Deliver receives reassembled application messages. It runs inside
-	// computations: be quick, don't call Endpoint methods synchronously.
+	// computations: be quick, don't block, don't call Endpoint methods
+	// synchronously. One goroutine runs every received datagram's
+	// computation, so a Deliver that blocks stalls the endpoint's whole
+	// receive path.
 	Deliver func(msg []byte)
 	// Tracer, if set, observes the endpoint's stack.
 	Tracer core.Tracer
 }
 
-const (
-	// pumpWorkers is how many long-lived workers Start launches to run
-	// incoming datagrams' computations: the cap on them at once.
-	pumpWorkers = 16
-	// visitBound is the per-microprotocol visit bound every derived spec
-	// declares for cc.VCABound.
-	visitBound = 1024
-)
+// visitBound is the per-microprotocol visit bound every derived spec
+// declares for cc.VCABound.
+const visitBound = 1024
 
 // Endpoint is one side of a point-to-point transport connection: a SAMOA
 // stack of the configured layers wired to a simnet node.
@@ -70,7 +68,6 @@ type Endpoint struct {
 
 	quit     chan struct{}
 	stopOnce sync.Once
-	in       chan []byte // pump → workers; unbuffered, closed by the pump
 	wg       sync.WaitGroup
 
 	errMu sync.Mutex
@@ -102,7 +99,6 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		cfg:  cfg,
 		node: cfg.Net.Endpoint(cfg.ID),
 		quit: make(chan struct{}),
-		in:   make(chan []byte),
 	}
 	opts := []core.StackOption{core.WithName("ctp")}
 	if cfg.Tracer != nil {
@@ -179,14 +175,11 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	return e, nil
 }
 
-// Start launches the receive pump, its workers and, for reliable
-// compositions, the retransmission ticker.
+// Start launches the receive pump and, for reliable compositions, the
+// retransmission ticker.
 func (e *Endpoint) Start() {
-	e.wg.Add(1 + pumpWorkers)
+	e.wg.Add(1)
 	go e.pump()
-	for i := 0; i < pumpWorkers; i++ {
-		go e.work()
-	}
 	if e.arq != nil {
 		e.wg.Add(1)
 		go e.ticker()
@@ -211,33 +204,24 @@ func (e *Endpoint) Send(msg []byte) error {
 	return e.stack.External(e.specSend, e.evAppSend, append([]byte(nil), msg...))
 }
 
-// pump hands every datagram from the peer to a worker, blocking while all
-// are busy; returning closes e.in.
+// pump runs every datagram from the peer as one receive computation on
+// this goroutine. Each layer's recv triggers the next synchronously, so
+// receive computations serialize on the bottom layer.
 func (e *Endpoint) pump() {
 	defer e.wg.Done()
-	defer close(e.in)
 	for {
 		d, ok := e.node.Recv()
 		if !ok {
 			return
 		}
-		if d.From != e.cfg.Peer {
-			continue
-		}
 		select {
-		case e.in <- d.Payload:
 		case <-e.quit:
-			return
+			return // a stopping endpoint drops what is still queued
+		default:
 		}
-	}
-}
-
-// work runs the computations of the datagrams the pump hands it until e.in
-// closes, its only stop signal.
-func (e *Endpoint) work() {
-	defer e.wg.Done()
-	for payload := range e.in {
-		e.record(e.stack.External(e.specRecv, e.evRecvTop, payload))
+		if d.From == e.cfg.Peer {
+			e.record(e.stack.External(e.specRecv, e.evRecvTop, d.Payload))
+		}
 	}
 }
 

@@ -28,7 +28,12 @@ func ExampleEndpoint() {
 		return e
 	}
 	a := mk(0, 1, nil)
-	b := mk(1, 0, func(msg []byte) { delivered <- string(msg) })
+	b := mk(1, 0, func(msg []byte) {
+		select { // Deliver runs on the receive pump: never block it
+		case delivered <- string(msg):
+		default:
+		}
+	})
 	defer a.Stop()
 	defer b.Stop()
 

@@ -44,7 +44,12 @@ func TestE6ViewChangeRace(t *testing.T) {
 		cDelivered := make(chan struct{}, 4)
 		c = gc.NewSite(gc.Config{
 			Net: net, ID: 2, InitialView: gc.NewView(0, 1, 2), FDInterval: -1,
-			RDeliver: func(simnet.NodeID, []byte) { cDelivered <- struct{}{} },
+			RDeliver: func(simnet.NodeID, []byte) {
+				select {
+				case cDelivered <- struct{}{}:
+				default:
+				}
+			},
 		})
 		c.Start()
 		defer c.Stop()

@@ -21,7 +21,10 @@ func ExampleSite() {
 		InitialView: gc.NewView(0),
 		FDInterval:  -1,
 		Deliver: func(from simnet.NodeID, data []byte) {
-			delivered <- string(data)
+			select { // Deliver runs inside a computation: never block it
+			case delivered <- string(data):
+			default:
+			}
 		},
 	})
 	site.Start()

@@ -52,18 +52,17 @@ func (tr *spawnerTracer) Spawned(uint64, *core.Spec) {
 	tr.mu.Unlock()
 }
 
-// TestPumpReusesWorkers pins the warm-stack pump structurally: however
-// many datagrams flow, a site's computations are spawned on a fixed set of
-// goroutines — its PumpWorkers workers, its two tickers — plus the
-// goroutines that call ABcast. A pump that starts a goroutine per datagram
-// spawns on thousands.
-func TestPumpReusesWorkers(t *testing.T) {
-	const sites, workers, tickers, callers, perCaller = 3, 4, 2, 3, 170
+// TestPumpRunsEveryDatagram pins the one-pump shape structurally: however
+// many datagrams flow, a site's computations are spawned on its pump, its
+// two tickers and the goroutines that call ABcast. A pool of pump workers,
+// or a goroutine per datagram, spawns on more.
+func TestPumpRunsEveryDatagram(t *testing.T) {
+	const sites, pumps, tickers, callers, perCaller = 3, 1, 2, 3, 170
 	sim := simnet.New(simnet.Config{Nodes: sites})
 	defer sim.Close()
 	tr := &spawnerTracer{on: map[uint64]bool{}}
 	ss, delivered := startSites(t, sim, sites, func(_ transport.NodeID, cfg *Config) {
-		cfg.PumpWorkers = workers
+		cfg.FDInterval = 10 * time.Millisecond // both tickers run
 		cfg.Tracer = tr
 	})
 	var wg sync.WaitGroup
@@ -88,27 +87,39 @@ func TestPumpReusesWorkers(t *testing.T) {
 
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	bound := sites*(workers+tickers) + callers
+	bound := sites*(pumps+tickers) + callers
 	t.Logf("%d computations spawned on %d goroutines (bound %d)", tr.spawns, len(tr.on), bound)
 	if len(tr.on) > bound {
-		t.Fatalf("%d computations spawned on %d distinct goroutines, want at most %d = %d sites × (%d workers + %d tickers) + %d callers",
-			tr.spawns, len(tr.on), bound, sites, workers, tickers, callers)
+		t.Fatalf("%d computations spawned on %d distinct goroutines, want at most %d = %d sites × (%d pump + %d tickers) + %d callers",
+			tr.spawns, len(tr.on), bound, sites, pumps, tickers, callers)
 	}
 	if tr.spawns < 10*bound {
-		t.Fatalf("only %d computations spawned: too few to tell reuse from a goroutine per datagram", tr.spawns)
+		t.Fatalf("only %d computations spawned: too few to tell one pump from a goroutine per datagram", tr.spawns)
 	}
 }
 
 // retransGate holds the first retransmission scan inside its handler
-// until released.
+// until released, and tracks the computations spawned that have not yet
+// started a handler.
 type retransGate struct {
 	nopTracer
 	retransmit       *core.Handler
 	entered, release chan struct{}
 	once             sync.Once
+	mu               sync.Mutex
+	unstarted        map[uint64]bool
 }
 
-func (g *retransGate) HandlerStart(_, _ uint64, _ *core.EventType, h *core.Handler) {
+func (g *retransGate) Spawned(comp uint64, _ *core.Spec) {
+	g.mu.Lock()
+	g.unstarted[comp] = true
+	g.mu.Unlock()
+}
+
+func (g *retransGate) HandlerStart(comp, _ uint64, _ *core.EventType, h *core.Handler) {
+	g.mu.Lock()
+	delete(g.unstarted, comp)
+	g.mu.Unlock()
 	if h == g.retransmit {
 		g.once.Do(func() {
 			close(g.entered)
@@ -117,17 +128,39 @@ func (g *retransGate) HandlerStart(_, _ uint64, _ *core.EventType, h *core.Handl
 	}
 }
 
-// TestStopWithHandOffBlocked stops a one-worker site while a datagram
-// flood has its pump blocked in the hand-off and a retransmission tick is
-// in flight: Stop returns, nothing is recorded in Errs (the stack's
-// lifecycle balance included) and every goroutine the site started ends.
-func TestStopWithHandOffBlocked(t *testing.T) {
+func (g *retransGate) Completed(comp uint64) {
+	g.mu.Lock()
+	delete(g.unstarted, comp)
+	g.mu.Unlock()
+}
+
+// parked reports whether, while the scan is held, a computation waits to
+// start its first handler. Every datagram computation's first handler is
+// RelComm's, which the held scan occupies, so such a computation waits
+// for the release.
+func (g *retransGate) parked() bool {
+	select {
+	case <-g.entered:
+	default:
+		return false
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.unstarted) > 0
+}
+
+// TestStopWithPumpBlocked stops a site whose pump is parked inside a
+// datagram computation, waiting behind a held retransmission scan, while
+// a flood fills its inbox: Stop returns, nothing is recorded in Errs (the
+// stack's lifecycle balance included) and every goroutine the site
+// started ends.
+func TestStopWithPumpBlocked(t *testing.T) {
 	sim := simnet.New(simnet.Config{Nodes: 2})
 	defer sim.Close()
-	gate := &retransGate{entered: make(chan struct{}), release: make(chan struct{})}
+	gate := &retransGate{entered: make(chan struct{}), release: make(chan struct{}), unstarted: map[uint64]bool{}}
 	s := NewSite(Config{
 		Net: sim, ID: 0, InitialView: NewView(0, 1), FDInterval: -1,
-		RTO: 4 * time.Millisecond, PumpWorkers: 1, Tracer: gate,
+		RTO: 4 * time.Millisecond, Tracer: gate,
 	})
 	gate.retransmit = s.relcomm.hRetransmit
 	baseline := runtime.NumGoroutine()
@@ -149,22 +182,9 @@ func TestStopWithHandOffBlocked(t *testing.T) {
 		}
 	}()
 
-	waitUntil(t, "a retransmission scan to start", func() bool {
-		select {
-		case <-gate.entered:
-			return true
-		default:
-			return false
-		}
-	})
-	// The one worker's next computation waits behind the held scan (both
-	// touch RelComm), and the site sends nothing meanwhile. So once more
-	// datagrams have reached node 0 — queued, or dropped on a full inbox —
-	// than the worker and the pump can hold, the pump is blocked handing
-	// one off.
-	reached := func() uint64 { st := sim.Stats(); return st.Delivered + st.DroppedOverflow }
-	before := reached()
-	waitUntil(t, "the flood to back up", func() bool { return reached() >= before+64 })
+	// The held scan's ticker spawns nothing more and no caller runs, so a
+	// computation waiting to start is the pump's, parked behind the scan.
+	waitUntil(t, "the pump to park behind the held scan", gate.parked)
 
 	stopped := make(chan struct{})
 	go func() {

@@ -30,8 +30,10 @@ type Config struct {
 	// receives plain reliable broadcasts; FDeliver receives FIFO-ordered
 	// broadcasts; CDeliver receives causally-ordered broadcasts;
 	// OnViewChange observes view installations. All run inside
-	// computations: they must be quick and must not call Site methods
-	// synchronously.
+	// computations: they must be quick, must not block and must not call
+	// Site methods synchronously. One goroutine runs every datagram's
+	// computation, so a callback that blocks stalls the site's whole
+	// receive path, not one datagram.
 	Deliver      func(from transport.NodeID, data []byte)
 	RDeliver     func(from transport.NodeID, data []byte)
 	FDeliver     func(from transport.NodeID, data []byte)
@@ -43,8 +45,8 @@ type Config struct {
 	// the deliveries below the shipped sync instance have run — and sends
 	// the bytes to the joiner, whose InstallSnapshot replaces its state
 	// before subsequent deliveries apply. Both run inside computations:
-	// quick, no synchronous Site calls. Nil disables state transfer (the
-	// joiner then starts empty, as before).
+	// quick, non-blocking (as above), no synchronous Site calls. Nil
+	// disables state transfer (the joiner then starts empty, as before).
 	Snapshot        func() []byte
 	InstallSnapshot func(snap []byte)
 	// RTO is the retransmission timeout (default 50ms); retransmission
@@ -59,9 +61,6 @@ type Config struct {
 	// (default 6×FDInterval).
 	FDInterval   time.Duration
 	SuspectAfter time.Duration
-	// PumpWorkers is how many long-lived workers Start launches to run
-	// incoming datagrams' computations: the cap on them at once (default 32).
-	PumpWorkers int
 	// Tracer, if set, observes the site's stack.
 	Tracer core.Tracer
 	// AfterRelCastView is the E6 test hook; see RelCast.
@@ -71,7 +70,7 @@ type Config struct {
 	// experiments use it so that, under the deliberately unsafe None
 	// controller, the only concurrent computations are the two the
 	// adversarial schedule orchestrates — the paper's *logical* race —
-	// rather than incidental Go-level map races with pump workers.
+	// rather than incidental Go-level map races with the receive pump.
 	Passive bool
 }
 
@@ -96,13 +95,6 @@ const (
 	entInject
 	numEntries
 )
-
-// inbound is one classified datagram on its way from the pump to a worker.
-type inbound struct {
-	e  entry
-	et *core.EventType
-	d  transport.Datagram
-}
 
 // Site is one member of the group: a full SAMOA stack (NetOut, RelComm,
 // RelCast, FD, Consensus, ABcast, Membership, App) wired to a simnet
@@ -133,7 +125,6 @@ type Site struct {
 
 	quit     chan struct{}
 	stopOnce sync.Once
-	in       chan inbound // pump → workers; unbuffered, closed by the pump
 	wg       sync.WaitGroup
 
 	pumpRetries atomic.Uint64 // Recv-not-ok wakeups while the transport is down
@@ -168,16 +159,12 @@ func NewSite(cfg Config) *Site {
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = 6 * cfg.FDInterval
 	}
-	if cfg.PumpWorkers <= 0 {
-		cfg.PumpWorkers = 32
-	}
 
 	s := &Site{
 		cfg:  cfg,
 		ev:   newEvents(),
 		node: cfg.Net.Endpoint(cfg.ID),
 		quit: make(chan struct{}),
-		in:   make(chan inbound),
 	}
 	opts := []core.StackOption{core.WithName("site")}
 	if cfg.Tracer != nil {
@@ -303,17 +290,14 @@ func (s *Site) maybeUpgrade(proto uint16) {
 	s.appVer.Store(uint32(proto))
 }
 
-// Start launches the receive pump, its PumpWorkers workers and the timer
-// loops (none in Passive mode).
+// Start launches the receive pump and the timer loops (none in Passive
+// mode).
 func (s *Site) Start() {
 	if s.cfg.Passive {
 		return
 	}
-	s.wg.Add(1 + s.cfg.PumpWorkers)
+	s.wg.Add(1)
 	go s.pump()
-	for i := 0; i < s.cfg.PumpWorkers; i++ {
-		go s.work()
-	}
 	if s.cfg.FDInterval > 0 {
 		s.startTicker(s.cfg.FDInterval, entFDTick, s.ev.FDTick)
 	}
@@ -334,11 +318,13 @@ func (s *Site) Stop() {
 }
 
 // pump classifies every incoming datagram (a heartbeat, which gets its
-// narrow spec, or RelComm frames) and hands it to a worker, blocking
-// while all are busy; returning closes s.in.
+// narrow spec, or RelComm frames) and runs its computation, self-delivery
+// included, on this goroutine. RelComm's recv holds relcomm for the whole
+// synchronous cascade, so two datagram computations cannot overlap;
+// living as long as the site, the pump runs each cascade on an
+// already-grown stack (DESIGN.md §12.1).
 func (s *Site) pump() {
 	defer s.wg.Done()
-	defer close(s.in)
 	backoff := time.Millisecond
 	for {
 		d, ok := s.node.Recv()
@@ -359,6 +345,11 @@ func (s *Site) pump() {
 			continue
 		}
 		backoff = time.Millisecond
+		select {
+		case <-s.quit:
+			return // a stopping site drops what is still queued
+		default:
+		}
 		if len(d.Payload) == 0 {
 			continue
 		}
@@ -366,21 +357,7 @@ func (s *Site) pump() {
 		if classify(d.Payload) == classBeat {
 			e, et = entBeat, s.ev.FDBeat
 		}
-		select {
-		case s.in <- inbound{e, et, d}:
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// work runs the computations of the datagrams the pump hands it until s.in
-// closes, its only stop signal. Living as long as the site, it runs each
-// deep synchronous cascade on an already-grown stack (DESIGN.md §12.1).
-func (s *Site) work() {
-	defer s.wg.Done()
-	for in := range s.in {
-		s.record(s.run(in.e, in.et, in.d))
+		s.record(s.run(e, et, d))
 	}
 }
 
