@@ -26,11 +26,11 @@ test:
 	$(GO) test ./...
 
 # Full suite under the race detector (slower; what CI should run), then
-# the gc site pump's one-pump and stop-while-blocked tests and the ctp
-# endpoint pump's one-pump test five times.
+# the gc site pump's one-pump and stop-while-blocked tests, gc's delivery
+# routing tests and the ctp endpoint pump's one-pump test five times.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestStopWithPumpBlocked' ./internal/gc
+	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestStopWithPumpBlocked|Routed|Unroutable|RApplIgnored|IgnoresAppDeliveries' ./internal/gc
 	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram' ./internal/ctp
 
 # Short-form contention suite (DESIGN.md §11) under the race detector:
@@ -51,7 +51,7 @@ race-contend:
 socket-tests:
 	$(GO) test -race -count=1 ./internal/transport/... ./cmd/samoa-node
 	$(GO) test -race -count=1 -run UDPCluster ./internal/kvstore
-	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestStopWithPumpBlocked' ./internal/gc
+	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestStopWithPumpBlocked|Routed|Unroutable|RApplIgnored|IgnoresAppDeliveries' ./internal/gc
 	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram' ./internal/ctp
 
 # 3-process replicated-KV demo on loopback: boots three samoa-node

@@ -145,7 +145,7 @@ func BenchmarkE6ViewRace(b *testing.B) {
 // (3 of 4 microprotocols each) per controller group — versioning vs
 // rollback/recovery.
 func BenchmarkE8Rollback(b *testing.B) {
-	for _, name := range []string{"serial", "vca-basic", "tso", "wait-die"} {
+	for _, name := range []string{"serial", "vca-basic", "wait-die"} {
 		name := name
 		b.Run(name, func(b *testing.B) {
 			v, ok := bench.VariantByName(name)
@@ -287,7 +287,7 @@ func contentionStack(v bench.Variant, lanes int) (*core.Stack, []*core.EventType
 // multi-core hardware additionally scales the Ps themselves.
 func BenchmarkContentionDisjoint(b *testing.B) {
 	const lanes = 8
-	for _, name := range []string{"none", "vca-basic", "tso"} {
+	for _, name := range []string{"none", "vca-basic"} {
 		v, ok := bench.VariantByName(name)
 		if !ok {
 			b.Fatal("unknown variant")
@@ -320,7 +320,7 @@ func BenchmarkContentionDisjoint(b *testing.B) {
 // abandoned-claim phantom release.
 func BenchmarkContentionZipf(b *testing.B) {
 	const lanes = 16
-	for _, name := range []string{"none", "vca-basic", "tso"} {
+	for _, name := range []string{"none", "vca-basic"} {
 		v, ok := bench.VariantByName(name)
 		if !ok {
 			b.Fatal("unknown variant")
@@ -350,7 +350,7 @@ func BenchmarkContentionZipf(b *testing.B) {
 // scaling story, reported honestly next to the disjoint ceiling.
 func BenchmarkContentionHotKey(b *testing.B) {
 	const lanes = 8
-	for _, name := range []string{"none", "vca-basic", "tso"} {
+	for _, name := range []string{"none", "vca-basic"} {
 		v, ok := bench.VariantByName(name)
 		if !ok {
 			b.Fatal("unknown variant")
@@ -392,7 +392,7 @@ func BenchmarkContentionHotKey(b *testing.B) {
 // BenchmarkE7ReadHeavy measures 8 workers × b.N read-only computations on
 // one shared microprotocol — the §7 isolation-level ablation.
 func BenchmarkE7ReadHeavy(b *testing.B) {
-	for _, name := range []string{"serial", "vca-basic", "tso", "vca-rw"} {
+	for _, name := range []string{"serial", "vca-basic", "vca-rw"} {
 		name := name
 		b.Run(name, func(b *testing.B) {
 			v, ok := bench.VariantByName(name)

@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	ctrlName := flag.String("controller", "vca-basic", "none|serial|vca-basic|vca-bound|vca-route|vca-rw|tso")
+	ctrlName := flag.String("controller", "vca-basic", "none|serial|vca-basic|vca-bound|vca-route|vca-rw|wait-die")
 	comps := flag.Int("comps", 4, "number of concurrent computations")
 	mps := flag.Int("mps", 3, "number of microprotocols")
 	scriptLen := flag.Int("len", 4, "visits per computation")

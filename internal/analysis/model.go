@@ -64,7 +64,7 @@ func (f *FuncNode) RecvObj(info *types.Info) types.Object {
 }
 
 // IsoSite is one computation-spawning call site: Stack.Isolated,
-// IsolatedAsync, External or ExternalAll.
+// IsolatedAsync or External.
 type IsoSite struct {
 	Call   *ast.CallExpr
 	Method string
@@ -312,7 +312,7 @@ func (m *Model) finalize() {
 			case !ok:
 			case recv == "Microprotocol" && name == "AddHandler":
 				m.decorateHandler(call)
-			case recv == "Stack" && (name == "Isolated" || name == "IsolatedAsync" || name == "External" || name == "ExternalAll"):
+			case recv == "Stack" && (name == "Isolated" || name == "IsolatedAsync" || name == "External"):
 				site := &IsoSite{Call: call, Method: name}
 				if len(call.Args) > 1 && (name == "Isolated" || name == "IsolatedAsync") {
 					site.Root = m.funcNodeOf(call.Args[1])

@@ -62,14 +62,14 @@ func TestE1Shapes(t *testing.T) {
 
 func TestE2Runs(t *testing.T) {
 	tab := bench.E2Overhead(500, 16)
-	if len(tab.Rows) != 8 {
+	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }
 
 func TestE8Shapes(t *testing.T) {
 	tab := bench.E8Rollback(4, 15, 100*time.Microsecond)
-	if len(tab.Rows) != 4 {
+	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Low contention: wait-die must beat serial (disjoint overlap).
@@ -153,7 +153,7 @@ func TestE7Shapes(t *testing.T) {
 }
 
 func TestE9Shapes(t *testing.T) {
-	tab := bench.E9Transport(30, 128)
+	tab := bench.E9Transport(30, 128, 2)
 	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -190,10 +190,10 @@ func TestTablePrinting(t *testing.T) {
 }
 
 func TestVariantRegistry(t *testing.T) {
-	if len(bench.Variants()) != 8 {
+	if len(bench.Variants()) != 7 {
 		t.Fatalf("variants = %d", len(bench.Variants()))
 	}
-	if len(bench.Isolating()) != 7 {
+	if len(bench.Isolating()) != 6 {
 		t.Fatal("isolating set wrong")
 	}
 	if len(bench.PaperVariants()) != 5 {

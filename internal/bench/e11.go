@@ -174,7 +174,7 @@ func E11Contention(cpus []int, workers, opsPerWorker int) *Table {
 	}
 	t.Header = append(t.Header, "scale", "fast%")
 
-	variants := []string{"none", "serial", "vca-basic", "vca-bound", "vca-rw", "tso"}
+	variants := []string{"none", "serial", "vca-basic", "vca-bound", "vca-rw"}
 	for _, shape := range []string{"disjoint", "zipf", "hotkey"} {
 		for _, name := range variants {
 			v, ok := VariantByName(name)

@@ -12,14 +12,14 @@ import (
 
 // SwapSafe returns the controller variants whose version tables survive a
 // live Replace: the epoch-aware admission paths of serial and the VCA
-// family. TSO and wait-die key their lock tables by microprotocol pointer
-// and are excluded from reconfiguration workloads (see internal/chaos).
+// family. Wait-die keys its lock table by microprotocol pointer and is
+// excluded from reconfiguration workloads (see internal/chaos).
 func SwapSafe() []Variant {
 	all := Variants()
 	out := make([]Variant, 0, len(all))
 	for _, v := range all {
 		switch v.Name {
-		case "none", "tso", "wait-die":
+		case "none", "wait-die":
 		default:
 			out = append(out, v)
 		}
@@ -161,6 +161,6 @@ func E13SwapLatency(workers, swaps int, work time.Duration) *Table {
 		)
 	}
 	t.Note("install: Reconfigure returns, successor epoch admitting; settle: superseded epoch drained; settle floor is the handler work in flight at swap time")
-	t.Note("tso and wait-die are excluded: their pointer-keyed lock tables are not epoch-aware (see internal/chaos swap storm)")
+	t.Note("wait-die is excluded: its pointer-keyed lock table is not epoch-aware (see internal/chaos swap storm)")
 	return t
 }

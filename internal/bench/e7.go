@@ -116,7 +116,6 @@ func E7Extensions(workers, opsPerWorker int, ratios []float64, handlerWork time.
 	}{
 		{"serial", func() core.Controller { return cc.NewSerial() }},
 		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
-		{"tso", func() core.Controller { return cc.NewTSO() }},
 		{"vca-rw", func() core.Controller { return cc.NewVCARW() }},
 	}
 	for _, v := range variants {
@@ -131,7 +130,6 @@ func E7Extensions(workers, opsPerWorker int, ratios []float64, handlerWork time.
 		}
 		t.AddRow(row...)
 	}
-	t.Note("expected: vca-rw scales with the read ratio (readers share the microprotocol);")
-	t.Note("conservative TSO serializes conflicting computations ≈ serial/vca-basic (paper §6 remark)")
+	t.Note("expected: vca-rw scales with the read ratio (readers share the microprotocol)")
 	return t
 }

@@ -135,7 +135,6 @@ func E8Rollback(workers, ops int, work time.Duration) *Table {
 	}{
 		{"serial", func() core.Controller { return cc.NewSerial() }},
 		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
-		{"tso", func() core.Controller { return cc.NewTSO() }},
 		{"wait-die", func() core.Controller { return cc.NewWaitDie() }},
 	}
 	for _, v := range variants {

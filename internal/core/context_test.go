@@ -285,23 +285,6 @@ func TestFirstErrorWins(t *testing.T) {
 	}
 }
 
-func TestExternalAll(t *testing.T) {
-	s := newNoneStack(t)
-	p := core.NewMicroprotocol("p")
-	var n int
-	h1 := p.AddHandler("h1", func(*core.Context, core.Message) error { n++; return nil })
-	h2 := p.AddHandler("h2", func(*core.Context, core.Message) error { n++; return nil })
-	s.Register(p)
-	et := core.NewEventType("e")
-	s.Bind(et, h1, h2)
-	if err := s.ExternalAll(core.Access(p), et, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("n = %d", n)
-	}
-}
-
 // TestConcurrentComputationsUnderNone exercises the plumbing with many
 // concurrent computations; correctness of shared counters is guaranteed
 // here by atomics, not by the controller.

@@ -506,10 +506,3 @@ func (s *Stack) External(spec *Spec, et *EventType, msg Message) error {
 		return ctx.Trigger(et, msg)
 	})
 }
-
-// ExternalAll is External with TriggerAll as the root expression.
-func (s *Stack) ExternalAll(spec *Spec, et *EventType, msg Message) error {
-	return s.Isolated(spec, func(ctx *Context) error {
-		return ctx.TriggerAll(et, msg)
-	})
-}

@@ -20,8 +20,6 @@ type Config struct {
 	// Composition flags. Ordered requires Reliable (an unreliable
 	// ordered stream would stall forever at the first loss).
 	Reliable, Ordered, Checksummed bool
-	// Window is ARQ's send window (default 32; negative = unlimited).
-	Window int
 	// RTO is ARQ's base retransmission timeout (default 50ms); per-frame
 	// intervals back off exponentially (with jitter) from it.
 	RTO time.Duration
@@ -46,6 +44,9 @@ type Config struct {
 // visitBound is the per-microprotocol visit bound every derived spec
 // declares for cc.VCABound.
 const visitBound = 1024
+
+// arqWindow is ARQ's send window: the most unacknowledged frames.
+const arqWindow = 32
 
 // Endpoint is one side of a point-to-point transport connection: a SAMOA
 // stack of the configured layers wired to a simnet node.
@@ -84,9 +85,6 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	}
 	if cfg.MSS <= 0 {
 		cfg.MSS = 512
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 32
 	}
 	if cfg.RTO <= 0 {
 		cfg.RTO = 50 * time.Millisecond
@@ -145,7 +143,7 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		stackUp(e.sum.mp, e.sum.hSend, e.sum.hRecv, "SumSend")
 	}
 	if cfg.Reliable {
-		e.arq = newARQ(cfg.RTO, cfg.Window, cfg.MaxRetries, int64(cfg.ID)+1, down, recvChain[1])
+		e.arq = newARQ(cfg.RTO, arqWindow, cfg.MaxRetries, int64(cfg.ID)+1, down, recvChain[1])
 		stackUp(e.arq.mp, e.arq.hSend, e.arq.hRecv, "ArqSend")
 		e.stack.Bind(e.evTick, e.arq.hRetransmit)
 	}

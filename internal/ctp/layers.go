@@ -247,7 +247,7 @@ func newARQ(rto time.Duration, window, maxRetries int, seed int64, down, up *cor
 
 func (a *ARQ) send(ctx *core.Context, msg core.Message) error {
 	data := msg.([]byte)
-	if a.window > 0 && len(a.pending) >= a.window {
+	if len(a.pending) >= a.window {
 		a.queued = append(a.queued, data)
 		return nil
 	}
@@ -292,7 +292,7 @@ func (a *ARQ) recv(ctx *core.Context, msg core.Message) error {
 			return err
 		}
 		delete(a.pending, aseq)
-		for len(a.queued) > 0 && (a.window <= 0 || len(a.pending) < a.window) {
+		for len(a.queued) > 0 && len(a.pending) < a.window {
 			data := a.queued[0]
 			a.queued = a.queued[1:]
 			if err := a.transmit(ctx, data); err != nil {

@@ -73,8 +73,8 @@ func newABcast(self transport.NodeID, batchMax int, ev *events, snapshot func() 
 	}
 	a.hABcast = a.mp.AddHandler("abcast", a.abcast).Emits(ev.Bcast)
 	a.hRecv = a.mp.AddHandler("recv", a.recv).Emits(ev.ProposeEv)
-	a.hOnDecide = a.mp.AddHandler("onDecide", a.onDecide).Emits(ev.ADeliver, ev.ProposeEv, ev.SyncReq)
-	a.hSync = a.mp.AddHandler("sync", a.sync).Emits(ev.ADeliver, ev.ProposeEv, ev.SyncReq)
+	a.hOnDecide = a.mp.AddHandler("onDecide", a.onDecide).Emits(ev.ADeliver, ev.DeliverView, ev.ProposeEv, ev.SyncReq)
+	a.hSync = a.mp.AddHandler("sync", a.sync).Emits(ev.ADeliver, ev.DeliverView, ev.ProposeEv, ev.SyncReq)
 	a.hSendSync = a.mp.AddHandler("sendSync", a.sendSync).Emits(ev.SendOut)
 	a.hPeerReset = a.mp.AddHandler("peerReset", a.peerReset).Emits()
 	return a
@@ -90,9 +90,6 @@ func (a *ABcast) abcast(ctx *core.Context, msg core.Message) error {
 // recv pools reliably-broadcast messages awaiting a total order.
 func (a *ABcast) recv(ctx *core.Context, msg core.Message) error {
 	m := msg.(CastMsg)
-	if m.Kind != castApp && m.Kind != castViewChg {
-		return nil // plain/FIFO/causal broadcasts are not ours to order
-	}
 	if a.early[m.ID] {
 		delete(a.early, m.ID)
 		return nil
@@ -137,7 +134,10 @@ func (a *ABcast) onDecide(ctx *core.Context, msg core.Message) error {
 }
 
 // flush delivers the buffered decisions from nextDecide on, gap-free,
-// then proposes for the next undecided instance.
+// then proposes for the next undecided instance. Each cast goes to the
+// layer that owns its kind: an application payload to the app, a
+// membership operation to Membership; a decided cast of any other kind,
+// which only a faulty peer can propose, is delivered nowhere.
 func (a *ABcast) flush(ctx *core.Context) error {
 	for {
 		batch, ok := a.decisions[a.nextDecide]
@@ -155,7 +155,11 @@ func (a *ABcast) flush(ctx *core.Context) error {
 			} else {
 				a.early[m.ID] = true
 			}
-			if err := ctx.TriggerAll(a.ev.ADeliver, m); err != nil {
+			et := a.ev.adeliver[m.Kind]
+			if et == nil {
+				continue
+			}
+			if err := ctx.Trigger(et, m); err != nil {
 				a.inFlush = false
 				return err
 			}
@@ -179,18 +183,14 @@ func (a *ABcast) flush(ctx *core.Context) error {
 	return a.maybePropose(ctx)
 }
 
-// sync handles a join-time state transfer (layerSync on FromRComm): a
+// sync handles a join-time state transfer (a layerSync payload): a
 // fresh member installs the shipped application snapshot and
 // fast-forwards its instance pointer to where the group's total order
 // resumes. Members that have already delivered ignore it, which makes
 // the transfer idempotent — every established member sends one, no
 // coordinator needed, the first to arrive wins.
 func (a *ABcast) sync(ctx *core.Context, msg core.Message) error {
-	in := msg.(rcRecvd)
-	r := wire.NewReader(in.inner)
-	if r.U8() != layerSync {
-		return nil
-	}
+	r := wire.NewReader(msg.(rcRecvd).inner)
 	next := r.U64()
 	snap := r.BytesPrefixed()
 	if err := r.Err(); err != nil {

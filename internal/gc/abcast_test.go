@@ -65,7 +65,7 @@ func newABHarness(t *testing.T, batchMax int) *abHarness {
 	h.s.Bind(h.ev.ABcastEv, h.a.hABcast)
 	h.s.Bind(h.ev.DeliverOut, h.a.hRecv)
 	h.s.Bind(h.ev.Decide, h.a.hOnDecide)
-	h.s.Bind(h.ev.FromRComm, h.a.hSync)
+	h.s.Bind(h.ev.SyncIn, h.a.hSync)
 	h.s.Bind(h.ev.SyncReq, h.a.hSendSync)
 	h.s.Bind(h.ev.PeerReset, h.a.hPeerReset)
 	h.capture = capture
@@ -80,6 +80,15 @@ func cm(origin simnet.NodeID, seq uint64, data string) CastMsg {
 func (h *abHarness) pool(t *testing.T, m CastMsg) {
 	t.Helper()
 	if err := h.s.External(h.spec, h.ev.DeliverOut, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sync hands ABcast a state transfer as RelComm would: the layer tag
+// stripped.
+func (h *abHarness) sync(t *testing.T, from simnet.NodeID, next uint64, snap []byte) {
+	t.Helper()
+	if err := h.s.External(h.spec, h.ev.SyncIn, rcRecvd{sender: from, inner: encodeSyncFrame(next, snap)[1:]}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,19 +195,21 @@ func TestABcastBatchCap(t *testing.T) {
 	}
 }
 
-func TestABcastRApplIgnored(t *testing.T) {
+// TestABcastDeliversOrderedKindsOnly: a decided cast of a kind ABcast
+// does not order, which only a faulty peer can propose, is delivered
+// nowhere; the batch's other casts are.
+func TestABcastDeliversOrderedKindsOnly(t *testing.T) {
 	h := newABHarness(t, 64)
-	h.pool(t, CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castRApp, Data: []byte("plain")})
-	if len(h.proposals) != 0 {
-		t.Fatal("plain reliable broadcast must not be ordered")
+	plain := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castRApp, Data: []byte("plain")}
+	h.decide(t, 0, plain, cm(1, 2, "a"))
+	if len(h.adeliv) != 1 || h.adeliv[0] != "a" {
+		t.Fatalf("delivered %v, want [a]", h.adeliv)
 	}
 }
 
 func TestABcastSyncFastForwards(t *testing.T) {
 	h := newABHarness(t, 64)
-	if err := h.s.External(h.spec, h.ev.FromRComm, rcRecvd{sender: 1, inner: encodeSyncFrame(5, nil)}); err != nil {
-		t.Fatal(err)
-	}
+	h.sync(t, 1, 5, nil)
 	// Decisions below the sync point are ignored; 5 delivers.
 	h.decide(t, 3, cm(1, 1, "old"))
 	h.decide(t, 5, cm(1, 2, "new"))
@@ -216,9 +227,7 @@ func TestABcastSyncDeliversEarlierDecision(t *testing.T) {
 	if len(h.adeliv) != 0 {
 		t.Fatalf("delivered %v before the sync", h.adeliv)
 	}
-	if err := h.s.External(h.spec, h.ev.FromRComm, rcRecvd{sender: 1, inner: encodeSyncFrame(5, nil)}); err != nil {
-		t.Fatal(err)
-	}
+	h.sync(t, 1, 5, nil)
 	if len(h.adeliv) != 1 || h.adeliv[0] != "first" {
 		t.Fatalf("delivered %v after the sync, want [first]", h.adeliv)
 	}
@@ -226,16 +235,12 @@ func TestABcastSyncDeliversEarlierDecision(t *testing.T) {
 
 func TestABcastSyncInstallsSnapshot(t *testing.T) {
 	h := newABHarness(t, 64)
-	if err := h.s.External(h.spec, h.ev.FromRComm, rcRecvd{sender: 1, inner: encodeSyncFrame(4, []byte("state@4"))}); err != nil {
-		t.Fatal(err)
-	}
+	h.sync(t, 1, 4, []byte("state@4"))
 	if string(h.installed) != "state@4" {
 		t.Fatalf("installed %q, want state@4", h.installed)
 	}
 	// A second sync (another established member's copy) is ignored.
-	if err := h.s.External(h.spec, h.ev.FromRComm, rcRecvd{sender: 2, inner: encodeSyncFrame(6, []byte("state@6"))}); err != nil {
-		t.Fatal(err)
-	}
+	h.sync(t, 2, 6, []byte("state@6"))
 	if string(h.installed) != "state@4" {
 		t.Fatal("duplicate sync must not reinstall")
 	}
@@ -244,9 +249,7 @@ func TestABcastSyncInstallsSnapshot(t *testing.T) {
 func TestABcastSyncIgnoredOnceEstablished(t *testing.T) {
 	h := newABHarness(t, 64)
 	h.decide(t, 0, cm(1, 1, "a"))
-	if err := h.s.External(h.spec, h.ev.FromRComm, rcRecvd{sender: 1, inner: encodeSyncFrame(9, []byte("stale"))}); err != nil {
-		t.Fatal(err)
-	}
+	h.sync(t, 1, 9, []byte("stale"))
 	if h.installed != nil {
 		t.Fatal("established member must not install a snapshot")
 	}
@@ -296,13 +299,11 @@ func TestABcastSendSyncDefersUntilFlushEnd(t *testing.T) {
 	join := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 2}
 	syncer := core.NewMicroprotocol("syncer")
 	hSyncer := syncer.AddHandler("onJoin", func(ctx *core.Context, msg core.Message) error {
-		if m := msg.(CastMsg); m.Kind == castViewChg {
-			return ctx.Trigger(h.ev.SyncReq, m.Site)
-		}
-		return nil
+		h.adeliv = append(h.adeliv, "view")
+		return ctx.Trigger(h.ev.SyncReq, msg.(CastMsg).Site)
 	})
 	h.s.Register(syncer)
-	h.s.Bind(h.ev.ADeliver, hSyncer)
+	h.s.Bind(h.ev.DeliverView, hSyncer)
 	h.spec = core.Access(h.a.mp, syncer, h.capture)
 	h.decide(t, 0, join, cm(1, 2, "z"))
 	if len(h.syncSent) != 1 {

@@ -84,13 +84,16 @@ func TestOneWayStreamNeverStalls(t *testing.T) {
 	}
 	var rdelivered atomic.Int64
 	tracer := &countTracer{}
-	sites, _ := startSites(t, net, 2, func(id transport.NodeID, cfg *Config) {
-		cfg.SendWindow = window
+	sites, _ := newSites(t, net, 2, func(id transport.NodeID, cfg *Config) {
 		if id == 1 {
 			cfg.RDeliver = func(transport.NodeID, []byte) { rdelivered.Add(1) }
 			cfg.Tracer = tracer
 		}
 	})
+	for _, s := range sites {
+		s.relcomm.window = window
+		s.Start()
+	}
 
 	for k := 0; k < casts; k++ {
 		if err := sites[0].RBcast([]byte(fmt.Sprintf("m%d", k))); err != nil {
@@ -215,7 +218,7 @@ func TestRejoinedSiteDedupeCompacts(t *testing.T) {
 		s.Stop() // computations are over: RelComm's state may be read
 	}
 
-	const window = 64 // the default SendWindow
+	const window = sendWindow
 	for from := transport.NodeID(0); from < 2; from++ {
 		seen := &sites[2].relcomm.peers[from].seen
 		next := sites[from].relcomm.peers[2].nextSeq

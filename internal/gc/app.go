@@ -48,15 +48,13 @@ func newApp(ver uint16, deliver, rdeliver func(from transport.NodeID, data []byt
 		upgrade:  upgrade,
 	}
 	a.hDeliver = a.mp.AddHandler("deliver", func(_ *core.Context, msg core.Message) error {
-		m := msg.(CastMsg)
-		if m.Kind == castApp && a.deliver != nil {
+		if m := msg.(CastMsg); a.deliver != nil {
 			a.deliver(m.ID.Origin, m.Data)
 		}
 		return nil
 	}).Emits()
 	a.hRDeliver = a.mp.AddHandler("rdeliver", func(_ *core.Context, msg core.Message) error {
-		m := msg.(CastMsg)
-		if m.Kind == castRApp && a.rdeliver != nil {
+		if m := msg.(CastMsg); a.rdeliver != nil {
 			a.rdeliver(m.ID.Origin, m.Data)
 		}
 		return nil

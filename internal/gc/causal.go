@@ -98,9 +98,6 @@ func (c *Causal) bcast(ctx *core.Context, msg core.Message) error {
 // the delivery unblocked.
 func (c *Causal) recv(_ *core.Context, msg core.Message) error {
 	m := msg.(CastMsg)
-	if m.Kind != castCausal {
-		return nil
-	}
 	r := wire.NewReader(m.Data)
 	vc := decodeVC(r)
 	data := r.BytesPrefixed()

@@ -357,13 +357,10 @@ func (c *Consensus) decide(ctx *core.Context, st *consInst, m *consMsg) error {
 	return nil
 }
 
-// recv dispatches consensus protocol messages arriving via FromRComm.
+// recv dispatches consensus protocol messages arriving over RelComm.
 func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 	in := msg.(rcRecvd)
 	r := wire.NewReader(in.inner)
-	if r.U8() != layerConsensus {
-		return nil
-	}
 	m := decodeConsMsg(r)
 	if err := r.Err(); err != nil {
 		return err

@@ -13,7 +13,7 @@ import (
 
 // consHarness drives one Consensus microprotocol in isolation: SendOut and
 // Decide are bound to capture handlers, and protocol messages are fed in
-// as decoded FromRComm deliveries.
+// as RelComm hands them up: the layer tag stripped.
 type consHarness struct {
 	s       *core.Stack
 	c       *Consensus
@@ -41,7 +41,7 @@ func newConsHarness(t *testing.T, self simnet.NodeID, view *View) *consHarness {
 	h.s.Bind(h.ev.SendOut, hSend)
 	h.s.Bind(h.ev.Decide, hDecide)
 	h.s.Bind(h.ev.ProposeEv, h.c.hPropose)
-	h.s.Bind(h.ev.FromRComm, h.c.hRecv)
+	h.s.Bind(h.ev.ConsIn, h.c.hRecv)
 	h.s.Bind(h.ev.Suspect, h.c.hSuspect)
 	h.s.Bind(h.ev.ViewChange, h.c.hViewChange)
 	h.spec = core.Access(h.c.mp, capture)
@@ -58,7 +58,7 @@ func (h *consHarness) propose(t *testing.T, inst uint64, tag string) {
 
 func (h *consHarness) feed(t *testing.T, from simnet.NodeID, m consMsg) {
 	t.Helper()
-	if err := h.s.External(h.spec, h.ev.FromRComm, rcRecvd{sender: from, inner: encodeConsFrame(&m)}); err != nil {
+	if err := h.s.External(h.spec, h.ev.ConsIn, rcRecvd{sender: from, inner: encodeConsFrame(&m)[1:]}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -35,7 +35,7 @@
 // header acknowledges, for its receiver, every seq up to the contiguous
 // high-water mark it holds from that peer. A standalone ack leaves only
 // when a duplicate arrives (the sender is retransmitting), when half of
-// SendWindow is owed, or when the retransmission tick finds the peer
+// the send window is owed, or when the retransmission tick finds the peer
 // still owed; a frame above a gap is owed a selective ack, paid by the
 // tick while the gap stays open. Every data frame also carries the
 // sender base — every seq up to it is acknowledged or abandoned — where a

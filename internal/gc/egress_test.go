@@ -84,6 +84,17 @@ func (tr *countTracer) total() int {
 	return tr.spawns
 }
 
+// calls is the number of handler executions, all handlers together.
+func (tr *countTracer) calls() int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	n := 0
+	for _, k := range tr.runs {
+		n += k
+	}
+	return n
+}
+
 // ran is the number of executions of h.
 func (tr *countTracer) ran(h *core.Handler) int {
 	tr.mu.Lock()
@@ -94,6 +105,17 @@ func (tr *countTracer) ran(h *core.Handler) int {
 // startSites starts one site per id, all in one view, with the failure
 // detector off. Deliveries are counted per site.
 func startSites(t *testing.T, net transport.Transport, n int, mutate func(id transport.NodeID, cfg *Config)) ([]*Site, []*atomic.Int64) {
+	t.Helper()
+	sites, delivered := newSites(t, net, n, mutate)
+	for _, s := range sites {
+		s.Start()
+	}
+	return sites, delivered
+}
+
+// newSites is startSites without the Start, for a test that tunes the
+// sites first.
+func newSites(t *testing.T, net transport.Transport, n int, mutate func(id transport.NodeID, cfg *Config)) ([]*Site, []*atomic.Int64) {
 	t.Helper()
 	ids := make([]transport.NodeID, n)
 	for i := range ids {
@@ -112,7 +134,6 @@ func startSites(t *testing.T, net transport.Transport, n int, mutate func(id tra
 			mutate(id, &cfg)
 		}
 		sites[i] = NewSite(cfg)
-		sites[i].Start()
 	}
 	t.Cleanup(func() {
 		for i, s := range sites {
@@ -150,11 +171,14 @@ func ackOnly(p []byte) bool {
 
 // TestDatagramsPerABcast pins the datagram diet on a quiet 3-site group:
 // one atomic broadcast, start to finish on every site, costs at most 7
-// datagrams and at most 9 computations on all sites together — a relay
-// of ordered casts, a coordinator sending itself ACCEPT, ACCEPTED and
+// datagrams, 9 computations and 42 handler executions on all sites
+// together, none of the datagrams from a site to itself. A relay of
+// ordered casts, a coordinator sending itself ACCEPT, ACCEPTED and
 // DECIDE, a proposal forwarded to a coordinator that did not solicit it,
 // an ack per data frame, or a DECIDE to acceptors that decide on the
-// voted ACCEPT goes past them — none of them from a site to itself.
+// voted ACCEPT goes past them; so does a handler run for a message
+// another layer owns (68 executions when every delivery ran every
+// layer's handler).
 func TestDatagramsPerABcast(t *testing.T) {
 	sim := simnet.New(simnet.Config{Nodes: 3})
 	defer sim.Close()
@@ -202,17 +226,22 @@ func TestDatagramsPerABcast(t *testing.T) {
 	}
 
 	perOp := float64(sent()) / ops
-	comps := 0
+	comps, calls := 0, 0
 	for _, tr := range tracers {
 		comps += tr.total()
+		calls += tr.calls()
 	}
-	compsPerOp := float64(comps) / ops
-	t.Logf("%.1f datagrams per ABcast, %d ack-only, %.1f computations per ABcast", perOp, acks.Load(), compsPerOp)
+	compsPerOp, callsPerOp := float64(comps)/ops, float64(calls)/ops
+	t.Logf("%.1f datagrams per ABcast, %d ack-only, %.1f computations and %.1f handler executions per ABcast",
+		perOp, acks.Load(), compsPerOp, callsPerOp)
 	if perOp > 7 {
 		t.Errorf("%.1f datagrams per ABcast, want at most 7", perOp)
 	}
 	if compsPerOp > 9 {
 		t.Errorf("%.1f computations per ABcast, want at most 9", compsPerOp)
+	}
+	if callsPerOp > 42 {
+		t.Errorf("%.1f handler executions per ABcast, want at most 42", callsPerOp)
 	}
 	if n := selfSends.Load(); n != 0 {
 		t.Errorf("%d datagrams sent from a site to itself", n)
@@ -335,8 +364,9 @@ func TestManyAcksInOneDatagramUnderVCABound(t *testing.T) {
 	// Site 0 is real; the test plays peer 1 on the raw endpoint.
 	s := NewSite(Config{
 		Net: sim, ID: 0, InitialView: NewView(0, 1), FDInterval: -1, RTO: time.Hour,
-		Controller: cc.NewVCABound(), SendWindow: 3,
+		Controller: cc.NewVCABound(),
 	})
+	s.relcomm.window = 3
 	s.Start()
 	defer s.Stop()
 	peer := sim.Node(1)

@@ -192,7 +192,7 @@ func newMembHarness(t *testing.T, self simnet.NodeID, view *View) *membHarness {
 	h.s.Bind(h.ev.ABcastEv, hAB)
 	h.s.Bind(h.ev.SyncReq, hSync)
 	h.s.Bind(h.ev.JoinLeave, h.m.hJoinLeave)
-	h.s.Bind(h.ev.ADeliver, h.m.hDeliverView)
+	h.s.Bind(h.ev.DeliverView, h.m.hDeliverView)
 	h.spec = core.Access(h.m.mp, capture)
 	return h
 }
@@ -210,7 +210,7 @@ func TestMembershipJoinLeaveABcasts(t *testing.T) {
 func TestMembershipDeliverViewFansOut(t *testing.T) {
 	h := newMembHarness(t, 0, NewView(0, 1))
 	cm := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 2}
-	if err := h.s.External(h.spec, h.ev.ADeliver, cm); err != nil {
+	if err := h.s.External(h.spec, h.ev.DeliverView, cm); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.views) != 1 || !h.views[0].Contains(2) || h.views[0].Size() != 3 {
@@ -228,7 +228,7 @@ func TestMembershipDeliverViewFansOut(t *testing.T) {
 func TestMembershipJoinerDoesNotSyncItself(t *testing.T) {
 	h := newMembHarness(t, 2, NewView(0, 1, 2)) // we are the joiner
 	cm := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 2}
-	if err := h.s.External(h.spec, h.ev.ADeliver, cm); err != nil {
+	if err := h.s.External(h.spec, h.ev.DeliverView, cm); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.syncReqs) != 0 {
@@ -239,7 +239,7 @@ func TestMembershipJoinerDoesNotSyncItself(t *testing.T) {
 func TestMembershipLeaveNoSync(t *testing.T) {
 	h := newMembHarness(t, 0, NewView(0, 1, 2))
 	cm := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '-', Site: 2}
-	if err := h.s.External(h.spec, h.ev.ADeliver, cm); err != nil {
+	if err := h.s.External(h.spec, h.ev.DeliverView, cm); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.views) != 1 || h.views[0].Contains(2) {
@@ -247,16 +247,5 @@ func TestMembershipLeaveNoSync(t *testing.T) {
 	}
 	if len(h.syncReqs) != 0 {
 		t.Fatalf("leave must not sync: %v", h.syncReqs)
-	}
-}
-
-func TestMembershipIgnoresAppDeliveries(t *testing.T) {
-	h := newMembHarness(t, 0, NewView(0, 1))
-	cm := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castApp, Data: []byte("x")}
-	if err := h.s.External(h.spec, h.ev.ADeliver, cm); err != nil {
-		t.Fatal(err)
-	}
-	if len(h.views) != 0 {
-		t.Fatal("app delivery changed the view")
 	}
 }

@@ -60,9 +60,6 @@ func (f *Fifo) bcast(ctx *core.Context, msg core.Message) error {
 // sequence.
 func (f *Fifo) recv(_ *core.Context, msg core.Message) error {
 	m := msg.(CastMsg)
-	if m.Kind != castFifo {
-		return nil
-	}
 	r := wire.NewReader(m.Data)
 	fseq := r.U64()
 	data := r.BytesPrefixed()

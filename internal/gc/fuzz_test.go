@@ -37,6 +37,12 @@ func FuzzSiteSurvivesGarbageDatagrams(f *testing.F) {
 	castData := appendFrame(nil, &frame{kind: dgData, seq: 1, inner: cast})
 	f.Add(castData)
 	f.Add(bytes.Join([][]byte{ackFrame(7, 3), castData, ackFrame(7, 4)}, nil))
+	// Inner payloads no layer owns: empty, tags 0, 4 and 255, and a cast
+	// of a kind no layer delivers.
+	unknown := encodeCastFrame(&CastMsg{ID: MsgID{Origin: 0, Seq: 2}, Kind: 9, Data: []byte("?")})
+	for i, inner := range [][]byte{nil, {0}, {4, 'x'}, {255, 'x'}, unknown} {
+		f.Add(appendFrame(nil, &frame{kind: dgData, seq: uint64(i + 1), inner: inner}))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		net := simnet.New(simnet.Config{Nodes: 2})
 		defer net.Close()

@@ -46,13 +46,9 @@ func (m *Membership) joinleave(ctx *core.Context, msg core.Message) error {
 }
 
 // deliverView implements "handler deliverView (op, site) { view = view op
-// site; triggerAll ViewChange view; }". Non-membership deliveries on
-// ADeliver are ignored.
+// site; triggerAll ViewChange view; }".
 func (m *Membership) deliverView(ctx *core.Context, msg core.Message) error {
 	cm := msg.(CastMsg)
-	if cm.Kind != castViewChg {
-		return nil
-	}
 	m.view = m.view.Apply(cm.Op, cm.Site)
 	if err := ctx.TriggerAll(m.ev.ViewChange, m.view); err != nil {
 		return err

@@ -35,15 +35,16 @@ const (
 // drop.
 const maxDatagram = 60 << 10
 
-// Inner payload layers carried by RelComm (demultiplexed by the handlers
-// bound to FromRComm, each of which ignores the other's layer).
+// Inner payload layers carried by RelComm: the first byte of an inner
+// payload, by which RelComm hands it to one layer (events.up).
 const (
 	layerRelCast   uint8 = 1
 	layerConsensus uint8 = 2
 	layerSync      uint8 = 3 // join-time state transfer: next ABcast instance
 )
 
-// Cast content kinds (what a delivered broadcast means).
+// Cast content kinds: what a delivered broadcast means, and so the layer
+// RelCast and ABcast deliver it to (events.deliverOut, events.adeliver).
 const (
 	castApp     uint8 = 1 // application payload, totally ordered by ABcast
 	castViewChg uint8 = 2 // membership operation, totally ordered by ABcast

@@ -159,13 +159,14 @@ func TestJoinerCoordinatesPreJoinCasts(t *testing.T) {
 		}
 		id := transport.NodeID(id)
 		sites[id] = NewSite(Config{
-			Net: sim, ID: id, InitialView: view, FDInterval: -1, BatchMax: 1,
+			Net: sim, ID: id, InitialView: view, FDInterval: -1,
 			Deliver: func(_ transport.NodeID, data []byte) {
 				mu.Lock()
 				got[id] = append(got[id], string(data))
 				mu.Unlock()
 			},
 		})
+		sites[id].ab.batchMax = 1
 		sites[id].Start()
 	}
 	t.Cleanup(func() {

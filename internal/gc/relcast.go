@@ -12,7 +12,7 @@ import (
 // RelCast is the reliable broadcast microprotocol of paper §3: to
 // broadcast, send to every site in the view; on first receipt of a
 // message, relay it (so delivery survives a mid-broadcast sender crash)
-// and deliver it locally via DeliverOut.
+// and deliver it locally, to the layer that owns the cast's kind.
 //
 // The broadcast loop sends to every view member including the origin
 // itself; the origin's own copy comes back as a self-delivered frame and
@@ -58,7 +58,7 @@ func newRelCast(self transport.NodeID, initial *View, ev *events, afterViewChang
 	}
 	rb.view.Store(initial)
 	rb.hBcast = rb.mp.AddHandler("bcast", rb.bcast).Emits(ev.SendOut)
-	rb.hRecv = rb.mp.AddHandler("recv", rb.recv).Emits(ev.SendOut, ev.DeliverOut)
+	rb.hRecv = rb.mp.AddHandler("recv", rb.recv).Emits(ev.SendOut, ev.DeliverOut, ev.RDeliver, ev.FifoIn, ev.CausalIn)
 	rb.hViewChange = rb.mp.AddHandler("viewChange", rb.viewChange).Emits()
 	rb.hPeerReset = rb.mp.AddHandler("peerReset", rb.peerReset).Emits()
 	return rb
@@ -98,17 +98,15 @@ members:
 // recv implements "if (new message m) then { bcast m; triggerAll
 // DeliverOut m; }", with the relay narrowed to the sites that may lack m
 // and skipped for the casts ABcast orders and for the origin's own copy,
-// which bcast already sent to everyone (see RelCast). The paper's
+// which bcast already sent to everyone (see RelCast). The delivery goes
+// to the one layer that owns the cast's kind; a kind no layer owns is
+// deduplicated and relayed, and delivered nowhere. The paper's
 // DeliverOut is asynchronous; here it is synchronous for the reason
 // RelComm.recv gives — the datagram's next frame must find this one's
-// delivery finished. Non-RelCast payloads on FromRComm belong to other
-// microprotocols and are ignored.
+// delivery finished.
 func (rb *RelCast) recv(ctx *core.Context, msg core.Message) error {
 	in := msg.(rcRecvd)
 	r := wire.NewReader(in.inner)
-	if r.U8() != layerRelCast {
-		return nil
-	}
 	m := decodeCastMsg(r)
 	if err := r.Err(); err != nil {
 		return err
@@ -126,7 +124,10 @@ func (rb *RelCast) recv(ctx *core.Context, msg core.Message) error {
 			return err
 		}
 	}
-	return ctx.TriggerAll(rb.ev.DeliverOut, m)
+	if et := rb.ev.deliverOut[m.Kind]; et != nil {
+		return ctx.Trigger(et, m)
+	}
+	return nil
 }
 
 // viewChange installs a new view.

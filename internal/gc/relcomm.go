@@ -19,8 +19,8 @@ type rcSendReq struct {
 }
 
 // rcRecvd is a reliably-delivered inner payload (the paper's FromRComm
-// event message). inner aliases the received datagram: the handlers bound
-// to FromRComm run synchronously and copy what they keep.
+// event message) less its layer tag. inner aliases the received datagram:
+// the handler it is routed to runs synchronously and copies what it keeps.
 type rcRecvd struct {
 	sender transport.NodeID
 	inner  []byte
@@ -72,7 +72,7 @@ type link struct {
 //
 //  1. any data frame to it, whose header carries the cumulative ack;
 //  2. a duplicate from it, which means it is retransmitting: ack at once;
-//  3. half of SendWindow owed, so its flow control never stalls;
+//  3. half of the send window owed, so its flow control never stalls;
 //  4. the retransmission tick (every RTO/2) finding it still owed.
 //
 // A frame that arrives above a gap is owed a selective ack, which acks
@@ -101,7 +101,7 @@ type RelComm struct {
 	self   transport.NodeID
 	epoch  uint32 // this incarnation's identity, constant for the RelComm's life
 	rto    time.Duration
-	window int // max unacknowledged messages per peer; <=0 = unlimited
+	window int // max unacknowledged messages per peer
 	ev     *events
 
 	view atomic.Pointer[View]
@@ -128,7 +128,7 @@ func newRelComm(self transport.NodeID, initial *View, rto time.Duration, window 
 	}
 	rc.view.Store(initial)
 	rc.hSend = rc.mp.AddHandler("send", rc.send).Emits(ev.NetSend)
-	rc.hRecv = rc.mp.AddHandler("recv", rc.recv).Emits(ev.NetSend, ev.FromRComm)
+	rc.hRecv = rc.mp.AddHandler("recv", rc.recv).Emits(ev.NetSend, ev.FromRComm, ev.ConsIn, ev.SyncIn)
 	rc.hRetransmit = rc.mp.AddHandler("retransmit", rc.retransmit).Emits(ev.NetSend)
 	rc.hViewChange = rc.mp.AddHandler("viewChange", rc.viewChange).Emits()
 	return rc
@@ -147,7 +147,7 @@ func (rc *RelComm) send(ctx *core.Context, msg core.Message) error {
 		return nil
 	}
 	l := rc.link(req.to)
-	if rc.window > 0 && len(l.unacked) >= rc.window {
+	if len(l.unacked) >= rc.window {
 		l.queued = append(l.queued, req.inner)
 		return nil
 	}
@@ -186,7 +186,7 @@ func (rc *RelComm) sendData(ctx *core.Context, to transport.NodeID, l *link, seq
 
 // drainQueue sends queued messages while the peer's window has space.
 func (rc *RelComm) drainQueue(ctx *core.Context, to transport.NodeID, l *link) error {
-	for len(l.queued) > 0 && (rc.window <= 0 || len(l.unacked) < rc.window) {
+	for len(l.queued) > 0 && len(l.unacked) < rc.window {
 		inner := l.queued[0]
 		l.queued[0] = nil
 		l.queued = l.queued[1:]
@@ -205,16 +205,16 @@ func (rc *RelComm) drainQueue(ctx *core.Context, to transport.NodeID, l *link) e
 }
 
 // recv handles an incoming datagram, frame by frame: data frames are
-// deduplicated and — if the sender is in the current view — handed
-// upward via FromRComm, and their headers' acks, like ack frames, clear
-// the retransmission buffer. The acks it emits and whatever the frames'
-// cascades send back share the computation's egress flush, so they
-// return to the peer in one datagram.
+// deduplicated and — if the sender is in the current view — handed to
+// the layer their inner payload's tag names, and their headers' acks,
+// like ack frames, clear the retransmission buffer. The acks it emits and
+// whatever the frames' cascades send back share the computation's egress
+// flush, so they return to the peer in one datagram.
 //
-// FromRComm is triggered synchronously: the frames of one datagram are
-// one computation, isolation orders computations and not the threads
-// within one, so each frame's cascade has to finish before the next
-// frame's starts (an ACCEPT must not race the cast it rode in with).
+// The layer runs synchronously: the frames of one datagram are one
+// computation, isolation orders computations and not the threads within
+// one, so each frame's cascade has to finish before the next frame's
+// starts (an ACCEPT must not race the cast it rode in with).
 //
 // A frame is independent of the ones before it: a failed cascade is
 // reported and the loop goes on. A malformed frame ends it — nothing
@@ -265,10 +265,13 @@ func (rc *RelComm) recvData(ctx *core.Context, from transport.NodeID, f *frame) 
 			return err
 		}
 	}
-	if !fresh || !rc.view.Load().Contains(from) {
+	if !fresh || !rc.view.Load().Contains(from) || len(f.inner) == 0 {
 		return nil
 	}
-	return ctx.TriggerAll(rc.ev.FromRComm, rcRecvd{sender: from, inner: f.inner})
+	if et := rc.ev.up[f.inner[0]]; et != nil {
+		return ctx.Trigger(et, rcRecvd{sender: from, inner: f.inner[1:]})
+	}
+	return nil
 }
 
 // oweAck applies the ack rules to a data frame that just arrived: what
@@ -282,7 +285,7 @@ func (rc *RelComm) oweAck(ctx *core.Context, from transport.NodeID, l *link, seq
 	case !fresh:
 		// The sender is retransmitting: the ack it waits for was lost.
 		return rc.payAcks(ctx, from, l, true)
-	case rc.window > 0 && l.seen.Low()-l.acked >= uint64(rc.window+1)/2:
+	case l.seen.Low()-l.acked >= uint64(rc.window+1)/2:
 		return rc.payAcks(ctx, from, l, false)
 	}
 	return nil

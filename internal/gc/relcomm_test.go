@@ -27,6 +27,9 @@ type rcHarness struct {
 	recvd []rcRecvd // FromRComm deliveries captured by the sink mp
 }
 
+// unlimited is a send window no harness test fills.
+const unlimited = 1 << 20
+
 func newRCHarness(t *testing.T, window int) *rcHarness {
 	t.Helper()
 	h := &rcHarness{
@@ -86,9 +89,14 @@ func (h *rcHarness) external(t *testing.T, et *core.EventType, msg core.Message)
 	}
 }
 
+// tagged prefixes a test payload with RelCast's layer tag: RelComm hands
+// an inner payload only to the layer its tag names, and the harness sink
+// is bound to RelCast's event.
+func tagged(payload string) string { return string([]byte{layerRelCast}) + payload }
+
 func (h *rcHarness) sendTo1(t *testing.T, payload string) {
 	t.Helper()
-	h.external(t, h.ev.SendOut, rcSendReq{to: 1, inner: []byte(payload)})
+	h.external(t, h.ev.SendOut, rcSendReq{to: 1, inner: []byte(tagged(payload))})
 }
 
 // recvData drains node 1's inbox, returning the seqs of the data frames.
@@ -145,13 +153,15 @@ func TestFlowControlWindowLimitsInFlight(t *testing.T) {
 	}
 }
 
+// TestFlowControlUnlimitedWindow: sends that fit in the window all leave
+// at once; nothing queues.
 func TestFlowControlUnlimitedWindow(t *testing.T) {
-	h := newRCHarness(t, -1)
+	h := newRCHarness(t, unlimited)
 	for i := 0; i < 10; i++ {
 		h.sendTo1(t, "m")
 	}
-	if got := h.recvData(t); len(got) != 10 {
-		t.Fatalf("transmitted %d, want all 10 with flow control disabled", len(got))
+	if got := h.recvData(t); len(got) != 10 || h.rc.Queued(1) != 0 {
+		t.Fatalf("transmitted %d with %d queued, want all 10 inside the window", len(got), h.rc.Queued(1))
 	}
 }
 
@@ -174,7 +184,7 @@ func TestFlowControlQueueDroppedOnViewRemoval(t *testing.T) {
 }
 
 func TestRetransmitResendsUnacked(t *testing.T) {
-	h := newRCHarness(t, 0) // window 0 → unlimited (site default applies elsewhere)
+	h := newRCHarness(t, unlimited)
 	h.sendTo1(t, "m")
 	if got := h.recvData(t); len(got) != 1 {
 		t.Fatalf("initial send missing: %v", got)
@@ -196,7 +206,7 @@ func TestRetransmitResendsUnacked(t *testing.T) {
 // dataFrom1 injects a data datagram from peer 1 with an explicit epoch.
 func (h *rcHarness) dataFrom1(t *testing.T, epoch uint32, seq uint64, payload string) {
 	t.Helper()
-	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: dataFrame(epoch, seq, payload)})
+	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: dataFrame(epoch, seq, tagged(payload))})
 }
 
 // TestEpochChangeResetsDedup is the crash-restart regression: a peer that
@@ -204,7 +214,7 @@ func (h *rcHarness) dataFrom1(t *testing.T, epoch uint32, seq uint64, payload st
 // Without the epoch reset, the dead incarnation's high-water mark would
 // swallow every post-restart message.
 func TestEpochChangeResetsDedup(t *testing.T) {
-	h := newRCHarness(t, -1)
+	h := newRCHarness(t, unlimited)
 	h.dataFrom1(t, 10, 1, "a")
 	h.dataFrom1(t, 10, 2, "b")
 	h.dataFrom1(t, 10, 2, "b-dup") // same epoch, same seq: deduplicated
@@ -228,7 +238,7 @@ func TestEpochChangeResetsDedup(t *testing.T) {
 // to its previous incarnation must not clear the new incarnation's
 // retransmission buffer (the seq numbers would collide otherwise).
 func TestAckFromStaleEpochIgnored(t *testing.T) {
-	h := newRCHarness(t, -1)
+	h := newRCHarness(t, unlimited)
 	h.sendTo1(t, "m")
 	if n := len(h.rc.peers[1].unacked); n != 1 {
 		t.Fatalf("unacked = %d, want 1", n)
@@ -259,9 +269,9 @@ func TestSendToNonMemberDropped(t *testing.T) {
 // is reported, but the well-formed frames before it are delivered, and
 // both are acknowledged by one cumulative ack.
 func TestMalformedTailKeepsPrefix(t *testing.T) {
-	h := newRCHarness(t, -1)
-	p := append(dataFrame(10, 1, "a"), dataFrame(10, 2, "b")...)
-	tail := dataFrame(10, 3, "lost")
+	h := newRCHarness(t, unlimited)
+	p := append(dataFrame(10, 1, tagged("a")), dataFrame(10, 2, tagged("b"))...)
+	tail := dataFrame(10, 3, tagged("lost"))
 	p = append(p, tail[:len(tail)-2]...)
 	err := h.stack.External(h.spec, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: p})
 	h.no.flush()
@@ -306,7 +316,7 @@ func (h *rcHarness) recvFrames(t *testing.T) []frame {
 // the next data frame to the peer carries it, and then the tick finds
 // nothing owed.
 func TestAckRidesDataFrame(t *testing.T) {
-	h := newRCHarness(t, -1)
+	h := newRCHarness(t, unlimited)
 	h.dataFrom1(t, 10, 1, "a")
 	h.dataFrom1(t, 10, 2, "b")
 	if got := h.recvFrames(t); len(got) != 0 {
@@ -327,7 +337,7 @@ func TestAckRidesDataFrame(t *testing.T) {
 // retransmitting, so it is acked at once — even when the ack it repeats
 // was already paid.
 func TestAckImmediateOnDuplicate(t *testing.T) {
-	h := newRCHarness(t, -1)
+	h := newRCHarness(t, unlimited)
 	h.dataFrom1(t, 10, 1, "a")
 	h.external(t, h.ev.RetrTick, nil)
 	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].seq != 1 {
@@ -339,7 +349,7 @@ func TestAckImmediateOnDuplicate(t *testing.T) {
 	}
 }
 
-// TestAckHalfWindow: once half of SendWindow is owed, the ack leaves at
+// TestAckHalfWindow: once half of the send window is owed, the ack leaves at
 // once, so a sender that sends nothing back never fills its window.
 func TestAckHalfWindow(t *testing.T) {
 	h := newRCHarness(t, 4)
@@ -359,7 +369,7 @@ func TestAckHalfWindow(t *testing.T) {
 // the frame from being retransmitted, and the cumulative ack that closes
 // the gap moves the base past it.
 func TestAckSelectiveAboveGap(t *testing.T) {
-	h := newRCHarness(t, -1)
+	h := newRCHarness(t, unlimited)
 	h.dataFrom1(t, 10, 1, "a")
 	h.dataFrom1(t, 10, 3, "c")
 	h.external(t, h.ev.RetrTick, nil)
@@ -395,8 +405,8 @@ func TestAckSelectiveAboveGap(t *testing.T) {
 // sender starts its dedup window at the sender's base, so the first frame
 // it gets is in order, and a frame at or below the base is a duplicate.
 func TestAckSenderBaseStartsWindow(t *testing.T) {
-	h := newRCHarness(t, -1)
-	p := appendFrame(nil, &frame{kind: dgData, epoch: 10, seq: 101, base: 100, inner: []byte("a")})
+	h := newRCHarness(t, unlimited)
+	p := appendFrame(nil, &frame{kind: dgData, epoch: 10, seq: 101, base: 100, inner: []byte(tagged("a"))})
 	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: p})
 	if got := h.delivered(t, 1); len(got) != 1 {
 		t.Fatalf("delivered %v, want [a]", got)

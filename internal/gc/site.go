@@ -24,8 +24,6 @@ type Config struct {
 	// Any controller runs the site: its specs are derived (core.Derive)
 	// and carry M, visit bounds and the route together.
 	Controller core.Controller
-	// BatchMax caps consensus batch sizes (default 64).
-	BatchMax int
 	// Deliver receives totally-ordered application payloads; RDeliver
 	// receives plain reliable broadcasts; FDeliver receives FIFO-ordered
 	// broadcasts; CDeliver receives causally-ordered broadcasts;
@@ -52,10 +50,6 @@ type Config struct {
 	// RTO is the retransmission timeout (default 50ms); retransmission
 	// scans run at RTO/2.
 	RTO time.Duration
-	// SendWindow is RelComm's flow-control window: the maximum
-	// unacknowledged messages per peer (default 64; negative disables
-	// flow control). Excess sends queue until acks open the window.
-	SendWindow int
 	// FDInterval is the failure-detector period (default 25ms; negative
 	// disables the detector). SuspectAfter is the silence threshold
 	// (default 6×FDInterval).
@@ -73,6 +67,14 @@ type Config struct {
 	// rather than incidental Go-level map races with the receive pump.
 	Passive bool
 }
+
+// batchMax caps the casts one consensus instance orders. sendWindow is
+// RelComm's flow-control window: the most unacknowledged messages per
+// peer; further sends queue until acks open the window.
+const (
+	batchMax   = 64
+	sendWindow = 64
+)
 
 // visitBound is the per-microprotocol visit bound every derived spec
 // declares for cc.VCABound: deliberately loose, since the paper notes that
@@ -144,14 +146,8 @@ func NewSite(cfg Config) *Site {
 	if cfg.Controller == nil {
 		cfg.Controller = cc.NewVCABasic()
 	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 64
-	}
 	if cfg.RTO <= 0 {
 		cfg.RTO = 50 * time.Millisecond
-	}
-	if cfg.SendWindow == 0 {
-		cfg.SendWindow = 64
 	}
 	if cfg.FDInterval == 0 {
 		cfg.FDInterval = 25 * time.Millisecond
@@ -174,11 +170,11 @@ func NewSite(cfg Config) *Site {
 
 	v := cfg.InitialView
 	s.netout = newNetOut(s.node)
-	s.relcomm = newRelComm(cfg.ID, v, cfg.RTO, cfg.SendWindow, s.ev)
+	s.relcomm = newRelComm(cfg.ID, v, cfg.RTO, sendWindow, s.ev)
 	s.relcast = newRelCast(cfg.ID, v, s.ev, cfg.AfterRelCastView)
 	s.fd = newFD(cfg.ID, v, cfg.SuspectAfter, s.ev)
 	s.cons = newConsensus(cfg.ID, v, s.ev)
-	s.ab = newABcast(cfg.ID, cfg.BatchMax, s.ev, cfg.Snapshot, cfg.InstallSnapshot)
+	s.ab = newABcast(cfg.ID, batchMax, s.ev, cfg.Snapshot, cfg.InstallSnapshot)
 	s.memb = newMembership(cfg.ID, v, s.ev)
 	s.fifo = newFifo(cfg.ID, s.ev, cfg.FDeliver)
 	s.causal = newCausal(cfg.ID, s.ev, cfg.CDeliver)
@@ -193,7 +189,7 @@ func NewSite(cfg Config) *Site {
 		entFromNet: ev.FromNet, entBeat: ev.FDBeat, entFDTick: ev.FDTick,
 		entRetrans: ev.RetrTick, entABcast: ev.ABcastEv, entRBcast: ev.Bcast,
 		entFBcast: ev.FifoEv, entCBcast: ev.CausalEv, entJoinLeave: ev.JoinLeave,
-		entInject: ev.ADeliver,
+		entInject: ev.DeliverView,
 	} {
 		s.specs[e] = core.Derive(visitBound, et)
 	}
@@ -205,15 +201,21 @@ func (s *Site) bind() {
 	s.stack.Bind(ev.FromNet, s.relcomm.hRecv)
 	s.stack.Bind(ev.NetSend, s.netout.send)
 	s.stack.Bind(ev.SendOut, s.relcomm.hSend)
-	s.stack.Bind(ev.FromRComm, s.relcast.hRecv, s.cons.hRecv, s.ab.hSync)
+	s.stack.Bind(ev.FromRComm, s.relcast.hRecv)
+	s.stack.Bind(ev.ConsIn, s.cons.hRecv)
+	s.stack.Bind(ev.SyncIn, s.ab.hSync)
 	s.stack.Bind(ev.Bcast, s.relcast.hBcast)
-	s.stack.Bind(ev.DeliverOut, s.ab.hRecv, s.app.hRDeliver, s.fifo.hRecv, s.causal.hRecv)
+	s.stack.Bind(ev.DeliverOut, s.ab.hRecv)
+	s.stack.Bind(ev.RDeliver, s.app.hRDeliver)
+	s.stack.Bind(ev.FifoIn, s.fifo.hRecv)
+	s.stack.Bind(ev.CausalIn, s.causal.hRecv)
 	s.stack.Bind(ev.ABcastEv, s.ab.hABcast)
 	s.stack.Bind(ev.FifoEv, s.fifo.hBcast)
 	s.stack.Bind(ev.CausalEv, s.causal.hBcast)
 	s.stack.Bind(ev.ProposeEv, s.cons.hPropose)
 	s.stack.Bind(ev.Decide, s.ab.hOnDecide)
-	s.stack.Bind(ev.ADeliver, s.memb.hDeliverView, s.app.hDeliver)
+	s.stack.Bind(ev.ADeliver, s.app.hDeliver)
+	s.stack.Bind(ev.DeliverView, s.memb.hDeliverView)
 	// ViewChange bind order matters for E6: RelCast updates strictly
 	// before RelComm, opening the paper's §3 window under None.
 	s.stack.Bind(ev.ViewChange, s.relcast.hViewChange, s.relcomm.hViewChange,
@@ -233,7 +235,7 @@ func (s *Site) bind() {
 // flushes the egress buffer.
 func (s *Site) run(e entry, et *core.EventType, msg core.Message) error {
 	defer s.flush()
-	return s.stack.ExternalAll(s.specs[e], et, msg)
+	return s.stack.External(s.specs[e], et, msg)
 }
 
 // flush puts what the site's computations have queued on the wire — one
@@ -255,7 +257,7 @@ func (s *Site) flush() {
 			default:
 			}
 			d := transport.Datagram{From: s.cfg.ID, To: s.cfg.ID, Payload: payload}
-			if err := s.stack.ExternalAll(s.specs[entFromNet], s.ev.FromNet, d); !errors.Is(err, core.ErrClosed) {
+			if err := s.stack.External(s.specs[entFromNet], s.ev.FromNet, d); !errors.Is(err, core.ErrClosed) {
 				s.record(err)
 			}
 		}
@@ -472,7 +474,7 @@ func (s *Site) Epoch() uint64 { return s.stack.CurrentEpoch() }
 // reproducing the §3 race without the full join choreography.
 func (s *Site) InjectViewChange(op byte, site transport.NodeID) error {
 	m := CastMsg{ID: MsgID{Origin: s.cfg.ID, Seq: ^uint64(0)}, Kind: castViewChg, Op: op, Site: site}
-	return s.run(entInject, s.ev.ADeliver, m)
+	return s.run(entInject, s.ev.DeliverView, m)
 }
 
 // InjectDatagram feeds a raw datagram — one frame or several — into the
