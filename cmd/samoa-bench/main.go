@@ -66,7 +66,7 @@ func main() {
 			return bench.E8Rollback(8, pick(*quick, 30, 100), 100*time.Microsecond)
 		}},
 		{"e9", func() *bench.Table {
-			return bench.E9Transport(pick(*quick, 50, 200), 256, pick(*quick, 3, 5))
+			return bench.E9Transport(pick(*quick, 50, 200), pick(*quick, 2000, 30000), 256, pick(*quick, 3, 5))
 		}},
 		{"e10", func() *bench.Table {
 			return bench.E10SchedOverhead(pick(*quick, 200, 2000), 16)

@@ -37,7 +37,7 @@ func run() bool {
 
 	var mu sync.Mutex
 	delivered := map[simnet.NodeID][]string{}
-	fifo := map[simnet.NodeID][]string{}
+	reliable := map[simnet.NodeID][]string{}
 	views := map[simnet.NodeID][]string{}
 
 	mkSite := func(id simnet.NodeID, view *gc.View) *gc.Site {
@@ -50,9 +50,9 @@ func run() bool {
 				delivered[id] = append(delivered[id], string(data))
 				mu.Unlock()
 			},
-			FDeliver: func(from simnet.NodeID, data []byte) {
+			RDeliver: func(from simnet.NodeID, data []byte) {
 				mu.Lock()
-				fifo[id] = append(fifo[id], string(data))
+				reliable[id] = append(reliable[id], string(data))
 				mu.Unlock()
 			},
 			OnViewChange: func(v *gc.View) {
@@ -109,15 +109,15 @@ func run() bool {
 		return false
 	}, "joiner delivery")
 
-	fmt.Println("phase 3b: FIFO broadcasts (cheaper than total order) from site 2")
+	fmt.Println("phase 3b: reliable broadcasts (no ordering, no consensus) from site 2")
 	for i := 0; i < 3; i++ {
-		must(sites[2].FBcast([]byte(fmt.Sprintf("fifo/%d", i))))
+		must(sites[2].RBcast([]byte(fmt.Sprintf("rb/%d", i))))
 	}
 	waitFor(func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(fifo[0]) >= 3 && len(fifo[1]) >= 3 && len(fifo[3]) >= 3
-	}, "fifo deliveries")
+		return len(reliable[0]) >= 3 && len(reliable[1]) >= 3 && len(reliable[3]) >= 3
+	}, "reliable deliveries")
 
 	fmt.Println("phase 4: site 0 crashes; the group keeps delivering")
 	net.Crash(0)
@@ -139,8 +139,8 @@ func run() bool {
 	mu.Lock()
 	fmt.Println("\nresults:")
 	for id := simnet.NodeID(0); id < 4; id++ {
-		fmt.Printf("  site %d delivered %2d total-order + %d fifo messages; views seen: %v\n",
-			id, len(delivered[id]), len(fifo[id]), views[id])
+		fmt.Printf("  site %d delivered %2d total-order + %d reliable messages; views seen: %v\n",
+			id, len(delivered[id]), len(reliable[id]), views[id])
 	}
 	// Total order check across the survivors' common prefix.
 	ref := delivered[1]

@@ -153,7 +153,7 @@ func TestE7Shapes(t *testing.T) {
 }
 
 func TestE9Shapes(t *testing.T) {
-	tab := bench.E9Transport(30, 128, 2)
+	tab := bench.E9Transport(30, 30, 128, 2)
 	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

@@ -77,8 +77,9 @@ func NewTransport(v Variant, shape TransportShape, seed int64) (*Transport, erro
 }
 
 // Run sends msgs messages of size bytes each and waits for delivery
-// (reliable shapes) or quiescence (unreliable), returning the elapsed
-// time and the delivered count.
+// (reliable shapes) or quiescence (unreliable: no delivery for 150ms),
+// returning the time from the first send to the last delivery and the
+// delivered count.
 func (tr *Transport) Run(msgs, size int) (time.Duration, int64, error) {
 	payload := make([]byte, size)
 	start := time.Now()
@@ -99,16 +100,19 @@ func (tr *Transport) Run(msgs, size int) (time.Duration, int64, error) {
 		return 0, 0, sendErr
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for tr.got.Load() < int64(msgs) {
-		if time.Now().After(deadline) {
-			break
-		}
+	last, lastAt := tr.got.Load(), time.Now()
+	for last < int64(msgs) {
 		time.Sleep(200 * time.Microsecond)
-		if !tr.reliable && time.Since(start) > 150*time.Millisecond {
+		now := time.Now()
+		if got := tr.got.Load(); got != last {
+			last, lastAt = got, now
+			continue
+		}
+		if now.After(deadline) || !tr.reliable && now.Sub(lastAt) > 150*time.Millisecond {
 			break // no repair machinery: what's lost stays lost
 		}
 	}
-	return time.Since(start), tr.got.Load(), nil
+	return lastAt.Sub(start), last, nil
 }
 
 // Stop tears the fixture down and returns endpoint errors.
@@ -126,14 +130,17 @@ func (tr *Transport) Retransmits() uint64 { return tr.a.Retransmits() }
 func (tr *Transport) BadFrames() uint64 { return tr.a.BadFrames() + tr.b.BadFrames() }
 
 // E9Transport measures the configurable transport across the composition
-// grid under VCAbasic. A clean row takes a few milliseconds and single
-// runs spread widely, so each row runs `runs` times on the same fault
-// seed: msgs/s is the median with the min–max over the runs, delivered
-// the worst run, time, retransmits and bad frames the median run's.
-func E9Transport(msgs, size, runs int) *Table {
+// grid under VCAbasic. A clean row sends cleanMsgs messages, a lossy or
+// corrupt row msgs: a clean link moves a message in tens of
+// microseconds, so a clean run needs many more of them to last long
+// enough to measure. Each row runs `runs` times on the same fault seed:
+// msgs/s is the median with the min–max over the runs, delivered the
+// worst run, time, retransmits and bad frames the median run's.
+func E9Transport(msgs, cleanMsgs, size, runs int) *Table {
 	t := &Table{
-		ID:     "E9",
-		Title:  fmt.Sprintf("configurable transport (ctp): %d msgs × %dB under vca-basic, median of %d runs", msgs, size, runs),
+		ID: "E9",
+		Title: fmt.Sprintf("configurable transport (ctp): %d msgs per clean row, %d per faulty row, × %dB under vca-basic, median of %d runs",
+			cleanMsgs, msgs, size, runs),
 		Header: []string{"composition / link", "delivered", "time", "msgs/s (min–max)", "retransmits", "bad frames"},
 	}
 	v, _ := VariantByName("vca-basic")
@@ -144,14 +151,18 @@ func E9Transport(msgs, size, runs int) *Table {
 		rate      float64
 	}
 	for _, shape := range TransportShapes() {
+		n := msgs
+		if shape.Loss == 0 && shape.Corrupt == 0 {
+			n = cleanMsgs
+		}
 		rs := make([]run, runs)
-		worst := int64(msgs)
+		worst := int64(n)
 		for i := range rs {
 			tr, err := NewTransport(v, shape, 31)
 			if err != nil {
 				panic(fmt.Sprintf("E9 %s: %v", shape.Name, err))
 			}
-			elapsed, got, err := tr.Run(msgs, size)
+			elapsed, got, err := tr.Run(n, size)
 			retr, bad := tr.Retransmits(), tr.BadFrames()
 			if errs := tr.Stop(); len(errs) > 0 {
 				panic(fmt.Sprintf("E9 %s: %v", shape.Name, errs[0]))
@@ -165,7 +176,7 @@ func E9Transport(msgs, size, runs int) *Table {
 		sort.Slice(rs, func(i, j int) bool { return rs[i].rate < rs[j].rate })
 		med := rs[len(rs)/2]
 		t.AddRow(shape.Name,
-			fmt.Sprintf("%d/%d", worst, msgs),
+			fmt.Sprintf("%d/%d", worst, n),
 			med.elapsed.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f (%.0f–%.0f)", med.rate, rs[0].rate, rs[len(rs)-1].rate),
 			fmt.Sprint(med.retr), fmt.Sprint(med.bad))

@@ -36,9 +36,6 @@ func TestConformance(t *testing.T) {
 		{"vca-rw", cctest.Config{
 			New: func() core.Controller { return cc.NewVCARW() },
 		}},
-		{"tso", cctest.Config{
-			New: func() core.Controller { return cc.NewTSO() },
-		}},
 		{"wait-die", cctest.Config{
 			New:      func() core.Controller { return cc.NewWaitDie() },
 			Snapshot: true, // rollback scheduling needs snapshotters

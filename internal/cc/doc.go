@@ -31,10 +31,6 @@
 //   - VCARW — isolation levels by handler kind: computations whose
 //     declared use of a microprotocol is read-only share it with other
 //     readers; writers serialize as in VCABasic.
-//   - TSO — a conservative timestamp-ordering scheduler (the paper's
-//     "second group" of algorithms, without rollback); per the paper's §6
-//     remark, it admits only serial-equivalent schedules at roughly
-//     Serial's concurrency for conflicting computations.
 //
 // The four VCA* controllers are one version-counting kernel (the
 // unexported vca: rule 1 at Spawn, the declared-set check, rule 2 at

@@ -24,8 +24,6 @@ func TestUndeclaredNamesSpec(t *testing.T) {
 			func(p *core.Microprotocol) *core.Spec {
 				return core.AccessBound(map[*core.Microprotocol]int{p: 1})
 			}},
-		{"tso", func() core.Controller { return cc.NewTSO() },
-			func(p *core.Microprotocol) *core.Spec { return core.Access(p) }},
 		{"vca-rw", func() core.Controller { return cc.NewVCARW() },
 			func(p *core.Microprotocol) *core.Spec { return core.Access(p) }},
 	}

@@ -2,7 +2,6 @@ package cc_test
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -54,9 +53,6 @@ func newRWFixture(peek, count core.HandlerFunc) *rwFixture {
 
 func TestVCARWName(t *testing.T) {
 	if cc.NewVCARW().Name() != "vca-rw" {
-		t.Fatal("name")
-	}
-	if cc.NewTSO().Name() != "tso" {
 		t.Fatal("name")
 	}
 }
@@ -186,117 +182,5 @@ func TestVCARWSerializableUnderMix(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTSOConflictingSerialize(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 6; trial++ {
-		hammer(t, cc.NewTSO(), 3, randScripts(rng, 10, 3, 5))
-	}
-}
-
-func TestTSODisjointOverlap(t *testing.T) {
-	ctrl := cc.NewTSO()
-	s := core.NewStack(ctrl)
-	p := core.NewMicroprotocol("p")
-	q := core.NewMicroprotocol("q")
-	hold := make(chan struct{})
-	inP := make(chan struct{})
-	hp := p.AddHandler("h", func(*core.Context, core.Message) error {
-		close(inP)
-		<-hold
-		return nil
-	})
-	hq := q.AddHandler("h", nop)
-	s.Register(p, q)
-	eP, eQ := core.NewEventType("p"), core.NewEventType("q")
-	s.Bind(eP, hp)
-	s.Bind(eQ, hq)
-
-	done := make(chan error, 1)
-	go func() { done <- s.External(core.Access(p), eP, nil) }()
-	<-inP
-	// Disjoint computation proceeds while p is held.
-	if err := s.External(core.Access(q), eQ, nil); err != nil {
-		t.Fatal(err)
-	}
-	close(hold)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTSOAdmitsInTimestampOrder: a conflicting later computation cannot
-// jump an earlier waiter.
-func TestTSOAdmitsInTimestampOrder(t *testing.T) {
-	ctrl := cc.NewTSO()
-	s := core.NewStack(ctrl)
-	p := core.NewMicroprotocol("p")
-	var order []string
-	var mu sync.Mutex
-	h := p.AddHandler("h", func(_ *core.Context, msg core.Message) error {
-		mu.Lock()
-		order = append(order, msg.(string))
-		mu.Unlock()
-		return nil
-	})
-	s.Register(p)
-	et := core.NewEventType("e")
-	s.Bind(et, h)
-	spec := core.Access(p)
-
-	hold := make(chan struct{})
-	started := make(chan struct{})
-	first := make(chan error, 1)
-	go func() {
-		first <- s.Isolated(spec, func(ctx *core.Context) error {
-			close(started)
-			<-hold
-			return ctx.Trigger(et, "k1")
-		})
-	}()
-	<-started
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		i := i
-		go func() {
-			defer wg.Done()
-			if err := s.External(spec, et, fmt.Sprintf("k%d", i+2)); err != nil {
-				t.Error(err)
-			}
-		}()
-		time.Sleep(5 * time.Millisecond) // stabilize timestamp order
-	}
-	close(hold)
-	if err := <-first; err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 5 || order[0] != "k1" {
-		t.Fatalf("order = %v (k1 must be first)", order)
-	}
-	for i := 1; i < 5; i++ {
-		if order[i] != fmt.Sprintf("k%d", i+1) {
-			t.Fatalf("order = %v, want timestamp order", order)
-		}
-	}
-}
-
-func TestTSOUndeclared(t *testing.T) {
-	s := core.NewStack(cc.NewTSO())
-	p := core.NewMicroprotocol("p")
-	q := core.NewMicroprotocol("q")
-	hq := q.AddHandler("h", nop)
-	s.Register(p, q)
-	et := core.NewEventType("q")
-	s.Bind(et, hq)
-	err := s.External(core.Access(p), et, nil)
-	var ue *core.UndeclaredError
-	if !errors.As(err, &ue) {
-		t.Fatalf("err = %v", err)
 	}
 }

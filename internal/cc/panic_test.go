@@ -30,7 +30,6 @@ var faultCases = []faultCase{
 	{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
 	{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
 	{"vca-rw", func() core.Controller { return cc.NewVCARW() }},
-	{"tso", func() core.Controller { return cc.NewTSO() }},
 	{"wait-die", func() core.Controller { return cc.NewWaitDie() }},
 }
 

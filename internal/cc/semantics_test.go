@@ -92,7 +92,6 @@ func TestEquivalentFinalStateAcrossControllers(t *testing.T) {
 		"vca-basic": func() core.Controller { return cc.NewVCABasic() },
 		"vca-bound": func() core.Controller { return cc.NewVCABound() },
 		"vca-route": func() core.Controller { return cc.NewVCARoute() },
-		"tso":       func() core.Controller { return cc.NewTSO() },
 	}
 	for name, mk := range mks {
 		p := newProto(mk(), 3)

@@ -153,7 +153,6 @@ func TestTreeWorkloadsAllControllers(t *testing.T) {
 		{"vca-basic", func() core.Controller { return cc.NewVCABasic() }},
 		{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
 		{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
-		{"tso", func() core.Controller { return cc.NewTSO() }},
 	}
 	for _, combo := range combos {
 		combo := combo

@@ -27,7 +27,6 @@ func exploreTargets() []exploreTarget {
 		{name: "vca-bound", neW: func() core.Controller { return cc.NewVCABound() }},
 		{name: "vca-route", neW: func() core.Controller { return cc.NewVCARoute() }},
 		{name: "vca-rw", neW: func() core.Controller { return cc.NewVCARW() }},
-		{name: "tso", neW: func() core.Controller { return cc.NewTSO() }},
 		{name: "wait-die", neW: func() core.Controller { return cc.NewWaitDie() }, snapshot: true},
 	}
 }

@@ -62,7 +62,6 @@ var variants = []variant{
 	{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
 	{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
 	{"vca-rw", func() core.Controller { return cc.NewVCARW() }},
-	{"tso", func() core.Controller { return cc.NewTSO() }},
 	{"wait-die", func() core.Controller { return cc.NewWaitDie() }},
 }
 
@@ -102,8 +101,7 @@ func TestChaos(t *testing.T) { storm(t, variants, 0, 3, 1) }
 // dispatch into a retired epoch, and lose zero acked writes across
 // versions. The swap-safe controllers are the four VCA reconfigurers
 // plus Serial (it holds no per-microprotocol state that a Replace could
-// fork); TSO's and WaitDie's pointer-keyed lock tables are not
-// epoch-aware.
+// fork); WaitDie's pointer-keyed lock table is not epoch-aware.
 func TestSwapStorm(t *testing.T) { storm(t, variants[:5], 8, 10, 2) }
 
 // TestChaosInjects is a meta-test on the harness itself: with the default

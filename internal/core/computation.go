@@ -54,11 +54,6 @@ func (c *Computation) handlers(et *EventType) []*Handler {
 // Spec reports the spec the computation was spawned with.
 func (c *Computation) Spec() *Spec { return c.spec }
 
-// Ctx returns the context bounding the computation (never nil). Handlers
-// with long-running bodies should poll it and return early when it is
-// done; the dispatch path checks it before every handler call regardless.
-func (c *Computation) Ctx() context.Context { return c.ctx }
-
 // ctxErr converts an expired computation context into the *DeadlineError
 // the dispatch path records before a handler call. It is the cooperative
 // half of cancellation: blocking waits inside controllers observe the

@@ -41,7 +41,7 @@ func chain(ctrl core.Controller) (s *core.Stack, e0, e2 *core.EventType, p, q, r
 // microprotocols whose handlers the root reaches.
 func TestSpecBuilderReachability(t *testing.T) {
 	s, e0, _, p, q, r := chain(cc.NewSerial())
-	if spec := resolve(t, s, core.Derive(1, e0)); !spec.Declares(p) || !spec.Declares(q) || spec.Declares(r) {
+	if spec := resolve(t, s, core.Derive(1, e0)); !declares(spec, p) || !declares(spec, q) || declares(spec, r) {
 		t.Fatalf("basic spec MPs = %v, want [p q]", spec.MPs())
 	}
 }
@@ -88,7 +88,7 @@ func TestDeriveCarriesEveryPart(t *testing.T) {
 			t.Fatalf("%s: %v", ctrl.Name(), err)
 		}
 		spec := resolve(t, s, req)
-		if len(spec.MPs()) != 2 || !spec.Declares(p) || !spec.Declares(q) || spec.Declares(r) {
+		if len(spec.MPs()) != 2 || !declares(spec, p) || !declares(spec, q) || declares(spec, r) {
 			t.Fatalf("%s: MPs = %v, want [p q]", ctrl.Name(), spec.MPs())
 		}
 		for _, mp := range []*core.Microprotocol{p, q} {
@@ -108,7 +108,7 @@ func TestDeriveCarriesEveryPart(t *testing.T) {
 func TestSpecBuilderMultipleRoots(t *testing.T) {
 	s, e0, e2, p, q, r := chain(cc.NewSerial())
 	spec := resolve(t, s, core.Derive(1, e0, e2))
-	if !spec.Declares(p) || !spec.Declares(q) || !spec.Declares(r) {
+	if !declares(spec, p) || !declares(spec, q) || !declares(spec, r) {
 		t.Fatalf("two roots: MPs = %v, want [p q r]", spec.MPs())
 	}
 }
@@ -140,7 +140,7 @@ func TestDeriveFollowsPinnedEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := resolve(t, s, req)
-	if !spec.Declares(p) || !spec.Declares(q2) || spec.Declares(q) {
+	if !declares(spec, p) || !declares(spec, q2) || declares(spec, q) {
 		t.Fatalf("epoch 3 spec = %v, want [p q2]", spec.MPs())
 	}
 }

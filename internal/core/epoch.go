@@ -129,9 +129,6 @@ func (e *Epoch) fail(format string, args ...any) {
 	e.errs = append(e.errs, fmt.Errorf("samoa: epoch %d edit: "+format, append([]any{e.n}, args...)...))
 }
 
-// Number reports the epoch number this edit will install as.
-func (e *Epoch) Number() uint64 { return e.n }
-
 // MP returns the microprotocol with the given name in this epoch, or nil.
 func (e *Epoch) MP(name string) *Microprotocol { return e.mps[name] }
 

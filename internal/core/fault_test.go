@@ -153,9 +153,6 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if !s.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
 	if err := s.External(core.Access(mp), et, nil); !errors.Is(err, core.ErrClosed) {
 		t.Fatalf("External after Close = %v, want ErrClosed", err)
 	}

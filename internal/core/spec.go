@@ -88,16 +88,6 @@ func PathSpec(path ...*Handler) *Spec {
 // microprotocol ID. The returned slice must not be modified.
 func (s *Spec) MPs() []*Microprotocol { return s.mps }
 
-// Declares reports whether mp is in the declared collection M.
-func (s *Spec) Declares(mp *Microprotocol) bool {
-	for _, m := range s.mps {
-		if m == mp {
-			return true
-		}
-	}
-	return false
-}
-
 // Bound returns the declared least upper bound for mp, if any.
 func (s *Spec) Bound(mp *Microprotocol) (int, bool) {
 	if s.bounds == nil {
@@ -200,40 +190,4 @@ func (g *RouteGraph) Vertices() []*Handler {
 		out = append(out, h)
 	}
 	return out
-}
-
-// HasCycle reports whether the routing pattern contains a directed cycle.
-// Cyclic patterns are legal — recursion needs them — but they prevent the
-// VCAroute algorithm's rule 4(b) from ever releasing the microprotocols
-// on the cycle early (the paper notes this case falls back to release at
-// completion), so a protocol designer may want to know.
-func (g *RouteGraph) HasCycle() bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[*Handler]int, len(g.vertices))
-	var visit func(h *Handler) bool
-	visit = func(h *Handler) bool {
-		color[h] = grey
-		for _, s := range g.edges[h] {
-			switch color[s] {
-			case grey:
-				return true
-			case white:
-				if visit(s) {
-					return true
-				}
-			}
-		}
-		color[h] = black
-		return false
-	}
-	for h := range g.vertices {
-		if color[h] == white && visit(h) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -87,10 +88,10 @@ func TestAccessSpecDedupAndSort(t *testing.T) {
 	if mps[0].ID() > mps[1].ID() {
 		t.Fatal("MPs must be sorted by ID")
 	}
-	if !s.Declares(a) || !s.Declares(b) {
+	if !declares(s, a) || !declares(s, b) {
 		t.Fatal("Declares must cover listed microprotocols")
 	}
-	if s.Declares(core.NewMicroprotocol("c")) {
+	if declares(s, core.NewMicroprotocol("c")) {
 		t.Fatal("Declares must reject unlisted microprotocols")
 	}
 	if s.HasBounds() || s.Graph() != nil {
@@ -144,32 +145,8 @@ func TestRouteGraphAndSpec(t *testing.T) {
 	if s.Graph() != g {
 		t.Fatal("spec must carry the graph")
 	}
-	if len(s.MPs()) != 2 || !s.Declares(p) || !s.Declares(q) {
+	if len(s.MPs()) != 2 || !declares(s, p) || !declares(s, q) {
 		t.Fatalf("route spec MPs = %v", s.MPs())
-	}
-}
-
-func TestRouteGraphHasCycle(t *testing.T) {
-	p := core.NewMicroprotocol("cyc")
-	a := p.AddHandler("a", nopHandler)
-	b := p.AddHandler("b", nopHandler)
-	c := p.AddHandler("c", nopHandler)
-
-	chain := core.NewRouteGraph().Root(a).Edge(a, b).Edge(b, c)
-	if chain.HasCycle() {
-		t.Fatal("chain reported cyclic")
-	}
-	diamond := core.NewRouteGraph().Root(a).Edge(a, b).Edge(a, c).Edge(b, c)
-	if diamond.HasCycle() {
-		t.Fatal("diamond (DAG) reported cyclic")
-	}
-	selfLoop := core.NewRouteGraph().Root(a).Edge(a, a)
-	if !selfLoop.HasCycle() {
-		t.Fatal("self-loop not reported")
-	}
-	back := core.NewRouteGraph().Root(a).Edge(a, b).Edge(b, c).Edge(c, a)
-	if !back.HasCycle() {
-		t.Fatal("back edge not reported")
 	}
 }
 
@@ -182,7 +159,7 @@ func TestPathSpec(t *testing.T) {
 	hq := q.AddHandler("hq", nopHandler)
 	spec := core.PathSpec(hp, hq, hp)
 
-	if len(spec.MPs()) != 2 || !spec.Declares(p) || !spec.Declares(q) {
+	if len(spec.MPs()) != 2 || !declares(spec, p) || !declares(spec, q) {
 		t.Fatalf("MPs %v, want [p q]", spec.MPs())
 	}
 	if n, _ := spec.Bound(p); n != 2 {
@@ -196,3 +173,6 @@ func TestPathSpec(t *testing.T) {
 		t.Fatal("route is not the chain hp → hq → hp rooted at hp")
 	}
 }
+
+// declares reports whether mp is in s's declared collection M.
+func declares(s *core.Spec, mp *core.Microprotocol) bool { return slices.Contains(s.MPs(), mp) }

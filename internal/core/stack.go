@@ -260,8 +260,7 @@ func (s *Stack) Isolated(spec *Spec, root func(ctx *Context) error) error {
 // computation's claims so waiters behind it proceed. Spec.WithTimeout
 // composes with ctx — whichever expires first wins. Cancellation is
 // cooperative between handler calls: a handler body already running is
-// not interrupted (poll Context.Computation().Ctx() inside long-running
-// bodies).
+// not interrupted (poll Context.Ctx() inside long-running bodies).
 func (s *Stack) IsolatedCtx(ctx context.Context, spec *Spec, root func(ctx *Context) error) error {
 	s.seal()
 	ep := s.pin()
@@ -459,9 +458,6 @@ func (s *Stack) CloseContext(ctx context.Context) error {
 	}
 	return nil
 }
-
-// Closed reports whether Close has begun.
-func (s *Stack) Closed() bool { return s.closed.Load() }
 
 // waitInv blocks until every thread forked by the invocation terminated.
 // Under a hook, the join is announced first so a deterministic scheduler

@@ -311,7 +311,6 @@ func TestAllControllerSpecCombos(t *testing.T) {
 		{"vca-bound", func() core.Controller { return cc.NewVCABound() }},
 		{"vca-route", func() core.Controller { return cc.NewVCARoute() }},
 		{"serial", func() core.Controller { return cc.NewSerial() }},
-		{"tso", func() core.Controller { return cc.NewTSO() }},
 		{"vca-rw", func() core.Controller { return cc.NewVCARW() }},
 	}
 	for _, combo := range combos {

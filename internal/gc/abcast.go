@@ -39,13 +39,13 @@ type ABcast struct {
 	snapshot func() []byte
 	install  func([]byte)
 
-	pool map[MsgID]CastMsg
+	pool map[MsgID]castMsg
 	// early holds the casts a decision delivered before RelCast brought
 	// them, so their copy is dropped when it arrives instead of pooled.
 	// A delivered cast is in no pool and in no later decided batch
 	// (DESIGN.md §12.1), so nothing else needs remembering.
 	early      map[MsgID]bool
-	decisions  map[uint64][]CastMsg
+	decisions  map[uint64][]castMsg
 	nextDecide uint64
 	proposed   map[uint64]bool
 	inFlush    bool
@@ -66,9 +66,9 @@ func newABcast(self transport.NodeID, batchMax int, ev *events, snapshot func() 
 		batchMax:  batchMax,
 		snapshot:  snapshot,
 		install:   install,
-		pool:      make(map[MsgID]CastMsg),
+		pool:      make(map[MsgID]castMsg),
 		early:     make(map[MsgID]bool),
-		decisions: make(map[uint64][]CastMsg),
+		decisions: make(map[uint64][]castMsg),
 		proposed:  make(map[uint64]bool),
 	}
 	a.hABcast = a.mp.AddHandler("abcast", a.abcast).Emits(ev.Bcast)
@@ -84,12 +84,12 @@ func newABcast(self transport.NodeID, batchMax int, ev *events, snapshot func() 
 // message comes back through DeliverOut into the pool.
 func (a *ABcast) abcast(ctx *core.Context, msg core.Message) error {
 	req := msg.(abcastReq)
-	return ctx.Trigger(a.ev.Bcast, &CastMsg{Kind: req.kind, Data: req.data, Op: req.op, Site: req.site})
+	return ctx.Trigger(a.ev.Bcast, &castMsg{Kind: req.kind, Data: req.data, Op: req.op, Site: req.site})
 }
 
 // recv pools reliably-broadcast messages awaiting a total order.
 func (a *ABcast) recv(ctx *core.Context, msg core.Message) error {
-	m := msg.(CastMsg)
+	m := msg.(castMsg)
 	if a.early[m.ID] {
 		delete(a.early, m.ID)
 		return nil
@@ -106,11 +106,11 @@ func (a *ABcast) maybePropose(ctx *core.Context) error {
 		return nil
 	}
 	a.proposed[inst] = true
-	batch := make([]CastMsg, 0, len(a.pool))
+	batch := make([]castMsg, 0, len(a.pool))
 	for _, m := range a.pool {
 		batch = append(batch, m)
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
+	sort.Slice(batch, func(i, j int) bool { return batch[i].ID.less(batch[j].ID) })
 	if len(batch) > a.batchMax {
 		batch = batch[:a.batchMax]
 	}
@@ -145,8 +145,8 @@ func (a *ABcast) flush(ctx *core.Context) error {
 			break
 		}
 		a.inFlush = true
-		batch = append([]CastMsg(nil), batch...)
-		sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
+		batch = append([]castMsg(nil), batch...)
+		sort.Slice(batch, func(i, j int) bool { return batch[i].ID.less(batch[j].ID) })
 		for _, m := range batch {
 			if _, pooled := a.pool[m.ID]; pooled {
 				delete(a.pool, m.ID)

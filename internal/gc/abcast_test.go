@@ -19,7 +19,7 @@ type abHarness struct {
 	spec      *core.Spec
 	proposals []proposeReq
 	adeliv    []string
-	bcasts    []*CastMsg
+	bcasts    []*castMsg
 	syncSent  []rcSendReq
 	snapped   int    // Snapshot hook invocations
 	installed []byte // last InstallSnapshot payload
@@ -46,11 +46,11 @@ func newABHarness(t *testing.T, batchMax int) *abHarness {
 		return nil
 	})
 	hDeliv := capture.AddHandler("adeliver", func(_ *core.Context, msg core.Message) error {
-		h.adeliv = append(h.adeliv, string(msg.(CastMsg).Data))
+		h.adeliv = append(h.adeliv, string(msg.(castMsg).Data))
 		return nil
 	})
 	hBcast := capture.AddHandler("bcast", func(_ *core.Context, msg core.Message) error {
-		h.bcasts = append(h.bcasts, msg.(*CastMsg))
+		h.bcasts = append(h.bcasts, msg.(*castMsg))
 		return nil
 	})
 	hSend := capture.AddHandler("send", func(_ *core.Context, msg core.Message) error {
@@ -73,11 +73,11 @@ func newABHarness(t *testing.T, batchMax int) *abHarness {
 	return h
 }
 
-func cm(origin simnet.NodeID, seq uint64, data string) CastMsg {
-	return CastMsg{ID: MsgID{Origin: origin, Seq: seq}, Kind: castApp, Data: []byte(data)}
+func cm(origin simnet.NodeID, seq uint64, data string) castMsg {
+	return castMsg{ID: MsgID{Origin: origin, Seq: seq}, Kind: castApp, Data: []byte(data)}
 }
 
-func (h *abHarness) pool(t *testing.T, m CastMsg) {
+func (h *abHarness) pool(t *testing.T, m castMsg) {
 	t.Helper()
 	if err := h.s.External(h.spec, h.ev.DeliverOut, m); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func (h *abHarness) sync(t *testing.T, from simnet.NodeID, next uint64, snap []b
 	}
 }
 
-func (h *abHarness) decide(t *testing.T, inst uint64, batch ...CastMsg) {
+func (h *abHarness) decide(t *testing.T, inst uint64, batch ...castMsg) {
 	t.Helper()
 	if err := h.s.External(h.spec, h.ev.Decide, decision{inst: inst, value: batch}); err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestABcastBatchCap(t *testing.T) {
 // nowhere; the batch's other casts are.
 func TestABcastDeliversOrderedKindsOnly(t *testing.T) {
 	h := newABHarness(t, 64)
-	plain := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castRApp, Data: []byte("plain")}
+	plain := castMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castRApp, Data: []byte("plain")}
 	h.decide(t, 0, plain, cm(1, 2, "a"))
 	if len(h.adeliv) != 1 || h.adeliv[0] != "a" {
 		t.Fatalf("delivered %v, want [a]", h.adeliv)
@@ -296,11 +296,11 @@ func TestABcastSendSyncDefersUntilFlushEnd(t *testing.T) {
 	// SyncReq while the batch's tail ("z") is still undelivered. The
 	// sync must wait, or the snapshot would miss "z" while the joiner
 	// skips the instance that carries it.
-	join := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 2}
+	join := castMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 2}
 	syncer := core.NewMicroprotocol("syncer")
 	hSyncer := syncer.AddHandler("onJoin", func(ctx *core.Context, msg core.Message) error {
 		h.adeliv = append(h.adeliv, "view")
-		return ctx.Trigger(h.ev.SyncReq, msg.(CastMsg).Site)
+		return ctx.Trigger(h.ev.SyncReq, msg.(castMsg).Site)
 	})
 	h.s.Register(syncer)
 	h.s.Bind(h.ev.DeliverView, hSyncer)

@@ -34,7 +34,7 @@ func TestQuietRunRetransmitsNothing(t *testing.T) {
 		s.Stop() // computations are over: RelComm's state may be read
 	}
 	for i, s := range sites {
-		if n := s.Retransmitted(); n != 0 {
+		if n := s.relcomm.retransmitted.Load(); n != 0 {
 			t.Errorf("site %d retransmitted %d frames", i, n)
 		}
 		for to, l := range s.relcomm.peers {
@@ -105,14 +105,14 @@ func TestOneWayStreamNeverStalls(t *testing.T) {
 		s.Stop()
 	}
 
-	if n := sites[0].relcomm.Queued(1); n != 0 {
+	if n := queued(sites[0].relcomm, 1); n != 0 {
 		t.Errorf("%d sends still queued for site 1", n)
 	}
 	if n := other.Load(); n != 0 {
 		t.Errorf("site 1 sent %d datagrams that were not ack-only", n)
 	}
 	ticks := int64(tracer.ran(sites[1].relcomm.hRetransmit))
-	dups := int64(sites[0].Retransmitted())
+	dups := int64(sites[0].relcomm.retransmitted.Load())
 	if n := frames.Load(); n != casts+dups {
 		t.Errorf("site 0 sent %d data frames for %d casts and %d retransmissions", n, casts, dups)
 	}
@@ -253,7 +253,7 @@ func TestRejoinedSiteCoordinatesInRound0(t *testing.T) {
 			return
 		}
 		inst := s.ab.nextDecide
-		if s.cons.view.Coordinator(inst, 0) != 2 {
+		if s.cons.view.coordinator(inst, 0) != 2 {
 			return
 		}
 		st := s.cons.insts[inst]

@@ -48,13 +48,13 @@ func newApp(ver uint16, deliver, rdeliver func(from transport.NodeID, data []byt
 		upgrade:  upgrade,
 	}
 	a.hDeliver = a.mp.AddHandler("deliver", func(_ *core.Context, msg core.Message) error {
-		if m := msg.(CastMsg); a.deliver != nil {
+		if m := msg.(castMsg); a.deliver != nil {
 			a.deliver(m.ID.Origin, m.Data)
 		}
 		return nil
 	}).Emits()
 	a.hRDeliver = a.mp.AddHandler("rdeliver", func(_ *core.Context, msg core.Message) error {
-		if m := msg.(CastMsg); a.rdeliver != nil {
+		if m := msg.(castMsg); a.rdeliver != nil {
 			a.rdeliver(m.ID.Origin, m.Data)
 		}
 		return nil

@@ -9,13 +9,13 @@ import (
 // proposeReq asks consensus to decide a value for an instance.
 type proposeReq struct {
 	inst  uint64
-	value []CastMsg
+	value []castMsg
 }
 
 // decision announces a decided instance (the Decide event message).
 type decision struct {
 	inst  uint64
-	value []CastMsg
+	value []castMsg
 }
 
 // promiseVal is what an acceptor reports in a PROMISE: its last accepted
@@ -23,7 +23,7 @@ type decision struct {
 type promiseVal struct {
 	accRound uint32
 	hasAcc   bool
-	value    []CastMsg
+	value    []castMsg
 }
 
 // consInst is the per-instance consensus state machine.
@@ -31,15 +31,15 @@ type consInst struct {
 	round    uint32 // current round this site participates in
 	promised uint32 // highest round promised / accepted for
 	accRound uint32 // round of the last accepted value
-	accValue []CastMsg
+	accValue []castMsg
 	hasAcc   bool
-	proposal []CastMsg // locally known proposal (own or forwarded)
+	proposal []castMsg // locally known proposal (own or forwarded)
 	hasProp  bool
 	decided  bool
 	// decidedVal keeps the decided value so a late proposer — typically a
 	// joiner whose sync point lies past a decision it never received —
 	// can be answered with a replayed DECIDE instead of stalling forever.
-	decidedVal []CastMsg
+	decidedVal []castMsg
 
 	// Coordinator-side bookkeeping.
 	prepared    bool
@@ -47,7 +47,7 @@ type consInst struct {
 	promises    map[transport.NodeID]promiseVal
 	acceptSent  bool
 	acceptRound uint32
-	acceptVal   []CastMsg
+	acceptVal   []castMsg
 	accepts     map[transport.NodeID]bool
 	// voted: the ACCEPT carried the Voted bit, so each acceptor decides
 	// on it alone; refused lists the sites that refused it, the only
@@ -208,14 +208,14 @@ func (c *Consensus) sendPropose(ctx *core.Context, coord transport.NodeID, inst 
 }
 
 // sendDecide sends one site the decision of inst.
-func (c *Consensus) sendDecide(ctx *core.Context, to transport.NodeID, inst uint64, round uint32, value []CastMsg) error {
+func (c *Consensus) sendDecide(ctx *core.Context, to transport.NodeID, inst uint64, round uint32, value []castMsg) error {
 	return c.sendTo(ctx, to, &consMsg{Type: cDecide, Inst: inst, Round: round, HasValue: true, Value: value})
 }
 
 // advanceRounds moves past rounds whose coordinator is suspected (at most
 // one full rotation, in case everyone is suspected).
 func (c *Consensus) advanceRounds(inst uint64, st *consInst) {
-	for i := 0; i < c.view.Size() && c.suspects[c.view.Coordinator(inst, st.round)]; i++ {
+	for i := 0; i < c.view.Size() && c.suspects[c.view.coordinator(inst, st.round)]; i++ {
 		st.round++
 	}
 }
@@ -255,7 +255,7 @@ func (c *Consensus) propose(ctx *core.Context, msg core.Message) error {
 		st.proposal = req.value
 	}
 	c.advanceRounds(req.inst, st)
-	coord := c.view.Coordinator(req.inst, st.round)
+	coord := c.view.coordinator(req.inst, st.round)
 	if coord == c.self {
 		return c.tryCoordinate(ctx, req.inst, st)
 	}
@@ -267,7 +267,7 @@ func (c *Consensus) propose(ctx *core.Context, msg core.Message) error {
 
 // tryCoordinate drives the coordinator role for the current round.
 func (c *Consensus) tryCoordinate(ctx *core.Context, inst uint64, st *consInst) error {
-	if st.decided || c.view.Coordinator(inst, st.round) != c.self {
+	if st.decided || c.view.coordinator(inst, st.round) != c.self {
 		return nil
 	}
 	if st.round == 0 {
@@ -286,7 +286,7 @@ func (c *Consensus) tryCoordinate(ctx *core.Context, inst uint64, st *consInst) 
 	return nil
 }
 
-func (c *Consensus) sendAccept(ctx *core.Context, inst uint64, st *consInst, value []CastMsg) error {
+func (c *Consensus) sendAccept(ctx *core.Context, inst uint64, st *consInst, value []castMsg) error {
 	st.acceptSent = true
 	st.acceptRound = st.round
 	st.acceptVal = value
@@ -296,12 +296,12 @@ func (c *Consensus) sendAccept(ctx *core.Context, inst uint64, st *consInst, val
 	// Accept in place unless that alone would reach the quorum (it would
 	// decide inside propose or suspect, whose Emits exclude Decide) or is
 	// refused: then the self frame takes the received-ACCEPT path.
-	selfFrame := c.view.Quorum() <= 1 || !c.accept(st, m)
+	selfFrame := c.view.quorum() <= 1 || !c.accept(st, m)
 	if !selfFrame {
 		st.accepts[c.self] = true
 		// In a view of at most 3 sites this vote plus any acceptor's is
 		// the quorum, so an acceptor that accepts knows the value chosen.
-		m.Voted = c.view.Quorum() <= 2
+		m.Voted = c.view.quorum() <= 2
 	}
 	st.voted = m.Voted
 	return c.sendAll(ctx, m, selfFrame)
@@ -405,7 +405,7 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 
 	case cPromise:
 		if st.decided || !st.prepared || m.Round != st.round ||
-			c.view.Coordinator(m.Inst, st.round) != c.self {
+			c.view.coordinator(m.Inst, st.round) != c.self {
 			return nil
 		}
 		pv := promiseVal{accRound: m.AccRound}
@@ -414,12 +414,12 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 			pv.value = m.Value
 		}
 		st.promises[in.sender] = pv
-		if len(st.promises) < c.view.Quorum() || (st.acceptSent && st.acceptRound == st.round) {
+		if len(st.promises) < c.view.quorum() || (st.acceptSent && st.acceptRound == st.round) {
 			return nil
 		}
 		// Adopt the highest-round accepted value; else the proposal;
 		// else an empty batch, which just burns the instance.
-		var value []CastMsg
+		var value []castMsg
 		var best uint32
 		var found bool
 		for _, p := range st.promises {
@@ -461,11 +461,11 @@ func (c *Consensus) recv(ctx *core.Context, msg core.Message) error {
 
 	case cAccepted:
 		if st.decided || !st.acceptSent || st.acceptRound != m.Round ||
-			c.view.Coordinator(m.Inst, m.Round) != c.self {
+			c.view.coordinator(m.Inst, m.Round) != c.self {
 			return nil
 		}
 		st.accepts[in.sender] = true
-		if len(st.accepts) < c.view.Quorum() {
+		if len(st.accepts) < c.view.quorum() {
 			return nil
 		}
 		d := &consMsg{Type: cDecide, Inst: m.Inst, Round: m.Round, HasValue: true, Value: st.acceptVal}
@@ -501,7 +501,7 @@ func (c *Consensus) solicit(ctx *core.Context, site transport.NodeID, done uint6
 		switch {
 		case st.decided && inst >= done:
 			err = c.sendDecide(ctx, site, inst, st.round, st.decidedVal)
-		case !st.decided && st.hasProp && c.view.Coordinator(inst, st.round) == site:
+		case !st.decided && st.hasProp && c.view.coordinator(inst, st.round) == site:
 			err = c.sendPropose(ctx, site, inst, st)
 		}
 		if err != nil {
@@ -529,7 +529,7 @@ func (c *Consensus) suspect(ctx *core.Context, msg core.Message) error {
 		if st.round == old {
 			continue
 		}
-		coord := c.view.Coordinator(inst, st.round)
+		coord := c.view.coordinator(inst, st.round)
 		if coord == c.self {
 			if err := c.tryCoordinate(ctx, inst, st); err != nil {
 				return err

@@ -50,7 +50,7 @@ func newConsHarness(t *testing.T, self simnet.NodeID, view *View) *consHarness {
 
 func (h *consHarness) propose(t *testing.T, inst uint64, tag string) {
 	t.Helper()
-	v := []CastMsg{{ID: MsgID{Origin: 9, Seq: 1}, Kind: castApp, Data: []byte(tag)}}
+	v := []castMsg{{ID: MsgID{Origin: 9, Seq: 1}, Kind: castApp, Data: []byte(tag)}}
 	if err := h.s.External(h.spec, h.ev.ProposeEv, proposeReq{inst: inst, value: v}); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestConsensusProposerForwardsToCoordinator(t *testing.T) {
 
 func TestConsensusAcceptorPath(t *testing.T) {
 	h := newConsHarness(t, 2, NewView(0, 1, 2))
-	val := []CastMsg{{ID: MsgID{Origin: 0, Seq: 1}, Kind: castApp, Data: []byte("x")}}
+	val := []castMsg{{ID: MsgID{Origin: 0, Seq: 1}, Kind: castApp, Data: []byte("x")}}
 	h.feed(t, 0, consMsg{Type: cAccept, Inst: 0, Round: 0, HasValue: true, Value: val})
 	acks := h.sentOfType(t, cAccepted)
 	if len(acks) != 1 || acks[0].to != 0 || acks[0].m.Round != 0 {
@@ -261,7 +261,7 @@ func TestConsensusAcceptorPath(t *testing.T) {
 
 func TestConsensusPromiseCarriesAcceptedValue(t *testing.T) {
 	h := newConsHarness(t, 2, NewView(0, 1, 2))
-	val := []CastMsg{{ID: MsgID{Origin: 0, Seq: 1}, Kind: castApp, Data: []byte("locked-in")}}
+	val := []castMsg{{ID: MsgID{Origin: 0, Seq: 1}, Kind: castApp, Data: []byte("locked-in")}}
 	h.feed(t, 0, consMsg{Type: cAccept, Inst: 0, Round: 0, HasValue: true, Value: val})
 	h.feed(t, 1, consMsg{Type: cPrepare, Inst: 0, Round: 2})
 	proms := h.sentOfType(t, cPromise)
@@ -286,7 +286,7 @@ func TestConsensusNewCoordinatorAdoptsPromisedValue(t *testing.T) {
 		t.Fatalf("PREPARE = %+v", preps)
 	}
 
-	locked := []CastMsg{{ID: MsgID{Origin: 0, Seq: 7}, Kind: castApp, Data: []byte("theirs")}}
+	locked := []castMsg{{ID: MsgID{Origin: 0, Seq: 7}, Kind: castApp, Data: []byte("theirs")}}
 	h.feed(t, 2, consMsg{Type: cPromise, Inst: 0, Round: 1, AccRound: 0, HasValue: true, Value: locked})
 	h.feed(t, 1, consMsg{Type: cPromise, Inst: 0, Round: 1}) // own loopback, no accepted value
 
@@ -395,7 +395,7 @@ func TestConsensusInstancesIndependent(t *testing.T) {
 		if last := props[len(props)-1]; len(props) != int(inst) || last.to != coord || last.m.Inst != inst {
 			t.Fatalf("forwards = %+v, want instance %d to site %d", props, inst, coord)
 		}
-		val := []CastMsg{{ID: MsgID{Origin: coord, Seq: 1}, Kind: castApp}}
+		val := []castMsg{{ID: MsgID{Origin: coord, Seq: 1}, Kind: castApp}}
 		h.feed(t, coord, consMsg{Type: cDecide, Inst: inst, HasValue: true, Value: val})
 	}
 }
@@ -405,7 +405,7 @@ func TestConsensusInstancesIndependent(t *testing.T) {
 func (h *consHarness) decideAll(t *testing.T, n uint64) {
 	t.Helper()
 	for inst := uint64(0); inst < n; inst++ {
-		val := []CastMsg{{ID: MsgID{Origin: 0, Seq: inst + 1}, Kind: castApp, Data: []byte(fmt.Sprint(inst))}}
+		val := []castMsg{{ID: MsgID{Origin: 0, Seq: inst + 1}, Kind: castApp, Data: []byte(fmt.Sprint(inst))}}
 		h.feed(t, 0, consMsg{Type: cDecide, Inst: inst, Done: inst + 1, HasValue: true, Value: val})
 	}
 }
@@ -455,8 +455,8 @@ func TestConsensusSolicitedRelaysDecisions(t *testing.T) {
 	h.feed(t, 0, consMsg{Type: cSolicit})
 
 	h.decideAll(t, 1) // from site 0 itself: nobody to relay it to
-	val := func(inst uint64) []CastMsg {
-		return []CastMsg{{ID: MsgID{Origin: 1, Seq: inst}, Kind: castApp, Data: []byte("x")}}
+	val := func(inst uint64) []castMsg {
+		return []castMsg{{ID: MsgID{Origin: 1, Seq: inst}, Kind: castApp, Data: []byte("x")}}
 	}
 	h.feed(t, 1, consMsg{Type: cDecide, Inst: 1, Round: 0, HasValue: true, Value: val(1)})
 	if got := instsTo(t, h.sentOfType(t, cDecide), 0); fmt.Sprint(got) != "[1]" {
@@ -510,7 +510,7 @@ func TestConsensusSolicitedLatePropose(t *testing.T) {
 	h.propose(t, 0, "v")
 	h.feed(t, 1, consMsg{Type: cAccepted, Inst: 0, Round: 0})
 	h.suspect(t, 1)
-	late := []CastMsg{{ID: MsgID{Origin: 2, Seq: 1}, Kind: castApp, Data: []byte("late")}}
+	late := []castMsg{{ID: MsgID{Origin: 2, Seq: 1}, Kind: castApp, Data: []byte("late")}}
 	h.feed(t, 2, consMsg{Type: cPropose, Inst: 0, Round: 0, HasValue: true, Value: late})
 	decides := h.sentOfType(t, cDecide)
 	if len(decides) != 1 || decides[0].to != 2 || string(decides[0].m.Value[0].Data) != "v" {
@@ -597,7 +597,7 @@ func TestConsensusVotedAcceptDecides(t *testing.T) {
 // sends DECIDE to every peer.
 func TestConsensusUnvotedAcceptDoesNotDecide(t *testing.T) {
 	h := newConsHarness(t, 1, NewView(0, 1, 2))
-	val := []CastMsg{{ID: MsgID{Origin: 0, Seq: 1}, Kind: castApp, Data: []byte("x")}}
+	val := []castMsg{{ID: MsgID{Origin: 0, Seq: 1}, Kind: castApp, Data: []byte("x")}}
 	h.feed(t, 0, consMsg{Type: cAccept, Inst: 0, Round: 0, HasValue: true, Value: val})
 	if len(h.sentOfType(t, cAccepted)) != 1 || len(h.decided) != 0 {
 		t.Fatalf("unvoted ACCEPT: %d ACCEPTED, decided = %+v, want 1 and none", len(h.sentOfType(t, cAccepted)), h.decided)

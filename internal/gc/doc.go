@@ -4,17 +4,15 @@
 //	Membership ── view changes via atomic broadcast
 //	ABcast     ── total-order broadcast: consensus on batches
 //	Consensus  ── rotating-coordinator, majority-quorum consensus
-//	Fifo       ── FIFO-order broadcast (per-origin sequence numbers)
-//	Causal     ── causal-order broadcast (vector clocks)
 //	RelCast    ── reliable broadcast (relay on first receipt, but not the casts ABcast orders)
 //	RelComm    ── reliable point-to-point (seq/cumulative ack/retransmit/window)
 //	FD         ── heartbeat failure detector
 //	NetOut     ── egress buffer: one datagram per peer per computation
 //	App        ── delivery upcalls to the embedding application
 //
-// The four broadcast flavours — unordered (RBcast), FIFO (FBcast), causal
-// (CBcast) and total (ABcast) — are the classic ordering spectrum of
-// group-communication toolkits. The stack is not view-synchronous: a
+// Two broadcast flavours are offered: unordered (RBcast) and total
+// (ABcast), the two that the paper's §3 stack is built from. The stack
+// is not view-synchronous: a
 // joiner may deliver messages that were in flight around its join, and
 // misses pre-join history (ABcast fast-forwards the joiner's instance
 // pointer via a SYNC message).

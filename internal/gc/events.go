@@ -20,18 +20,14 @@ type events struct {
 	FromRComm   *core.EventType // rcRecvd (layerRelCast) → relcast.recv
 	ConsIn      *core.EventType // rcRecvd (layerConsensus) → consensus.recv
 	SyncIn      *core.EventType // rcRecvd (layerSync) → abcast.sync
-	Bcast       *core.EventType // *CastMsg → relcast.bcast
-	DeliverOut  *core.EventType // CastMsg (castApp, castViewChg) → abcast.recv
-	RDeliver    *core.EventType // CastMsg (castRApp) → app.rdeliver
-	FifoIn      *core.EventType // CastMsg (castFifo) → fifo.recv
-	CausalIn    *core.EventType // CastMsg (castCausal) → causal.recv
+	Bcast       *core.EventType // *castMsg → relcast.bcast
+	DeliverOut  *core.EventType // castMsg (castApp, castViewChg) → abcast.recv
+	RDeliver    *core.EventType // castMsg (castRApp) → app.rdeliver
 	ABcastEv    *core.EventType // abcastReq → abcast.abcast
-	FifoEv      *core.EventType // []byte → fifo.bcast
-	CausalEv    *core.EventType // []byte → causal.bcast
 	ProposeEv   *core.EventType // proposeReq → consensus.propose
 	Decide      *core.EventType // decision → abcast.onDecide
-	ADeliver    *core.EventType // CastMsg (castApp) → app.deliver
-	DeliverView *core.EventType // CastMsg (castViewChg) → membership.deliverView
+	ADeliver    *core.EventType // castMsg (castApp) → app.deliver
+	DeliverView *core.EventType // castMsg (castViewChg) → membership.deliverView
 	ViewChange  *core.EventType // *View → relcast, relcomm, fd, consensus, app
 	JoinLeave   *core.EventType // joinLeaveReq → membership.joinleave
 	SyncReq     *core.EventType // transport.NodeID → abcast.sendSync
@@ -55,11 +51,7 @@ func newEvents() *events {
 		Bcast:       core.NewEventType("Bcast"),
 		DeliverOut:  core.NewEventType("DeliverOut"),
 		RDeliver:    core.NewEventType("RDeliver"),
-		FifoIn:      core.NewEventType("FifoIn"),
-		CausalIn:    core.NewEventType("CausalIn"),
 		ABcastEv:    core.NewEventType("ABcast"),
-		FifoEv:      core.NewEventType("FBcast"),
-		CausalEv:    core.NewEventType("CBcast"),
 		ProposeEv:   core.NewEventType("Propose"),
 		Decide:      core.NewEventType("Decide"),
 		ADeliver:    core.NewEventType("ADeliver"),
@@ -75,7 +67,7 @@ func newEvents() *events {
 	}
 	ev.up[layerRelCast], ev.up[layerConsensus], ev.up[layerSync] = ev.FromRComm, ev.ConsIn, ev.SyncIn
 	ev.deliverOut[castApp], ev.deliverOut[castViewChg] = ev.DeliverOut, ev.DeliverOut
-	ev.deliverOut[castRApp], ev.deliverOut[castFifo], ev.deliverOut[castCausal] = ev.RDeliver, ev.FifoIn, ev.CausalIn
+	ev.deliverOut[castRApp] = ev.RDeliver
 	ev.adeliver[castApp], ev.adeliver[castViewChg] = ev.ADeliver, ev.DeliverView
 	return ev
 }

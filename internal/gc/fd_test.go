@@ -209,7 +209,7 @@ func TestMembershipJoinLeaveABcasts(t *testing.T) {
 
 func TestMembershipDeliverViewFansOut(t *testing.T) {
 	h := newMembHarness(t, 0, NewView(0, 1))
-	cm := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 2}
+	cm := castMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 2}
 	if err := h.s.External(h.spec, h.ev.DeliverView, cm); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestMembershipDeliverViewFansOut(t *testing.T) {
 
 func TestMembershipJoinerDoesNotSyncItself(t *testing.T) {
 	h := newMembHarness(t, 2, NewView(0, 1, 2)) // we are the joiner
-	cm := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 2}
+	cm := castMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 2}
 	if err := h.s.External(h.spec, h.ev.DeliverView, cm); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestMembershipJoinerDoesNotSyncItself(t *testing.T) {
 
 func TestMembershipLeaveNoSync(t *testing.T) {
 	h := newMembHarness(t, 0, NewView(0, 1, 2))
-	cm := CastMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '-', Site: 2}
+	cm := castMsg{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '-', Site: 2}
 	if err := h.s.External(h.spec, h.ev.DeliverView, cm); err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import (
 // panic; errors must surface through the sticky reader.
 func FuzzDecodeMessages(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeCastFrame(&CastMsg{ID: MsgID{Origin: 1, Seq: 2}, Kind: castApp, Data: []byte("x")}))
+	f.Add(encodeCastFrame(&castMsg{ID: MsgID{Origin: 1, Seq: 2}, Kind: castApp, Data: []byte("x")}))
 	f.Add(encodeConsFrame(&consMsg{Type: cAccept, Inst: 1, Round: 2, HasValue: true,
-		Voted: true, Value: []CastMsg{{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 3}}}))
+		Voted: true, Value: []castMsg{{ID: MsgID{Origin: 1, Seq: 1}, Kind: castViewChg, Op: '+', Site: 3}}}))
 	f.Add(encodeConsFrame(&consMsg{Type: cRefused, Inst: 1, Round: 2}))
 	f.Add(encodeSyncFrame(7, []byte("snap")))
 	f.Add(dataFrame(4, 9, "inner"))
@@ -33,14 +33,17 @@ func FuzzSiteSurvivesGarbageDatagrams(f *testing.F) {
 	f.Add([]byte{dgData})
 	f.Add([]byte{dgAck, 1, 2})
 	f.Add([]byte{dgBeat})
-	cast := encodeCastFrame(&CastMsg{ID: MsgID{Origin: 0, Seq: 1}, Kind: castRApp, Data: []byte("ok")})
+	cast := encodeCastFrame(&castMsg{ID: MsgID{Origin: 0, Seq: 1}, Kind: castRApp, Data: []byte("ok")})
 	castData := appendFrame(nil, &frame{kind: dgData, seq: 1, inner: cast})
 	f.Add(castData)
 	f.Add(bytes.Join([][]byte{ackFrame(7, 3), castData, ackFrame(7, 4)}, nil))
-	// Inner payloads no layer owns: empty, tags 0, 4 and 255, and a cast
-	// of a kind no layer delivers.
-	unknown := encodeCastFrame(&CastMsg{ID: MsgID{Origin: 0, Seq: 2}, Kind: 9, Data: []byte("?")})
-	for i, inner := range [][]byte{nil, {0}, {4, 'x'}, {255, 'x'}, unknown} {
+	// Inner payloads no layer owns: empty, tags 0, 4 and 255, and casts of
+	// kinds no layer delivers, among them the retired kinds 4 and 5.
+	inners := [][]byte{nil, {0}, {4, 'x'}, {255, 'x'}}
+	for i, kind := range []uint8{4, 5, 9} {
+		inners = append(inners, encodeCastFrame(&castMsg{ID: MsgID{Origin: 0, Seq: uint64(i + 2)}, Kind: kind, Data: []byte("?")}))
+	}
+	for i, inner := range inners {
 		f.Add(appendFrame(nil, &frame{kind: dgData, seq: uint64(i + 1), inner: inner}))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -100,7 +103,7 @@ func FuzzDatagramFrames(f *testing.F) {
 	}
 	// A voted ACCEPT and a refusal riding data frames.
 	voted := encodeConsFrame(&consMsg{Type: cAccept, Inst: 3, Round: 1, Done: 2, Voted: true, HasValue: true,
-		Value: []CastMsg{{ID: MsgID{Origin: 1, Seq: 4}, Kind: castApp, Data: []byte("v")}}})
+		Value: []castMsg{{ID: MsgID{Origin: 1, Seq: 4}, Kind: castApp, Data: []byte("v")}}})
 	refused := encodeConsFrame(&consMsg{Type: cRefused, Inst: 3, Round: 1, Done: 2})
 	f.Add(bytes.Join([][]byte{
 		appendFrame(nil, &frame{kind: dgData, epoch: 7, seq: 8, inner: voted}),

@@ -48,8 +48,8 @@ func (m *Membership) joinleave(ctx *core.Context, msg core.Message) error {
 // deliverView implements "handler deliverView (op, site) { view = view op
 // site; triggerAll ViewChange view; }".
 func (m *Membership) deliverView(ctx *core.Context, msg core.Message) error {
-	cm := msg.(CastMsg)
-	m.view = m.view.Apply(cm.Op, cm.Site)
+	cm := msg.(castMsg)
+	m.view = m.view.apply(cm.Op, cm.Site)
 	if err := ctx.TriggerAll(m.ev.ViewChange, m.view); err != nil {
 		return err
 	}

@@ -45,12 +45,12 @@ const (
 
 // Cast content kinds: what a delivered broadcast means, and so the layer
 // RelCast and ABcast deliver it to (events.deliverOut, events.adeliver).
+// Kinds 4 and 5 are retired: no layer owns them, so a cast carrying one
+// is deduplicated and relayed, and delivered nowhere.
 const (
 	castApp     uint8 = 1 // application payload, totally ordered by ABcast
 	castViewChg uint8 = 2 // membership operation, totally ordered by ABcast
 	castRApp    uint8 = 3 // application payload, plain reliable broadcast
-	castFifo    uint8 = 4 // application payload, FIFO-ordered per origin
-	castCausal  uint8 = 5 // application payload, causally ordered
 )
 
 // Consensus message types.
@@ -73,8 +73,8 @@ type MsgID struct {
 	Seq    uint64
 }
 
-// Less orders IDs (origin, then seq).
-func (a MsgID) Less(b MsgID) bool {
+// less orders IDs (origin, then seq).
+func (a MsgID) less(b MsgID) bool {
 	if a.Origin != b.Origin {
 		return a.Origin < b.Origin
 	}
@@ -84,17 +84,17 @@ func (a MsgID) Less(b MsgID) bool {
 // String implements fmt.Stringer.
 func (a MsgID) String() string { return fmt.Sprintf("%d:%d", a.Origin, a.Seq) }
 
-// CastMsg is the unit RelCast broadcasts and ABcast orders: an application
+// castMsg is the unit RelCast broadcasts and ABcast orders: an application
 // payload or a membership operation.
-type CastMsg struct {
+type castMsg struct {
 	ID   MsgID
-	Kind uint8 // castApp or castViewChg
+	Kind uint8 // castApp, castViewChg or castRApp
 	Data []byte
 	Op   byte // '+' or '-' (castViewChg)
 	Site transport.NodeID
 }
 
-func (m *CastMsg) encode(w *wire.Writer) {
+func (m *castMsg) encode(w *wire.Writer) {
 	w.U16(uint16(m.ID.Origin))
 	w.U64(m.ID.Seq)
 	w.U8(m.Kind)
@@ -107,8 +107,8 @@ func (m *CastMsg) encode(w *wire.Writer) {
 	}
 }
 
-func decodeCastMsg(r *wire.Reader) CastMsg {
-	var m CastMsg
+func decodeCastMsg(r *wire.Reader) castMsg {
+	var m castMsg
 	m.ID.Origin = transport.NodeID(r.U16())
 	m.ID.Seq = r.U64()
 	m.Kind = r.U8()
@@ -133,7 +133,7 @@ type consMsg struct {
 	// its vote plus the receiver's is its quorum.
 	Voted    bool
 	HasValue bool
-	Value    []CastMsg
+	Value    []castMsg
 }
 
 func (m *consMsg) encode(w *wire.Writer) {
@@ -173,8 +173,8 @@ func decodeConsMsg(r *wire.Reader) consMsg {
 	return m
 }
 
-// encodeCastFrame wraps a CastMsg as a layerRelCast inner payload.
-func encodeCastFrame(m *CastMsg) []byte {
+// encodeCastFrame wraps a castMsg as a layerRelCast inner payload.
+func encodeCastFrame(m *castMsg) []byte {
 	w := wire.NewWriter(32 + len(m.Data))
 	w.U8(layerRelCast)
 	m.encode(w)

@@ -11,7 +11,7 @@ import (
 )
 
 func TestCastMsgRoundTrip(t *testing.T) {
-	for _, m := range []CastMsg{
+	for _, m := range []castMsg{
 		{ID: MsgID{Origin: 3, Seq: 42}, Kind: castApp, Data: []byte("payload")},
 		{ID: MsgID{Origin: 0, Seq: 1}, Kind: castRApp, Data: nil},
 		{ID: MsgID{Origin: 7, Seq: 9}, Kind: castViewChg, Op: '+', Site: 5},
@@ -33,7 +33,7 @@ func TestCastMsgRoundTrip(t *testing.T) {
 func TestConsMsgRoundTrip(t *testing.T) {
 	m := consMsg{
 		Type: cAccept, Inst: 12, Round: 3, AccRound: 2, Done: 300, Voted: true, HasValue: true,
-		Value: []CastMsg{
+		Value: []castMsg{
 			{ID: MsgID{Origin: 1, Seq: 1}, Kind: castApp, Data: []byte("a")},
 			{ID: MsgID{Origin: 2, Seq: 9}, Kind: castViewChg, Op: '+', Site: 4},
 		},
@@ -71,7 +71,7 @@ func TestConsMsgNoValue(t *testing.T) {
 }
 
 func TestFrameLayers(t *testing.T) {
-	cm := CastMsg{ID: MsgID{Origin: 1, Seq: 2}, Kind: castApp, Data: []byte("x")}
+	cm := castMsg{ID: MsgID{Origin: 1, Seq: 2}, Kind: castApp, Data: []byte("x")}
 	if f := encodeCastFrame(&cm); f[0] != layerRelCast {
 		t.Fatal("cast frame layer")
 	}
@@ -173,7 +173,7 @@ func TestMsgIDOrdering(t *testing.T) {
 	a := MsgID{Origin: 1, Seq: 5}
 	b := MsgID{Origin: 1, Seq: 6}
 	c := MsgID{Origin: 2, Seq: 1}
-	if !a.Less(b) || b.Less(a) || !b.Less(c) || c.Less(a) {
+	if !a.less(b) || b.less(a) || !b.less(c) || c.less(a) {
 		t.Fatal("ordering wrong")
 	}
 	if a.String() != "1:5" {
@@ -183,7 +183,7 @@ func TestMsgIDOrdering(t *testing.T) {
 
 func TestCastMsgQuickRoundTrip(t *testing.T) {
 	prop := func(origin uint16, seq uint64, data []byte) bool {
-		m := CastMsg{ID: MsgID{Origin: simnet.NodeID(origin), Seq: seq}, Kind: castApp, Data: data}
+		m := castMsg{ID: MsgID{Origin: simnet.NodeID(origin), Seq: seq}, Kind: castApp, Data: data}
 		w := wire.NewWriter(32)
 		m.encode(w)
 		r := wire.NewReader(w.Bytes())

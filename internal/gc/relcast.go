@@ -58,7 +58,7 @@ func newRelCast(self transport.NodeID, initial *View, ev *events, afterViewChang
 	}
 	rb.view.Store(initial)
 	rb.hBcast = rb.mp.AddHandler("bcast", rb.bcast).Emits(ev.SendOut)
-	rb.hRecv = rb.mp.AddHandler("recv", rb.recv).Emits(ev.SendOut, ev.DeliverOut, ev.RDeliver, ev.FifoIn, ev.CausalIn)
+	rb.hRecv = rb.mp.AddHandler("recv", rb.recv).Emits(ev.SendOut, ev.DeliverOut, ev.RDeliver)
 	rb.hViewChange = rb.mp.AddHandler("viewChange", rb.viewChange).Emits()
 	rb.hPeerReset = rb.mp.AddHandler("peerReset", rb.peerReset).Emits()
 	return rb
@@ -67,7 +67,7 @@ func newRelCast(self transport.NodeID, initial *View, ev *events, afterViewChang
 // bcast implements "for all site in view: trigger SendOut (m, site)". A
 // locally-originated message (zero ID) gets a fresh ID first.
 func (rb *RelCast) bcast(ctx *core.Context, msg core.Message) error {
-	m := msg.(*CastMsg)
+	m := msg.(*castMsg)
 	if m.ID == (MsgID{}) {
 		rb.seq++
 		m.ID = MsgID{Origin: rb.self, Seq: rb.seq}
@@ -76,7 +76,7 @@ func (rb *RelCast) bcast(ctx *core.Context, msg core.Message) error {
 }
 
 // sendAll sends m to every view member not listed in except.
-func (rb *RelCast) sendAll(ctx *core.Context, m *CastMsg, except ...transport.NodeID) error {
+func (rb *RelCast) sendAll(ctx *core.Context, m *castMsg, except ...transport.NodeID) error {
 	var frame []byte // encoded for the first recipient: a relay often has none
 members:
 	for _, site := range rb.view.Load().Members() {

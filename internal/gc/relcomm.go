@@ -383,16 +383,5 @@ func (rc *RelComm) viewChange(_ *core.Context, msg core.Message) error {
 	return nil
 }
 
-// Queued reports messages waiting for window space to the peer (tests).
-func (rc *RelComm) Queued(to transport.NodeID) int {
-	if l := rc.peers[to]; l != nil {
-		return len(l.queued)
-	}
-	return 0
-}
-
 // DroppedStale reports sends dropped by the view filter (E6 observable).
 func (rc *RelComm) DroppedStale() uint64 { return rc.droppedStale.Load() }
-
-// Retransmitted reports data frames sent again after their RTO.
-func (rc *RelComm) Retransmitted() uint64 { return rc.retransmitted.Load() }

@@ -135,21 +135,21 @@ func TestFlowControlWindowLimitsInFlight(t *testing.T) {
 	if got := h.recvData(t); len(got) != 2 {
 		t.Fatalf("transmitted %d data datagrams, window is 2", len(got))
 	}
-	if h.rc.Queued(1) != 3 {
-		t.Fatalf("queued = %d, want 3", h.rc.Queued(1))
+	if queued(h.rc, 1) != 3 {
+		t.Fatalf("queued = %d, want 3", queued(h.rc, 1))
 	}
 	// Acking seq 1 opens one slot.
 	h.ackFrom1(t, 1)
 	if got := h.recvData(t); len(got) != 1 {
 		t.Fatalf("after ack: %d new datagrams, want 1", len(got))
 	}
-	if h.rc.Queued(1) != 2 {
-		t.Fatalf("queued = %d, want 2", h.rc.Queued(1))
+	if queued(h.rc, 1) != 2 {
+		t.Fatalf("queued = %d, want 2", queued(h.rc, 1))
 	}
 	// One cumulative ack opens two slots.
 	h.ackFrom1(t, 3)
-	if got := h.recvData(t); len(got) != 2 || h.rc.Queued(1) != 0 {
-		t.Fatalf("after acking up to 3: %d new datagrams and %d queued, want 2 and 0", len(got), h.rc.Queued(1))
+	if got := h.recvData(t); len(got) != 2 || queued(h.rc, 1) != 0 {
+		t.Fatalf("after acking up to 3: %d new datagrams and %d queued, want 2 and 0", len(got), queued(h.rc, 1))
 	}
 }
 
@@ -160,8 +160,8 @@ func TestFlowControlUnlimitedWindow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.sendTo1(t, "m")
 	}
-	if got := h.recvData(t); len(got) != 10 || h.rc.Queued(1) != 0 {
-		t.Fatalf("transmitted %d with %d queued, want all 10 inside the window", len(got), h.rc.Queued(1))
+	if got := h.recvData(t); len(got) != 10 || queued(h.rc, 1) != 0 {
+		t.Fatalf("transmitted %d with %d queued, want all 10 inside the window", len(got), queued(h.rc, 1))
 	}
 }
 
@@ -170,12 +170,12 @@ func TestFlowControlQueueDroppedOnViewRemoval(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.sendTo1(t, "m")
 	}
-	if h.rc.Queued(1) != 3 {
-		t.Fatalf("queued = %d", h.rc.Queued(1))
+	if queued(h.rc, 1) != 3 {
+		t.Fatalf("queued = %d", queued(h.rc, 1))
 	}
 	before := h.rc.DroppedStale()
 	h.external(t, h.ev.ViewChange, NewView(0))
-	if h.rc.Queued(1) != 0 {
+	if queued(h.rc, 1) != 0 {
 		t.Fatal("queue must be dropped when the peer leaves the view")
 	}
 	if h.rc.DroppedStale() != before+3 {
@@ -425,4 +425,12 @@ func TestAckSenderBaseStartsWindow(t *testing.T) {
 	if got := h.delivered(t, 1); len(got) != 1 {
 		t.Fatalf("delivered %v: a frame below the base got through", got)
 	}
+}
+
+// queued reports the messages waiting for window space to the peer.
+func queued(rc *RelComm, to simnet.NodeID) int {
+	if l := rc.peers[to]; l != nil {
+		return len(l.queued)
+	}
+	return 0
 }

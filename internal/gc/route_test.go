@@ -12,7 +12,7 @@ import (
 
 // routedSite starts passive site 1 of the view {0, 1, 2} with a
 // countTracer. Every upcall appends to the returned log, prefixed with
-// its kind: A(BCast), R(Bcast), F(Bcast), C(Bcast) or V(iew).
+// its kind: A(BCast), R(Bcast) or V(iew).
 func routedSite(t *testing.T) (*Site, *simnet.Network, *countTracer, *[]string) {
 	t.Helper()
 	net := simnet.New(simnet.Config{Nodes: 3})
@@ -24,7 +24,7 @@ func routedSite(t *testing.T) (*Site, *simnet.Network, *countTracer, *[]string) 
 	}
 	s := NewSite(Config{
 		Net: net, ID: 1, InitialView: NewView(0, 1, 2), FDInterval: -1, Passive: true, Tracer: tr,
-		Deliver: upcall("A"), RDeliver: upcall("R"), FDeliver: upcall("F"), CDeliver: upcall("C"),
+		Deliver: upcall("A"), RDeliver: upcall("R"),
 		OnViewChange: func(v *View) { log = append(log, fmt.Sprint("V ", v.Members())) },
 	})
 	s.Start()
@@ -55,10 +55,9 @@ func TestRoutedEventsHaveOneHandler(t *testing.T) {
 	ev := s.ev
 	for _, et := range []*core.EventType{
 		ev.FromRComm, ev.ConsIn, ev.SyncIn,
-		ev.DeliverOut, ev.RDeliver, ev.FifoIn, ev.CausalIn,
-		ev.ADeliver, ev.DeliverView,
+		ev.DeliverOut, ev.RDeliver, ev.ADeliver, ev.DeliverView,
 		ev.FromNet, ev.FDBeat, ev.FDTick, ev.RetrTick, ev.ABcastEv, ev.Bcast,
-		ev.FifoEv, ev.CausalEv, ev.JoinLeave,
+		ev.JoinLeave,
 	} {
 		if n := len(s.stack.Bound(et)); n != 1 {
 			t.Errorf("%s has %d handlers, want 1", et.Name(), n)
@@ -79,7 +78,7 @@ func TestABcastRApplIgnored(t *testing.T) {
 	if n := tr.ran(s.app.hRDeliver); n != 1 {
 		t.Errorf("app.rdeliver ran %d times, want 1", n)
 	}
-	notRun(t, tr, s.ab.hRecv, s.fifo.hRecv, s.causal.hRecv, s.app.hDeliver, s.cons.hPropose)
+	notRun(t, tr, s.ab.hRecv, s.app.hDeliver, s.cons.hPropose)
 	if len(s.ab.pool) != 0 {
 		t.Fatalf("ABcast pooled %d casts, want none", len(s.ab.pool))
 	}
@@ -117,13 +116,22 @@ func TestMembershipIgnoresAppDeliveries(t *testing.T) {
 }
 
 // TestUnroutableInnerDeliversNothing: data frames whose inner payload no
-// layer owns — empty, or tagged 0, 4 or 255 — and a cast of a kind no
-// layer delivers are received without an error and delivered nowhere.
-// RelCast still deduplicates the cast and relays it.
+// layer owns — empty, or tagged 0, 4 or 255 — and casts of kinds no layer
+// delivers are received without an error and delivered nowhere. RelCast
+// still deduplicates each cast and relays it once. Kinds 4 and 5 are the
+// retired FIFO and causal kinds; their payload "x" is no valid encoding
+// of what those layers sent.
 func TestUnroutableInnerDeliversNothing(t *testing.T) {
 	s, net, tr, log := routedSite(t)
-	cast := encodeCastFrame(&CastMsg{ID: MsgID{Origin: 0, Seq: 1}, Kind: 9, Data: []byte("x")})
-	inners := [][]byte{nil, {0, 'x'}, {4, 'x'}, {255, 'x'}, cast, cast}
+	inners := [][]byte{nil, {0, 'x'}, {4, 'x'}, {255, 'x'}}
+	kinds := []uint8{4, 5, 9}
+	casts := make([][]byte, len(kinds))
+	relays := map[string]int{} // encoded cast → copies relayed to site 2
+	for i, kind := range kinds {
+		casts[i] = encodeCastFrame(&castMsg{ID: MsgID{Origin: 0, Seq: uint64(i + 1)}, Kind: kind, Data: []byte("x")})
+		relays[string(casts[i])] = 0
+		inners = append(inners, casts[i], casts[i])
+	}
 	for i, inner := range inners {
 		d := transport.Datagram{From: 0, To: 1, Payload: appendFrame(nil, &frame{kind: dgData, epoch: 7, seq: uint64(i + 1), inner: inner})}
 		if err := s.InjectDatagram(d); err != nil {
@@ -133,11 +141,10 @@ func TestUnroutableInnerDeliversNothing(t *testing.T) {
 	if len(*log) != 0 {
 		t.Fatalf("upcalls %q, want none", *log)
 	}
-	if n := tr.ran(s.relcast.hRecv); n != 2 {
-		t.Errorf("relcast.recv ran %d times, want 2 (the cast and its copy)", n)
+	if n, want := tr.ran(s.relcast.hRecv), 2*len(kinds); n != want {
+		t.Errorf("relcast.recv ran %d times, want %d (each cast and its copy)", n, want)
 	}
-	notRun(t, tr, s.cons.hRecv, s.ab.hSync, s.ab.hRecv, s.app.hRDeliver, s.fifo.hRecv, s.causal.hRecv)
-	relays := 0
+	notRun(t, tr, s.cons.hRecv, s.ab.hSync, s.ab.hRecv, s.app.hRDeliver)
 	for {
 		d, ok := net.Node(2).TryRecv()
 		if !ok {
@@ -148,12 +155,14 @@ func TestUnroutableInnerDeliversNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range frames {
-			if f.kind == dgData && string(f.inner) == string(cast) {
-				relays++
+			if _, ok := relays[string(f.inner)]; ok && f.kind == dgData {
+				relays[string(f.inner)]++
 			}
 		}
 	}
-	if relays != 1 {
-		t.Fatalf("the unknown cast was relayed to site 2 %d times, want once", relays)
+	for i, kind := range kinds {
+		if n := relays[string(casts[i])]; n != 1 {
+			t.Errorf("the kind-%d cast was relayed to site 2 %d times, want once", kind, n)
+		}
 	}
 }

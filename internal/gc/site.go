@@ -25,17 +25,14 @@ type Config struct {
 	// and carry M, visit bounds and the route together.
 	Controller core.Controller
 	// Deliver receives totally-ordered application payloads; RDeliver
-	// receives plain reliable broadcasts; FDeliver receives FIFO-ordered
-	// broadcasts; CDeliver receives causally-ordered broadcasts;
-	// OnViewChange observes view installations. All run inside
+	// receives plain reliable broadcasts; OnViewChange observes view
+	// installations. All run inside
 	// computations: they must be quick, must not block and must not call
 	// Site methods synchronously. One goroutine runs every datagram's
 	// computation, so a callback that blocks stalls the site's whole
 	// receive path, not one datagram.
 	Deliver      func(from transport.NodeID, data []byte)
 	RDeliver     func(from transport.NodeID, data []byte)
-	FDeliver     func(from transport.NodeID, data []byte)
-	CDeliver     func(from transport.NodeID, data []byte)
 	OnViewChange func(v *View)
 	// Snapshot and InstallSnapshot are the application state-transfer
 	// hooks for joining sites. When a '+' view operation is delivered,
@@ -91,8 +88,6 @@ const (
 	entRetrans
 	entABcast
 	entRBcast
-	entFBcast
-	entCBcast
 	entJoinLeave
 	entInject
 	numEntries
@@ -115,8 +110,6 @@ type Site struct {
 	cons    *Consensus
 	ab      *ABcast
 	memb    *Membership
-	fifo    *Fifo
-	causal  *Causal
 	app     *App
 
 	// specs holds one spec per entry point, built once: each is a
@@ -176,20 +169,17 @@ func NewSite(cfg Config) *Site {
 	s.cons = newConsensus(cfg.ID, v, s.ev)
 	s.ab = newABcast(cfg.ID, batchMax, s.ev, cfg.Snapshot, cfg.InstallSnapshot)
 	s.memb = newMembership(cfg.ID, v, s.ev)
-	s.fifo = newFifo(cfg.ID, s.ev, cfg.FDeliver)
-	s.causal = newCausal(cfg.ID, s.ev, cfg.CDeliver)
 	s.app = newApp(1, cfg.Deliver, cfg.RDeliver, cfg.OnViewChange, s.maybeUpgrade)
 	s.appVer.Store(1)
 
 	s.stack.Register(s.netout.mp, s.relcomm.mp, s.relcast.mp, s.fd.mp,
-		s.cons.mp, s.ab.mp, s.memb.mp, s.fifo.mp, s.causal.mp, s.app.mp)
+		s.cons.mp, s.ab.mp, s.memb.mp, s.app.mp)
 	s.bind()
 	ev := s.ev
 	for e, et := range [numEntries]*core.EventType{
 		entFromNet: ev.FromNet, entBeat: ev.FDBeat, entFDTick: ev.FDTick,
 		entRetrans: ev.RetrTick, entABcast: ev.ABcastEv, entRBcast: ev.Bcast,
-		entFBcast: ev.FifoEv, entCBcast: ev.CausalEv, entJoinLeave: ev.JoinLeave,
-		entInject: ev.DeliverView,
+		entJoinLeave: ev.JoinLeave, entInject: ev.DeliverView,
 	} {
 		s.specs[e] = core.Derive(visitBound, et)
 	}
@@ -207,11 +197,7 @@ func (s *Site) bind() {
 	s.stack.Bind(ev.Bcast, s.relcast.hBcast)
 	s.stack.Bind(ev.DeliverOut, s.ab.hRecv)
 	s.stack.Bind(ev.RDeliver, s.app.hRDeliver)
-	s.stack.Bind(ev.FifoIn, s.fifo.hRecv)
-	s.stack.Bind(ev.CausalIn, s.causal.hRecv)
 	s.stack.Bind(ev.ABcastEv, s.ab.hABcast)
-	s.stack.Bind(ev.FifoEv, s.fifo.hBcast)
-	s.stack.Bind(ev.CausalEv, s.causal.hBcast)
 	s.stack.Bind(ev.ProposeEv, s.cons.hPropose)
 	s.stack.Bind(ev.Decide, s.ab.hOnDecide)
 	s.stack.Bind(ev.ADeliver, s.app.hDeliver)
@@ -409,9 +395,6 @@ func (s *Site) View() *View { return s.relcomm.view.Load() }
 // observable for the paper's §3 Problem.
 func (s *Site) DroppedStale() uint64 { return s.relcomm.DroppedStale() }
 
-// Retransmitted reports RelComm data frames sent again after their RTO.
-func (s *Site) Retransmitted() uint64 { return s.relcomm.Retransmitted() }
-
 // PumpRetries reports how many times the receive pump woke to a
 // still-down transport (regression observable for the pump's backoff: a
 // long outage must cost dozens of wakeups, not one per millisecond).
@@ -426,19 +409,7 @@ func (s *Site) ABcast(data []byte) error {
 // RBcast reliably broadcasts an application payload with no ordering
 // guarantee beyond RelCast's.
 func (s *Site) RBcast(data []byte) error {
-	return s.run(entRBcast, s.ev.Bcast, &CastMsg{Kind: castRApp, Data: data})
-}
-
-// FBcast reliably broadcasts with FIFO order: every site delivers this
-// site's FBcasts in send order.
-func (s *Site) FBcast(data []byte) error {
-	return s.run(entFBcast, s.ev.FifoEv, append([]byte(nil), data...))
-}
-
-// CBcast reliably broadcasts with causal order: a message is delivered
-// only after everything that causally precedes it.
-func (s *Site) CBcast(data []byte) error {
-	return s.run(entCBcast, s.ev.CausalEv, append([]byte(nil), data...))
+	return s.run(entRBcast, s.ev.Bcast, &castMsg{Kind: castRApp, Data: data})
 }
 
 // Join proposes adding a site to the view (totally ordered, so every
@@ -473,7 +444,7 @@ func (s *Site) Epoch() uint64 { return s.stack.CurrentEpoch() }
 // Membership had just delivered [op site] — the E6 entry point for
 // reproducing the §3 race without the full join choreography.
 func (s *Site) InjectViewChange(op byte, site transport.NodeID) error {
-	m := CastMsg{ID: MsgID{Origin: s.cfg.ID, Seq: ^uint64(0)}, Kind: castViewChg, Op: op, Site: site}
+	m := castMsg{ID: MsgID{Origin: s.cfg.ID, Seq: ^uint64(0)}, Kind: castViewChg, Op: op, Site: site}
 	return s.run(entInject, s.ev.DeliverView, m)
 }
 
@@ -488,7 +459,7 @@ func (s *Site) InjectDatagram(d transport.Datagram) error {
 // emitted to carry a plain reliable broadcast — the E6 experiments use it
 // to inject "the message from the crashed origin" (paper §3 Problem).
 func BuildCastDatagram(from transport.NodeID, rcSeq uint64, id MsgID, data []byte) transport.Datagram {
-	inner := encodeCastFrame(&CastMsg{ID: id, Kind: castRApp, Data: data})
+	inner := encodeCastFrame(&castMsg{ID: id, Kind: castRApp, Data: data})
 	// Epoch 0 stands in for the crashed origin's incarnation; the
 	// receiver adopts whatever epoch a peer's first datagram carries.
 	return transport.Datagram{From: from, Payload: appendFrame(nil, &frame{kind: dgData, seq: rcSeq, inner: inner})}

@@ -30,7 +30,8 @@ func specMPs(t *testing.T, s *Site, e entry) []string {
 // follows a live upgrade to the new app.
 func TestEntrySpecs(t *testing.T) {
 	s := NewSite(Config{Net: simnet.New(simnet.Config{Nodes: 1}), ID: 0, InitialView: NewView(0), Passive: true})
-	all := []string{"abcast", "app", "causal", "consensus", "fd", "fifo", "membership", "netout", "relcast", "relcomm"}
+	// Every microprotocol the site registers: a datagram may reach each.
+	all := []string{"abcast", "app", "consensus", "fd", "membership", "netout", "relcast", "relcomm"}
 	for _, tc := range []struct {
 		e    entry
 		name string
@@ -42,10 +43,8 @@ func TestEntrySpecs(t *testing.T) {
 		{entRetrans, "retransmit", []string{"netout", "relcomm"}},
 		{entABcast, "ABcast", []string{"abcast", "netout", "relcast", "relcomm"}},
 		{entRBcast, "RBcast", []string{"netout", "relcast", "relcomm"}},
-		{entFBcast, "FBcast", []string{"fifo", "netout", "relcast", "relcomm"}},
-		{entCBcast, "CBcast", []string{"causal", "netout", "relcast", "relcomm"}},
 		{entJoinLeave, "join/leave", []string{"abcast", "membership", "netout", "relcast", "relcomm"}},
-		{entInject, "inject", []string{"abcast", "app", "consensus", "fd", "membership", "netout", "relcast", "relcomm"}},
+		{entInject, "inject", all},
 	} {
 		if got := specMPs(t, s, tc.e); !slices.Equal(got, tc.want) {
 			t.Errorf("%s spec M = %v, want %v", tc.name, got, tc.want)

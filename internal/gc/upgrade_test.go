@@ -111,27 +111,3 @@ func TestLiveUpgradeMidTraffic(t *testing.T) {
 		c.waitDeliveredAt(id, total+1)
 	}
 }
-
-// TestViewProtoThreadsThroughMembership pins the proto field's algebra:
-// it survives adds and removes, '^' never downgrades, and it renders in
-// String once set.
-func TestViewProtoThreadsThroughMembership(t *testing.T) {
-	v := gc.NewView(0, 1)
-	if v.Proto() != 0 {
-		t.Fatalf("fresh view proto = %d", v.Proto())
-	}
-	v = v.Apply('^', 2)
-	if v.Proto() != 2 {
-		t.Fatalf("proto after upgrade = %d, want 2", v.Proto())
-	}
-	v = v.Add(3).Remove(1)
-	if v.Proto() != 2 {
-		t.Fatalf("proto lost across membership ops: %d", v.Proto())
-	}
-	if v = v.Apply('^', 1); v.Proto() != 2 {
-		t.Fatalf("stale upgrade downgraded proto to %d", v.Proto())
-	}
-	if got, want := v.String(), "{0,3}@v2"; got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}

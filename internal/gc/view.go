@@ -27,10 +27,10 @@ func NewView(members ...transport.NodeID) *View {
 // delivered, then the highest version any '^' operation carried.
 func (v *View) Proto() uint16 { return v.proto }
 
-// WithProto returns a view running the given protocol version. Like the
+// withProto returns a view running the given protocol version. Like the
 // membership operations it is delivered through ABcast, so every member
 // adopts the version at the same total-order point.
-func (v *View) WithProto(p uint16) *View {
+func (v *View) withProto(p uint16) *View {
 	if v.proto == p {
 		return v
 	}
@@ -74,29 +74,29 @@ func (v *View) Remove(id transport.NodeID) *View {
 	return &View{members: out, proto: v.proto}
 }
 
-// Apply performs the paper's "view op site" with op ∈ {+,-}, extended
+// apply performs the paper's "view op site" with op ∈ {+,-}, extended
 // with '^': a protocol upgrade, whose operand is the version number
 // rather than a site. Upgrades never downgrade — a stale '^' reordered
 // behind a newer one is a no-op.
-func (v *View) Apply(op byte, id transport.NodeID) *View {
+func (v *View) apply(op byte, id transport.NodeID) *View {
 	switch op {
 	case '-':
 		return v.Remove(id)
 	case '^':
 		if p := uint16(id); p > v.proto {
-			return v.WithProto(p)
+			return v.withProto(p)
 		}
 		return v
 	}
 	return v.Add(id)
 }
 
-// Quorum reports the majority size of the view.
-func (v *View) Quorum() int { return len(v.members)/2 + 1 }
+// quorum reports the majority size of the view.
+func (v *View) quorum() int { return len(v.members)/2 + 1 }
 
-// Coordinator returns the rotating coordinator for a consensus instance
+// coordinator returns the rotating coordinator for a consensus instance
 // and round (paper: the distributed consensus microprotocol).
-func (v *View) Coordinator(inst uint64, round uint32) transport.NodeID {
+func (v *View) coordinator(inst uint64, round uint32) transport.NodeID {
 	n := uint64(len(v.members))
 	return v.members[(inst+uint64(round))%n]
 }

@@ -54,11 +54,11 @@ func TestViewAddRemoveImmutable(t *testing.T) {
 
 func TestViewApply(t *testing.T) {
 	v := NewView(0)
-	v = v.Apply('+', 5)
+	v = v.apply('+', 5)
 	if !v.Contains(5) {
 		t.Fatal("+ failed")
 	}
-	v = v.Apply('-', 5)
+	v = v.apply('-', 5)
 	if v.Contains(5) {
 		t.Fatal("- failed")
 	}
@@ -70,7 +70,7 @@ func TestViewQuorum(t *testing.T) {
 		for i := range ids {
 			ids[i] = simnet.NodeID(i)
 		}
-		if got := NewView(ids...).Quorum(); got != tc.q {
+		if got := NewView(ids...).quorum(); got != tc.q {
 			t.Fatalf("quorum(%d) = %d, want %d", tc.n, got, tc.q)
 		}
 	}
@@ -78,15 +78,15 @@ func TestViewQuorum(t *testing.T) {
 
 func TestViewCoordinatorRotates(t *testing.T) {
 	v := NewView(0, 1, 2)
-	if v.Coordinator(0, 0) != 0 || v.Coordinator(0, 1) != 1 || v.Coordinator(0, 2) != 2 || v.Coordinator(0, 3) != 0 {
+	if v.coordinator(0, 0) != 0 || v.coordinator(0, 1) != 1 || v.coordinator(0, 2) != 2 || v.coordinator(0, 3) != 0 {
 		t.Fatal("round rotation wrong")
 	}
-	if v.Coordinator(1, 0) != 1 {
+	if v.coordinator(1, 0) != 1 {
 		t.Fatal("instance rotation wrong")
 	}
 	// Rotation respects membership, not raw IDs.
 	v2 := NewView(3, 7)
-	if v2.Coordinator(0, 0) != 3 || v2.Coordinator(0, 1) != 7 {
+	if v2.coordinator(0, 0) != 3 || v2.coordinator(0, 1) != 7 {
 		t.Fatal("sparse membership rotation wrong")
 	}
 }
@@ -105,5 +105,29 @@ func TestViewContainsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestViewProtoThreadsThroughMembership pins the proto field's algebra:
+// it survives adds and removes, '^' never downgrades, and it renders in
+// String once set.
+func TestViewProtoThreadsThroughMembership(t *testing.T) {
+	v := NewView(0, 1)
+	if v.Proto() != 0 {
+		t.Fatalf("fresh view proto = %d", v.Proto())
+	}
+	v = v.apply('^', 2)
+	if v.Proto() != 2 {
+		t.Fatalf("proto after upgrade = %d, want 2", v.Proto())
+	}
+	v = v.Add(3).Remove(1)
+	if v.Proto() != 2 {
+		t.Fatalf("proto lost across membership ops: %d", v.Proto())
+	}
+	if v = v.apply('^', 1); v.Proto() != 2 {
+		t.Fatalf("stale upgrade downgraded proto to %d", v.Proto())
+	}
+	if got, want := v.String(), "{0,3}@v2"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
