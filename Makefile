@@ -34,11 +34,12 @@ race:
 	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram' ./internal/ctp
 
 # Short-form contention suite (DESIGN.md §11) under the race detector:
-# the sharded-admission race/differential tests and the cancellable-wait
-# (Deadline/Cancel) tests, ten times each, plus one timed pass of
-# each Contention* benchmark shape. CI runs this on every push.
+# the sharded-admission race/differential tests, the hot-key adaptive-wait
+# stress test and the cancellable-wait (Deadline/Cancel) tests, ten times
+# each, plus one timed pass of each Contention* benchmark shape. CI runs
+# this on every push.
 race-contend:
-	$(GO) test -race -run 'Sharded|Differential|ExploreReachesFastPath|Deadline|Cancel' ./internal/cc -count=10
+	$(GO) test -race -run 'Sharded|Differential|ExploreReachesFastPath|HotKeyWait|Deadline|Cancel' ./internal/cc -count=10
 	$(GO) test -race -run '^$$' -bench 'Contention' -benchtime 200x .
 
 # Real-socket substrate (DESIGN.md §12) under the race detector: the
@@ -65,8 +66,10 @@ bench:
 # Core/cc hot-path microbenchmarks only, repeated for stable comparisons:
 #   make bench-core > old.txt; ...change...; make bench-core > new.txt
 #   benchstat old.txt new.txt
+# ContentionHotKey is the contended slow path: every spawn waits on one
+# hot microprotocol.
 bench-core:
-	$(GO) test -run '^$$' -bench 'TriggerSealed|SpawnComplete|ContentionDisjoint' -count=10 -benchmem .
+	$(GO) test -run '^$$' -bench 'TriggerSealed|SpawnComplete|ContentionDisjoint|ContentionHotKey' -count=10 -benchmem .
 
 # The performance gate (BENCHMARK.json, benchmark/README.md): all six
 # workloads, untraced end-to-end metrics plus the traced per-layer ledger.

@@ -99,10 +99,14 @@ func TestSpawnCompleteAllocBudget(t *testing.T) {
 // RootReturned + Complete) of the version-counting kernel's other users:
 // VCABound adds the visit-budget slice to VCABasic's token and claim
 // nodes (3), and VCARoute its rule-4(b) bookkeeping — one flag array
-// backing the released/removed/seen slices, and the activity counts (4)
-// — which is the per-spawn cost of every local_route_pipe computation.
-// Both loops are sequential, hence quiescent, hence on the CAS fast path,
-// like the VCABasic budget above.
+// backing the released/removed/seen slices, and one int32 array backing
+// the activity counts and the BFS queue (4) — which is the per-spawn cost
+// of every local_route_pipe computation. The last case runs one whole
+// 4-stage route computation, every call nested in the one before as in
+// local_route_pipe: its Requests' route searches and its Exits' rule-4(b)
+// scans must cost nothing beyond Spawn's 4. All loops are sequential,
+// hence quiescent, hence on the CAS fast path, like the VCABasic budget
+// above.
 func TestKernelOverrideAllocBudgets(t *testing.T) {
 	mps := make([]*core.Microprotocol, 4)
 	hs := make([]*core.Handler, len(mps))
@@ -126,21 +130,37 @@ func TestKernelOverrideAllocBudgets(t *testing.T) {
 		}
 		spec   *core.Spec
 		budget float64
+		calls  []*core.Handler // nested calls the computation makes, root first
 	}{
-		{"vca-bound", cc.NewVCABound(), core.AccessBound(bounds), 3},
-		{"vca-route", cc.NewVCARoute(), core.Route(g), 4},
+		{"vca-bound", cc.NewVCABound(), core.AccessBound(bounds), 3, nil},
+		{"vca-route", cc.NewVCARoute(), core.Route(g), 4, nil},
+		{"vca-route-4-stage-computation", cc.NewVCARoute(), core.Route(g), 4, hs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
 			avg := testing.AllocsPerRun(200, func() {
-				tok, err := tc.ctrl.Spawn(context.Background(), tc.spec)
+				tok, err := tc.ctrl.Spawn(ctx, tc.spec)
 				if err != nil {
 					t.Fatal(err)
+				}
+				var caller *core.Handler
+				for _, h := range tc.calls {
+					if err := tc.ctrl.Request(tok, caller, h); err != nil {
+						t.Fatal(err)
+					}
+					if err := tc.ctrl.Enter(ctx, tok, caller, h); err != nil {
+						t.Fatal(err)
+					}
+					caller = h
+				}
+				for i := len(tc.calls) - 1; i >= 0; i-- {
+					tc.ctrl.Exit(tok, tc.calls[i])
 				}
 				tc.ctrl.RootReturned(tok)
 				tc.ctrl.Complete(tok)
 			})
 			if avg > tc.budget {
-				t.Errorf("Spawn+Complete: %.2f allocs/op, budget %.0f", avg, tc.budget)
+				t.Errorf("lifecycle: %.2f allocs/op, budget %.0f", avg, tc.budget)
 			}
 			if fast, slow := tc.ctrl.SpawnStats(); slow != 0 || fast == 0 {
 				t.Errorf("budget loop took the slow path (%d fast, %d slow)", fast, slow)

@@ -121,8 +121,8 @@ func TestSeededBlockingCaught(t *testing.T) {
 // waits forever on its own token.
 func TestSeededLockOrderCaught(t *testing.T) {
 	diags := seedPackage(t, ccDir,
-		"\ttok.counts[v]--\n\ttok.scanReleaseLocked()\n\ttok.mu.Unlock()",
-		"\ttok.counts[v]--\n\ttok.scanReleaseLocked()\n\ttok.mu.Lock()",
+		"\t\twoke = tok.scanReleaseLocked()\n\t}\n\ttok.mu.Unlock()",
+		"\t\twoke = tok.scanReleaseLocked()\n\t}\n\ttok.mu.Lock()",
 		analysis.LockOrderAnalyzer)
 	expectOnly(t, diags, regexp.MustCompile(`acquires tok\.mu twice on the same path — guaranteed self-deadlock`))
 }

@@ -378,3 +378,70 @@ func TestShardedOverlapRace(t *testing.T) {
 		}
 	}
 }
+
+// TestHotKeyWaitRace stresses the adaptive rule-2 wait: two goroutines
+// run computations on {own_i, hot}, each calling own_i and then hot, so
+// they alternate on hot and nearly every admission waits — yielding,
+// parking, or woken by a release that hands off. The counter in hot's
+// handler is a plain int: isolation alone must keep it exact. Close then
+// checks that every computation that began also ended.
+func TestHotKeyWaitRace(t *testing.T) {
+	const workers, per = 2, 10000
+	for _, c := range []interface {
+		core.Controller
+		SpawnStats() (fast, slow uint64)
+	}{NewVCABasic(), NewVCABound(), NewVCARoute()} {
+		t.Run(c.Name(), func(t *testing.T) {
+			st := core.NewStack(c)
+			hot := core.NewMicroprotocol("hot")
+			hotEv := core.NewEventType("hot")
+			n := 0
+			hotH := hot.AddHandler("h", func(*core.Context, core.Message) error {
+				n++
+				return nil
+			})
+			st.Register(hot)
+			st.Bind(hotEv, hotH)
+			specs := make([]*core.Spec, workers)
+			evs := make([]*core.EventType, workers)
+			for i := range specs {
+				own := core.NewMicroprotocol(fmt.Sprintf("own%d", i))
+				h := own.AddHandler("h", func(ctx *core.Context, msg core.Message) error {
+					return ctx.Trigger(hotEv, msg)
+				})
+				evs[i] = core.NewEventType(fmt.Sprintf("own%d", i))
+				st.Register(own)
+				st.Bind(evs[i], h)
+				specs[i] = core.PathSpec(h, hotH)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for j := 0; j < per; j++ {
+						if err := st.External(specs[i], evs[i], nil); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if n != workers*per {
+				t.Fatalf("hot counter %d after %d computations: an update was lost", n, workers*per)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if _, slow := c.SpawnStats(); slow == 0 {
+				t.Fatal("no spawn took the slow path: the computations never contended")
+			}
+		})
+	}
+}

@@ -93,10 +93,15 @@ func (k *vca) RootReturned(core.Token) {}
 
 // Complete implements rule 3: upgrade every declared microprotocol's local
 // version to the private version, in spawn order — by pushing the token's
-// embedded nodes onto the slots' group-commit stacks (no allocation).
+// embedded nodes onto the slots' group-commit stacks (no allocation) —
+// then hand off to a computation the releases admitted.
 func (k *vca) Complete(t core.Token) {
 	tok := claimsOf(t)
+	woke := false
 	for i, st := range tok.fp.states {
-		st.requestNode(&tok.nodes[i])
+		if st.requestNode(&tok.nodes[i]) {
+			woke = true
+		}
 	}
+	k.handoff(woke)
 }

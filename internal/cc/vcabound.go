@@ -92,10 +92,10 @@ func (c *VCABound) Request(t core.Token, _, h *core.Handler) error {
 }
 
 // Exit implements rule 4: a completed handler execution bumps the local
-// version by one.
+// version by one, handing off to a computation the bump admitted.
 func (c *VCABound) Exit(t core.Token, h *core.Handler) {
 	tok := t.(*boundToken)
 	if i := tok.fp.pos(h.MP()); i >= 0 {
-		tok.fp.states[i].bump()
+		c.handoff(tok.fp.states[i].bump())
 	}
 }

@@ -38,7 +38,8 @@ import (
 //
 // The routing graph is compiled once per spec into dense vertex indices
 // (footprint.route); per-token state — presence, activity counts, BFS
-// scratch — is then plain slices over those indices.
+// scratch — is then plain slices over those indices, allocated whole at
+// Spawn: a computation's calls, exits and scans allocate nothing.
 type VCARoute struct{ vca }
 
 // NewVCARoute creates a controller enforcing the routing-pattern
@@ -61,9 +62,12 @@ type routeToken struct {
 	counts     []int32 // by vertex index: pending + active executions
 	rootActive bool
 
-	// reachLocked's scratch, reused across calls.
+	// reachLocked's scratch, reused across calls: the marked set and the
+	// BFS queue. A search queues each vertex at most once after marking
+	// it, plus routeExistsLocked's unmarked source, so the queue's
+	// capacity of nv+1, set at Spawn, is never outgrown.
 	seen  []bool
-	queue []int
+	queue []int32
 }
 
 // Spawn implements rule 1 of VCAbasic over the graph's microprotocols.
@@ -75,12 +79,14 @@ func (c *VCARoute) Spawn(_ context.Context, spec *core.Spec) (core.Token, error)
 	fp := c.footprint(spec)
 	np, nv := len(fp.slots), len(fp.route.succs)
 	flags := make([]bool, np+2*nv) // one backing array for released, removed and seen
+	ints := make([]int32, 2*nv+1)  // and one for counts and the BFS queue
 	t := &routeToken{
 		vcaToken:   vcaToken{fp: fp, nodes: make([]relNode, np)},
 		released:   flags[:np:np],
 		removed:    flags[np : np+nv : np+nv],
 		seen:       flags[np+nv:],
-		counts:     make([]int32, nv),
+		counts:     ints[:nv:nv],
+		queue:      ints[nv:nv],
 		rootActive: true,
 	}
 	c.claim(fp, t.nodes)
@@ -127,38 +133,42 @@ func (tok *routeToken) routeExistsLocked(src, dst int) bool {
 		return false
 	}
 	clear(tok.seen)
-	return tok.reachLocked(append(tok.queue[:0], src))[dst]
+	return tok.reachLocked(append(tok.queue, int32(src)))[dst]
 }
 
 // reachLocked adds to the marked set tok.seen every vertex still in the
 // graph that a path of length ≥ 1 leads to from a vertex in queue, and
-// returns the set. Callers hold tok.mu.
-func (tok *routeToken) reachLocked(queue []int) []bool {
+// returns the set. queue is tok.queue's storage. Callers hold tok.mu.
+func (tok *routeToken) reachLocked(queue []int32) []bool {
 	r := tok.fp.route
 	for head := 0; head < len(queue); head++ {
 		for _, succ := range r.succs[queue[head]] {
 			if !tok.removed[succ] && !tok.seen[succ] {
 				tok.seen[succ] = true
-				queue = append(queue, succ)
+				queue = append(queue, int32(succ))
 			}
 		}
 	}
-	tok.queue = queue[:0]
 	return tok.seen
 }
 
-// Exit implements rule 4: the handler becomes inactive, and any
-// microprotocol left with only inactive, unreachable handlers is released.
+// Exit implements rule 4: the handler becomes inactive, and once its last
+// pending or active execution has exited, any microprotocol left with only
+// inactive, unreachable handlers is released. While the count stays
+// positive the active set is unchanged, so a scan could release nothing.
 func (c *VCARoute) Exit(t core.Token, h *core.Handler) {
 	tok := t.(*routeToken)
 	v, ok := tok.fp.route.hpos[h]
 	if !ok {
 		return
 	}
+	woke := false
 	tok.mu.Lock()
-	tok.counts[v]--
-	tok.scanReleaseLocked()
+	if tok.counts[v]--; tok.counts[v] == 0 {
+		woke = tok.scanReleaseLocked()
+	}
 	tok.mu.Unlock()
+	c.handoff(woke)
 }
 
 // RootReturned deactivates the virtual ROOT vertex: the root expression
@@ -168,37 +178,42 @@ func (c *VCARoute) RootReturned(t core.Token) {
 	tok := t.(*routeToken)
 	tok.mu.Lock()
 	tok.rootActive = false
-	tok.scanReleaseLocked()
+	woke := tok.scanReleaseLocked()
 	tok.mu.Unlock()
+	c.handoff(woke)
 }
 
 // Complete implements rule 3 (as in VCAbound): upgrade what rule 4(b)
 // could not release early — e.g. microprotocols kept reachable by cycles.
 func (c *VCARoute) Complete(t core.Token) {
 	tok := t.(*routeToken)
+	woke := false
 	tok.mu.Lock()
 	for i, done := range tok.released {
 		if !done {
 			tok.released[i] = true
-			tok.fp.states[i].requestNode(&tok.nodes[i])
+			if tok.fp.states[i].requestNode(&tok.nodes[i]) {
+				woke = true
+			}
 		}
 	}
 	tok.mu.Unlock()
+	c.handoff(woke)
 }
 
 // scanReleaseLocked is rule 4(b): compute the set of handlers that are
 // active or reachable from an active handler (including the virtual ROOT)
 // over the vertices still in the graph, then release every unreleased
-// microprotocol none of whose vertices is in that set. Callers hold
-// tok.mu.
-func (tok *routeToken) scanReleaseLocked() {
+// microprotocol none of whose vertices is in that set. It reports whether
+// a release woke a parked waiter. Callers hold tok.mu.
+func (tok *routeToken) scanReleaseLocked() (woke bool) {
 	r := tok.fp.route
 	clear(tok.seen)
-	queue := tok.queue[:0]
+	queue := tok.queue
 	for v, n := range tok.counts {
 		if !tok.removed[v] && (n > 0 || tok.rootActive && r.isRoot[v]) {
 			tok.seen[v] = true
-			queue = append(queue, v)
+			queue = append(queue, int32(v))
 		}
 	}
 	busy := tok.reachLocked(queue)
@@ -216,8 +231,11 @@ next:
 			tok.removed[v] = true
 		}
 		tok.released[p] = true
-		tok.fp.states[p].requestNode(&tok.nodes[p])
+		if tok.fp.states[p].requestNode(&tok.nodes[p]) {
+			woke = true
+		}
 	}
+	return woke
 }
 
 func nameOf(h *core.Handler) string {

@@ -139,6 +139,7 @@ func (c *VCARW) Request(t core.Token, _, h *core.Handler) error {
 // release is immaterial.
 func (c *VCARW) Complete(t core.Token) {
 	tok := t.(*vcaToken)
+	woke := false
 	for i, st := range tok.fp.states {
 		pv := tok.nodes[i].target
 		st.spawnMu.Lock()
@@ -149,8 +150,9 @@ func (c *VCARW) Complete(t core.Token) {
 			delete(rw.refs, pv)
 		}
 		st.spawnMu.Unlock()
-		if last {
-			st.requestNode(&tok.nodes[i])
+		if last && st.requestNode(&tok.nodes[i]) {
+			woke = true
 		}
 	}
+	c.handoff(woke)
 }

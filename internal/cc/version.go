@@ -2,6 +2,7 @@ package cc
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,12 +27,17 @@ import (
 //     minLv. Because minLv values derive from the per-slot-ordered gv
 //     increments of rule 1, applications happen exactly in spawn order,
 //     which is the correctness condition of the paper's proofs.
-//   - Targeted wakeups: every admission predicate used by the algorithms
-//     has the shape "lv >= threshold", so waiters park on an ordered
-//     queue keyed by the threshold they need. When lv advances, exactly
-//     the now-admissible prefix is woken; when an update leaves lv
-//     unchanged, nobody is signalled. The admission fast path reads lv
-//     atomically and never takes the mutex.
+//   - Yield, then park, then hand off: every admission predicate used by
+//     the algorithms has the shape "lv >= threshold". The fast path reads
+//     lv atomically and never takes the mutex; a failed read yields the
+//     processor once, reads lv again, and only then parks on an ordered
+//     queue keyed by the threshold. When lv advances, exactly the
+//     now-admissible prefix is woken (when an update leaves lv
+//     unchanged, nobody is signalled), and the controller call whose
+//     release woke someone yields once, after its last release and
+//     outside every lock, so the admitted computation runs now rather
+//     than behind the releaser's next spawn (handoff). Both yields apply
+//     under the production blocker only.
 //   - Group commit: releases are pushed onto a per-slot lock-free stack
 //     (relq) and one drainer folds the whole batch into the pending
 //     queue, advancing lv and waking the due waiters once per batch
@@ -103,15 +109,30 @@ type relNode struct {
 
 func newMPState(blk sched.Blocker) *mpState { return &mpState{blk: blk} }
 
+// adaptive reports whether blk is the production blocker, under which
+// waits yield before parking and releases hand off the processor. Under
+// a deterministic scheduler only one task runs at a time, so lv cannot
+// move during a wait's yield, and neither yield is a scheduling point it
+// controls: both are skipped, and exploration visits exactly the
+// schedules it did.
+func adaptive(blk sched.Blocker) bool { return blk == sched.DefaultBlocker() }
+
 // waitAtLeast blocks until lv >= min. The fast path is a single atomic
-// load; the slow path parks the caller on the ordered wait queue. A
-// bounded ctx makes the wait abortable: it returns ctx's error if ctx
-// expires first, so the caller's admission wait becomes a clean abort
-// instead of a permanent block. An unbounded ctx parks with no watchdog
-// (see cancelFor).
+// load; next the caller yields once (production blocker only) and reads
+// lv again; only then does it park on the ordered wait queue. A bounded
+// ctx makes the wait abortable: it returns ctx's error if ctx expires
+// first, so the caller's admission wait becomes a clean abort instead of
+// a permanent block. An unbounded ctx parks with no watchdog (see
+// cancelFor).
 func (st *mpState) waitAtLeast(ctx context.Context, min uint64) error {
 	if st.lv.Load() >= min {
 		return nil
+	}
+	if adaptive(st.blk) {
+		runtime.Gosched() // the release is often a handler's length away
+		if st.lv.Load() >= min {
+			return nil
+		}
 	}
 	c, err := cancelFor(ctx)
 	if err != nil {
@@ -132,11 +153,12 @@ func (st *mpState) waitAtLeast(ctx context.Context, min uint64) error {
 
 // bump increments lv by one (rule 4 of VCAbound: a handler execution
 // completed), applies any releases that became due, and wakes the
-// now-admissible waiters.
-func (st *mpState) bump() {
+// now-admissible waiters. It reports whether it woke any.
+func (st *mpState) bump() (woke bool) {
 	st.mu.Lock()
-	st.advanceLocked(st.lv.Load() + 1)
+	woke = st.advanceLocked(st.lv.Load() + 1)
 	st.mu.Unlock()
+	return woke
 }
 
 // request queues a release, allocating its node. The steady-state paths
@@ -154,7 +176,8 @@ func (st *mpState) request(minLv, target uint64) {
 // under the deterministic explorer, where requestNode contains no yield
 // point and therefore runs atomically), the push drains synchronously
 // and the call behaves exactly like the old one-release-one-wakeup path.
-func (st *mpState) requestNode(n *relNode) {
+// It reports whether this call's drain woke a parked waiter.
+func (st *mpState) requestNode(n *relNode) (woke bool) {
 	for {
 		head := st.relq.Load()
 		n.next = head
@@ -162,29 +185,33 @@ func (st *mpState) requestNode(n *relNode) {
 			break
 		}
 	}
-	st.drain()
+	return st.drain()
 }
 
 // drain folds batches off the release stack into the pending queue until
 // the stack is observed empty: one advanceLocked per batch applies every
 // due release and wakes the whole now-admissible prefix of waiters in a
 // single pass — the group commit. The clear-then-recheck ordering against
-// requestNode's push-then-CAS makes lost releases impossible.
-func (st *mpState) drain() {
+// requestNode's push-then-CAS makes lost releases impossible. It reports
+// whether any batch woke a parked waiter.
+func (st *mpState) drain() (woke bool) {
 	for st.draining.CompareAndSwap(0, 1) {
 		if batch := st.relq.Swap(nil); batch != nil {
 			st.mu.Lock()
 			for n := batch; n != nil; n = n.next {
 				st.enqueueLocked(n.minLv, n.target)
 			}
-			st.advanceLocked(st.lv.Load())
+			if st.advanceLocked(st.lv.Load()) {
+				woke = true
+			}
 			st.mu.Unlock()
 		}
 		st.draining.Store(0)
 		if st.relq.Load() == nil {
-			return
+			return woke
 		}
 	}
+	return woke
 }
 
 // enqueueLocked inserts one release into the pending queue, keeping it
@@ -198,9 +225,9 @@ func (st *mpState) enqueueLocked(minLv, target uint64) {
 
 // advanceLocked raises lv to newLv, drains the due prefix of the pending
 // queue (cascading releases), and — only if lv actually changed — wakes
-// exactly the waiters whose thresholds are now satisfied. Callers hold
-// st.mu.
-func (st *mpState) advanceLocked(newLv uint64) {
+// exactly the waiters whose thresholds are now satisfied, reporting
+// whether there were any. Callers hold st.mu.
+func (st *mpState) advanceLocked(newLv uint64) (woke bool) {
 	lv := st.lv.Load()
 	if newLv > lv {
 		lv = newLv
@@ -219,7 +246,7 @@ func (st *mpState) advanceLocked(newLv uint64) {
 		st.pending = st.pending[:m]
 	}
 	if lv == st.lv.Load() {
-		return // nothing changed: skip signalling entirely
+		return false // nothing changed: skip signalling entirely
 	}
 	st.lv.Store(lv)
 	n := 0
@@ -232,6 +259,7 @@ func (st *mpState) advanceLocked(newLv uint64) {
 		clear(st.waiters[m:])
 		st.waiters = st.waiters[:m]
 	}
+	return n > 0
 }
 
 // versionTable owns the dense microprotocol index and the mpState of
@@ -277,6 +305,17 @@ func (vt *versionTable) SetBlocker(blk sched.Blocker) {
 		st.blk = blk
 	}
 	vt.mu.Unlock()
+}
+
+// handoff ends a controller call (Complete, Exit, RootReturned) whose
+// releases woke a parked computation: the caller yields its processor
+// once, so the admitted computation runs now instead of queueing behind
+// the caller's next spawn — the runtime's own semrelease handoff. Callers
+// hold no lock: not a slot's mu or spawnMu, not a token's mu.
+func (vt *versionTable) handoff(woke bool) {
+	if woke && adaptive(vt.blk) {
+		runtime.Gosched()
+	}
 }
 
 // SpawnStats reports how many spawns were admitted by the lock-free fast

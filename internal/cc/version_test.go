@@ -2,6 +2,7 @@ package cc
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -506,5 +507,71 @@ func TestDrainBatchesGroupCommit(t *testing.T) {
 	}
 	if st.relq.Load() != nil {
 		t.Fatal("release stack must be empty after drain")
+	}
+}
+
+// TestContendedAdmissionAllocBudget asserts that a computation whose
+// rule-2 admission waits costs the allocations of one that does not: the
+// wait's yield and re-read allocate nothing, the park takes a pooled
+// waiter onto a reused queue, and the releaser's handoff is a yield. Each
+// contended iteration spawns behind the previous computation, which
+// another goroutine completes only once the new one has yielded and
+// parked, so every iteration takes the whole wait path.
+func TestContendedAdmissionAllocBudget(t *testing.T) {
+	c := NewVCABasic()
+	mp := core.NewMicroprotocol("hot")
+	h := mp.AddHandler("h", func(*core.Context, core.Message) error { return nil })
+	spec := core.Access(mp)
+	ctx := context.Background()
+	spawn := func() core.Token {
+		tok, err := c.Spawn(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	run := func(tok core.Token) {
+		if err := c.Request(tok, nil, h); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Enter(ctx, tok, nil, h); err != nil {
+			t.Fatal(err)
+		}
+		c.Exit(tok, h)
+		c.RootReturned(tok)
+	}
+	uncontended := testing.AllocsPerRun(200, func() {
+		tok := spawn()
+		run(tok)
+		c.Complete(tok)
+	})
+
+	st := c.footprint(spec).states[0]
+	release, done := make(chan core.Token), make(chan struct{})
+	go func() {
+		for tok := range release {
+			for parked := false; !parked; {
+				runtime.Gosched()
+				st.mu.Lock()
+				parked = len(st.waiters) > 0
+				st.mu.Unlock()
+			}
+			c.Complete(tok)
+			done <- struct{}{}
+		}
+	}()
+	prev := spawn()
+	run(prev)
+	contended := testing.AllocsPerRun(200, func() {
+		tok := spawn() // claims behind prev, still in flight
+		release <- prev
+		run(tok) // yields, parks, and is woken by the other goroutine's Complete
+		<-done
+		prev = tok
+	})
+	close(release)
+	c.Complete(prev)
+	if contended > uncontended {
+		t.Errorf("contended spawn→enter→complete: %.2f allocs/op, uncontended %.2f", contended, uncontended)
 	}
 }
