@@ -27,11 +27,12 @@ test:
 
 # Full suite under the race detector (slower; what CI should run), then
 # the gc site pump's one-pump and stop-while-blocked tests, gc's delivery
-# routing tests and the ctp endpoint pump's one-pump test five times.
+# routing tests, and the ctp endpoint pump's one-pump test and one-way ack
+# economy test five times.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestStopWithPumpBlocked|Routed|Unroutable|RApplIgnored|IgnoresAppDeliveries' ./internal/gc
-	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram' ./internal/ctp
+	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestOneWayStreamAcksEconomically' ./internal/ctp
 
 # Short-form contention suite (DESIGN.md §11) under the race detector:
 # the sharded-admission race/differential tests, the hot-key adaptive-wait
@@ -47,13 +48,13 @@ race-contend:
 # the udpnet framing/crash/restart tests, the kvstore cluster over real
 # loopback sockets, the 3-process samoa-node integration test, and the
 # gc site pump's one-pump and stop-while-blocked tests and the ctp
-# endpoint pump's one-pump test (five runs each).
+# endpoint pump's one-pump and one-way ack economy tests (five runs each).
 # Tests skip (with a reason) where loopback UDP is unavailable.
 socket-tests:
 	$(GO) test -race -count=1 ./internal/transport/... ./cmd/samoa-node
 	$(GO) test -race -count=1 -run UDPCluster ./internal/kvstore
 	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestStopWithPumpBlocked|Routed|Unroutable|RApplIgnored|IgnoresAppDeliveries' ./internal/gc
-	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram' ./internal/ctp
+	$(GO) test -race -count=5 -run 'TestPumpRunsEveryDatagram|TestOneWayStreamAcksEconomically' ./internal/ctp
 
 # 3-process replicated-KV demo on loopback: boots three samoa-node
 # processes on fixed ports and drives them with the built-in client.

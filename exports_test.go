@@ -31,6 +31,9 @@ var exportAllowlist = map[string]string{
 	"core.LifecycleError": "typed error: callers match it with errors.As",
 	"core.UnboundError":   "typed error: callers match it with errors.As",
 
+	"core.DeadlineError.Unwrap": "errors.Is and errors.As call it to reach the context error a deadline wraps",
+	"core.PanicError.Unwrap":    "errors.Is and errors.As call it to reach the panic value when it is an error",
+
 	"core.Stack.IsolatedCtx":  "with CloseContext, the only caller-side cancellation and drain bound",
 	"core.Stack.CloseContext": "with IsolatedCtx, the only caller-side cancellation and drain bound",
 	"core.Context.Ctx":        "a handler's view of the IsolatedCtx deadline it runs under",

@@ -2,20 +2,22 @@ package ctp_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/arq"
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/ctp"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 	"repro/internal/transport/faultnet"
 )
 
@@ -197,52 +199,100 @@ func TestUnreliableCompositionDropsAreSilent(t *testing.T) {
 	}
 }
 
-// TestDeadPeerSurfacesConnFailure: with a retry cap, frames sent to a
-// peer that never acks are eventually abandoned with a typed connection
-// failure instead of retransmitting forever.
-func TestDeadPeerSurfacesConnFailure(t *testing.T) {
-	net := simnet.New(simnet.Config{Nodes: 2})
-	defer net.Close()
-	e, err := ctp.NewEndpoint(ctp.Config{
-		Net: net, ID: 0, Peer: 1,
-		Reliable: true,
-		RTO:      2 * time.Millisecond, MaxRetries: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
+// tapNet reports every datagram an endpoint sends to onSend.
+type tapNet struct {
+	transport.Transport
+	onSend func(from transport.NodeID, payload []byte)
+}
+
+func (n tapNet) Endpoint(id transport.NodeID) transport.Endpoint {
+	return tapEndpoint{n.Transport.Endpoint(id), n.onSend}
+}
+
+type tapEndpoint struct {
+	transport.Endpoint
+	onSend func(from transport.NodeID, payload []byte)
+}
+
+func (e tapEndpoint) Send(to transport.NodeID, payload []byte) {
+	e.onSend(e.ID(), payload)
+	e.Endpoint.Send(to, payload)
+}
+
+// TestOneWayStreamAcksEconomically: a receiver that sends no data back
+// is acked by half windows and ticks, not frame by frame. 500 messages
+// from A, many times ARQ's window, all reach B in order, and B sends
+// fewer ack-only datagrams than half of A's data frames.
+func TestOneWayStreamAcksEconomically(t *testing.T) {
+	const msgs = 500
+	sim := simnet.New(simnet.Config{Nodes: 2})
+	defer sim.Close()
+	// Without Checksum, each datagram is one ARQ frame, its kind first.
+	var data, acks, other atomic.Int64
+	net := tapNet{Transport: sim, onSend: func(from transport.NodeID, p []byte) {
+		switch {
+		case from == 0 && p[0] == arq.KindData:
+			data.Add(1)
+		case from == 1 && (p[0] == arq.KindAck || p[0] == arq.KindSack):
+			acks.Add(1)
+		default:
+			other.Add(1)
+		}
+	}}
+	var mu sync.Mutex
+	var got []string
+	mk := func(id, peer transport.NodeID, deliver func([]byte)) *ctp.Endpoint {
+		e, err := ctp.NewEndpoint(ctp.Config{
+			Net: net, ID: id, Peer: peer,
+			Reliable: true, Ordered: true,
+			Deliver: deliver,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start()
+		return e
 	}
-	e.Start()
-	defer e.Stop()
-	if err := e.Send([]byte("into the void")); err != nil {
-		t.Fatal(err)
+	a := mk(0, 1, nil)
+	b := mk(1, 0, func(m []byte) { mu.Lock(); got = append(got, string(m)); mu.Unlock() })
+	for i := 0; i < msgs; i++ {
+		if err := a.Send([]byte(fmt.Sprintf("m%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for len(e.Failed()) == 0 {
+	for {
+		mu.Lock()
+		n := len(got)
+		mu.Unlock()
+		if n >= msgs {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no connection failure surfaced; retransmits = %d", e.Retransmits())
+			t.Fatalf("timeout: delivered %d of %d", n, msgs)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	f := e.Failed()[0]
-	if f.Retries != 3 {
-		t.Fatalf("failure = %+v, want 3 retries", f)
+	a.Stop()
+	b.Stop()
+	for _, err := range append(a.Errs(), b.Errs()...) {
+		t.Error(err)
 	}
-	// The failure also surfaces through the computation error log.
-	found := false
-	for _, err := range e.Errs() {
-		var cf *ctp.ConnFailedError
-		if errors.As(err, &cf) {
-			found = true
+
+	for i, m := range got {
+		if m != fmt.Sprintf("m%d", i) {
+			t.Fatalf("delivered[%d] = %q: order broken", i, m)
 		}
 	}
-	if !found {
-		t.Fatal("ConnFailedError not recorded in Errs")
+	if len(got) != msgs {
+		t.Fatalf("delivered %d, want %d", len(got), msgs)
 	}
-	// Bounded retries: the abandoned frame stops consuming the wire.
-	quiesced := e.Retransmits()
-	time.Sleep(50 * time.Millisecond)
-	if e.Retransmits() != quiesced {
-		t.Fatal("retransmissions continued after the frame was abandoned")
+	t.Logf("%d data frames, %d ack-only datagrams back, %d retransmitted", data.Load(), acks.Load(), a.Retransmits())
+	if n := other.Load(); n != 0 {
+		t.Errorf("%d datagrams were neither A's data nor B's acks", n)
+	}
+	if 2*acks.Load() >= data.Load() {
+		t.Errorf("%d ack-only datagrams for %d data frames, want fewer than half", acks.Load(), data.Load())
 	}
 }
 

@@ -4,18 +4,18 @@
 // protocol", the paper's reference [24]), which is the tradition the
 // paper positions itself in.
 //
-// A transport Endpoint stacks four optional layers over the simulated
-// network, each an ordinary microprotocol whose handlers communicate only
-// through events:
+// A transport Endpoint stacks four optional layers over any transport,
+// each an ordinary microprotocol whose handlers communicate only through
+// events:
 //
 //	application
 //	   │ Send                      ▲ Deliver
 //	Segment    — splits messages into MSS-sized fragments, reassembles
 //	Order      — per-connection sequence numbers, in-order release
-//	ARQ        — positive acks, retransmission, sliding send window
+//	ARQ        — one arq.Link (gc's ARQ too): acks, retransmission, window
 //	Checksum   — FNV-32a over the frame, drops corrupted datagrams
 //	   │                           ▲
-//	 wire (simnet)
+//	 wire (one transport.Endpoint)
 //
 // The composition is chosen per Endpoint (Reliable, Ordered, Checksummed);
 // disabled layers simply drop out of the event chain — the configurability

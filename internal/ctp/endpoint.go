@@ -20,13 +20,9 @@ type Config struct {
 	// Composition flags. Ordered requires Reliable (an unreliable
 	// ordered stream would stall forever at the first loss).
 	Reliable, Ordered, Checksummed bool
-	// RTO is ARQ's base retransmission timeout (default 50ms); per-frame
-	// intervals back off exponentially (with jitter) from it.
+	// RTO is ARQ's retransmission timeout (default 50ms): an unacknowledged
+	// frame is resent every RTO, with no retry cap, until Stop.
 	RTO time.Duration
-	// MaxRetries caps retransmissions per frame; a frame that exhausts it
-	// is abandoned and surfaces a *ConnFailedError (via Errs and Failed).
-	// Zero means retry forever.
-	MaxRetries int
 	// Controller schedules computations (default cc.NewVCABasic()). Any
 	// controller runs the endpoint: its specs are derived (core.Derive)
 	// and carry M, visit bounds and the route together.
@@ -49,7 +45,7 @@ const visitBound = 1024
 const arqWindow = 32
 
 // Endpoint is one side of a point-to-point transport connection: a SAMOA
-// stack of the configured layers wired to a simnet node.
+// stack of the configured layers over one endpoint of any transport.
 type Endpoint struct {
 	cfg   Config
 	stack *core.Stack
@@ -143,7 +139,7 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		stackUp(e.sum.mp, e.sum.hSend, e.sum.hRecv, "SumSend")
 	}
 	if cfg.Reliable {
-		e.arq = newARQ(cfg.RTO, arqWindow, cfg.MaxRetries, int64(cfg.ID)+1, down, recvChain[1])
+		e.arq = newARQ(cfg.RTO, arqWindow, down, recvChain[1])
 		stackUp(e.arq.mp, e.arq.hSend, e.arq.hRecv, "ArqSend")
 		e.stack.Bind(e.evTick, e.arq.hRetransmit)
 	}
@@ -255,41 +251,13 @@ func (e *Endpoint) Errs() []error {
 	return append([]error(nil), e.errs...)
 }
 
-// Failed returns the connection failures recorded in Errs so far:
-// frames that exhausted Config.MaxRetries without an ack (nil for
-// unreliable or uncapped compositions). It reads the same log as Errs, so
-// a failure Failed reports is already in Errs.
-func (e *Endpoint) Failed() []*ConnFailedError {
-	var out []*ConnFailedError
-	for _, err := range e.Errs() {
-		out = connFailures(out, err)
-	}
-	return out
-}
-
-// connFailures appends every *ConnFailedError in err's tree to out: one
-// retransmission tick reports each frame it abandons, joined.
-func connFailures(out []*ConnFailedError, err error) []*ConnFailedError {
-	switch x := err.(type) {
-	case *ConnFailedError:
-		out = append(out, x)
-	case interface{ Unwrap() []error }:
-		for _, e := range x.Unwrap() {
-			out = connFailures(out, e)
-		}
-	case interface{ Unwrap() error }:
-		out = connFailures(out, x.Unwrap())
-	}
-	return out
-}
-
 // Retransmits reports ARQ retransmissions (0 for unreliable
 // compositions).
 func (e *Endpoint) Retransmits() uint64 {
 	if e.arq == nil {
 		return 0
 	}
-	return e.arq.Retransmits()
+	return e.arq.retransmits.Load()
 }
 
 // BadFrames reports checksum-rejected datagrams (0 when the layer is

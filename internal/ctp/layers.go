@@ -1,23 +1,15 @@
 package ctp
 
 import (
-	"errors"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arq"
 	"repro/internal/core"
-	"repro/internal/dedupe"
 	"repro/internal/transport"
 	"repro/internal/wire"
-)
-
-// ARQ frame kinds.
-const (
-	arqData uint8 = 1
-	arqAck  uint8 = 2
 )
 
 // Segment splits application messages into MSS-sized fragments on the way
@@ -180,64 +172,28 @@ func (o *Order) recv(ctx *core.Context, msg core.Message) error {
 	}
 }
 
-// ConnFailedError reports that a data frame exhausted its retransmission
-// budget: the connection is considered failed for that frame (the peer is
-// unreachable or the link is persistently lossy beyond repair).
-type ConnFailedError struct {
-	Seq     uint64 // ARQ sequence number of the abandoned frame
-	Retries int    // retransmissions attempted before giving up
-}
-
-func (e *ConnFailedError) Error() string {
-	return fmt.Sprintf("ctp: connection failed: frame %d unacknowledged after %d retransmissions", e.Seq, e.Retries)
-}
-
-// ARQ provides reliability: every data frame carries a sequence number
-// and is buffered until acknowledged; a timer retransmits with per-frame
-// exponential backoff and jitter; a sliding window bounds the
-// unacknowledged frames (excess sends queue); receivers ack everything
-// and deduplicate. With a retry cap, frames that exhaust it are abandoned
-// and surface a ConnFailedError. Frames: {kind, aseq, inner?}.
+// ARQ provides reliability over one arq.Link to the peer, whose package
+// states the rules: acks, retransmission and a sliding send window. Each
+// frame it sends down is one arq frame in a datagram of its own.
 type ARQ struct {
-	mp         *core.Microprotocol
-	rto        time.Duration
-	window     int
-	maxRetries int
-	down       *core.EventType
-	up         *core.EventType
-
-	nextSeq uint64
-	pending map[uint64]*arqPending
-	queued  [][]byte
-	seen    dedupe.Seq
-	rng     *rand.Rand
+	mp   *core.Microprotocol
+	rto  time.Duration
+	down *core.EventType
+	up   *core.EventType
+	link *arq.Link
 
 	retransmits atomic.Uint64
 
 	hSend, hRecv, hRetransmit *core.Handler
 }
 
-type arqPending struct {
-	frame  []byte
-	sentAt time.Time
-	rto    time.Duration // current backoff interval for this frame
-	tries  int           // retransmissions so far
-}
-
-// backoffCap bounds the exponential backoff at this multiple of the base
-// RTO.
-const backoffCap = 8
-
-func newARQ(rto time.Duration, window, maxRetries int, seed int64, down, up *core.EventType) *ARQ {
+func newARQ(rto time.Duration, window int, down, up *core.EventType) *ARQ {
 	a := &ARQ{
-		mp:         core.NewMicroprotocol("arq"),
-		rto:        rto,
-		window:     window,
-		maxRetries: maxRetries,
-		down:       down,
-		up:         up,
-		pending:    make(map[uint64]*arqPending),
-		rng:        rand.New(rand.NewSource(seed)),
+		mp:   core.NewMicroprotocol("arq"),
+		rto:  rto,
+		down: down,
+		up:   up,
+		link: arq.NewLink(rand.Uint32(), window),
 	}
 	a.hSend = a.mp.AddHandler("send", a.send).Emits(a.down)
 	a.hRecv = a.mp.AddHandler("recv", a.recv).Emits(a.down, a.up) // acks go down
@@ -246,99 +202,34 @@ func newARQ(rto time.Duration, window, maxRetries int, seed int64, down, up *cor
 }
 
 func (a *ARQ) send(ctx *core.Context, msg core.Message) error {
-	data := msg.([]byte)
-	if len(a.pending) >= a.window {
-		a.queued = append(a.queued, data)
-		return nil
-	}
-	return a.transmit(ctx, data)
+	return a.link.Send(msg.([]byte), func(f arq.Frame) error { return a.emit(ctx, f) })
 }
 
-func (a *ARQ) transmit(ctx *core.Context, data []byte) error {
-	a.nextSeq++
-	w := wire.NewWriter(16 + len(data))
-	w.U8(arqData)
-	w.U64(a.nextSeq)
-	w.BytesPrefixed(data)
-	frame := append([]byte(nil), w.Bytes()...)
-	a.pending[a.nextSeq] = &arqPending{frame: frame, sentAt: time.Now(), rto: a.rto}
-	return ctx.Trigger(a.down, frame)
+// emit sends f down, encoded.
+func (a *ARQ) emit(ctx *core.Context, f arq.Frame) error {
+	return ctx.Trigger(a.down, f.Append(make([]byte, 0, f.Size())))
 }
 
 func (a *ARQ) recv(ctx *core.Context, msg core.Message) error {
-	r := wire.NewReader(msg.([]byte))
-	switch kind := r.U8(); kind {
-	case arqData:
-		aseq := r.U64()
-		inner := r.BytesPrefixed()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		// Ack unconditionally; the ack rides the same downward path
-		// (through Checksum, if enabled) as data.
-		w := wire.NewWriter(9)
-		w.U8(arqAck)
-		w.U64(aseq)
-		if err := ctx.Trigger(a.down, append([]byte(nil), w.Bytes()...)); err != nil {
-			return err
-		}
-		if !a.seen.Mark(aseq) {
-			return nil
-		}
-		return ctx.Trigger(a.up, append([]byte(nil), inner...))
-	case arqAck:
-		aseq := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		delete(a.pending, aseq)
-		for len(a.queued) > 0 && len(a.pending) < a.window {
-			data := a.queued[0]
-			a.queued = a.queued[1:]
-			if err := a.transmit(ctx, data); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return nil
+	f, _, err := arq.Decode(msg.([]byte))
+	if err != nil {
+		return err
 	}
+	emit := func(f arq.Frame) error { return a.emit(ctx, f) }
+	if f.Kind != arq.KindData {
+		return a.link.Acked(f.Kind, f.Epoch, f.Seq, emit)
+	}
+	if fresh, err := a.link.Receive(&f, emit); !fresh || err != nil {
+		return err
+	}
+	return ctx.Trigger(a.up, append([]byte(nil), f.Inner...))
 }
 
 func (a *ARQ) retransmit(ctx *core.Context, _ core.Message) error {
-	now := time.Now()
-	var failed []error
-	for seq, p := range a.pending {
-		if now.Sub(p.sentAt) < p.rto {
-			continue
-		}
-		if a.maxRetries > 0 && p.tries >= a.maxRetries {
-			// Budget exhausted: abandon the frame and surface the failure,
-			// but keep scanning — other frames may still be repairable.
-			delete(a.pending, seq)
-			failed = append(failed, &ConnFailedError{Seq: seq, Retries: p.tries})
-			continue
-		}
-		p.tries++
-		p.sentAt = now
-		// Exponential backoff with ±25% jitter, capped at backoffCap×base:
-		// doubling spaces retries out under persistent outages, the jitter
-		// decorrelates the two directions of a connection.
-		next := p.rto * 2
-		if max := a.rto * backoffCap; next > max {
-			next = max
-		}
-		p.rto = next + time.Duration((a.rng.Float64()-0.5)*0.5*float64(next))
-		a.retransmits.Add(1)
-		if err := ctx.Trigger(a.down, p.frame); err != nil {
-			return errors.Join(append(failed, err)...)
-		}
-	}
-	return errors.Join(failed...)
+	n, err := a.link.Tick(time.Now(), a.rto, func(f arq.Frame) error { return a.emit(ctx, f) })
+	a.retransmits.Add(uint64(n))
+	return err
 }
-
-// Retransmits reports the total retransmissions so far.
-func (a *ARQ) Retransmits() uint64 { return a.retransmits.Load() }
 
 // Checksum guards the whole frame below it with FNV-32a; corrupted
 // datagrams are silently dropped (ARQ repairs the loss, if present).

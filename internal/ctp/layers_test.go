@@ -1,11 +1,10 @@
 package ctp
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/arq"
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -152,136 +151,106 @@ func TestOrderReleasesInSequence(t *testing.T) {
 	}
 }
 
-func TestARQAcksDedupsAndRetransmits(t *testing.T) {
-	var arq *ARQ
+// newARQHarness wires an ARQ layer with the given RTO and window, its
+// retransmission tick bound to the returned event.
+func newARQHarness(t *testing.T, rto time.Duration, window int) (*layerHarness, *ARQ, *core.EventType, *core.EventType, *core.EventType) {
+	t.Helper()
+	var a *ARQ
 	h, evSend, evRecv := newLayerHarness(t, func(down, up *core.EventType) (*core.Microprotocol, *core.Handler, *core.Handler) {
-		arq = newARQ(10*time.Millisecond, 8, 0, 1, down, up)
-		return arq.mp, arq.hSend, arq.hRecv
+		a = newARQ(rto, window, down, up)
+		return a.mp, a.hSend, a.hRecv
 	})
 	evTick := core.NewEventType("tick")
-	h.s.Bind(evTick, arq.hRetransmit)
+	h.s.Bind(evTick, a.hRetransmit)
+	return h, a, evSend, evRecv, evTick
+}
+
+// downFrame decodes the i-th frame the harness sent down.
+func (h *layerHarness) downFrame(t *testing.T, i int) arq.Frame {
+	t.Helper()
+	f, rest, err := arq.Decode(h.down[i])
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("down[%d] = %v: %v, %d trailing bytes", i, h.down[i], err, len(rest))
+	}
+	return f
+}
+
+func encode(f arq.Frame) []byte { return f.Append(nil) }
+
+func TestARQAcksDedupsAndRetransmits(t *testing.T) {
+	h, a, evSend, evRecv, evTick := newARQHarness(t, 10*time.Millisecond, 8)
 
 	h.external(t, evSend, []byte("payload"))
 	if len(h.down) != 1 {
 		t.Fatalf("down = %d", len(h.down))
 	}
-	dataFrame := h.down[0]
+	sent := h.downFrame(t, 0)
+	if sent.Kind != arq.KindData || sent.Seq != 1 || string(sent.Inner) != "payload" {
+		t.Fatalf("sent %+v, want data frame 1", sent)
+	}
 
-	// Receiving the data frame acks it and releases it upward, once.
-	h.external(t, evRecv, dataFrame)
-	if len(h.up) != 1 || string(h.up[0]) != "payload" {
+	// The peer's data frame is released upward, once; its ack is owed,
+	// not sent.
+	peer := encode(arq.Frame{Kind: arq.KindData, Epoch: 7, Seq: 1, Inner: []byte("hello")})
+	h.external(t, evRecv, peer)
+	if len(h.up) != 1 || string(h.up[0]) != "hello" {
 		t.Fatalf("up = %q", h.up)
 	}
-	if len(h.down) != 2 { // the ack went down
-		t.Fatalf("down = %d, want data+ack", len(h.down))
+	if len(h.down) != 1 {
+		t.Fatalf("down = %d after one fresh frame, want the ack owed", len(h.down))
 	}
-	ackFrame := h.down[1]
-	if ackFrame[0] != arqAck {
-		t.Fatal("second down frame is not an ack")
-	}
-	// A duplicate data frame is re-acked but not re-delivered.
-	h.external(t, evRecv, dataFrame)
+	// A duplicate means the peer is retransmitting: it is acked at once
+	// and not re-delivered.
+	h.external(t, evRecv, peer)
 	if len(h.up) != 1 {
 		t.Fatal("duplicate delivered")
 	}
-	if len(h.down) != 3 {
-		t.Fatal("duplicate not re-acked")
+	if len(h.down) != 2 {
+		t.Fatalf("down = %d, want the duplicate acked", len(h.down))
 	}
-	// Unacked frames retransmit after the RTO; acked ones don't.
+	if ack := h.downFrame(t, 1); ack.Kind != arq.KindAck || ack.Epoch != 7 || ack.Seq != 1 {
+		t.Fatalf("duplicate answered by %+v, want a cumulative ack of seq 1 of epoch 7", ack)
+	}
+	// The unacknowledged frame is resent after the RTO, carrying the ack.
 	time.Sleep(15 * time.Millisecond)
 	h.external(t, evTick, nil)
-	if len(h.down) != 4 || !bytes.Equal(h.down[3], dataFrame) {
+	if len(h.down) != 3 {
 		t.Fatalf("retransmission missing: down = %d", len(h.down))
 	}
-	h.external(t, evRecv, ackFrame) // our own ack comes back: sender side clears
+	if re := h.downFrame(t, 2); re.Kind != arq.KindData || re.Seq != 1 || re.AckEpoch != 7 || re.Ack != 1 {
+		t.Fatalf("retransmitted %+v, want data frame 1 acking seq 1 of epoch 7", re)
+	}
+	// The peer's ack clears it: no further retransmission, and nothing is
+	// owed.
+	h.external(t, evRecv, encode(arq.Frame{Kind: arq.KindAck, Epoch: sent.Epoch, Seq: 1}))
 	time.Sleep(15 * time.Millisecond)
 	h.external(t, evTick, nil)
-	if len(h.down) != 4 {
+	if len(h.down) != 3 {
 		t.Fatal("acked frame still retransmitting")
 	}
-	if arq.Retransmits() != 1 {
-		t.Fatalf("retransmits = %d", arq.Retransmits())
-	}
-}
-
-func TestARQBackoffSpacesRetransmissions(t *testing.T) {
-	var arq *ARQ
-	h, evSend, _ := newLayerHarness(t, func(down, up *core.EventType) (*core.Microprotocol, *core.Handler, *core.Handler) {
-		arq = newARQ(30*time.Millisecond, 8, 0, 1, down, up)
-		return arq.mp, arq.hSend, arq.hRecv
-	})
-	evTick := core.NewEventType("tick")
-	h.s.Bind(evTick, arq.hRetransmit)
-
-	h.external(t, evSend, []byte("x"))
-	time.Sleep(35 * time.Millisecond)
-	h.external(t, evTick, nil)
-	if arq.Retransmits() != 1 {
-		t.Fatalf("retransmits = %d, want 1", arq.Retransmits())
-	}
-	// The frame's interval has backed off to ≥ 2×30ms×0.75 = 45ms: a tick
-	// only ~30ms after the first retransmission must not fire again.
-	time.Sleep(30 * time.Millisecond)
-	h.external(t, evTick, nil)
-	if got := arq.Retransmits(); got != 1 {
-		t.Fatalf("retransmitted again before the backed-off interval: %d", got)
-	}
-}
-
-func TestARQMaxRetriesSurfacesConnFailure(t *testing.T) {
-	var arq *ARQ
-	h, evSend, _ := newLayerHarness(t, func(down, up *core.EventType) (*core.Microprotocol, *core.Handler, *core.Handler) {
-		arq = newARQ(time.Millisecond, 8, 2, 1, down, up)
-		return arq.mp, arq.hSend, arq.hRecv
-	})
-	evTick := core.NewEventType("tick")
-	h.s.Bind(evTick, arq.hRetransmit)
-
-	h.external(t, evSend, []byte("doomed"))
-	var tickErr error
-	for i := 0; i < 10 && tickErr == nil; i++ {
-		time.Sleep(15 * time.Millisecond) // past the 8×1ms backoff cap
-		tickErr = h.s.External(h.spec, evTick, nil)
-	}
-	var cf *ConnFailedError
-	if !errors.As(tickErr, &cf) {
-		t.Fatalf("tick error = %v, want *ConnFailedError", tickErr)
-	}
-	if cf.Seq != 1 || cf.Retries != 2 {
-		t.Fatalf("failure = %+v", cf)
-	}
-	// The frame is abandoned: further ticks neither retransmit nor re-fail
-	// (h.external fails the test on a tick error).
-	before := arq.Retransmits()
-	time.Sleep(15 * time.Millisecond)
-	h.external(t, evTick, nil)
-	if arq.Retransmits() != before {
-		t.Fatal("abandoned frame still active")
-	}
-	if len(h.down) != 3 { // original + 2 retransmissions
-		t.Fatalf("down = %d frames, want 3", len(h.down))
+	if n := a.retransmits.Load(); n != 1 {
+		t.Fatalf("retransmits = %d", n)
 	}
 }
 
 func TestARQWindowQueues(t *testing.T) {
-	var arq *ARQ
-	h, evSend, evRecv := newLayerHarness(t, func(down, up *core.EventType) (*core.Microprotocol, *core.Handler, *core.Handler) {
-		arq = newARQ(time.Hour, 2, 0, 1, down, up)
-		return arq.mp, arq.hSend, arq.hRecv
-	})
+	h, _, evSend, evRecv, _ := newARQHarness(t, time.Hour, 2)
 	for i := 0; i < 5; i++ {
 		h.external(t, evSend, []byte{byte(i)})
 	}
 	if len(h.down) != 2 {
 		t.Fatalf("transmitted %d, window is 2", len(h.down))
 	}
+	epoch := h.downFrame(t, 0).Epoch
 	// Ack the first: one queued frame flows.
-	w := wire.NewWriter(9)
-	w.U8(arqAck)
-	w.U64(1)
-	h.external(t, evRecv, w.Bytes())
-	if len(h.down) != 3 {
+	h.external(t, evRecv, encode(arq.Frame{Kind: arq.KindAck, Epoch: epoch, Seq: 1}))
+	if len(h.down) != 3 || h.downFrame(t, 2).Seq != 3 {
 		t.Fatalf("after ack: down = %d", len(h.down))
+	}
+	// One cumulative ack opens two slots.
+	h.external(t, evRecv, encode(arq.Frame{Kind: arq.KindAck, Epoch: epoch, Seq: 3}))
+	if len(h.down) != 5 || h.downFrame(t, 4).Seq != 5 || h.downFrame(t, 4).Inner[0] != 4 {
+		t.Fatalf("after acking up to 3: down = %d, want all 5 sent in order", len(h.down))
 	}
 }
 

@@ -38,8 +38,8 @@ func TestQuietRunRetransmitsNothing(t *testing.T) {
 			t.Errorf("site %d retransmitted %d frames", i, n)
 		}
 		for to, l := range s.relcomm.peers {
-			if len(l.unacked) != 0 {
-				t.Errorf("site %d: %d frames to site %d unacknowledged after idling", i, len(l.unacked), to)
+			if n := l.State().Unacked; n != 0 {
+				t.Errorf("site %d: %d frames to site %d unacknowledged after idling", i, n, to)
 			}
 		}
 	}
@@ -70,7 +70,7 @@ func TestOneWayStreamNeverStalls(t *testing.T) {
 						t.Errorf("site 0 sent a malformed datagram: %v", err)
 						return
 					}
-					if f.kind == dgData {
+					if f.Kind == dgData {
 						frames.Add(1)
 					}
 					p = rest
@@ -220,12 +220,12 @@ func TestRejoinedSiteDedupeCompacts(t *testing.T) {
 
 	const window = sendWindow
 	for from := transport.NodeID(0); from < 2; from++ {
-		seen := &sites[2].relcomm.peers[from].seen
-		next := sites[from].relcomm.peers[2].nextSeq
-		t.Logf("site 2's window for site %d: low %d, sparse %d; site %d's next seq %d", from, seen.Low(), seen.SparseLen(), from, next)
-		if seen.SparseLen() > window || seen.Low()+window < next {
+		seen := sites[2].relcomm.peers[from].State()
+		next := sites[from].relcomm.peers[2].State().NextSeq
+		t.Logf("site 2's window for site %d: low %d, sparse %d; site %d's next seq %d", from, seen.Low, seen.Sparse, from, next)
+		if seen.Sparse > window || seen.Low+window < next {
 			t.Errorf("site 2's window for site %d: low %d, sparse %d; want sparse ≤ %d and low within %d of site %d's next seq %d",
-				from, seen.Low(), seen.SparseLen(), window, window, from, next)
+				from, seen.Low, seen.Sparse, window, window, from, next)
 		}
 	}
 }

@@ -17,7 +17,7 @@
 // misses pre-join history (ABcast fast-forwards the joiner's instance
 // pointer via a SYNC message).
 //
-// A Site assembles one full stack per simnet node. Exactly as the paper
+// A Site assembles one full stack per transport endpoint. Exactly as the paper
 // prescribes (§4), every external event — a datagram arriving, an
 // application broadcast, a timer firing — enters the stack through
 // Isolated with a declared spec, and the configured concurrency controller

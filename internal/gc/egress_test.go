@@ -161,7 +161,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func ackOnly(p []byte) bool {
 	for len(p) > 0 {
 		f, rest, err := decodeFrame(p)
-		if err != nil || (f.kind != dgAck && f.kind != dgSack) {
+		if err != nil || (f.Kind != dgAck && f.Kind != dgSack) {
 			return false
 		}
 		p = rest
@@ -281,8 +281,8 @@ func TestSelfDeliveryBypassesTransport(t *testing.T) {
 		t.Errorf("a lone site sent %d datagrams", st.Sent)
 	}
 	s.Stop() // computations are over: RelComm's state may be read
-	if n := len(s.relcomm.peers[0].unacked); n != 0 {
-		t.Errorf("%d self-addressed frames buffered for retransmission", n)
+	if l := s.relcomm.peers[0]; l != nil {
+		t.Errorf("an ARQ link to the site itself: %+v", l.State())
 	}
 }
 
@@ -308,10 +308,10 @@ func TestEgressSplitsAtMaxDatagram(t *testing.T) {
 	big := bytes.Repeat([]byte{'x'}, 40<<10)
 	err = stack.Isolated(core.Access(no.mp), func(ctx *core.Context) error {
 		for _, f := range []outFrame{
-			{to: 1, frame: frame{kind: dgAck, epoch: 9, seq: 1}},
-			{to: 1, frame: frame{kind: dgData, epoch: 9, seq: 2, inner: big}},
-			{to: 1, frame: frame{kind: dgData, epoch: 9, seq: 3, inner: big}},
-			{to: 1, frame: frame{kind: dgAck, epoch: 9, seq: 4}},
+			{to: 1, frame: frame{Kind: dgAck, Epoch: 9, Seq: 1}},
+			{to: 1, frame: frame{Kind: dgData, Epoch: 9, Seq: 2, Inner: big}},
+			{to: 1, frame: frame{Kind: dgData, Epoch: 9, Seq: 3, Inner: big}},
+			{to: 1, frame: frame{Kind: dgAck, Epoch: 9, Seq: 4}},
 		} {
 			if err := ctx.Trigger(ev.NetSend, f); err != nil {
 				return err
@@ -338,7 +338,7 @@ func TestEgressSplitsAtMaxDatagram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in, p = append(in, f.seq), rest
+			in, p = append(in, f.Seq), rest
 		}
 		seqs = append(seqs, in)
 	}
@@ -383,8 +383,8 @@ func TestManyAcksInOneDatagramUnderVCABound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if p = rest; f.kind == dgData {
-					seqs = append(seqs, f.seq)
+				if p = rest; f.Kind == dgData {
+					seqs = append(seqs, f.Seq)
 				}
 			}
 		}

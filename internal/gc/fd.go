@@ -58,7 +58,7 @@ func (f *FD) tick(ctx *core.Context, _ core.Message) error {
 		if m == f.self {
 			continue
 		}
-		if err := ctx.Trigger(f.ev.NetSend, outFrame{to: m, frame: frame{kind: dgBeat}}); err != nil {
+		if err := ctx.Trigger(f.ev.NetSend, outFrame{to: m, frame: frame{Kind: dgBeat}}); err != nil {
 			return err
 		}
 		if !f.suspected[m] && now.Sub(f.lastHeard[m]) > f.suspectAfter {

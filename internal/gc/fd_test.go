@@ -68,7 +68,7 @@ func TestFDBeatsEveryPeerNotSelf(t *testing.T) {
 	tos := map[simnet.NodeID]bool{}
 	for _, b := range h.beats {
 		tos[b.to] = true
-		if b.kind != dgBeat {
+		if b.Kind != dgBeat {
 			t.Fatal("not a heartbeat datagram")
 		}
 	}

@@ -34,7 +34,7 @@ func FuzzSiteSurvivesGarbageDatagrams(f *testing.F) {
 	f.Add([]byte{dgAck, 1, 2})
 	f.Add([]byte{dgBeat})
 	cast := encodeCastFrame(&castMsg{ID: MsgID{Origin: 0, Seq: 1}, Kind: castRApp, Data: []byte("ok")})
-	castData := appendFrame(nil, &frame{kind: dgData, seq: 1, inner: cast})
+	castData := appendFrame(nil, &frame{Kind: dgData, Seq: 1, Inner: cast})
 	f.Add(castData)
 	f.Add(bytes.Join([][]byte{ackFrame(7, 3), castData, ackFrame(7, 4)}, nil))
 	// Inner payloads no layer owns: empty, tags 0, 4 and 255, and casts of
@@ -44,7 +44,7 @@ func FuzzSiteSurvivesGarbageDatagrams(f *testing.F) {
 		inners = append(inners, encodeCastFrame(&castMsg{ID: MsgID{Origin: 0, Seq: uint64(i + 2)}, Kind: kind, Data: []byte("?")}))
 	}
 	for i, inner := range inners {
-		f.Add(appendFrame(nil, &frame{kind: dgData, seq: uint64(i + 1), inner: inner}))
+		f.Add(appendFrame(nil, &frame{Kind: dgData, Seq: uint64(i + 1), Inner: inner}))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		net := simnet.New(simnet.Config{Nodes: 2})
@@ -75,8 +75,8 @@ func walkFrames(p []byte) (frames []frame, ends []int, err error) {
 
 // sameFrame compares two decoded frames field by field.
 func sameFrame(a, b frame) bool {
-	return a.kind == b.kind && a.epoch == b.epoch && a.seq == b.seq && a.ackEpoch == b.ackEpoch &&
-		a.ack == b.ack && a.base == b.base && bytes.Equal(a.inner, b.inner)
+	return a.Kind == b.Kind && a.Epoch == b.Epoch && a.Seq == b.Seq && a.AckEpoch == b.AckEpoch &&
+		a.Ack == b.Ack && a.Base == b.Base && bytes.Equal(a.Inner, b.Inner)
 }
 
 // FuzzDatagramFrames feeds arbitrary bytes to the datagram decoder: it
@@ -95,8 +95,8 @@ func FuzzDatagramFrames(f *testing.F) {
 	// A data frame with a piggybacked ack and a base, then a selective
 	// ack, cut at every byte.
 	hdrs := bytes.Join([][]byte{
-		appendFrame(nil, &frame{kind: dgData, epoch: 7, seq: 5, ackEpoch: 9, ack: 4, base: 2, inner: []byte("x")}),
-		appendFrame(nil, &frame{kind: dgSack, epoch: 9, seq: 6}),
+		appendFrame(nil, &frame{Kind: dgData, Epoch: 7, Seq: 5, AckEpoch: 9, Ack: 4, Base: 2, Inner: []byte("x")}),
+		appendFrame(nil, &frame{Kind: dgSack, Epoch: 9, Seq: 6}),
 	}, nil)
 	for cut := range len(hdrs) + 1 {
 		f.Add(hdrs, uint16(cut))
@@ -106,8 +106,8 @@ func FuzzDatagramFrames(f *testing.F) {
 		Value: []castMsg{{ID: MsgID{Origin: 1, Seq: 4}, Kind: castApp, Data: []byte("v")}}})
 	refused := encodeConsFrame(&consMsg{Type: cRefused, Inst: 3, Round: 1, Done: 2})
 	f.Add(bytes.Join([][]byte{
-		appendFrame(nil, &frame{kind: dgData, epoch: 7, seq: 8, inner: voted}),
-		appendFrame(nil, &frame{kind: dgData, epoch: 7, seq: 9, inner: refused}),
+		appendFrame(nil, &frame{Kind: dgData, Epoch: 7, Seq: 8, Inner: voted}),
+		appendFrame(nil, &frame{Kind: dgData, Epoch: 7, Seq: 9, Inner: refused}),
 	}, nil), uint16(20))
 	f.Fuzz(func(t *testing.T, p []byte, cut uint16) {
 		if len(p) > 0 {
@@ -115,14 +115,14 @@ func FuzzDatagramFrames(f *testing.F) {
 		}
 		frames, ends, _ := walkFrames(p)
 		for _, fr := range frames {
-			switch fr.kind {
+			switch fr.Kind {
 			case dgData, dgAck, dgSack, dgBeat:
 			default:
-				t.Fatalf("decoder accepted kind %d", fr.kind)
+				t.Fatalf("decoder accepted kind %d", fr.Kind)
 			}
 			enc := appendFrame(nil, &fr)
-			if len(enc) != fr.size() {
-				t.Fatalf("size says %d, frame encodes to %d bytes", fr.size(), len(enc))
+			if len(enc) != frameSize(&fr) {
+				t.Fatalf("size says %d, frame encodes to %d bytes", frameSize(&fr), len(enc))
 			}
 			back, rest, err := decodeFrame(enc)
 			if err != nil || len(rest) != 0 || !sameFrame(back, fr) {

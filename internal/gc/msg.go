@@ -1,31 +1,22 @@
 package gc
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
+	"repro/internal/arq"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // Frame kinds (first byte of every frame). A datagram is a sequence of
-// self-delimiting frames: RelComm data and acks addressed to one peer
-// share datagrams (NetOut coalesces them per computation); a heartbeat
-// always travels alone.
+// self-delimiting frames: RelComm's ARQ frames (package arq) addressed to
+// one peer share datagrams (NetOut coalesces them per computation); a
+// heartbeat always travels alone.
 const (
-	dgData uint8 = 1 // RelComm data: epoch + seq + piggybacked ack + sender base + length-prefixed inner payload
-	dgAck  uint8 = 2 // RelComm cumulative ack: echoed epoch + seq, acknowledging every seq up to it
-	dgBeat uint8 = 3 // failure-detector heartbeat: the kind byte only
-	dgSack uint8 = 4 // RelComm selective ack: echoed epoch + the one seq it acknowledges
-)
-
-// ackLen is the encoded size of an ack frame: kind, epoch, seq.
-// dataHdrLen is a data frame's fixed header: those, then the piggybacked
-// ack's echoed epoch and seq, then the sender base.
-const (
-	ackLen     = 1 + 4 + 8
-	dataHdrLen = ackLen + 4 + 8 + 8
+	dgData       = arq.KindData // RelComm data
+	dgAck        = arq.KindAck  // RelComm cumulative ack
+	dgBeat uint8 = 3            // failure-detector heartbeat: the kind byte only
+	dgSack       = arq.KindSack // RelComm selective ack
 )
 
 // maxDatagram is where NetOut splits one destination's frames into a
@@ -207,94 +198,20 @@ func encodeSyncFrame(nextInst uint64, snap []byte) []byte {
 	return w.Bytes()
 }
 
-// frame is one datagram frame, decoded or to be encoded. A decoded
-// frame's inner aliases the datagram.
-type frame struct {
-	kind  uint8
-	epoch uint32 // dgData: the sender's incarnation; dgAck, dgSack: the echoed one
-	seq   uint64 // dgData: the frame's; dgAck: the cumulative ack; dgSack: the one acknowledged
-	// dgData only: the cumulative ack for the reverse direction (the
-	// echoed epoch of the frame's receiver, and every seq up to ack from
-	// it arrived), and the sender base (every seq up to base the sender
-	// will never send again: acknowledged or abandoned).
-	ackEpoch  uint32
-	ack, base uint64
-	inner     []byte
-}
-
-var errBadFrame = errors.New("gc: malformed datagram frame")
-
-// size is the frame's encoded length.
-func (f *frame) size() int {
-	switch f.kind {
-	case dgBeat:
-		return 1
-	case dgData:
-		var v [binary.MaxVarintLen64]byte
-		return dataHdrLen + binary.PutUvarint(v[:], uint64(len(f.inner))) + len(f.inner)
-	default:
-		return ackLen
-	}
-}
-
-// appendFrame encodes f at the end of dst. A data frame's epoch
-// identifies the sender's RelComm incarnation: a crash-restarted process
-// starts a fresh epoch, telling receivers to discard the dead
-// incarnation's dedup state instead of silently swallowing the
-// newcomer's restarted sequence space. An ack echoes the epoch of the
-// data it acknowledges, so a sender ignores acks addressed to a previous
-// incarnation of itself.
-func appendFrame(dst []byte, f *frame) []byte {
-	dst = append(dst, f.kind)
-	if f.kind == dgBeat {
-		return dst
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, f.epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, f.seq)
-	if f.kind != dgData {
-		return dst
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, f.ackEpoch)
-	dst = binary.LittleEndian.AppendUint64(dst, f.ack)
-	dst = binary.LittleEndian.AppendUint64(dst, f.base)
-	dst = binary.AppendUvarint(dst, uint64(len(f.inner)))
-	return append(dst, f.inner...)
-}
+// frame is one datagram frame: an ARQ frame, or, decoded, a heartbeat,
+// which is its Kind alone. NetOut encodes only ARQ frames (Frame.Append);
+// it sends a heartbeat as beatDatagram.
+type frame = arq.Frame
 
 // decodeFrame splits the first frame off a non-empty datagram — the one
 // datagram decoder: RelComm's receive loop and the tests walk a datagram
 // with it. An unknown kind or a truncated frame is an error; the frames
 // before it were already returned, so a malformed tail costs only itself.
-func decodeFrame(p []byte) (f frame, rest []byte, err error) {
-	switch f.kind = p[0]; f.kind {
-	case dgBeat:
-		return f, p[1:], nil
-	case dgData, dgAck, dgSack:
-		hdr := ackLen
-		if f.kind == dgData {
-			hdr = dataHdrLen
-		}
-		if len(p) < hdr {
-			return f, nil, fmt.Errorf("%w: kind %d header truncated at %d bytes", errBadFrame, f.kind, len(p))
-		}
-		f.epoch = binary.LittleEndian.Uint32(p[1:])
-		f.seq = binary.LittleEndian.Uint64(p[5:])
-		if f.kind != dgData {
-			return f, p[ackLen:], nil
-		}
-		f.ackEpoch = binary.LittleEndian.Uint32(p[13:])
-		f.ack = binary.LittleEndian.Uint64(p[17:])
-		f.base = binary.LittleEndian.Uint64(p[25:])
-		rest = p[dataHdrLen:]
-		n, k := binary.Uvarint(rest)
-		if k <= 0 || n > uint64(len(rest)-k) {
-			return f, nil, fmt.Errorf("%w: data seq %d payload truncated", errBadFrame, f.seq)
-		}
-		f.inner = rest[k : k+int(n)]
-		return f, rest[k+int(n):], nil
-	default:
-		return f, nil, fmt.Errorf("%w: unknown kind %d", errBadFrame, f.kind)
+func decodeFrame(p []byte) (frame, []byte, error) {
+	if p[0] == dgBeat {
+		return frame{Kind: dgBeat}, p[1:], nil
 	}
+	return arq.Decode(p)
 }
 
 // Datagram classes, for the pump's choice of spec.

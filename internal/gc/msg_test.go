@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/arq"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -96,32 +97,51 @@ func TestSyncFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// errBadFrame is the error a malformed frame decodes to.
+var errBadFrame = arq.ErrBadFrame
+
+// appendFrame encodes f at the end of dst, and frameSize is its encoded
+// length: those of an ARQ frame, or the kind byte alone for a heartbeat.
+func appendFrame(dst []byte, f *frame) []byte {
+	if f.Kind == dgBeat {
+		return append(dst, dgBeat)
+	}
+	return f.Append(dst)
+}
+
+func frameSize(f *frame) int {
+	if f.Kind == dgBeat {
+		return 1
+	}
+	return f.Size()
+}
+
 // dataFrame and ackFrame encode one frame each, for building test
 // datagrams: a data frame with no piggybacked ack and base 0, and a
 // cumulative ack.
 func dataFrame(epoch uint32, seq uint64, inner string) []byte {
-	return appendFrame(nil, &frame{kind: dgData, epoch: epoch, seq: seq, inner: []byte(inner)})
+	return appendFrame(nil, &frame{Kind: dgData, Epoch: epoch, Seq: seq, Inner: []byte(inner)})
 }
 
 func ackFrame(epoch uint32, seq uint64) []byte {
-	return appendFrame(nil, &frame{kind: dgAck, epoch: epoch, seq: seq})
+	return appendFrame(nil, &frame{Kind: dgAck, Epoch: epoch, Seq: seq})
 }
 
 func TestFrameEncodings(t *testing.T) {
 	for _, f := range []frame{
-		{kind: dgData, epoch: 77, seq: 9, inner: []byte("inner")},
-		{kind: dgAck, epoch: 78, seq: 10},
-		{kind: dgSack, epoch: 79, seq: 11},
-		{kind: dgBeat},
+		{Kind: dgData, Epoch: 77, Seq: 9, Inner: []byte("inner")},
+		{Kind: dgAck, Epoch: 78, Seq: 10},
+		{Kind: dgSack, Epoch: 79, Seq: 11},
+		{Kind: dgBeat},
 	} {
 		p := appendFrame(nil, &f)
-		if len(p) != f.size() {
-			t.Fatalf("kind %d: size %d, encoded %d", f.kind, f.size(), len(p))
+		if len(p) != frameSize(&f) {
+			t.Fatalf("kind %d: size %d, encoded %d", f.Kind, frameSize(&f), len(p))
 		}
 		got, rest, err := decodeFrame(append(p, 0xEE))
-		if err != nil || got.kind != f.kind || got.epoch != f.epoch || got.seq != f.seq ||
-			!bytes.Equal(got.inner, f.inner) || !bytes.Equal(rest, []byte{0xEE}) {
-			t.Fatalf("kind %d round trip: %+v, rest %v, %v", f.kind, got, rest, err)
+		if err != nil || got.Kind != f.Kind || got.Epoch != f.Epoch || got.Seq != f.Seq ||
+			!bytes.Equal(got.Inner, f.Inner) || !bytes.Equal(rest, []byte{0xEE}) {
+			t.Fatalf("kind %d round trip: %+v, rest %v, %v", f.Kind, got, rest, err)
 		}
 	}
 }
@@ -131,11 +151,11 @@ func TestFrameEncodings(t *testing.T) {
 // frame cut at any byte of its header or payload is an error, never a
 // shorter frame.
 func TestDataHeaderRoundTrip(t *testing.T) {
-	f := frame{kind: dgData, epoch: 0xA1B2C3D4, seq: 1 << 40, ackEpoch: 0x01020304, ack: 1<<40 - 3, base: 1<<33 + 7, inner: []byte("payload")}
+	f := frame{Kind: dgData, Epoch: 0xA1B2C3D4, Seq: 1 << 40, AckEpoch: 0x01020304, Ack: 1<<40 - 3, Base: 1<<33 + 7, Inner: []byte("payload")}
 	p := appendFrame(nil, &f)
 	got, rest, err := decodeFrame(p)
-	if err != nil || len(rest) != 0 || got.epoch != f.epoch || got.seq != f.seq || got.ackEpoch != f.ackEpoch ||
-		got.ack != f.ack || got.base != f.base || string(got.inner) != "payload" {
+	if err != nil || len(rest) != 0 || got.Epoch != f.Epoch || got.Seq != f.Seq || got.AckEpoch != f.AckEpoch ||
+		got.Ack != f.Ack || got.Base != f.Base || string(got.Inner) != "payload" {
 		t.Fatalf("round trip: %+v, rest %d, %v", got, len(rest), err)
 	}
 	for cut := 1; cut < len(p); cut++ {

@@ -59,7 +59,7 @@ func newNetOut(node transport.Endpoint) *NetOut {
 	}
 	n.send = n.mp.AddHandler("send", func(_ *core.Context, msg core.Message) error {
 		f := msg.(outFrame)
-		if f.kind == dgBeat {
+		if f.Kind == dgBeat {
 			n.node.Send(f.to, beatDatagram)
 			return nil
 		}
@@ -75,7 +75,7 @@ func newNetOut(node transport.Endpoint) *NetOut {
 // destination, starting a further one when that would pass maxDatagram
 // (a single larger frame travels alone and is the transport's to refuse).
 func (n *NetOut) appendLocked(f outFrame) {
-	size := f.size()
+	size := f.Size()
 	var o *outgoing
 	for i := len(n.out) - 1; i >= 0; i-- {
 		if n.out[i].to == f.to {
@@ -89,7 +89,7 @@ func (n *NetOut) appendLocked(f outFrame) {
 		n.out = append(n.out, outgoing{to: f.to, data: make([]byte, 0, size)})
 		o = &n.out[len(n.out)-1]
 	}
-	o.data = appendFrame(o.data, &f.frame)
+	o.data = f.Append(o.data)
 }
 
 // flush transmits everything buffered for other sites and returns the

@@ -113,8 +113,8 @@ func (h *rcHarness) recvData(t *testing.T) []uint64 {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p = rest; f.kind == dgData {
-				seqs = append(seqs, f.seq)
+			if p = rest; f.Kind == dgData {
+				seqs = append(seqs, f.Seq)
 			}
 		}
 	}
@@ -240,16 +240,16 @@ func TestEpochChangeResetsDedup(t *testing.T) {
 func TestAckFromStaleEpochIgnored(t *testing.T) {
 	h := newRCHarness(t, unlimited)
 	h.sendTo1(t, "m")
-	if n := len(h.rc.peers[1].unacked); n != 1 {
+	if n := h.rc.peers[1].State().Unacked; n != 1 {
 		t.Fatalf("unacked = %d, want 1", n)
 	}
 	// Ack carrying a different epoch — as if meant for a prior incarnation.
 	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: ackFrame(h.rc.epoch+1, 1)})
-	if len(h.rc.peers[1].unacked) != 1 {
+	if h.rc.peers[1].State().Unacked != 1 {
 		t.Fatal("stale-epoch ack cleared the retransmission buffer")
 	}
 	h.ackFrom1(t, 1) // correct epoch clears it
-	if len(h.rc.peers[1].unacked) != 0 {
+	if h.rc.peers[1].State().Unacked != 0 {
 		t.Fatal("current-epoch ack did not clear the buffer")
 	}
 }
@@ -324,7 +324,7 @@ func TestAckRidesDataFrame(t *testing.T) {
 	}
 	h.sendTo1(t, "m")
 	got := h.recvFrames(t)
-	if len(got) != 1 || got[0].kind != dgData || got[0].ackEpoch != 10 || got[0].ack != 2 || got[0].epoch != h.rc.epoch {
+	if len(got) != 1 || got[0].Kind != dgData || got[0].AckEpoch != 10 || got[0].Ack != 2 || got[0].Epoch != h.rc.epoch {
 		t.Fatalf("sent %+v, want one data frame acking seq 2 of epoch 10", got)
 	}
 	h.external(t, h.ev.RetrTick, nil)
@@ -340,11 +340,11 @@ func TestAckImmediateOnDuplicate(t *testing.T) {
 	h := newRCHarness(t, unlimited)
 	h.dataFrom1(t, 10, 1, "a")
 	h.external(t, h.ev.RetrTick, nil)
-	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].seq != 1 {
+	if got := h.recvFrames(t); len(got) != 1 || got[0].Kind != dgAck || got[0].Seq != 1 {
 		t.Fatalf("tick sent %+v, want a cumulative ack of seq 1", got)
 	}
 	h.dataFrom1(t, 10, 1, "a")
-	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].epoch != 10 || got[0].seq != 1 {
+	if got := h.recvFrames(t); len(got) != 1 || got[0].Kind != dgAck || got[0].Epoch != 10 || got[0].Seq != 1 {
 		t.Fatalf("duplicate answered by %+v, want a cumulative ack of seq 1 at once", got)
 	}
 }
@@ -358,7 +358,7 @@ func TestAckHalfWindow(t *testing.T) {
 		t.Fatalf("sent %+v with one frame owed, want nothing", got)
 	}
 	h.dataFrom1(t, 10, 2, "b")
-	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].seq != 2 {
+	if got := h.recvFrames(t); len(got) != 1 || got[0].Kind != dgAck || got[0].Seq != 2 {
 		t.Fatalf("sent %+v with two of a four-frame window owed, want a cumulative ack of seq 2", got)
 	}
 }
@@ -374,13 +374,13 @@ func TestAckSelectiveAboveGap(t *testing.T) {
 	h.dataFrom1(t, 10, 3, "c")
 	h.external(t, h.ev.RetrTick, nil)
 	got := h.recvFrames(t)
-	if len(got) != 2 || got[0].kind != dgSack || got[0].seq != 3 || got[1].kind != dgAck || got[1].seq != 1 {
+	if len(got) != 2 || got[0].Kind != dgSack || got[0].Seq != 3 || got[1].Kind != dgAck || got[1].Seq != 1 {
 		t.Fatalf("tick sent %+v, want a selective ack of 3 and a cumulative ack of 1", got)
 	}
 	h.dataFrom1(t, 10, 4, "d")
 	h.dataFrom1(t, 10, 2, "b")
 	h.external(t, h.ev.RetrTick, nil)
-	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].seq != 4 {
+	if got := h.recvFrames(t); len(got) != 1 || got[0].Kind != dgAck || got[0].Seq != 4 {
 		t.Fatalf("tick sent %+v after the gap closed, want one cumulative ack of 4", got)
 	}
 
@@ -388,7 +388,7 @@ func TestAckSelectiveAboveGap(t *testing.T) {
 		h.sendTo1(t, "m")
 	}
 	h.recvFrames(t)
-	sack := appendFrame(nil, &frame{kind: dgSack, epoch: h.rc.epoch, seq: 2})
+	sack := appendFrame(nil, &frame{Kind: dgSack, Epoch: h.rc.epoch, Seq: 2})
 	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: sack})
 	time.Sleep(60 * time.Millisecond) // past RTO
 	h.external(t, h.ev.RetrTick, nil)
@@ -396,8 +396,8 @@ func TestAckSelectiveAboveGap(t *testing.T) {
 		t.Fatalf("retransmitted %v, want [1 3]: seq 2 was selectively acked", got)
 	}
 	h.ackFrom1(t, 1)
-	if l := h.rc.peers[1]; l.base != 2 || len(l.unacked) != 1 {
-		t.Fatalf("after acking up to 1: base %d with %d unacked, want 2 and 1", l.base, len(l.unacked))
+	if l := h.rc.peers[1].State(); l.Base != 2 || l.Unacked != 1 {
+		t.Fatalf("after acking up to 1: base %d with %d unacked, want 2 and 1", l.Base, l.Unacked)
 	}
 }
 
@@ -406,20 +406,20 @@ func TestAckSelectiveAboveGap(t *testing.T) {
 // it gets is in order, and a frame at or below the base is a duplicate.
 func TestAckSenderBaseStartsWindow(t *testing.T) {
 	h := newRCHarness(t, unlimited)
-	p := appendFrame(nil, &frame{kind: dgData, epoch: 10, seq: 101, base: 100, inner: []byte(tagged("a"))})
+	p := appendFrame(nil, &frame{Kind: dgData, Epoch: 10, Seq: 101, Base: 100, Inner: []byte(tagged("a"))})
 	h.external(t, h.ev.FromNet, simnet.Datagram{From: 1, To: 0, Payload: p})
 	if got := h.delivered(t, 1); len(got) != 1 {
 		t.Fatalf("delivered %v, want [a]", got)
 	}
-	if seen := &h.rc.peers[1].seen; seen.Low() != 101 || seen.SparseLen() != 0 {
-		t.Fatalf("window low %d, sparse %d; want 101 and 0", seen.Low(), seen.SparseLen())
+	if seen := h.rc.peers[1].State(); seen.Low != 101 || seen.Sparse != 0 {
+		t.Fatalf("window low %d, sparse %d; want 101 and 0", seen.Low, seen.Sparse)
 	}
 	h.external(t, h.ev.RetrTick, nil)
-	if got := h.recvFrames(t); len(got) != 1 || got[0].seq != 101 {
+	if got := h.recvFrames(t); len(got) != 1 || got[0].Seq != 101 {
 		t.Fatalf("tick sent %+v, want a cumulative ack of 101 and nothing for the base", got)
 	}
 	h.dataFrom1(t, 10, 50, "old")
-	if got := h.recvFrames(t); len(got) != 1 || got[0].kind != dgAck || got[0].seq != 101 {
+	if got := h.recvFrames(t); len(got) != 1 || got[0].Kind != dgAck || got[0].Seq != 101 {
 		t.Fatalf("a frame below the base got %+v, want an immediate cumulative ack of 101", got)
 	}
 	if got := h.delivered(t, 1); len(got) != 1 {
@@ -430,7 +430,7 @@ func TestAckSenderBaseStartsWindow(t *testing.T) {
 // queued reports the messages waiting for window space to the peer.
 func queued(rc *RelComm, to simnet.NodeID) int {
 	if l := rc.peers[to]; l != nil {
-		return len(l.queued)
+		return l.State().Queued
 	}
 	return 0
 }

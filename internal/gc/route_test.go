@@ -133,7 +133,7 @@ func TestUnroutableInnerDeliversNothing(t *testing.T) {
 		inners = append(inners, casts[i], casts[i])
 	}
 	for i, inner := range inners {
-		d := transport.Datagram{From: 0, To: 1, Payload: appendFrame(nil, &frame{kind: dgData, epoch: 7, seq: uint64(i + 1), inner: inner})}
+		d := transport.Datagram{From: 0, To: 1, Payload: appendFrame(nil, &frame{Kind: dgData, Epoch: 7, Seq: uint64(i + 1), Inner: inner})}
 		if err := s.InjectDatagram(d); err != nil {
 			t.Fatalf("inner %q: %v", inner, err)
 		}
@@ -155,8 +155,8 @@ func TestUnroutableInnerDeliversNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range frames {
-			if _, ok := relays[string(f.inner)]; ok && f.kind == dgData {
-				relays[string(f.inner)]++
+			if _, ok := relays[string(f.Inner)]; ok && f.Kind == dgData {
+				relays[string(f.Inner)]++
 			}
 		}
 	}

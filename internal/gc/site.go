@@ -94,8 +94,8 @@ const (
 )
 
 // Site is one member of the group: a full SAMOA stack (NetOut, RelComm,
-// RelCast, FD, Consensus, ABcast, Membership, App) wired to a simnet
-// node. Every external event — datagram, timer tick, application call —
+// RelCast, FD, Consensus, ABcast, Membership, App) over one endpoint of
+// any transport. Every external event — datagram, timer tick, application call —
 // enters through Isolated with the spec built for that entry point.
 type Site struct {
 	cfg   Config
@@ -462,5 +462,5 @@ func BuildCastDatagram(from transport.NodeID, rcSeq uint64, id MsgID, data []byt
 	inner := encodeCastFrame(&castMsg{ID: id, Kind: castRApp, Data: data})
 	// Epoch 0 stands in for the crashed origin's incarnation; the
 	// receiver adopts whatever epoch a peer's first datagram carries.
-	return transport.Datagram{From: from, Payload: appendFrame(nil, &frame{kind: dgData, seq: rcSeq, inner: inner})}
+	return transport.Datagram{From: from, Payload: (&frame{Kind: dgData, Seq: rcSeq, Inner: inner}).Append(nil)}
 }

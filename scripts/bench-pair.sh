@@ -13,7 +13,8 @@
 # BASE (default HEAD~1), exported with `git archive` into
 # .bench_build/pair/parent — a plain copy, so nothing is registered in .git
 # and both sides build from source with benchmark/run.sh exactly as the
-# gate does. Raw result lines are kept in .bench_build/pair/<workload>.*.jsonl.
+# gate does. The export is reused while BASE names the same commit. Raw
+# result lines are kept in .bench_build/pair/<workload>.*.jsonl.
 set -euo pipefail
 workload="${1:?usage: scripts/bench-pair.sh <workload> [pairs=10]}"
 pairs="${2:-10}"
@@ -22,9 +23,16 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$root/.bench_build/pair"
 parent="$work/parent"
 
-rm -rf "$parent"
-mkdir -p "$parent"
-git -C "$root" archive "$base" | tar -x -C "$parent"
+# Re-export only when BASE names another commit: the export keeps the
+# parent's build cache (benchmark/run.sh puts it under .bench_build), so a
+# second call for the same parent does not rebuild it from nothing.
+rev="$(git -C "$root" rev-parse "$base")"
+if [ "$(cat "$parent/.bench-pair-rev" 2>/dev/null)" != "$rev" ]; then
+	rm -rf "$parent"
+	mkdir -p "$parent"
+	git -C "$root" archive "$rev" | tar -x -C "$parent"
+	echo "$rev" >"$parent/.bench-pair-rev"
+fi
 echo "parent: $(git -C "$root" rev-parse --short "$base")   change: working tree at $(git -C "$root" rev-parse --short HEAD)   workload: $workload   pairs: $pairs"
 
 # one <side> <dir> <seed>: run once, append the result line to the side's file.
